@@ -57,6 +57,7 @@ _EXPORTS = {
         "classification_rows",
         "SpanDeficient",
         "NotEquiangular",
+        "WelchViolation",
         "UnknownCase",
     ),
     "fiducial": (
@@ -75,6 +76,7 @@ _EXPORTS = {
         "NotASymmetry",
         "NotAProjector",
         "induced_permutation",
+        "StabilizerChain",
         "two_transitivity",
         "group_order",
         "close_permutations",

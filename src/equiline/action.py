@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from math import prod
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -22,6 +23,7 @@ __all__ = [
     "NotASymmetry",
     "NotAProjector",
     "Perm",
+    "StabilizerChain",
     "compose",
     "invert",
     "identity_perm",
@@ -87,108 +89,91 @@ def induced_permutation(lines: LineSet, unitary: np.ndarray, tol: float = 1e-8) 
     return tuple(images)
 
 
-def _orbit(start: int, gens: Sequence[Perm]) -> set[int]:
-    seen = {start}
-    dq = deque([start])
-    while dq:
-        a = dq.popleft()
-        for g in gens:
-            b = g[a]
-            if b not in seen:
-                seen.add(b)
-                dq.append(b)
-    return seen
+class StabilizerChain:
+    """Stabilizer chain with base 0, 1, 2, ..., grown one permutation at a time.
 
+    Deterministic incremental Schreier-Sims (Seress, *Permutation Group
+    Algorithms*, 2003, ch. 4).  A sifted residue fixing points 0..i-1 joins
+    the strong generators of every level <= i (it lies in each of those point
+    stabilizers), their orbits are rebuilt, and all their Schreier generators
+    are re-sifted.  So after every `add` the chain is verified: `orbits[i]`
+    maps each point of the orbit of i under the stabilizer of 0..i-1 to an
+    element carrying i there.
 
-def is_transitive(gens: Sequence[Perm]) -> bool:
-    if not gens:
-        raise ValueError("empty generator list")
-    return len(_orbit(0, gens)) == len(gens[0])
-
-
-def two_transitivity(gens: Sequence[Perm]) -> bool:
-    """True iff the orbit of the ordered pair (0, 1) has size n(n-1)."""
-    if not gens:
-        raise ValueError("empty generator list")
-    n = len(gens[0])
-    if n < 2:
-        return False
-    seen = {(0, 1)}
-    dq = deque([(0, 1)])
-    while dq:
-        a, b = dq.popleft()
-        for g in gens:
-            pair = (g[a], g[b])
-            if pair not in seen:
-                seen.add(pair)
-                dq.append(pair)
-    return len(seen) == n * (n - 1)
-
-
-def group_order(gens: Sequence[Perm]) -> int:
-    """Order of the generated group by a stabilizer chain with base 0,1,2,...
-
-    Deterministic incremental Schreier-Sims.  A sifted residue fixing points
-    0..i-1 joins the generating set of every level <= i (it lies in each of
-    those point stabilizers), the affected orbits are rebuilt, and all their
-    Schreier generators are re-sifted, so the finished chain is verified.
-    Order = product of the orbit sizes along the chain.
+    The order is the product of the orbit sizes.  With base 0, 1 the group is
+    transitive iff |0^G| = n, and 2-transitive iff moreover n >= 2 and the
+    stabilizer of 0 is transitive on the other points: |1^(G_0)| = n - 1.
     """
-    if not gens:
-        raise ValueError("empty generator list")
-    n = len(gens[0])
-    e = identity_perm(n)
-    strong: list[list[Perm]] = [[] for _ in range(n)]
-    known: list[set[Perm]] = [set() for _ in range(n)]
-    trans: list[dict[int, Perm]] = [{i: e} for i in range(n)]
 
-    def rebuild(i: int) -> None:
-        t = {i: e}
-        dq = deque([i])
-        while dq:
-            a = dq.popleft()
-            for g in strong[i]:
-                b = g[a]
-                if b not in t:
-                    t[b] = compose(g, t[a])
-                    dq.append(b)
-        trans[i] = t
+    def __init__(self, gens: Sequence[Perm]):
+        if not gens:
+            raise ValueError("empty generator list")
+        self.n = n = len(gens[0])
+        self.strong: list[list[Perm]] = [[] for _ in range(n)]
+        self.orbits: list[dict[int, Perm]] = [{i: identity_perm(n)} for i in range(n)]
+        for g in gens:
+            self.add(g)
 
-    def sift(g: Perm) -> tuple[Perm | None, int]:
-        for i in range(n):
-            a = g[i]
-            if a == i:
-                continue
-            if a not in trans[i]:
-                return g, i
-            g = compose(invert(trans[i][a]), g)
-        return None, n
+    @property
+    def order(self) -> int:
+        return prod(len(orbit) for orbit in self.orbits)
 
-    def add(g: Perm) -> None:
-        stack = [g]
+    @property
+    def transitive(self) -> bool:
+        return len(self.orbits[0]) == self.n
+
+    @property
+    def two_transitive(self) -> bool:
+        return self.n >= 2 and self.transitive and len(self.orbits[1]) == self.n - 1
+
+    def add(self, g: Perm) -> None:
+        """Extend the group by g and re-verify the chain."""
+        if len(g) != self.n:
+            raise ValueError("generators have mixed degrees")
+        stack = [tuple(g)]
         while stack:
-            h, i = sift(stack.pop())
+            h, i = self._sift(stack.pop())
             if h is None:
                 continue
             for j in range(i + 1):
-                if h not in known[j]:
-                    known[j].add(h)
-                    strong[j].append(h)
-            for j in range(i + 1):
-                rebuild(j)
-                for a in sorted(trans[j]):
-                    u = trans[j][a]
-                    for s in strong[j]:
-                        stack.append(compose(invert(trans[j][s[a]]), compose(s, u)))
+                self.strong[j].append(h)
+                orbit = self._rebuild(j)
+                for a in sorted(orbit):
+                    for s in self.strong[j]:
+                        stack.append(compose(invert(orbit[s[a]]), compose(s, orbit[a])))
 
-    for g in gens:
-        if len(g) != n:
-            raise ValueError("generators have mixed degrees")
-        add(tuple(g))
-    order = 1
-    for t in trans:
-        order *= len(t)
-    return order
+    def _sift(self, g: Perm) -> tuple[Perm | None, int]:
+        """The residue of g and the level it leaves the chain at; (None, n) in the group."""
+        for i, orbit in enumerate(self.orbits):
+            a = g[i]
+            if a != i:
+                if a not in orbit:
+                    return g, i
+                g = compose(invert(orbit[a]), g)
+        return None, self.n
+
+    def _rebuild(self, i: int) -> dict[int, Perm]:
+        orbit = self.orbits[i] = {i: identity_perm(self.n)}
+        queue = [i]
+        for a in queue:  # breadth first: the loop visits the points it appends
+            for g in self.strong[i]:
+                b = g[a]
+                if b not in orbit:
+                    orbit[b] = compose(g, orbit[a])
+                    queue.append(b)
+        return orbit
+
+
+def group_order(gens: Sequence[Perm]) -> int:
+    return StabilizerChain(gens).order
+
+
+def is_transitive(gens: Sequence[Perm]) -> bool:
+    return StabilizerChain(gens).transitive
+
+
+def two_transitivity(gens: Sequence[Perm]) -> bool:
+    return StabilizerChain(gens).two_transitive
 
 
 def close_permutations(gens: Sequence[Perm], limit: int = 2_000_000) -> list[Perm]:
@@ -226,18 +211,17 @@ def action_certificate(
     lines: LineSet,
     unitaries: Iterable[np.ndarray],
     tol: float = 1e-8,
-    with_order: bool = True,
 ) -> ActionCertificate:
     """Extract permutations of every unitary and certify the induced group."""
     perms = [induced_permutation(lines, U, tol) for U in unitaries]
     if not perms:
         raise ValueError("no unitaries supplied")
-    order = group_order(perms) if with_order else 0
+    chain = StabilizerChain(perms)
     return ActionCertificate(
         generators=tuple(dict.fromkeys(perms)),
-        transitive=is_transitive(perms),
-        two_transitive=two_transitivity(perms),
-        group_order=order,
+        transitive=chain.transitive,
+        two_transitive=chain.two_transitive,
+        group_order=chain.order,
         matched_unitaries=len(perms),
     )
 

@@ -28,13 +28,13 @@ import datetime
 import json
 import sys
 
+from . import __version__ as _VERSION
+
 EXIT_OK = 0
 EXIT_PARAMS = 2
 EXIT_NOT_CONVERGED = 3
 EXIT_CERT_FAILED = 4
 EXIT_ACTION_FAILED = 5
-
-_VERSION = "0.1.0"
 
 
 def _manifest(command: str, parameters: dict, seed, tolerances: dict) -> None:
@@ -179,7 +179,7 @@ def _read_lineset(path: str):
 
 def _cmd_certify(args) -> int:
     from .action import scalar_kernel_check
-    from .lineset import NotEquiangular, certify_equiangular, certify_tight, gram
+    from .lineset import NotEquiangular, WelchViolation, certify_equiangular, certify_tight, gram
 
     lines, code = _read_lineset(args.input)
     if lines is None:
@@ -195,7 +195,12 @@ def _cmd_certify(args) -> int:
     except NotEquiangular as exc:
         print(f"FAIL equiangular: {exc}", file=sys.stderr)
         return EXIT_CERT_FAILED
-    if not certify_tight(G, lines.d, tol=args.tol):
+    try:
+        tight = certify_tight(G, lines.d, tol=args.tol)
+    except WelchViolation as exc:
+        print(f"FAIL welch: {exc}", file=sys.stderr)
+        return EXIT_CERT_FAILED
+    if not tight:
         print("FAIL tight-frame: frame operator is not a multiple of the identity", file=sys.stderr)
         return EXIT_CERT_FAILED
     n, d = lines.n, lines.d

@@ -27,6 +27,7 @@ from .weil import parity_split
 __all__ = [
     "SpanDeficient",
     "NotEquiangular",
+    "WelchViolation",
     "UnknownCase",
     "LineSet",
     "GramMatrix",
@@ -54,6 +55,10 @@ class NotEquiangular(Exception):
         self.pair = (i, j)
         self.deviation = deviation
         super().__init__(f"pair ({i}, {j}) deviates from the common angle by {deviation:.3e}")
+
+
+class WelchViolation(Exception):
+    """A tight equiangular set whose angle misses alpha^2 = (n - d) / (d (n - 1))."""
 
 
 class UnknownCase(ValueError):
@@ -249,8 +254,8 @@ def certify_tight(G: GramMatrix, d: int, tol: float = 1e-8) -> bool:
     condition read off the Gram side).
 
     When the set is also equiangular, the common angle must satisfy the
-    extremal identity alpha^2 = (n - d) / (d (n - 1)); that consistency is
-    asserted, not returned.
+    extremal identity alpha^2 = (n - d) / (d (n - 1)); a violation raises
+    WelchViolation.
     """
     n = G.n
     resid = np.abs(G.values @ G.values - (n / d) * G.values).max()
@@ -261,10 +266,11 @@ def certify_tight(G: GramMatrix, d: int, tol: float = 1e-8) -> bool:
     except NotEquiangular:
         return True
     welch = (n - d) / (d * (n - 1))
-    assert abs(cert.alpha**2 - welch) <= max(tol, 1e-8), (
-        f"tight equiangular set violates the extremal angle identity: "
-        f"alpha^2 = {cert.alpha**2}, expected {welch}"
-    )
+    if abs(cert.alpha**2 - welch) > max(tol, 1e-8):
+        raise WelchViolation(
+            f"tight equiangular set violates the extremal angle identity: "
+            f"alpha^2 = {cert.alpha**2}, expected {welch}"
+        )
     return True
 
 

@@ -14,7 +14,7 @@ from itertools import product
 
 import numpy as np
 
-from .action import NotASymmetry, induced_permutation, two_transitivity, close_permutations, Perm
+from .action import NotASymmetry, Perm, StabilizerChain, close_permutations, induced_permutation
 from .finfield import (
     HyperplaneType,
     character_value,
@@ -47,7 +47,7 @@ def _case(lines: LineSet) -> str:
     return case
 
 
-def _unit_tuples(p: int, m: int) -> list[tuple[int, ...]]:
+def _unit_tuples(m: int) -> list[tuple[int, ...]]:
     return [tuple(1 if j == i else 0 for j in range(m)) for i in range(m)]
 
 
@@ -85,8 +85,8 @@ def translation_unitaries(lines: LineSet, full: bool = False) -> list[np.ndarray
             ][1:]
         else:
             zero = (0,) * m
-            labels = [(u, zero) for u in _unit_tuples(p, m)] + [
-                (zero, u) for u in _unit_tuples(p, m)
+            labels = [(u, zero) for u in _unit_tuples(m)] + [
+                (zero, u) for u in _unit_tuples(m)
             ]
         return [np.kron(displacement(p, m, a, b), eye) for a, b in labels]
     # fiducial orbits: the displacement operators themselves
@@ -99,8 +99,8 @@ def translation_unitaries(lines: LineSet, full: bool = False) -> list[np.ndarray
         ][1:]
     else:
         zero = (0,) * k
-        labels = [(u, zero) for u in _unit_tuples(2, k)] + [
-            (zero, u) for u in _unit_tuples(2, k)
+        labels = [(u, zero) for u in _unit_tuples(k)] + [
+            (zero, u) for u in _unit_tuples(k)
         ]
     return [displacement(2, k, a, b) for a, b in labels]
 
@@ -168,10 +168,11 @@ def _clifford_symmetries(
     gens = _qubit_clifford_generators(k)
     rng = np.random.default_rng(CLIFFORD_SEARCH_SEED)
     perms = [induced_permutation(lines, U, tol) for U in translation_unitaries(lines)]
+    chain = StabilizerChain(perms)
     found: list[np.ndarray] = []
     seen: set[Perm] = set(perms)
     for _ in range(max_trials):
-        if two_transitivity(perms):
+        if chain.two_transitive:
             return found
         length = int(rng.integers(4, 25))
         word = rng.integers(0, len(gens), size=length)
@@ -184,9 +185,9 @@ def _clifford_symmetries(
             continue
         if perm not in seen:
             seen.add(perm)
-            perms.append(perm)
+            chain.add(perm)
             found.append(U)
-    if not two_transitivity(perms):
+    if not chain.two_transitive:
         raise RuntimeError(
             f"Clifford scan exhausted {max_trials} trials without 2-transitivity"
         )

@@ -12,11 +12,10 @@ are invariant under every one of them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
-from .heisenberg import IndexOutOfRange, check_unitary, displacement, valid_rep_indices
+from .heisenberg import IndexOutOfRange, _points, check_unitary, displacement, valid_rep_indices
 
 __all__ = [
     "NotNormalizing",
@@ -87,10 +86,6 @@ def primitive_root(p: int) -> int:
         if len(seen) == p - 1:
             return g
     raise ValueError(f"no primitive root found; is {p} prime?")
-
-
-def _points(p: int, m: int) -> list[tuple[int, ...]]:
-    return list(product(range(p), repeat=m))
 
 
 def parity_operator(p: int, m: int) -> np.ndarray:

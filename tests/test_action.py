@@ -4,6 +4,7 @@ import pytest
 from equiline.action import (
     NotAProjector,
     NotASymmetry,
+    StabilizerChain,
     action_certificate,
     close_permutations,
     compose,
@@ -71,6 +72,54 @@ def test_group_order_matches_closure_on_random_subgroups():
         n = int(rng.integers(3, 9))
         gens = [rand_perm(rng, n) for _ in range(int(rng.integers(1, 4)))]
         assert group_order(gens) == len(close_permutations(gens))
+
+
+def _sympy_answers(gens):
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    n = len(gens[0])
+    G = combinatorics.PermutationGroup([combinatorics.Permutation(list(g)) for g in gens])
+    two = n >= 2 and G.is_transitive() and len(G.stabilizer(0).orbit(1)) == n - 1
+    return G.order(), G.is_transitive(), two
+
+
+def _chain_answers(gens):
+    return group_order(gens), is_transitive(gens), two_transitivity(gens)
+
+
+def test_chain_matches_sympy_on_random_subgroups():
+    rng = np.random.default_rng(29)
+    for _ in range(60):
+        n = int(rng.integers(3, 10))
+        gens = [rand_perm(rng, n) for _ in range(int(rng.integers(1, 4)))]
+        assert _chain_answers(gens) == _sympy_answers(gens), gens
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [
+        [(0,)],
+        [(0, 1)],
+        [(1, 0)],
+        [(1, 2, 3, 4, 0), (0, 2, 4, 1, 3)],  # AGL(1, 5): sharply 2-transitive
+        [(1, 0, 2, 3), (0, 1, 3, 2)],  # intransitive: two orbits of size 2
+        [(1, 2, 3, 0), (2, 1, 0, 3)],  # D_4 on a square: transitive only
+    ],
+)
+def test_chain_matches_sympy_on_edge_cases(gens):
+    assert _chain_answers(gens) == _sympy_answers(gens)
+
+
+def test_chain_grows_one_permutation_at_a_time():
+    rot = (1, 2, 3, 4, 5, 0)
+    chain = StabilizerChain([rot])
+    assert (chain.order, chain.transitive, chain.two_transitive) == (6, True, False)
+    chain.add((1, 0, 2, 3, 4, 5))
+    assert (chain.order, chain.transitive, chain.two_transitive) == (720, True, True)
+    assert [len(orbit) for orbit in chain.orbits] == [6, 5, 4, 3, 2, 1]
+    with pytest.raises(ValueError):
+        chain.add((0, 1, 2))
+    with pytest.raises(ValueError):
+        StabilizerChain([])
 
 
 def test_close_permutations_limit():

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import equiline.lineset
 from equiline.cli import (
     EXIT_ACTION_FAILED,
     EXIT_CERT_FAILED,
@@ -12,7 +13,7 @@ from equiline.cli import (
     main,
 )
 from equiline.finfield import HyperplaneType
-from equiline.lineset import construct_case_iii, construct_case_iv
+from equiline.lineset import AngleCertificate, construct_case_iii, construct_case_iv
 from equiline.serialize import gram_csv, parse_lineset, serialize_lineset
 
 
@@ -167,6 +168,16 @@ def test_cli_certify_catches_corruption(tmp_path, capsys):
     garbage = tmp_path / "garbage.json"
     garbage.write_text("not json at all")
     assert main(["certify", str(garbage)]) == EXIT_PARAMS
+
+
+def test_cli_certify_reports_welch_violation(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "l.json"
+    main(["construct", "--case", "iii", "--m", "2", "--type", "minus", "--out", str(out)])
+    wrong = AngleCertificate(alpha=0.5, max_dev=0.0, exact=False)
+    monkeypatch.setattr(equiline.lineset, "certify_equiangular", lambda G, tol: wrong)
+    capsys.readouterr()
+    assert main(["certify", str(out)]) == EXIT_CERT_FAILED
+    assert "FAIL welch: tight equiangular set violates" in capsys.readouterr().err
 
 
 def test_cli_action_requires_construction_tag(tmp_path, capsys):

@@ -3,11 +3,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import equiline.lineset
 from equiline.finfield import HyperplaneType
 from equiline.lineset import (
+    AngleCertificate,
     LineSet,
     NotEquiangular,
     UnknownCase,
+    WelchViolation,
     certify_equiangular,
     certify_tight,
     construct_case_iii,
@@ -119,6 +122,14 @@ def test_perturbation_raises_not_equiangular():
     i, j = exc.value.pair
     assert 4 in (i, j)
     assert exc.value.deviation > 1e-6
+
+
+def test_welch_violation_is_raised_not_asserted(monkeypatch):
+    G = gram(construct_case_iii(2, MINUS))
+    wrong = AngleCertificate(alpha=0.5, max_dev=0.0, exact=False)
+    monkeypatch.setattr(equiline.lineset, "certify_equiangular", lambda G, tol: wrong)
+    with pytest.raises(WelchViolation, match="extremal angle identity"):
+        certify_tight(G, 6)
 
 
 def test_integer_certificate_path_catches_bad_pairs():

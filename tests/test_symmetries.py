@@ -136,6 +136,18 @@ def test_orbit_case_symmetries_reach_two_transitivity():
     assert is_transitive(tperms) and not two_transitivity(tperms)
 
 
+def test_clifford_scan_stops_as_soon_as_the_group_is_two_transitive():
+    # case ii, d = 8, seed 1: the scan keeps three words, then the chain
+    # reports 2-transitivity and the scan stops
+    v, _ = search_fiducial(SearchConfig(d=8, seed=1))
+    L = orbit_lineset(v, 8)
+    assert len(geometry_unitaries(L)) == 3
+    cert = action_certificate(L, symmetry_unitaries(L))
+    assert cert.matched_unitaries == 9
+    assert cert.group_order == 387072
+    assert cert.two_transitive
+
+
 def test_orbit_case_detection_is_deterministic():
     assert CLIFFORD_SEARCH_SEED == 7
     v, _ = search_fiducial(SearchConfig(d=2, seed=1))
