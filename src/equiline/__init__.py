@@ -48,6 +48,7 @@ _EXPORTS = {
         "LineSet",
         "GramMatrix",
         "AngleCertificate",
+        "translations",
         "construct_case_iii",
         "construct_case_iv",
         "gram",

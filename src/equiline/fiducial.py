@@ -15,12 +15,11 @@ is the (f value, restart index) minimum, so restarts could run in any order).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
 
 import numpy as np
 
-from .heisenberg import displacement
-from .lineset import LineSet
+from .heisenberg import monomial_matrix
+from .lineset import LineSet, orbit, translations
 
 __all__ = [
     "NotConverged",
@@ -89,19 +88,10 @@ def _qubits(d: int) -> int:
     return k
 
 
-def displacements(d: int, include_identity: bool = False) -> np.ndarray:
-    """Stacked displacement matrices over F_2^k x F_2^k labels in lex order.
-
-    Shape (n, d, d) with n = d^2 (identity first) or d^2 - 1.
-    """
-    k = _qubits(d)
-    mats = []
-    for a in product((0, 1), repeat=k):
-        for b in product((0, 1), repeat=k):
-            if not include_identity and not any(a) and not any(b):
-                continue
-            mats.append(displacement(2, k, a, b))
-    return np.stack(mats)
+def displacements(d: int) -> np.ndarray:
+    """Stacked nontrivial displacement matrices in line order: shape
+    (d^2 - 1, d, d), the translations after the identity."""
+    return monomial_matrix(*translations(2, _qubits(d), np.arange(1, d * d)))
 
 
 def potential_bound(d: int) -> float:
@@ -210,8 +200,7 @@ def orbit_lineset(v: np.ndarray, d: int, meta: dict | None = None) -> LineSet:
     if v.shape != (d,):
         raise ValueError("fiducial must be a length-d vector")
     v = v / np.linalg.norm(v)
-    disp = displacements(d, include_identity=True)
-    cols = np.einsum("gij,j->ig", disp, v)
+    cols = orbit(v, *translations(2, _qubits(d)))
     info = {"case": "i" if d == 2 else "ii", "n": d * d, "d": d}
     if meta:
         info.update(meta)

@@ -25,6 +25,8 @@ __all__ = [
     "group_elements",
     "schroedinger_rep",
     "displacement",
+    "displacement_monomial",
+    "monomial_matrix",
     "valid_rep_indices",
     "commutant_dimension",
     "check_unitary",
@@ -137,6 +139,57 @@ def _points(p: int, m: int) -> list[tuple[int, ...]]:
     return list(product(range(p), repeat=m))
 
 
+def lex_digits(p: int, m: int, index=None) -> np.ndarray:
+    """Base-p digits of each index (default 0 .. p^m - 1), most significant
+    first: row x is the x-th vector of F_p^m in lexicographic order."""
+    index = np.arange(p**m) if index is None else np.asarray(index)
+    return index[..., None] // p ** np.arange(m - 1, -1, -1) % p
+
+
+def lex_index(x: np.ndarray, p: int) -> np.ndarray:
+    """Inverse of lex_digits: the lexicographic index of each row of x mod p."""
+    return x % p @ p ** np.arange(x.shape[-1] - 1, -1, -1)
+
+
+def monomial_matrix(perm: np.ndarray, phase=1.0) -> np.ndarray:
+    """Dense form of the monomial operator |x> -> phase[x] |perm[x]>.
+
+    Leading axes of perm stack operators.  The dtype is that of phase, so real
+    phases give a real matrix.
+    """
+    perm = np.asarray(perm)
+    phase = np.broadcast_to(np.asarray(phase), perm.shape)
+    out = np.zeros(perm.shape + perm.shape[-1:], dtype=phase.dtype)
+    np.put_along_axis(out, perm[..., None, :], phase[..., None, :], axis=-2)
+    return out
+
+
+def _roots(p: int) -> np.ndarray:
+    """The central phases zeta^t, t = 0 .. phase_modulus - 1: zeta = exp(2 pi i / p)
+    for odd p and zeta = i for p = 2, each power taken with an exact integer
+    exponent."""
+    zeta = np.exp(2j * np.pi / p) if p > 2 else 1j
+    return np.array([zeta**t for t in range(p if p > 2 else 4)])
+
+
+def displacement_monomial(p: int, m: int, a, b, c=0, j: int = 1):
+    """(perm, phase) of omega^(j c) X(a) Z(j b) over the p^m points in
+    lexicographic order, as in monomial_matrix.
+
+    Vectorized: a and b of shape (..., m) and c of shape (...) give perm and
+    phase of shape (..., p^m).
+    """
+    if j not in valid_rep_indices(p):
+        raise IndexOutOfRange(f"index {j} is not valid for p={p}")
+    pts = lex_digits(p, m)
+    a, b = np.asarray(a), np.asarray(b)
+    perm = lex_index(pts + a[..., None, :], p)
+    roots = _roots(p)
+    kappa = 1 if p > 2 else 2
+    expo = j * (np.asarray(c)[..., None] + kappa * (b @ pts.T)) % len(roots)
+    return perm, roots[expo]
+
+
 def schroedinger_rep(e: HeisenbergElement, j: int = 1) -> np.ndarray:
     """Matrix of e in the faithful irreducible representation of central index j.
 
@@ -146,32 +199,12 @@ def schroedinger_rep(e: HeisenbergElement, j: int = 1) -> np.ndarray:
     acts by i^j) for p = 2.  This ordering makes e -> matrix a homomorphism for
     the multiplication rule above; the central element (0,0,1) maps to zeta^j I.
     """
-    p, m = e.p, e.m
-    if j not in valid_rep_indices(p):
-        raise IndexOutOfRange(f"index {j} is not valid for p={p}")
-    pts = _points(p, m)
-    index = {x: k for k, x in enumerate(pts)}
-    d = p**m
-    out = np.zeros((d, d), dtype=complex)
-    if p > 2:
-        omega = np.exp(2j * np.pi / p)
-        for x in pts:
-            col = index[x]
-            row = index[tuple((xi + ai) % p for xi, ai in zip(x, e.a))]
-            expo = (j * (e.c + sum(bi * xi for bi, xi in zip(e.b, x)))) % p
-            out[row, col] = omega**expo
-    else:
-        for x in pts:
-            col = index[x]
-            row = index[tuple((xi + ai) % 2 for xi, ai in zip(x, e.a))]
-            sign = (-1) ** (sum(bi * xi for bi, xi in zip(e.b, x)) % 2)
-            out[row, col] = (1j) ** ((j * e.c) % 4) * sign
-    return out
+    return monomial_matrix(*displacement_monomial(e.p, e.m, e.a, e.b, e.c, j))
 
 
 def displacement(p: int, m: int, a, b, j: int = 1) -> np.ndarray:
     """Representation matrix of (a, b, 0): the displacement with those labels."""
-    return schroedinger_rep(HeisenbergElement.make(p, m, tuple(a), tuple(b), 0), j)
+    return monomial_matrix(*displacement_monomial(p, m, a, b, 0, j))
 
 
 def check_unitary(U: np.ndarray, tol: float = 1e-10) -> np.ndarray:

@@ -9,19 +9,12 @@ normalized columns so that angle certificates can be exact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
 from math import isqrt
 
 import numpy as np
 
-from .finfield import (
-    HyperplaneType,
-    character_value,
-    coords_to_int,
-    enumerate_hyperplanes,
-    standard_form,
-)
-from .heisenberg import displacement
+from .finfield import HyperplaneType, enumerate_hyperplanes, standard_form
+from .heisenberg import displacement_monomial, lex_digits
 from .weil import parity_split
 
 __all__ = [
@@ -32,6 +25,8 @@ __all__ = [
     "LineSet",
     "GramMatrix",
     "AngleCertificate",
+    "translations",
+    "orbit",
     "construct_case_iii",
     "construct_case_iv",
     "gram",
@@ -83,8 +78,9 @@ class LineSet:
         norms = np.linalg.norm(self.vectors, axis=0)
         if np.abs(norms - 1.0).max() > NORM_TOL:
             raise ValueError("columns must be unit vectors")
-        if np.linalg.matrix_rank(self.vectors) != d:
-            raise ValueError("columns do not span the ambient space")
+        rank = np.linalg.matrix_rank(self.vectors)
+        if rank != d:
+            raise SpanDeficient(f"columns span rank {rank} < d = {d}")
         if self.signs is not None:
             self.signs = np.asarray(self.signs, dtype=np.int64)
             if self.signs.shape != (d, n):
@@ -126,37 +122,62 @@ class AngleCertificate:
     denominator: int | None = None
 
 
+def translations(p: int, k: int, elements=None, *, du: int = 1, functionals=None):
+    """Monomials (perm, phase) of the regular translation group F_p^(2k) on
+    C^d, stacked in line order (see heisenberg.monomial_matrix).
+
+    Element i has as label (a, b) the 2k base-p digits of i, most significant
+    first, so the lines are in lexicographic label order and element i maps
+    line 0 to line i.  elements picks rows (default all p^(2k)).  A label acts
+    by the +-1 character diagonal (-1)^(phi . e) over the given hyperplane
+    functionals phi, with e = (0, a, b) packed as in finfield (case iii, p = 2);
+    otherwise by the displacement D(a, b) (x) I_du (du = 1 for cases i and ii).
+    """
+    labels = lex_digits(p, 2 * k, elements)
+    if functionals is not None:
+        bits = np.asarray(functionals)[None, :] >> np.arange(1, 2 * k + 1)[:, None] & 1
+        phase = 1.0 - 2.0 * (labels @ bits % 2)
+        return np.broadcast_to(np.arange(len(functionals)), phase.shape), phase
+    perm, phase = displacement_monomial(p, k, labels[:, :k], labels[:, k:])
+    perm = (perm[..., None] * du + np.arange(du)).reshape(len(labels), -1)
+    return perm, np.repeat(phase, du, axis=-1)
+
+
+def orbit(base: np.ndarray, perm: np.ndarray, phase: np.ndarray) -> np.ndarray:
+    """The d x N matrix whose column i is the image of base under the i-th of
+    the stacked monomials (perm, phase)."""
+    cols = np.empty(perm.shape[::-1], dtype=np.result_type(phase, base))
+    np.put_along_axis(cols, perm.T, (phase * base).T, axis=0)
+    return cols
+
+
 def construct_case_iii(m: int, type_choice: HyperplaneType) -> LineSet:
     """Sign-matrix line set from hyperplanes of one type: n = 4^m lines in
     dimension d = 2^(m-1)(2^m -+ 1) (minus type gives the minus sign).
 
     Coordinates are indexed by the chosen-type hyperplanes in lexicographic
-    order; lines by the lexicographic-least representatives e of the cosets of
-    the radical, column(e)[M] = character_M(e) / sqrt(d).  All signs are exact
+    order.  The lines are the translation orbit of the all-ones vector, so
+    column(e)[M] = character_M(e) / sqrt(d) over the lexicographic-least
+    representatives e of the cosets of the radical.  All signs are exact
     integers.
     """
     if m < 2:
         raise ValueError("m must be >= 2; m = 1 leaves no usable dimension pair")
     if type_choice is HyperplaneType.DEGENERATE:
         raise ValueError("degenerate hyperplanes do not give a line set")
-    q = standard_form(m)
-    hyps = enumerate_hyperplanes(q, type_choice)
+    hyps = enumerate_hyperplanes(standard_form(m), type_choice)
     d = len(hyps)
-    reps = [coords_to_int((0,) + tail) for tail in product((0, 1), repeat=2 * m)]
-    signs = np.empty((d, len(reps)), dtype=np.int64)
-    for mi, h in enumerate(hyps):
-        for ei, e in enumerate(reps):
-            signs[mi, ei] = character_value(h, e)
-    vectors = signs / np.sqrt(d)
+    shifts = translations(2, m, functionals=[h.functional for h in hyps])
+    signs = orbit(np.ones(d, dtype=np.int64), *shifts)
     meta = {
         "case": "iii",
         "m": m,
         "type": type_choice.value,
-        "n": len(reps),
+        "n": signs.shape[1],
         "d": d,
         "exact_signs": True,
     }
-    return LineSet(vectors.astype(complex), meta, signs=signs)
+    return LineSet((signs / np.sqrt(d)).astype(complex), meta, signs=signs)
 
 
 def _is_odd_prime(p: int) -> bool:
@@ -172,8 +193,8 @@ def construct_case_iv(p: int, m: int, eigen_choice: HyperplaneType) -> LineSet:
     The ambient space is the operator space Hom(U, W) with W the p^m-dimensional
     representation space and U the chosen parity eigenspace (minus = odd, the
     smaller one).  The fiducial is the normalized inclusion of U; line e is the
-    flattened matrix D(e) @ iota / sqrt(dim U) over the displacement labels e in
-    lexicographic order.
+    flattened matrix D(e) @ iota / sqrt(dim U), the translation orbit of the
+    flattened iota.  LineSet raises SpanDeficient if the orbit fails to span.
     """
     if not _is_odd_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
@@ -184,21 +205,14 @@ def construct_case_iv(p: int, m: int, eigen_choice: HyperplaneType) -> LineSet:
     even, odd = parity_split(p, m)
     iota = odd if eigen_choice is HyperplaneType.MINUS else even
     du = iota.shape[1]
-    d = p**m * du
-    labels = [(a, b) for a in product(range(p), repeat=m) for b in product(range(p), repeat=m)]
-    cols = np.empty((d, len(labels)), dtype=complex)
-    scale = 1 / np.sqrt(du)
-    for k, (a, b) in enumerate(labels):
-        cols[:, k] = (displacement(p, m, a, b) @ iota).reshape(-1) * scale
-    if np.linalg.matrix_rank(cols) != d:
-        raise SpanDeficient(f"orbit spans rank {np.linalg.matrix_rank(cols)} < d = {d}")
+    cols = orbit(iota.reshape(-1), *translations(p, m, du=du)) * (1 / np.sqrt(du))
     meta = {
         "case": "iv",
         "p": p,
         "m": m,
         "eigen": eigen_choice.value,
-        "n": len(labels),
-        "d": d,
+        "n": cols.shape[1],
+        "d": cols.shape[0],
     }
     return LineSet(cols, meta)
 

@@ -10,24 +10,22 @@ by seeded search for the two fiducial-orbit cases.
 
 from __future__ import annotations
 
-from itertools import product
-
 import numpy as np
 
 from .action import NotASymmetry, Perm, StabilizerChain, close_permutations, induced_permutation
 from .finfield import (
     HyperplaneType,
-    character_value,
     enumerate_hyperplanes,
     nonsingular_vectors,
     standard_form,
     transvection_on_functional,
 )
-from .heisenberg import displacement
-from .lineset import LineSet
+from .heisenberg import monomial_matrix
+from .lineset import LineSet, _valid_dims, translations
 from .weil import parity_split, weil_generators
 
 __all__ = [
+    "line_translations",
     "translation_unitaries",
     "geometry_unitaries",
     "symmetry_unitaries",
@@ -40,85 +38,54 @@ __all__ = [
 CLIFFORD_SEARCH_SEED = 7
 
 
-def _case(lines: LineSet) -> str:
-    case = lines.meta.get("case")
+def _case(lines: LineSet) -> tuple[str, int, int]:
+    """(case, p, m) of a constructed line set, after checking its meta against
+    the classification row of (n, d); raises ValueError on any mismatch."""
+    meta, n, d = lines.meta, lines.n, lines.d
+    case = meta.get("case")
     if case not in ("i", "ii", "iii", "iv"):
-        raise ValueError(f"line set carries no construction tag, meta={lines.meta}")
-    return case
+        raise ValueError(f"line set carries no construction tag, meta={meta}")
+    row = _valid_dims(n).get(d)
+    if row is None or row[0] != case:
+        raise ValueError(f"(n, d) = ({n}, {d}) is not a case {case} line set")
+    _, p, m = row
+    if case in ("i", "ii") and d * d != n:
+        raise ValueError(f"case {case} line sets are fiducial orbits with n = d^2, got ({n}, {d})")
+    kind = "minus" if 2 * d < n else "plus"
+    expected = {"iii": {"m": m, "type": kind}, "iv": {"p": p, "m": m, "eigen": kind}}
+    for key, value in expected.get(case, {}).items():
+        if meta.get(key) != value:
+            raise ValueError(f"meta {key} = {meta.get(key)!r}, expected {value!r} for ({n}, {d})")
+    return case, p, m
 
 
-def _unit_tuples(m: int) -> list[tuple[int, ...]]:
-    return [tuple(1 if j == i else 0 for j in range(m)) for i in range(m)]
-
-
-def translation_unitaries(lines: LineSet, full: bool = False) -> list[np.ndarray]:
-    """Unitaries realizing the regular translation action on the lines.
-
-    With full=True, one unitary per nonidentity translation (for
-    fixed-point-freeness checks); otherwise one per generator of the
-    translation group.
-    """
-    case = _case(lines)
+def line_translations(lines: LineSet, elements=None):
+    """The translation monomials of a constructed line set, in line order
+    (lineset.translations): element i maps line 0 to line i."""
+    case, p, m = _case(lines)
     if case == "iii":
-        m = lines.meta["m"]
-        q = standard_form(m)
-        hyps = enumerate_hyperplanes(q, HyperplaneType(lines.meta["type"]))
-        if full:
-            shifts = [
-                sum(b << (i + 1) for i, b in enumerate(tail))
-                for tail in product((0, 1), repeat=2 * m)
-            ][1:]
-        else:
-            shifts = [1 << i for i in range(1, 2 * m + 1)]
-        return [
-            np.diag([float(character_value(h, f)) for h in hyps]) for f in shifts
-        ]
-    if case == "iv":
-        p, m = lines.meta["p"], lines.meta["m"]
-        du = lines.d // p**m
-        eye = np.eye(du)
-        if full:
-            labels = [
-                (a, b)
-                for a in product(range(p), repeat=m)
-                for b in product(range(p), repeat=m)
-            ][1:]
-        else:
-            zero = (0,) * m
-            labels = [(u, zero) for u in _unit_tuples(m)] + [
-                (zero, u) for u in _unit_tuples(m)
-            ]
-        return [np.kron(displacement(p, m, a, b), eye) for a, b in labels]
-    # fiducial orbits: the displacement operators themselves
-    k = lines.d.bit_length() - 1
-    if full:
-        labels = [
-            (a, b)
-            for a in product((0, 1), repeat=k)
-            for b in product((0, 1), repeat=k)
-        ][1:]
-    else:
-        zero = (0,) * k
-        labels = [(u, zero) for u in _unit_tuples(k)] + [
-            (zero, u) for u in _unit_tuples(k)
-        ]
-    return [displacement(2, k, a, b) for a, b in labels]
+        hyps = enumerate_hyperplanes(standard_form(m), HyperplaneType(lines.meta["type"]))
+        return translations(2, m, elements, functionals=[h.functional for h in hyps])
+    return translations(p, m, elements, du=lines.d // p**m)
 
 
-def _transvection_matrices(m: int, tag: HyperplaneType) -> list[np.ndarray]:
+def translation_unitaries(lines: LineSet) -> list[np.ndarray]:
+    """Generators of the regular translation action: generator i translates by
+    the i-th unit label, element p^(r-1-i) of the r-dimensional label space."""
+    _, p, m = _case(lines)
+    return list(monomial_matrix(*line_translations(lines, p ** np.arange(2 * m - 1, -1, -1))))
+
+
+def _transvection_perms(m: int, tag: HyperplaneType) -> list[Perm]:
     """Coordinate permutations of the chosen-type hyperplanes under all
     transvections of the quadratic space."""
     q = standard_form(m)
     hyps = enumerate_hyperplanes(q, tag)
     index = {h.functional: i for i, h in enumerate(hyps)}
-    d = len(hyps)
-    out = []
-    for u in nonsingular_vectors(q):
-        P = np.zeros((d, d))
-        for i, h in enumerate(hyps):
-            P[index[transvection_on_functional(q, u, h.functional)], i] = 1.0
-        out.append(P)
-    return out
+    return [
+        tuple(index[transvection_on_functional(q, u, h.functional)] for h in hyps)
+        for u in nonsingular_vectors(q)
+    ]
 
 
 def _weil_kron(lines: LineSet) -> list[np.ndarray]:
@@ -146,16 +113,12 @@ def _qubit_clifford_generators(k: int) -> list[np.ndarray]:
             for j in range(k):
                 M = np.kron(M, g if j == i else np.eye(2))
             gens.append(M)
-    d = 1 << k
+    x = np.arange(1 << k)
     for ctrl in range(k):
         for tgt in range(k):
-            if ctrl == tgt:
-                continue
-            P = np.zeros((d, d), dtype=complex)
-            cb, tb = 1 << (k - 1 - ctrl), 1 << (k - 1 - tgt)
-            for x in range(d):
-                P[x ^ (tb if x & cb else 0), x] = 1.0
-            gens.append(P)
+            if ctrl != tgt:
+                cb, tb = 1 << (k - 1 - ctrl), 1 << (k - 1 - tgt)
+                gens.append(monomial_matrix(x ^ np.where(x & cb, tb, 0), 1.0 + 0j))
     return gens
 
 
@@ -196,9 +159,10 @@ def _clifford_symmetries(
 
 def geometry_unitaries(lines: LineSet) -> list[np.ndarray]:
     """Symmetries beyond translations: the label-geometry action."""
-    case = _case(lines)
+    case, _, m = _case(lines)
     if case == "iii":
-        return _transvection_matrices(lines.meta["m"], HyperplaneType(lines.meta["type"]))
+        perms = _transvection_perms(m, HyperplaneType(lines.meta["type"]))
+        return [monomial_matrix(np.array(perm)) for perm in perms]
     if case == "iv":
         return _weil_kron(lines)
     return _clifford_symmetries(lines)
@@ -218,24 +182,20 @@ def stabilizer_unitaries(lines: LineSet) -> tuple[list[np.ndarray], list[complex
     the closed group of induced normalizer maps (phases read off the base
     vector).
     """
-    case = _case(lines)
+    case, _, m = _case(lines)
     if case == "iii":
-        if lines.meta["m"] != 2:
+        if m != 2:
             raise ValueError("stabilizer closure is sized for m = 2 only")
-        mats = _transvection_matrices(2, HyperplaneType(lines.meta["type"]))
-        perms = [tuple(int(np.argmax(P[:, i])) for i in range(lines.d)) for P in mats]
-        closed = close_permutations(perms, limit=1000)
+        perms = _transvection_perms(2, HyperplaneType(lines.meta["type"]))
         unis = []
         phases = []
-        for perm in closed:
-            P = np.zeros((lines.d, lines.d))
-            for i, j in enumerate(perm):
-                P[j, i] = 1.0
+        for perm in close_permutations(perms, limit=1000):
+            P = monomial_matrix(np.array(perm))
             unis.extend((P, -P))
             phases.extend((1.0, -1.0))
         return unis, phases
     if case == "iv":
-        if lines.meta["m"] != 1:
+        if m != 1:
             raise ValueError("stabilizer closure is sized for m = 1 only")
         base = _weil_kron(lines)
         closed: list[np.ndarray] = []

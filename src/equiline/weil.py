@@ -15,7 +15,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .heisenberg import IndexOutOfRange, _points, check_unitary, displacement, valid_rep_indices
+from .heisenberg import (
+    IndexOutOfRange,
+    _points,
+    _roots,
+    check_unitary,
+    displacement,
+    lex_digits,
+    lex_index,
+    monomial_matrix,
+    valid_rep_indices,
+)
 
 __all__ = [
     "NotNormalizing",
@@ -88,15 +98,14 @@ def primitive_root(p: int) -> int:
     raise ValueError(f"no primitive root found; is {p} prime?")
 
 
+def _index_substitution(p: int, m: int, A: np.ndarray) -> np.ndarray:
+    """Permutation matrix of the index substitution |x> -> |A x> over F_p^m."""
+    return monomial_matrix(lex_index(lex_digits(p, m) @ A.T, p))
+
+
 def parity_operator(p: int, m: int) -> np.ndarray:
     """Permutation matrix of |x> -> |-x> on functions over F_p^m."""
-    pts = _points(p, m)
-    index = {x: k for k, x in enumerate(pts)}
-    d = p**m
-    P = np.zeros((d, d))
-    for x in pts:
-        P[index[tuple(-xi % p for xi in x)], index[x]] = 1.0
-    return P
+    return _index_substitution(p, m, -np.eye(m, dtype=np.int64))
 
 
 def parity_split(p: int, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -129,36 +138,14 @@ def parity_split(p: int, m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _fourier(p: int, m: int) -> np.ndarray:
-    pts = _points(p, m)
-    d = p**m
-    omega = np.exp(2j * np.pi / p)
-    F = np.empty((d, d), dtype=complex)
-    for i, x in enumerate(pts):
-        for k, y in enumerate(pts):
-            F[i, k] = omega ** (sum(xi * yi for xi, yi in zip(x, y)) % p)
-    return F / p ** (m / 2)
+    pts = lex_digits(p, m)
+    return _roots(p)[pts @ pts.T % p] / p ** (m / 2)
 
 
 def _quad_diag(p: int, m: int, coeff: np.ndarray) -> np.ndarray:
     # diag omega^(x^T coeff x) for a symmetric integer coefficient matrix
-    pts = _points(p, m)
-    omega = np.exp(2j * np.pi / p)
-    vals = []
-    for x in pts:
-        xv = np.array(x, dtype=np.int64)
-        vals.append(omega ** (int(xv @ coeff @ xv) % p))
-    return np.diag(vals)
-
-
-def _index_substitution(p: int, m: int, A: np.ndarray) -> np.ndarray:
-    pts = _points(p, m)
-    index = {x: k for k, x in enumerate(pts)}
-    d = p**m
-    P = np.zeros((d, d))
-    for x in pts:
-        img = tuple(int(v) % p for v in (A @ np.array(x, dtype=np.int64)))
-        P[index[img], index[x]] = 1.0
-    return P
+    pts = lex_digits(p, m)
+    return np.diag(_roots(p)[np.einsum("xi,ij,xj->x", pts, coeff, pts) % p])
 
 
 def weil_generators(p: int, m: int) -> list[np.ndarray]:

@@ -12,7 +12,8 @@ from equiline.fiducial import (
     potential_bound,
     search_fiducial,
 )
-from equiline.lineset import certify_equiangular, certify_tight, gram
+from equiline.heisenberg import monomial_matrix
+from equiline.lineset import certify_equiangular, certify_tight, gram, translations
 
 
 def test_config_validation():
@@ -32,9 +33,10 @@ def test_config_validation():
 def test_displacement_stack(d):
     disp = displacements(d)
     assert disp.shape == (d * d - 1, d, d)
-    full = displacements(d, include_identity=True)
+    full = monomial_matrix(*translations(2, d.bit_length() - 1))
     assert full.shape == (d * d, d, d)
     assert np.abs(full[0] - np.eye(d)).max() == 0.0
+    assert np.array_equal(full[1:], disp)  # the stack is the group minus the identity
     eye = np.eye(d)
     for M in disp:
         assert np.abs(M.conj().T @ M - eye).max() < 1e-12

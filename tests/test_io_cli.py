@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -192,6 +193,24 @@ def test_cli_action_requires_construction_tag(tmp_path, capsys):
     capsys.readouterr()
     assert main(["action", str(stripped)]) == EXIT_ACTION_FAILED
     assert "cannot derive symmetries" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("change", [{"m": None}, {"m": 3}, {"m": 40}])
+def test_cli_action_rejects_tampered_meta(tmp_path, capsys, change):
+    out = tmp_path / "l.json"
+    assert main(["construct", "--case", "iii", "--m", "2", "--type", "minus",
+                 "--out", str(out)]) == EXIT_OK
+    obj = json.loads(out.read_text())
+    obj["meta"] = {k: v for k, v in {**obj["meta"], **change}.items() if v is not None}
+    tampered = tmp_path / "tampered.json"
+    tampered.write_text(json.dumps(obj))
+    capsys.readouterr()
+    start = time.perf_counter()
+    assert main(["action", str(tampered)]) == EXIT_ACTION_FAILED
+    assert time.perf_counter() - start < 2.0
+    err = capsys.readouterr().err
+    assert "action derivation failed: meta m" in err
+    assert "Traceback" not in err
 
 
 def test_cli_table(capsys):

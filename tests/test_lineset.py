@@ -9,6 +9,7 @@ from equiline.lineset import (
     AngleCertificate,
     LineSet,
     NotEquiangular,
+    SpanDeficient,
     UnknownCase,
     WelchViolation,
     certify_equiangular,
@@ -100,6 +101,14 @@ def test_lineset_validation():
         LineSet(2.0 * cols)  # not unit norm
     with pytest.raises(ValueError):
         LineSet(np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]]))  # rank deficient
+
+
+def test_rank_deficient_columns_raise_span_deficient():
+    # four unit columns of C^3 that all lie in the plane x_2 = 0
+    cols = np.array([[1.0, 0.0, 0.6, 0.8], [0.0, 1.0, 0.8, -0.6], [0.0, 0.0, 0.0, 0.0]])
+    with pytest.raises(SpanDeficient, match="rank 2 < d = 3"):
+        LineSet(cols)
+    assert issubclass(SpanDeficient, ValueError)  # the CLI maps it like any structure error
 
 
 def test_subselection_is_not_tight():

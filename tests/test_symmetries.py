@@ -1,3 +1,5 @@
+from math import log
+
 import numpy as np
 import pytest
 
@@ -10,11 +12,12 @@ from equiline.action import (
 )
 from equiline.finfield import HyperplaneType
 from equiline.fiducial import SearchConfig, orbit_lineset, search_fiducial
-from equiline.heisenberg import check_unitary
-from equiline.lineset import construct_case_iii, construct_case_iv
+from equiline.heisenberg import check_unitary, monomial_matrix
+from equiline.lineset import LineSet, construct_case_iii, construct_case_iv
 from equiline.symmetries import (
     CLIFFORD_SEARCH_SEED,
     geometry_unitaries,
+    line_translations,
     stabilizer_unitaries,
     symmetry_unitaries,
     translation_unitaries,
@@ -27,6 +30,11 @@ def fixed_points(perm):
     return sum(1 for i, j in enumerate(perm) if i == j)
 
 
+def seeded_orbit(d):
+    rng = np.random.default_rng(11)
+    return orbit_lineset(rng.normal(size=d) + 1j * rng.normal(size=d), d)
+
+
 @pytest.mark.parametrize(
     "build",
     [
@@ -34,17 +42,28 @@ def fixed_points(perm):
         lambda: construct_case_iii(2, PLUS),
         lambda: construct_case_iv(3, 1, MINUS),
         lambda: construct_case_iv(5, 1, PLUS),
+        lambda: seeded_orbit(2),
+        lambda: seeded_orbit(8),
     ],
 )
 def test_translations_act_freely_and_transitively(build):
     L = build()
-    unis = translation_unitaries(L, full=True)
-    assert len(unis) == L.n - 1  # every nontrivial shift
+    unis = monomial_matrix(*line_translations(L))
+    assert len(unis) == L.n  # the whole group, identity first
     perms = [induced_permutation(L, U) for U in unis]
-    for perm in perms:
+    assert perms[0] == tuple(range(L.n))
+    for perm in perms[1:]:
         assert fixed_points(perm) == 0
     assert is_transitive(perms)
-    assert len({perm[0] for perm in perms}) == L.n - 1  # simply transitive
+    # line order: element k maps line 0 to line k (so the action is simply transitive)
+    assert [perm[0] for perm in perms] == list(range(L.n))
+    # generator i is the unit label e_i, element p^(r-1-i)
+    p = L.meta.get("p", 2)
+    r = round(log(L.n, p))
+    gens = translation_unitaries(L)
+    assert len(gens) == r
+    for i, U in enumerate(gens):
+        assert np.array_equal(U, unis[p ** (r - 1 - i)])
 
 
 def test_translation_generators_are_unitary():
@@ -57,7 +76,9 @@ def test_translation_generators_are_unitary():
 
 def test_sign_case_translations_are_diagonal():
     L = construct_case_iii(2, MINUS)
-    for U in translation_unitaries(L, full=True):
+    unis = monomial_matrix(*line_translations(L))
+    assert unis.dtype == np.float64  # real phases keep a real matrix
+    for U in unis:
         assert np.abs(U - np.diag(np.diag(U))).max() == 0.0
         assert set(np.unique(np.diag(U).real)) <= {-1.0, 1.0}
 
@@ -161,9 +182,33 @@ def test_unknown_case_rejected():
     rng = np.random.default_rng(3)
     cols = rng.normal(size=(2, 5)) + 1j * rng.normal(size=(2, 5))
     cols /= np.linalg.norm(cols, axis=0)
-    from equiline.lineset import LineSet
-
     with pytest.raises(ValueError):
         symmetry_unitaries(LineSet(cols, {"case": "x"}))
     with pytest.raises(ValueError):
         translation_unitaries(LineSet(cols))
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"m": None},  # missing
+        {"m": 3},
+        {"m": 40},
+        {"type": "plus"},  # d = 6 is the minus row of n = 16
+        {"case": "iv"},
+        {"case": "ii"},
+    ],
+)
+def test_meta_is_checked_against_the_dimensions(change):
+    L = construct_case_iii(2, MINUS)
+    meta = {k: v for k, v in {**L.meta, **change}.items() if v is not None}
+    with pytest.raises(ValueError):
+        symmetry_unitaries(LineSet(L.vectors, meta))
+
+
+def test_odd_prime_meta_is_checked_against_the_dimensions():
+    L = construct_case_iv(3, 1, MINUS)
+    for change in ({"p": 5}, {"m": 2}, {"eigen": "plus"}, {"p": None}):
+        meta = {k: v for k, v in {**L.meta, **change}.items() if v is not None}
+        with pytest.raises(ValueError):
+            translation_unitaries(LineSet(L.vectors, meta))
