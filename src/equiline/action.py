@@ -278,6 +278,13 @@ def projector_commutant_dimension(vectors: np.ndarray, tol: float = 1e-8) -> int
     if np.linalg.matrix_rank(V, tol=1e-10) < d:
         projs = [np.outer(V[:, i], V[:, i].conj()) for i in range(n)]
         return commutant_dimension(projs, tol=tol)
+    return _component_count(V, tol)
+
+
+def _component_count(V: np.ndarray, tol: float) -> int:
+    """Connected components of the graph joining i, j when |<v_i, v_j>| > tol;
+    the commutant dimension of a spanning family."""
+    n = V.shape[1]
     adj = np.abs(V.conj().T @ V) > tol
     seen = np.zeros(n, dtype=bool)
     components = 0
@@ -297,5 +304,6 @@ def projector_commutant_dimension(vectors: np.ndarray, tol: float = 1e-8) -> int
 
 def scalar_kernel_check(lines: LineSet | np.ndarray, tol: float = 1e-8) -> bool:
     """True iff every unitary fixing each line individually is scalar."""
-    V = lines.vectors if isinstance(lines, LineSet) else np.asarray(lines, dtype=complex)
-    return projector_commutant_dimension(V, tol=tol) == 1
+    if isinstance(lines, LineSet):  # LineSet has already checked that it spans
+        return _component_count(lines.vectors, tol) == 1
+    return projector_commutant_dimension(np.asarray(lines, dtype=complex), tol=tol) == 1

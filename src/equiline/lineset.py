@@ -72,6 +72,8 @@ class LineSet:
         self.vectors = np.asarray(self.vectors, dtype=complex)
         if self.vectors.ndim != 2:
             raise ValueError("vectors must be a d x n matrix")
+        if not np.isfinite(self.vectors).all():
+            raise ValueError("columns must be finite")
         d, n = self.vectors.shape
         if n <= d:
             raise ValueError(f"need more lines than dimensions, got n={n}, d={d}")
@@ -218,13 +220,23 @@ def construct_case_iv(p: int, m: int, eigen_choice: HyperplaneType) -> LineSet:
 
 
 def gram(L: LineSet) -> GramMatrix:
-    """Hermitian Gram matrix of the line representatives, unit diagonal."""
+    """Hermitian Gram matrix of the line representatives, unit diagonal.
+
+    The exact sign Gram is a float64 BLAS product rounded back to int64.  It
+    is exact while every partial sum is an integer below 2^53, which holds
+    when d * max|s|^2 < 2^53 (d for +-1 signs); otherwise, or if the rounding
+    moves any entry, ValueError is raised.
+    """
     G = L.vectors.conj().T @ L.vectors
     if np.abs(G - G.conj().T).max() > 1e-12 or np.abs(np.diag(G) - 1.0).max() > 1e-10:
         raise ValueError("Gram matrix failed hermiticity/diagonal validation")
     ip = None
     if L.signs is not None:
-        ip = L.signs.T @ L.signs
+        S = L.signs.astype(np.float64)
+        P = S.T @ S  # one operand seen twice: numpy takes the symmetric syrk path
+        ip = np.rint(P).astype(np.int64)
+        if L.d * np.abs(S).max() ** 2 >= 2.0**53 or not np.array_equal(ip, P):
+            raise ValueError("sign Gram is not integral")
     return GramMatrix(G, L.d, ip)
 
 

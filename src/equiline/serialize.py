@@ -48,25 +48,31 @@ def _encode(obj) -> str:
     raise ValueError(f"cannot serialize {type(obj).__name__}")
 
 
+def _columns(vectors: np.ndarray) -> list[str]:
+    """The [[re,im],...] text of each column, formatting each distinct entry
+    once (-0.0 and 0.0 merge, and print alike).  Rows of the index are
+    converted one at a time: a whole-matrix tolist() raises peak memory."""
+    values, index = np.unique(vectors.T, return_inverse=True)
+    entries = [f"[{_fmt_float(z.real)},{_fmt_float(z.imag)}]" for z in values.tolist()]
+    return [
+        "[" + ",".join([entries[i] for i in row.tolist()]) + "]"
+        for row in index.reshape(vectors.shape[::-1])
+    ]
+
+
 def serialize_lineset(lines: LineSet) -> str:
     """One-column-per-row JSON text with fixed field order."""
     meta = lines.meta
     params = {
         k: v for k, v in meta.items() if k not in ("case", "n", "d", "exact_signs")
     }
-    cols = []
-    for k in range(lines.n):
-        col = lines.vectors[:, k]
-        cols.append(
-            "[" + ",".join(f"[{_fmt_float(z.real)},{_fmt_float(z.imag)}]" for z in col) + "]"
-        )
     return (
         "{\n"
         f'"case": {_encode(meta.get("case"))},\n'
         f'"n": {lines.n},\n'
         f'"d": {lines.d},\n'
         f'"params": {_encode(params)},\n'
-        '"vectors": [\n' + ",\n".join(cols) + "\n],\n"
+        '"vectors": [\n' + ",\n".join(_columns(lines.vectors)) + "\n],\n"
         f'"meta": {_encode(meta)}\n'
         "}\n"
     )
@@ -80,8 +86,11 @@ def parse_lineset(text: str) -> LineSet:
     if len(cols) != n or any(len(c) != d for c in cols):
         raise ValueError("vector block shape disagrees with declared (n, d)")
     vectors = np.empty((d, n), dtype=complex)
-    for k, col in enumerate(cols):
-        vectors[:, k] = [complex(re, im) for re, im in col]
+    try:
+        for k, col in enumerate(cols):
+            vectors[:, k] = [complex(re, im) for re, im in col]
+    except OverflowError as exc:  # an integer literal beyond the double range
+        raise TypeError(f"vector entry is not a double: {exc}") from None
     meta = obj.get("meta") or {}
     signs = None
     if meta.get("exact_signs"):

@@ -15,10 +15,10 @@ import numpy as np
 from .action import NotASymmetry, Perm, StabilizerChain, close_permutations, induced_permutation
 from .finfield import (
     HyperplaneType,
+    dot2,
     enumerate_hyperplanes,
     nonsingular_vectors,
     standard_form,
-    transvection_on_functional,
 )
 from .heisenberg import monomial_matrix
 from .lineset import LineSet, _valid_dims, translations
@@ -80,12 +80,14 @@ def _transvection_perms(m: int, tag: HyperplaneType) -> list[Perm]:
     """Coordinate permutations of the chosen-type hyperplanes under all
     transvections of the quadratic space."""
     q = standard_form(m)
-    hyps = enumerate_hyperplanes(q, tag)
-    index = {h.functional: i for i, h in enumerate(hyps)}
-    return [
-        tuple(index[transvection_on_functional(q, u, h.functional)] for h in hyps)
-        for u in nonsingular_vectors(q)
-    ]
+    phis = [h.functional for h in enumerate_hyperplanes(q, tag)]
+    index = {phi: i for i, phi in enumerate(phis)}
+    perms = []
+    for u in nonsingular_vectors(q):
+        # transvection_on_functional, with the functional B(., u) formed once
+        mask = q.bilinear_mask(u)
+        perms.append(tuple(index[phi ^ mask if dot2(phi, u) else phi] for phi in phis))
+    return perms
 
 
 def _weil_kron(lines: LineSet) -> list[np.ndarray]:

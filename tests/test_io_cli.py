@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import equiline
 import equiline.lineset
 from equiline.cli import (
     EXIT_ACTION_FAILED,
@@ -14,8 +19,8 @@ from equiline.cli import (
     main,
 )
 from equiline.finfield import HyperplaneType
-from equiline.lineset import AngleCertificate, construct_case_iii, construct_case_iv
-from equiline.serialize import gram_csv, parse_lineset, serialize_lineset
+from equiline.lineset import AngleCertificate, LineSet, construct_case_iii, construct_case_iv
+from equiline.serialize import _encode, gram_csv, parse_lineset, serialize_lineset
 
 
 def test_serialize_round_trip_sign_case():
@@ -230,3 +235,102 @@ def test_cli_stdout_output(capsys):
     out = capsys.readouterr().out
     obj = json.loads(out)
     assert obj["n"] == 9 and obj["d"] == 3
+
+
+def _reference_serialize(lines):
+    """serialize_lineset with every entry formatted on its own."""
+
+    def fmt(x):
+        return "%.17g" % (float(x) + 0.0)
+
+    params = {k: v for k, v in lines.meta.items() if k not in ("case", "n", "d", "exact_signs")}
+    cols = [
+        "[" + ",".join(f"[{fmt(z.real)},{fmt(z.imag)}]" for z in col) + "]"
+        for col in lines.vectors.T
+    ]
+    return (
+        "{\n"
+        f'"case": {_encode(lines.meta.get("case"))},\n'
+        f'"n": {lines.n},\n'
+        f'"d": {lines.d},\n'
+        f'"params": {_encode(params)},\n'
+        '"vectors": [\n' + ",\n".join(cols) + "\n],\n"
+        f'"meta": {_encode(lines.meta)}\n'
+        "}\n"
+    )
+
+
+def _seeded_repeated_entries(seed):
+    """Unit columns in C^4 drawn from a few entries of modulus 1/2, signed zeros
+    among them, plus two columns of distinct random entries."""
+    rng = np.random.default_rng(seed)
+    pool = np.array(
+        [0.5, -0.5, 0.5j, -0.5j, complex(0.5, -0.0), complex(-0.0, 0.5),
+         complex(-0.0, -0.5), complex(-0.5, -0.0), 0.5 * np.exp(0.7j), 0.5 * np.exp(-2.1j)]
+    )
+    V = pool[rng.integers(len(pool), size=(4, 10))]
+    W = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
+    V = np.hstack([V, W / np.linalg.norm(W, axis=0)])
+    assert np.signbit(V.real[V.real == 0]).any() and np.signbit(V.imag[V.imag == 0]).any()
+    return LineSet(V, {"seed": seed})
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: _seeded_repeated_entries(5),
+        lambda: _seeded_repeated_entries(6),
+        lambda: construct_case_iv(7, 1, HyperplaneType.MINUS),
+        lambda: construct_case_iv(7, 1, HyperplaneType.PLUS),
+        lambda: construct_case_iii(3, HyperplaneType.PLUS),
+    ],
+)
+def test_serialize_matches_per_entry_reference(build):
+    L = build()
+    assert serialize_lineset(L) == _reference_serialize(L)
+
+
+def _corrupt_first_entry(tmp_path, literal):
+    """An iv p=3 m=1 lineset file whose first real part reads `literal`."""
+    text = serialize_lineset(construct_case_iv(3, 1, HyperplaneType.MINUS))
+    start = text.index('"vectors": [\n[[') + len('"vectors": [\n[[')
+    path = tmp_path / "bad.json"
+    path.write_text(text[:start] + literal + text[text.index(",", start):])
+    return path
+
+
+@pytest.mark.parametrize("command", ["certify", "action"])
+def test_cli_rejects_integer_beyond_double_range(tmp_path, capsys, command):
+    path = _corrupt_first_entry(tmp_path, "1" + "0" * 400)
+    capsys.readouterr()
+    assert main([command, str(path)]) == EXIT_PARAMS
+    err = capsys.readouterr().err
+    assert "not a lineset JSON file" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["certify", "action"])
+@pytest.mark.parametrize("literal", ["NaN", "Infinity"])
+def test_cli_rejects_non_finite_entries(tmp_path, capsys, command, literal):
+    path = _corrupt_first_entry(tmp_path, literal)
+    capsys.readouterr()
+    assert main([command, str(path)]) == EXIT_CERT_FAILED
+    err = capsys.readouterr().err
+    assert "FAIL structure: columns must be finite" in err and "Traceback" not in err
+
+
+def test_certify_bytes_do_not_depend_on_blas_threads(tmp_path):
+    lines = tmp_path / "lines.json"
+    assert main(["construct", "--case", "iii", "--m", "4", "--type", "minus",
+                 "--out", str(lines)]) == EXIT_OK
+    src = str(Path(equiline.__file__).parents[1])
+    results = []
+    for threads in ("1", "2"):
+        report = tmp_path / f"report{threads}.json"
+        env = {**os.environ, "EQUILINE_THREADS": threads, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-m", "equiline.cli", "certify", str(lines), "--out", str(report)],
+            env=env, capture_output=True, check=True,
+        )
+        results.append((proc.stdout, report.read_bytes()))
+    assert results[0] == results[1]
+    assert b"PASS scalar-kernel" in results[0][0]

@@ -194,3 +194,30 @@ def test_gram_validates_input():
     Gs = gram(construct_case_iii(2, PLUS))
     assert Gs.int_products is not None
     assert Gs.int_products.dtype == np.int64
+
+
+@pytest.mark.parametrize("tag", [MINUS, PLUS])
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_exact_gram_matches_int64_product(m, tag):
+    # the int64 product is the oracle for the float64 BLAS sign Gram
+    L = construct_case_iii(m, tag)
+    G = gram(L)
+    assert G.int_products.dtype == np.int64
+    assert np.array_equal(G.int_products, L.signs.T @ L.signs)
+
+
+def test_exact_gram_rejects_signs_beyond_the_double_range():
+    L = construct_case_iii(2, MINUS)
+    signs = L.signs * (2**30 + 1)  # products need 61 bits; a double rounds them
+    S = signs.astype(np.float64)
+    assert not np.array_equal((S.T @ S).astype(np.int64), signs.T @ signs)
+    with pytest.raises(ValueError, match="sign Gram is not integral"):
+        gram(LineSet(L.vectors, signs=signs))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_lineset_rejects_non_finite_entries(bad):
+    V = construct_case_iv(3, 1, MINUS).vectors.copy()
+    V[1, 2] = bad
+    with pytest.raises(ValueError, match="columns must be finite"):
+        LineSet(V)

@@ -10,12 +10,19 @@ from equiline.action import (
     multiplicity_certificate,
     two_transitivity,
 )
-from equiline.finfield import HyperplaneType
+from equiline.finfield import (
+    HyperplaneType,
+    enumerate_hyperplanes,
+    nonsingular_vectors,
+    standard_form,
+    transvection_on_functional,
+)
 from equiline.fiducial import SearchConfig, orbit_lineset, search_fiducial
 from equiline.heisenberg import check_unitary, monomial_matrix
 from equiline.lineset import LineSet, construct_case_iii, construct_case_iv
 from equiline.symmetries import (
     CLIFFORD_SEARCH_SEED,
+    _transvection_perms,
     geometry_unitaries,
     line_translations,
     stabilizer_unitaries,
@@ -212,3 +219,15 @@ def test_odd_prime_meta_is_checked_against_the_dimensions():
         meta = {k: v for k, v in {**L.meta, **change}.items() if v is not None}
         with pytest.raises(ValueError):
             translation_unitaries(LineSet(L.vectors, meta))
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("tag", [MINUS, PLUS])
+def test_transvection_perms_match_functional_pullbacks(m, tag):
+    q = standard_form(m)
+    phis = [h.functional for h in enumerate_hyperplanes(q, tag)]
+    expected = [
+        tuple(phis.index(transvection_on_functional(q, u, phi)) for phi in phis)
+        for u in nonsingular_vectors(q)
+    ]
+    assert _transvection_perms(m, tag) == expected
