@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from math import prod
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -57,7 +58,8 @@ def identity_perm(n: int) -> Perm:
 
 def compose(p: Perm, q: Perm) -> Perm:
     """p after q: i -> p[q[i]]."""
-    return tuple(p[j] for j in q)
+    # itemgetter of one index returns the item itself, not a 1-tuple
+    return itemgetter(*q)(p) if len(q) > 1 else tuple(p[j] for j in q)
 
 
 def invert(p: Perm) -> Perm:
@@ -93,12 +95,19 @@ class StabilizerChain:
     """Stabilizer chain with base 0, 1, 2, ..., grown one permutation at a time.
 
     Deterministic incremental Schreier-Sims (Seress, *Permutation Group
-    Algorithms*, 2003, ch. 4).  A sifted residue fixing points 0..i-1 joins
+    Algorithms*, 2003, ch. 4).  `orbits[i]` maps each point a of the orbit of
+    i under the stabilizer of 0..i-1 to a pair (u, u^-1) with u carrying i to
+    a, so sifting never inverts.  A sifted residue fixing points 0..i-1 joins
     the strong generators of every level <= i (it lies in each of those point
-    stabilizers), their orbits are rebuilt, and all their Schreier generators
-    are re-sifted.  So after every `add` the chain is verified: `orbits[i]`
-    maps each point of the orbit of i under the stabilizer of 0..i-1 to an
-    element carrying i there.
+    stabilizers), and each of those orbits is extended in place.
+
+    Only the new Schreier generators u_(s a)^-1 s u_a are sifted: those of the
+    new generator s on the old points a and of every generator on the new
+    points, less those with u_(s a) = s u_a, which are the identity.  The old
+    ones sifted to the identity before, and still do: transversal entries are
+    kept and levels only grow.  So after every `add` the chain is verified:
+    every Schreier generator of level i lies in the group of the levels below,
+    which by Schreier's lemma is then the stabilizer of i in that of level i.
 
     The order is the product of the orbit sizes.  With base 0, 1 the group is
     transitive iff |0^G| = n, and 2-transitive iff moreover n >= 2 and the
@@ -109,8 +118,9 @@ class StabilizerChain:
         if not gens:
             raise ValueError("empty generator list")
         self.n = n = len(gens[0])
+        self.identity = e = identity_perm(n)
         self.strong: list[list[Perm]] = [[] for _ in range(n)]
-        self.orbits: list[dict[int, Perm]] = [{i: identity_perm(n)} for i in range(n)]
+        self.orbits: list[dict[int, tuple[Perm, Perm]]] = [{i: (e, e)} for i in range(n)]
         for g in gens:
             self.add(g)
 
@@ -133,14 +143,9 @@ class StabilizerChain:
         stack = [tuple(g)]
         while stack:
             h, i = self._sift(stack.pop())
-            if h is None:
-                continue
-            for j in range(i + 1):
-                self.strong[j].append(h)
-                orbit = self._rebuild(j)
-                for a in sorted(orbit):
-                    for s in self.strong[j]:
-                        stack.append(compose(invert(orbit[s[a]]), compose(s, orbit[a])))
+            if h is not None:
+                for j in range(i + 1):
+                    stack.extend(self._extend(j, h))
 
     def _sift(self, g: Perm) -> tuple[Perm | None, int]:
         """The residue of g and the level it leaves the chain at; (None, n) in the group."""
@@ -149,19 +154,33 @@ class StabilizerChain:
             if a != i:
                 if a not in orbit:
                     return g, i
-                g = compose(invert(orbit[a]), g)
+                g = compose(orbit[a][1], g)
+                if g == self.identity:  # spares the scan of the fixed points left
+                    break
         return None, self.n
 
-    def _rebuild(self, i: int) -> dict[int, Perm]:
-        orbit = self.orbits[i] = {i: identity_perm(self.n)}
-        queue = [i]
-        for a in queue:  # breadth first: the loop visits the points it appends
-            for g in self.strong[i]:
-                b = g[a]
-                if b not in orbit:
-                    orbit[b] = compose(g, orbit[a])
-                    queue.append(b)
-        return orbit
+    def _extend(self, i: int, h: Perm) -> list[Perm]:
+        """Make h a strong generator of level i, extend the orbit of i in place
+        and return the Schreier generators this adds, less the identities."""
+        strong, orbit = self.strong[i], self.orbits[i]
+        strong.append(h)
+        schreier: list[Perm] = []
+        new: list[int] = []
+
+        def visit(s: Perm, a: int) -> None:
+            b, su = s[a], compose(s, orbit[a][0])
+            if b not in orbit:
+                orbit[b] = (su, invert(su))
+                new.append(b)
+            elif su != orbit[b][0]:  # else the Schreier generator is the identity
+                schreier.append(compose(orbit[b][1], su))
+
+        for a in list(orbit):
+            visit(h, a)
+        for a in new:  # breadth first: the loop visits the points it appends
+            for s in strong:
+                visit(s, a)
+        return schreier
 
 
 def group_order(gens: Sequence[Perm]) -> int:

@@ -13,6 +13,8 @@ from enum import Enum
 from functools import lru_cache
 from itertools import product
 
+import numpy as np
+
 __all__ = [
     "HyperplaneType",
     "RadicalDimension",
@@ -129,9 +131,25 @@ def standard_form(m: int) -> QuadForm2:
     return QuadForm2(dim, tuple(rows))
 
 
+def _readonly(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False  # cached: every caller gets the same array
+    return a
+
+
 @lru_cache(maxsize=None)
-def _value_table(q: QuadForm2) -> tuple[int, ...]:
-    return tuple(q.evaluate(x) for x in range(1 << q.dim))
+def _value_table(q: QuadForm2) -> np.ndarray:
+    """Q(v) at every packed v = 0 .. 2^dim - 1."""
+    return _readonly(np.array([q.evaluate(x) for x in range(1 << q.dim)], dtype=np.uint8))
+
+
+@lru_cache(maxsize=None)
+def _parity_table(dim: int) -> np.ndarray:
+    """popcount(v) mod 2 at every packed v = 0 .. 2^dim - 1."""
+    v = np.arange(1 << dim)
+    parity = np.zeros_like(v)
+    for i in range(dim):
+        parity ^= v >> i
+    return _readonly(parity & 1)
 
 
 @lru_cache(maxsize=None)
@@ -173,12 +191,8 @@ def radical(q: QuadForm2) -> int:
 
 def singular_count(q: QuadForm2, phi: int) -> int:
     """Number of nonzero v in ker(phi) with Q(v) = 0, by full enumeration."""
-    table = _value_table(q)
-    return sum(
-        1
-        for v in range(1, 1 << q.dim)
-        if table[v] == 0 and (phi & v).bit_count() & 1 == 0
-    )
+    v = np.arange(1, 1 << q.dim)
+    return int(np.count_nonzero((_value_table(q)[1:] == 0) & (_parity_table(q.dim)[phi & v] == 0)))
 
 
 def classify_hyperplane(q: QuadForm2, phi: int) -> HyperplaneType:

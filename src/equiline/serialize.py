@@ -93,7 +93,7 @@ def parse_lineset(text: str) -> LineSet:
         raise TypeError(f"vector entry is not a double: {exc}") from None
     meta = obj.get("meta") or {}
     signs = None
-    if meta.get("exact_signs"):
+    if meta.get("exact_signs") and np.isfinite(vectors).all():  # else LineSet says why
         scaled = vectors * np.sqrt(d)
         signs = np.rint(scaled.real).astype(np.int64)
         if (

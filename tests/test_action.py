@@ -18,6 +18,7 @@ from equiline.action import (
     scalar_kernel_check,
     two_transitivity,
 )
+from equiline.fiducial import SearchConfig, orbit_lineset, search_fiducial
 from equiline.finfield import HyperplaneType
 from equiline.heisenberg import commutant_dimension
 from equiline.lineset import LineSet, construct_case_iii, construct_case_iv
@@ -92,6 +93,82 @@ def test_chain_matches_sympy_on_random_subgroups():
         n = int(rng.integers(3, 10))
         gens = [rand_perm(rng, n) for _ in range(int(rng.integers(1, 4)))]
         assert _chain_answers(gens) == _sympy_answers(gens), gens
+
+
+def _random_subgroup(rng, n):
+    """1-3 generators of a seeded random subgroup of S_n in one of three shapes,
+    relabelled by a random permutation: unrestricted (mostly S_n or A_n),
+    intransitive on two parts, or preserving a system of equal blocks."""
+    shape = int(rng.integers(3))
+    cut = int(rng.integers(1, n))
+    sizes = [b for b in range(2, n) if n % b == 0]
+    size = int(rng.choice(sizes)) if sizes else n  # one block when n is prime
+
+    def gen(k):
+        if shape == 1:  # the first generator fixes the first part pointwise
+            head = rng.permutation(cut) if k else np.arange(cut)
+            return np.concatenate([head, cut + rng.permutation(n - cut)])
+        if shape == 2:  # the blocks are runs of `size` consecutive points
+            blocks = rng.permutation(n // size)
+            return [blocks[j] * size + w for j in range(n // size) for w in rng.permutation(size)]
+        return rng.permutation(n)
+
+    r = rand_perm(rng, n)
+    gens = [tuple(int(x) for x in gen(k)) for k in range(int(rng.integers(1, 4)))]
+    return [compose(r, compose(g, invert(r))) for g in gens]
+
+
+def _assert_verified(chain):
+    """Every transversal pair carries its point and is inverse, and every
+    Schreier generator of every level sifts through the chain."""
+    e = identity_perm(chain.n)
+    for i, (strong, orbit) in enumerate(zip(chain.strong, chain.orbits)):
+        for a, (u, u_inv) in orbit.items():
+            assert u[i] == a and compose(u, u_inv) == e
+            assert all(u[j] == j for j in range(i))
+            for s in strong:
+                assert all(s[j] == j for j in range(i))
+                schreier = compose(orbit[s[a]][1], compose(s, u))
+                assert chain._sift(schreier) == (None, chain.n)
+
+
+def test_chain_matches_sympy_on_random_subgroups_of_larger_degree():
+    rng = np.random.default_rng(47)
+    for _ in range(30):
+        gens = _random_subgroup(rng, int(rng.integers(10, 33)))
+        assert _chain_answers(gens) == _sympy_answers(gens), gens
+
+
+def test_chain_is_verified_after_every_add():
+    rng = np.random.default_rng(53)
+    for _ in range(10):
+        gens = _random_subgroup(rng, int(rng.integers(10, 17)))
+        chain = StabilizerChain(gens[:1])
+        for k, g in enumerate(gens, 1):
+            chain.add(g)  # the first one again: adding a member changes nothing
+            _assert_verified(chain)
+            assert chain.order == _sympy_answers(gens[:k])[0]
+
+
+def test_chain_matches_sympy_on_a_searched_line_set():
+    v, _ = search_fiducial(SearchConfig(d=8, seed=3))
+    L = orbit_lineset(v, 8)
+    perms = [induced_permutation(L, U) for U in symmetry_unitaries(L)]
+    assert _chain_answers(perms) == _sympy_answers(perms) == (387072, True, True)
+
+
+@pytest.mark.parametrize(
+    "build,order",
+    [
+        (lambda: construct_case_iii(3, HyperplaneType.MINUS), 92897280),
+        (lambda: construct_case_iv(3, 2, HyperplaneType.MINUS), 4199040),
+        (lambda: construct_case_iv(5, 2, HyperplaneType.MINUS), 5850000000),
+    ],
+)
+def test_action_certificate_at_mid_scale(build, order):
+    L = build()
+    cert = action_certificate(L, symmetry_unitaries(L))
+    assert (cert.group_order, cert.transitive, cert.two_transitive) == (order, True, True)
 
 
 @pytest.mark.parametrize(

@@ -110,6 +110,16 @@ def test_classification_matches_singular_counts():
         classify_hyperplane(q, 0)
 
 
+@pytest.mark.parametrize("m", [2, 3])
+def test_singular_count_matches_generator_form(m):
+    q = standard_form(m)
+    for phi in range(1, 1 << q.dim):
+        expected = sum(
+            1 for v in range(1, 1 << q.dim) if q.evaluate(v) == 0 and dot2(phi, v) == 0
+        )
+        assert singular_count(q, phi) == expected
+
+
 def test_classify_rejects_malformed_form():
     # Totally singular form: every count collapses, no type fits.
     q = QuadForm2(3, (0, 0, 0))

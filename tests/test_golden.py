@@ -1,9 +1,11 @@
-"""Byte-level pins of the constructions and the Schrödinger representation.
+"""Byte-level pins of the constructions, the Schrödinger representation and
+the `equiline action` payload.
 
-The digests are sha256 of the serialized line sets and of the stacked
-representation matrices (with + 0.0 so that signed zeros compare equal).  They
-hold the output of every family and of every representation entry fixed, so a
-change in how translations or displacements are built cannot move a byte.
+The digests are sha256 of the serialized line sets, of the stacked
+representation matrices (with + 0.0 so that signed zeros compare equal) and of
+the action command's stdout.  They hold the output of every family, of every
+representation entry and of every certified group fixed, so a change in how
+translations, displacements or stabilizer chains are built cannot move a byte.
 """
 
 import hashlib
@@ -11,6 +13,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from equiline.cli import EXIT_OK, main
 from equiline.fiducial import orbit_lineset
 from equiline.finfield import HyperplaneType
 from equiline.heisenberg import group_elements, schroedinger_rep, valid_rep_indices
@@ -38,6 +41,17 @@ CONSTRUCTIONS = {
 ORBITS = {
     2: "89ceae48670f0c62fd747c80f7e509ee52b638a99155bf291408cd0fc399ba36",
     8: "c8351da2acc13c8f918c4ea2f39ea2c0e6a79a517ccb8c60c64ee390258d97e4",
+}
+
+ACTIONS = {
+    ("ii", "--seed", "1"): "4f3689ae292826f7f33b0b801273bb7b8da9cf61fe42734ade5ad6f642be87cf",
+    ("ii", "--seed", "2"): "8c1eb3a60283c7889738d6ec4df9547b72bafd47de52465fcd9c76c23aa5ab4d",
+    ("ii", "--seed", "3"): "beba9e794b0218e6fd346b5340afaeb5af9c65a391f0b43e0a4d523588bdca7c",
+    ("i", "--seed", "1"): "671fe0cb25319d5cbd32ef0a9f9dd6692d28b34cea72058e38115993d46810e6",
+    ("iii", "--m", "2", "--type", "minus"): "2e36bc1b2ed0a9450319e32014c63d82c919ba67d975e6c5e462e94617e3d6c7",
+    ("iii", "--m", "3", "--type", "minus"): "410fffae45bce63e0f82479ee2e192ab3e45ebe7e99320c8881a41a7f7a97de6",
+    ("iv", "--p", "3", "--m", "1", "--eigen", "minus"): "6de6b8bc5757cea8b80fad67fd22b31dbd3c791e6ba1fae7e9a2625fb76a7260",
+    ("iv", "--p", "3", "--m", "2", "--eigen", "plus"): "8e294607926a116565739321c64f6499898df5f2e3eed01736b63e21a2256d7d",
 }
 
 REPRESENTATIONS = {
@@ -74,3 +88,12 @@ def test_representation_bytes(p, m):
     for j in valid_rep_indices(p):
         stack = np.stack([schroedinger_rep(g, j) for g in group_elements(p, m)]) + 0.0
         assert sha256(stack.tobytes()) == REPRESENTATIONS[(p, m, j)]
+
+
+@pytest.mark.parametrize("args", sorted(ACTIONS))
+def test_action_bytes(tmp_path, capsys, args):
+    path = str(tmp_path / "lines.json")
+    assert main(["construct", "--case", *args, "--out", path]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["action", path]) == EXIT_OK
+    assert sha256(capsys.readouterr().out.encode()) == ACTIONS[args]

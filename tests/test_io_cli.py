@@ -290,9 +290,9 @@ def test_serialize_matches_per_entry_reference(build):
     assert serialize_lineset(L) == _reference_serialize(L)
 
 
-def _corrupt_first_entry(tmp_path, literal):
-    """An iv p=3 m=1 lineset file whose first real part reads `literal`."""
-    text = serialize_lineset(construct_case_iv(3, 1, HyperplaneType.MINUS))
+def _corrupt_first_entry(tmp_path, literal, lines=None):
+    """A lineset file (default iv p=3 m=1 minus) whose first real part reads `literal`."""
+    text = serialize_lineset(lines or construct_case_iv(3, 1, HyperplaneType.MINUS))
     start = text.index('"vectors": [\n[[') + len('"vectors": [\n[[')
     path = tmp_path / "bad.json"
     path.write_text(text[:start] + literal + text[text.index(",", start):])
@@ -318,19 +318,43 @@ def test_cli_rejects_non_finite_entries(tmp_path, capsys, command, literal):
     assert "FAIL structure: columns must be finite" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["certify", "action"])
+def test_cli_reports_non_finite_before_exact_signs(tmp_path, capsys, command):
+    path = _corrupt_first_entry(tmp_path, "NaN", construct_case_iii(2, HyperplaneType.MINUS))
+    capsys.readouterr()
+    assert main([command, str(path)]) == EXIT_CERT_FAILED
+    err = capsys.readouterr().err
+    assert "FAIL structure: columns must be finite" in err and "Traceback" not in err
+
+
+def _cli_under_threads(threads: str, *args: str) -> bytes:
+    """stdout of `equiline args` in a subprocess with EQUILINE_THREADS=threads."""
+    src = str(Path(equiline.__file__).parents[1])
+    env = {**os.environ, "EQUILINE_THREADS": threads, "PYTHONPATH": src}
+    return subprocess.run(
+        [sys.executable, "-m", "equiline.cli", *args], env=env, capture_output=True, check=True
+    ).stdout
+
+
 def test_certify_bytes_do_not_depend_on_blas_threads(tmp_path):
     lines = tmp_path / "lines.json"
     assert main(["construct", "--case", "iii", "--m", "4", "--type", "minus",
                  "--out", str(lines)]) == EXIT_OK
-    src = str(Path(equiline.__file__).parents[1])
     results = []
     for threads in ("1", "2"):
         report = tmp_path / f"report{threads}.json"
-        env = {**os.environ, "EQUILINE_THREADS": threads, "PYTHONPATH": src}
-        proc = subprocess.run(
-            [sys.executable, "-m", "equiline.cli", "certify", str(lines), "--out", str(report)],
-            env=env, capture_output=True, check=True,
-        )
-        results.append((proc.stdout, report.read_bytes()))
+        stdout = _cli_under_threads(threads, "certify", str(lines), "--out", str(report))
+        results.append((stdout, report.read_bytes()))
     assert results[0] == results[1]
     assert b"PASS scalar-kernel" in results[0][0]
+
+
+def test_search_and_action_bytes_do_not_depend_on_blas_threads(tmp_path):
+    results = []
+    for threads in ("1", "2"):
+        lines = tmp_path / f"lines{threads}.json"
+        built = _cli_under_threads(threads, "construct", "--case", "ii", "--seed", "1",
+                                   "--out", str(lines))
+        results.append((built, lines.read_bytes(), _cli_under_threads(threads, "action", str(lines))))
+    assert results[0] == results[1]
+    assert json.loads(results[0][2])["group_order"] == 387072
