@@ -15,13 +15,11 @@ _EXPORTS = {
     "finfield": (
         "HyperplaneType",
         "QuadForm2",
-        "Hyperplane",
         "standard_form",
         "radical",
         "singular_count",
         "classify_hyperplane",
         "enumerate_hyperplanes",
-        "character_value",
         "nonsingular_vectors",
         "transvection",
         "transvection_on_functional",
@@ -36,7 +34,6 @@ _EXPORTS = {
         "commutant_dimension",
     ),
     "weil": (
-        "SymplecticAction",
         "weil_generators",
         "induced_symplectic",
         "parity_operator",

@@ -76,19 +76,20 @@ def induced_permutation(lines: LineSet, unitary: np.ndarray, tol: float = 1e-8) 
     matches do not form a bijection.
     """
     V = lines.vectors
-    overlaps = np.abs(V.conj().T @ (unitary @ V))  # [j, i] = |<v_j, U v_i>|
-    n = lines.n
-    images = []
-    for i in range(n):
-        hits = np.flatnonzero(overlaps[:, i] >= 1.0 - tol)
-        if hits.size != 1:
-            raise NotASymmetry(
-                f"line {i} has {hits.size} near-unit overlaps after the map"
-            )
-        images.append(int(hits[0]))
-    if len(set(images)) != n:
+    # most words that are not symmetries already fail at line 0: one product decides
+    first = np.count_nonzero(np.abs((unitary @ V[:, 0]).conj() @ V) >= 1.0 - tol)
+    if first != 1:
+        raise NotASymmetry(f"line 0 has {first} near-unit overlaps after the map")
+    hits = np.abs(V.conj().T @ (unitary @ V)) >= 1.0 - tol  # [j, i]: |<v_j, U v_i>|
+    counts = hits.sum(0)
+    bad = np.flatnonzero(counts != 1)
+    if bad.size:
+        raise NotASymmetry(
+            f"line {bad[0]} has {counts[bad[0]]} near-unit overlaps after the map"
+        )
+    if (hits.sum(1) != 1).any():  # some line is the image of two
         raise NotASymmetry("induced map on lines is not a bijection")
-    return tuple(images)
+    return tuple(hits.argmax(0).tolist())
 
 
 class StabilizerChain:

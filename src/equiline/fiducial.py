@@ -45,6 +45,13 @@ class NotConverged(Exception):
         )
 
 
+# Armijo sufficient-decrease constant, the first step before Barzilai-Borwein
+# steps are available, and the backtracking factor
+_ARMIJO = 1e-4
+_STEP_INIT = 0.1
+_SHRINK = 0.5
+
+
 @dataclass
 class SearchConfig:
     d: int = 8
@@ -52,9 +59,6 @@ class SearchConfig:
     restarts: int | None = None
     max_iters: int | None = None
     target_tol: float | None = None
-    armijo: float = 1e-4
-    step_init: float = 0.1
-    shrink: float = 0.5
 
     def __post_init__(self):
         if self.d not in (2, 8):
@@ -127,7 +131,7 @@ def _descend(v0: np.ndarray, disp: np.ndarray, cfg: SearchConfig, bound: float):
     f = frame_potential(v, disp)
     g = frame_potential_grad(v, disp)
     gt = g - v * np.vdot(v, g)
-    step = cfg.step_init
+    step = _STEP_INIT
     prev_v = prev_gt = None
     iters = 0
     for iters in range(1, cfg.max_iters + 1):
@@ -147,10 +151,10 @@ def _descend(v0: np.ndarray, disp: np.ndarray, cfg: SearchConfig, bound: float):
             cand = v - t * gt
             cand = cand / np.linalg.norm(cand)
             fc = frame_potential(cand, disp)
-            if fc <= f - cfg.armijo * t * gnorm2:
+            if fc <= f - _ARMIJO * t * gnorm2:
                 accepted = True
                 break
-            t *= cfg.shrink
+            t *= _SHRINK
         if not accepted:
             break
         prev_v, prev_gt = v, gt

@@ -11,29 +11,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import product
 
 import numpy as np
+
+from .heisenberg import lex_digits
 
 __all__ = [
     "HyperplaneType",
     "RadicalDimension",
     "ClassifierMismatch",
     "QuadForm2",
-    "Hyperplane",
     "standard_form",
     "radical",
     "singular_count",
     "classify_hyperplane",
     "enumerate_hyperplanes",
-    "character_value",
     "nonsingular_vectors",
     "transvection",
     "transvection_on_functional",
     "dot2",
-    "int_to_coords",
-    "coords_to_int",
-    "vectors_lex",
 ]
 
 
@@ -56,22 +52,10 @@ def dot2(x: int, y: int) -> int:
     return (x & y).bit_count() & 1
 
 
-def int_to_coords(x: int, dim: int) -> tuple[int, ...]:
-    return tuple((x >> i) & 1 for i in range(dim))
-
-
-def coords_to_int(coords) -> int:
-    v = 0
-    for i, c in enumerate(coords):
-        if c & 1:
-            v |= 1 << i
-    return v
-
-
-def vectors_lex(dim: int):
-    """All of F_2^dim in lexicographic order of coordinate tuples (coordinate 0 major)."""
-    for coords in product((0, 1), repeat=dim):
-        yield coords_to_int(coords)
+def _packed_lex(dim: int) -> list[int]:
+    """All of F_2^dim packed, in lexicographic order of coordinate tuples
+    (coordinate 0 major)."""
+    return (lex_digits(2, dim) @ (1 << np.arange(dim))).tolist()
 
 
 @dataclass(frozen=True)
@@ -211,38 +195,16 @@ def classify_hyperplane(q: QuadForm2, phi: int) -> HyperplaneType:
     raise ClassifierMismatch(f"singular count {s} fits no type at m={m}")
 
 
-@dataclass(frozen=True)
-class Hyperplane:
-    """Kernel of a nonzero functional, tagged with its quadratic type."""
-
-    functional: int
-    dim: int
-    type_tag: HyperplaneType
-
-    def contains(self, e: int) -> bool:
-        return dot2(self.functional, e) == 0
-
-    def character(self, e: int) -> int:
-        return -1 if dot2(self.functional, e) else 1
-
-
-def enumerate_hyperplanes(q: QuadForm2, tag: HyperplaneType) -> list[Hyperplane]:
-    """All hyperplanes of the given type, in lexicographic functional order."""
-    out = []
-    for phi in vectors_lex(q.dim):
-        if phi and classify_hyperplane(q, phi) is tag:
-            out.append(Hyperplane(phi, q.dim, tag))
-    return out
-
-
-def character_value(hyp: Hyperplane, e: int) -> int:
-    """The +-1 character of the hyperplane at e: +1 iff e lies on it."""
-    return hyp.character(e)
+def enumerate_hyperplanes(q: QuadForm2, tag: HyperplaneType) -> list[int]:
+    """The packed functionals phi whose hyperplanes ker(phi) have the given
+    type, in lexicographic order.  The +-1 character of ker(phi) at e is
+    (-1)^dot2(phi, e)."""
+    return [phi for phi in _packed_lex(q.dim) if phi and classify_hyperplane(q, phi) is tag]
 
 
 def nonsingular_vectors(q: QuadForm2) -> list[int]:
     """All u with Q(u) = 1, in lexicographic order."""
-    return [u for u in vectors_lex(q.dim) if u and q.evaluate(u)]
+    return [u for u in _packed_lex(q.dim) if u and q.evaluate(u)]
 
 
 def transvection(q: QuadForm2, u: int, x: int) -> int:

@@ -135,10 +135,6 @@ def valid_rep_indices(p: int) -> tuple[int, ...]:
     return tuple(range(1, p)) if p > 2 else (1, 3)
 
 
-def _points(p: int, m: int) -> list[tuple[int, ...]]:
-    return list(product(range(p), repeat=m))
-
-
 def lex_digits(p: int, m: int, index=None) -> np.ndarray:
     """Base-p digits of each index (default 0 .. p^m - 1), most significant
     first: row x is the x-th vector of F_p^m in lexicographic order."""

@@ -167,9 +167,9 @@ def construct_case_iii(m: int, type_choice: HyperplaneType) -> LineSet:
         raise ValueError("m must be >= 2; m = 1 leaves no usable dimension pair")
     if type_choice is HyperplaneType.DEGENERATE:
         raise ValueError("degenerate hyperplanes do not give a line set")
-    hyps = enumerate_hyperplanes(standard_form(m), type_choice)
-    d = len(hyps)
-    shifts = translations(2, m, functionals=[h.functional for h in hyps])
+    phis = enumerate_hyperplanes(standard_form(m), type_choice)
+    d = len(phis)
+    shifts = translations(2, m, functionals=phis)
     signs = orbit(np.ones(d, dtype=np.int64), *shifts)
     meta = {
         "case": "iii",

@@ -22,7 +22,7 @@ from .finfield import (
 )
 from .heisenberg import monomial_matrix
 from .lineset import LineSet, _valid_dims, translations
-from .weil import parity_split, weil_generators
+from .weil import induced_symplectic, parity_split, weil_generators
 
 __all__ = [
     "line_translations",
@@ -36,6 +36,11 @@ __all__ = [
 # Internal seed for the Clifford-word scan; fixed so discovery is reproducible
 # and independent of any user-facing seed.
 CLIFFORD_SEARCH_SEED = 7
+# The scan's word budget, and its matching tolerance.  The tolerance stays at
+# 1e-8 whatever `action --tol` is: the scan only searches, and
+# action_certificate re-proves every word it keeps at the command's tolerance.
+_CLIFFORD_MAX_TRIALS = 5000
+_CLIFFORD_TOL = 1e-8
 
 
 def _case(lines: LineSet) -> tuple[str, int, int]:
@@ -64,8 +69,8 @@ def line_translations(lines: LineSet, elements=None):
     (lineset.translations): element i maps line 0 to line i."""
     case, p, m = _case(lines)
     if case == "iii":
-        hyps = enumerate_hyperplanes(standard_form(m), HyperplaneType(lines.meta["type"]))
-        return translations(2, m, elements, functionals=[h.functional for h in hyps])
+        phis = enumerate_hyperplanes(standard_form(m), HyperplaneType(lines.meta["type"]))
+        return translations(2, m, elements, functionals=phis)
     return translations(p, m, elements, du=lines.d // p**m)
 
 
@@ -80,7 +85,7 @@ def _transvection_perms(m: int, tag: HyperplaneType) -> list[Perm]:
     """Coordinate permutations of the chosen-type hyperplanes under all
     transvections of the quadratic space."""
     q = standard_form(m)
-    phis = [h.functional for h in enumerate_hyperplanes(q, tag)]
+    phis = enumerate_hyperplanes(q, tag)
     index = {phi: i for i, phi in enumerate(phis)}
     perms = []
     for u in nonsingular_vectors(q):
@@ -90,9 +95,10 @@ def _transvection_perms(m: int, tag: HyperplaneType) -> list[Perm]:
     return perms
 
 
-def _weil_kron(lines: LineSet) -> list[np.ndarray]:
-    """Line-space unitaries U (x) conj(R) induced by the displacement
-    normalizers, where R is the compression of U to the fiducial eigenspace."""
+def _weil_kron(lines: LineSet) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Pairs (S, U (x) conj(R)) over the displacement normalizers U: S is the
+    label map of U (weil.induced_symplectic) and U (x) conj(R) the line-space
+    unitary, where R is the compression of U to the fiducial eigenspace."""
     p, m = lines.meta["p"], lines.meta["m"]
     even, odd = parity_split(p, m)
     iota = odd if HyperplaneType(lines.meta["eigen"]) is HyperplaneType.MINUS else even
@@ -101,7 +107,7 @@ def _weil_kron(lines: LineSet) -> list[np.ndarray]:
         R = iota.conj().T @ U @ iota
         if np.abs(R @ R.conj().T - np.eye(R.shape[0])).max() > 1e-8:
             raise ValueError("eigenspace compression of a normalizer is not unitary")
-        out.append(np.kron(U, R.conj()))
+        out.append((induced_symplectic(U, p, m), np.kron(U, R.conj())))
     return out
 
 
@@ -124,19 +130,17 @@ def _qubit_clifford_generators(k: int) -> list[np.ndarray]:
     return gens
 
 
-def _clifford_symmetries(
-    lines: LineSet, max_trials: int = 5000, tol: float = 1e-8
-) -> list[np.ndarray]:
+def _clifford_symmetries(lines: LineSet) -> list[np.ndarray]:
     """Seeded scan of Clifford words for unitaries permuting the orbit lines,
     stopping once, together with the translations, they act 2-transitively."""
     k = lines.d.bit_length() - 1
     gens = _qubit_clifford_generators(k)
     rng = np.random.default_rng(CLIFFORD_SEARCH_SEED)
-    perms = [induced_permutation(lines, U, tol) for U in translation_unitaries(lines)]
+    perms = [induced_permutation(lines, U, _CLIFFORD_TOL) for U in translation_unitaries(lines)]
     chain = StabilizerChain(perms)
     found: list[np.ndarray] = []
     seen: set[Perm] = set(perms)
-    for _ in range(max_trials):
+    for _ in range(_CLIFFORD_MAX_TRIALS):
         if chain.two_transitive:
             return found
         length = int(rng.integers(4, 25))
@@ -145,7 +149,7 @@ def _clifford_symmetries(
         for idx in word:
             U = gens[idx] @ U
         try:
-            perm = induced_permutation(lines, U, tol)
+            perm = induced_permutation(lines, U, _CLIFFORD_TOL)
         except NotASymmetry:
             continue
         if perm not in seen:
@@ -154,7 +158,7 @@ def _clifford_symmetries(
             found.append(U)
     if not chain.two_transitive:
         raise RuntimeError(
-            f"Clifford scan exhausted {max_trials} trials without 2-transitivity"
+            f"Clifford scan exhausted {_CLIFFORD_MAX_TRIALS} trials without 2-transitivity"
         )
     return found
 
@@ -166,7 +170,7 @@ def geometry_unitaries(lines: LineSet) -> list[np.ndarray]:
         perms = _transvection_perms(m, HyperplaneType(lines.meta["type"]))
         return [monomial_matrix(np.array(perm)) for perm in perms]
     if case == "iv":
-        return _weil_kron(lines)
+        return [W for _, W in _weil_kron(lines)]
     return _clifford_symmetries(lines)
 
 
@@ -181,10 +185,10 @@ def stabilizer_unitaries(lines: LineSet) -> tuple[list[np.ndarray], list[complex
 
     Sign-matrix case: the closed group of transvection coordinate
     permutations together with their negatives (phases +-1).  Odd-prime case:
-    the closed group of induced normalizer maps (phases read off the base
-    vector).
+    the closed group of induced normalizer maps, enumerated by their label
+    maps (phases read off the base vector).
     """
-    case, _, m = _case(lines)
+    case, p, m = _case(lines)
     if case == "iii":
         if m != 2:
             raise ValueError("stabilizer closure is sized for m = 2 only")
@@ -199,21 +203,23 @@ def stabilizer_unitaries(lines: LineSet) -> tuple[list[np.ndarray], list[complex
     if case == "iv":
         if m != 1:
             raise ValueError("stabilizer closure is sized for m = 1 only")
+        # the closure is keyed on the exact label map S, which determines W:
+        # the generators commute with parity, so S fixes U up to a phase, and
+        # that phase cancels in U (x) conj(R)
         base = _weil_kron(lines)
         closed: list[np.ndarray] = []
         seen: set[bytes] = set()
-        frontier = [np.eye(lines.d, dtype=complex)]
+        frontier = [(np.eye(2 * m, dtype=np.int64), np.eye(lines.d, dtype=complex))]
         while frontier:
-            W = frontier.pop()
-            # add zero to collapse IEEE -0.0 into +0.0 before hashing
-            key = (np.round(W, 9) + (0 + 0j)).tobytes()
+            S, W = frontier.pop()
+            key = S.tobytes()
             if key in seen:
                 continue
             seen.add(key)
             closed.append(W)
             if len(closed) > 1000:
                 raise RuntimeError("stabilizer closure exceeded the expected size")
-            frontier.extend(G @ W for G in base)
+            frontier.extend((G_S @ S % p, G_W @ W) for G_S, G_W in base)
         v0 = lines.vectors[:, 0]
         phases = []
         for W in closed:

@@ -11,13 +11,10 @@ are invariant under every one of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .heisenberg import (
     IndexOutOfRange,
-    _points,
     _roots,
     check_unitary,
     displacement,
@@ -30,7 +27,6 @@ from .heisenberg import (
 __all__ = [
     "NotNormalizing",
     "NotSymplectic",
-    "SymplecticAction",
     "weil_generators",
     "induced_symplectic",
     "parity_operator",
@@ -45,36 +41,6 @@ class NotNormalizing(ValueError):
 
 class NotSymplectic(ValueError):
     """Induced label map fails to preserve the commutator pairing."""
-
-
-@dataclass(frozen=True)
-class SymplecticAction:
-    """Linear map on (a, b) labels, stored as a (2m x 2m) tuple matrix mod p.
-
-    Column convention: the map sends a stacked column (a; b) to matrix @ (a; b).
-    """
-
-    p: int
-    m: int
-    matrix: tuple[tuple[int, ...], ...]
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.matrix, dtype=np.int64)
-
-    def compose(self, other: SymplecticAction) -> SymplecticAction:
-        if (self.p, self.m) != (other.p, other.m):
-            raise ValueError("mismatched label spaces")
-        prod = (self.as_array() @ other.as_array()) % self.p
-        return SymplecticAction(self.p, self.m, _as_tuple(prod))
-
-    def apply(self, a, b) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        vec = np.array(list(a) + list(b), dtype=np.int64)
-        img = (self.as_array() @ vec) % self.p
-        return tuple(int(x) for x in img[: self.m]), tuple(int(x) for x in img[self.m :])
-
-
-def _as_tuple(mat: np.ndarray) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(int(x) for x in row) for row in mat)
 
 
 def _pairing_matrix(m: int) -> np.ndarray:
@@ -117,24 +83,18 @@ def parity_split(p: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     """
     if p == 2:
         raise ValueError("parity split is used for odd p only")
-    pts = _points(p, m)
-    index = {x: k for k, x in enumerate(pts)}
     d = p**m
-    even_cols = [np.eye(d)[:, index[(0,) * m]]]
-    odd_cols = []
+    neg = lex_index(-lex_digits(p, m), p)  # index of -x
+    reps = np.flatnonzero(np.arange(d) < neg)  # the lex-first of each pair {x, -x}, x != 0
+    cols = np.arange(len(reps))
     s = 1 / np.sqrt(2.0)
-    for x in pts:
-        nx = tuple(-xi % p for xi in x)
-        if x == (0,) * m or x > nx:
-            continue
-        ex = np.zeros(d)
-        ox = np.zeros(d)
-        ex[index[x]] = ex[index[nx]] = s
-        ox[index[x]] = s
-        ox[index[nx]] = -s
-        even_cols.append(ex)
-        odd_cols.append(ox)
-    return np.column_stack(even_cols).astype(complex), np.column_stack(odd_cols).astype(complex)
+    even = np.zeros((d, len(reps) + 1))
+    even[0, 0] = 1.0
+    even[reps, cols + 1] = even[neg[reps], cols + 1] = s
+    odd = np.zeros((d, len(reps)))
+    odd[reps, cols] = s
+    odd[neg[reps], cols] = -s
+    return even.astype(complex), odd.astype(complex)
 
 
 def _fourier(p: int, m: int) -> np.ndarray:
@@ -191,59 +151,46 @@ def weil_generators(p: int, m: int) -> list[np.ndarray]:
     return gens
 
 
-def _match_displacement(M: np.ndarray, p: int, m: int, j: int, tol: float):
-    """Identify M = phase * X(a')Z(jb') or raise NotNormalizing."""
-    pts = _points(p, m)
-    index = {x: k for k, x in enumerate(pts)}
+def _match_displacement(M: np.ndarray, p: int, m: int, j: int, tol: float) -> np.ndarray:
+    """The label (a'; b') with M = phase * X(a')Z(jb'), or raise NotNormalizing."""
     col0 = M[:, 0]
     row = int(np.argmax(np.abs(col0)))
     phase = col0[row]
     if abs(abs(phase) - 1.0) > tol:
         raise NotNormalizing(f"leading coefficient has modulus {abs(phase):.6f}")
-    a_img = pts[row]
-    omega = np.exp(2j * np.pi / p) if p > 2 else -1.0
-    b_img = []
-    for k in range(m):
-        ek = tuple(1 if i == k else 0 for i in range(m))
-        target = tuple((x + y) % p for x, y in zip(ek, a_img))
-        ratio = M[index[target], index[ek]] / phase
-        # ratio should equal omega^(j * b'_k); decode by nearest root of unity
-        cands = [(abs(ratio - omega ** ((j * t) % p)), t) for t in range(p)]
-        b_img.append(min(cands)[1])
-    b_img = tuple(b_img)
-    T = displacement(p, m, a_img, b_img, j)
-    if np.abs(M - phase * T).max() > tol:
+    a_img = lex_digits(p, m, row)
+    # X(a')Z(jb') takes |e_k> to zeta^(kappa j b'_k) |e_k + a'>: decode b'_k by
+    # the nearest of the p candidate roots
+    units = np.eye(m, dtype=np.int64)
+    ratio = M[lex_index(units + a_img, p), lex_index(units, p)] / phase
+    roots = _roots(p)
+    kappa = 1 if p > 2 else 2
+    cands = roots[kappa * j * np.arange(p) % len(roots)]
+    b_img = np.abs(ratio[:, None] - cands).argmin(axis=1)
+    if np.abs(M - phase * displacement(p, m, a_img, b_img, j)).max() > tol:
         raise NotNormalizing("conjugate is not a scalar multiple of a displacement")
-    return a_img, b_img
+    return np.concatenate([a_img, b_img])
 
 
 def induced_symplectic(
     U: np.ndarray, p: int, m: int, j: int = 1, tol: float = 1e-8
-) -> SymplecticAction:
+) -> np.ndarray:
     """Label map induced by conjugation with U on the displacement classes.
 
-    For each standard label generator e, matches U D(e) U^dagger to a unique
-    phase * D(e') and assembles the 2m x 2m matrix of e -> e'.  Raises
-    NotNormalizing if any conjugate is not a scalar multiple of a displacement,
-    NotSymplectic if the assembled matrix fails to preserve the pairing.
+    Returns the 2m x 2m int64 matrix S mod p acting on stacked columns (a; b):
+    column k is the label e' with U D(e_k) U^dagger = phase * D(e'), for the
+    k-th unit label e_k.  Maps compose by S @ T % p.  Raises NotNormalizing if
+    any conjugate is not a scalar multiple of a displacement, NotSymplectic if
+    S fails to preserve the pairing.
     """
     if j not in valid_rep_indices(p):
         raise IndexOutOfRange(f"index {j} is not valid for p={p}")
     U = check_unitary(U)
-    zero = (0,) * m
-    cols = []
-    for k in range(m):
-        ek = tuple(1 if i == k else 0 for i in range(m))
-        M = U @ displacement(p, m, ek, zero, j) @ U.conj().T
-        a_img, b_img = _match_displacement(M, p, m, j, tol)
-        cols.append(a_img + b_img)
-    for k in range(m):
-        ek = tuple(1 if i == k else 0 for i in range(m))
-        M = U @ displacement(p, m, zero, ek, j) @ U.conj().T
-        a_img, b_img = _match_displacement(M, p, m, j, tol)
-        cols.append(a_img + b_img)
-    S = np.array(cols, dtype=np.int64).T % p
+    S = np.column_stack([
+        _match_displacement(U @ displacement(p, m, e[:m], e[m:], j) @ U.conj().T, p, m, j, tol)
+        for e in np.eye(2 * m, dtype=np.int64)
+    ])
     J = _pairing_matrix(m)
     if ((S.T @ J @ S - J) % p != 0).any():
         raise NotSymplectic("induced label map does not preserve the pairing")
-    return SymplecticAction(p, m, _as_tuple(S))
+    return S

@@ -223,6 +223,20 @@ def test_induced_permutation_rejects_non_symmetry():
         induced_permutation(L, Q)
 
 
+def test_induced_permutation_names_the_failing_check():
+    # lines e0, e1 and (e0 + 2 e1)/sqrt(5) in C^2
+    L = LineSet(np.array([[1, 0, 1 / np.sqrt(5)], [0, 1, 2 / np.sqrt(5)]]))
+    assert induced_permutation(L, np.eye(2)) == (0, 1, 2)
+    with pytest.raises(NotASymmetry, match="^line 0 has 0 near-unit"):
+        induced_permutation(L, np.array([[1, 1], [1, -1]]) / np.sqrt(2))
+    # fixes e0 and e1 but moves the third line off every line
+    with pytest.raises(NotASymmetry, match="^line 2 has 0 near-unit"):
+        induced_permutation(L, np.diag([1, 1j]))
+    # not unitary: every line goes to line 0 alone
+    with pytest.raises(NotASymmetry, match="not a bijection"):
+        induced_permutation(L, np.array([[1.0, 1.0], [0.0, 0.0]]))
+
+
 def test_action_certificate_on_translations():
     # translations act simply transitively: transitive, not 2-transitive, order n
     L = construct_case_iii(2, HyperplaneType.MINUS)

@@ -1,26 +1,25 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
 from equiline.finfield import (
     ClassifierMismatch,
-    Hyperplane,
     HyperplaneType,
     QuadForm2,
     RadicalDimension,
-    character_value,
+    _packed_lex,
     classify_hyperplane,
-    coords_to_int,
     dot2,
     enumerate_hyperplanes,
-    int_to_coords,
     nonsingular_vectors,
     radical,
     singular_count,
     standard_form,
     transvection,
     transvection_on_functional,
-    vectors_lex,
 )
+from equiline.heisenberg import lex_digits
 
 # Census of hyperplane types for the standard odd-dimensional form:
 # minus 2^(m-1)(2^m - 1), plus 2^(m-1)(2^m + 1), degenerate 2^(2m) - 1.
@@ -32,12 +31,18 @@ CENSUS = {
 }
 
 
-def test_packing_round_trip():
-    for x in range(64):
-        assert coords_to_int(int_to_coords(x, 6)) == x
-    assert coords_to_int((1, 0, 1)) == 5
-    assert int_to_coords(5, 3) == (1, 0, 1)
-    assert list(vectors_lex(2)) == [0, 2, 1, 3]  # coordinate 0 is the major bit
+def lex_packed(dim):
+    """F_2^dim in the lex_digits order, packed with bit i holding coordinate i."""
+    return [sum(int(c) << i for i, c in enumerate(row)) for row in lex_digits(2, dim)]
+
+
+def test_packing_follows_the_lex_digits_order():
+    assert lex_packed(2) == [0, 2, 1, 3]  # coordinate 0 is the major digit
+    assert lex_packed(3)[1] == 0b100  # digits (0, 0, 1): coordinate 2 is bit 2
+    for dim in range(1, 9):
+        tuples = product((0, 1), repeat=dim)
+        assert lex_packed(dim) == [sum(c << i for i, c in enumerate(t)) for t in tuples]
+        assert _packed_lex(dim) == lex_packed(dim)
 
 
 def test_dot2_bilinearity():
@@ -128,24 +133,30 @@ def test_classify_rejects_malformed_form():
 
 
 def test_hyperplane_character():
-    h = Hyperplane(functional=0b101, dim=3, type_tag=HyperplaneType.PLUS)
-    assert h.contains(0b010)
-    assert not h.contains(0b001)
-    assert character_value(h, 0b010) == 1
-    assert character_value(h, 0b001) == -1
+    # the +-1 character of ker(phi) is (-1)^dot2(phi, e): +1 exactly on the hyperplane
+    phi = 0b101
+    assert classify_hyperplane(standard_form(1), phi) is HyperplaneType.PLUS
+
+    def character(e):
+        return -1 if dot2(phi, e) else 1
+
+    assert character(0b010) == 1
+    assert character(0b001) == -1
+    assert sum(character(e) == 1 for e in range(8)) == 4
     # character is multiplicative along addition of vectors
     for e in range(8):
         for f in range(8):
-            assert h.character(e ^ f) == h.character(e) * h.character(f)
+            assert character(e ^ f) == character(e) * character(f)
 
 
 def test_enumeration_order_is_lex():
-    q = standard_form(2)
-    hyps = enumerate_hyperplanes(q, HyperplaneType.MINUS)
-    funcs = [h.functional for h in hyps]
-    lex = [phi for phi in vectors_lex(q.dim) if phi]
-    positions = [lex.index(f) for f in funcs]
-    assert positions == sorted(positions)
+    for m in (1, 2, 3):
+        q = standard_form(m)
+        lex = lex_packed(q.dim)
+        for tag in HyperplaneType:
+            expected = [phi for phi in lex if phi and classify_hyperplane(q, phi) is tag]
+            assert enumerate_hyperplanes(q, tag) == expected
+        assert nonsingular_vectors(q) == [u for u in lex if u and q.evaluate(u)]
 
 
 @pytest.mark.parametrize("m", (1, 2))
@@ -187,8 +198,8 @@ def test_functional_pullback_preserves_type():
     q = standard_form(2)
     for u in nonsingular_vectors(q):
         for tag in (HyperplaneType.MINUS, HyperplaneType.PLUS):
-            for h in enumerate_hyperplanes(q, tag):
-                img = transvection_on_functional(q, u, h.functional)
+            for phi in enumerate_hyperplanes(q, tag):
+                img = transvection_on_functional(q, u, phi)
                 assert classify_hyperplane(q, img) is tag
 
 

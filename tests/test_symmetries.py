@@ -18,17 +18,19 @@ from equiline.finfield import (
     transvection_on_functional,
 )
 from equiline.fiducial import SearchConfig, orbit_lineset, search_fiducial
-from equiline.heisenberg import check_unitary, monomial_matrix
+from equiline.heisenberg import check_unitary, lex_digits, lex_index, monomial_matrix
 from equiline.lineset import LineSet, construct_case_iii, construct_case_iv
 from equiline.symmetries import (
     CLIFFORD_SEARCH_SEED,
     _transvection_perms,
+    _weil_kron,
     geometry_unitaries,
     line_translations,
     stabilizer_unitaries,
     symmetry_unitaries,
     translation_unitaries,
 )
+from equiline.weil import induced_symplectic, parity_split, weil_generators
 
 MINUS, PLUS = HyperplaneType.MINUS, HyperplaneType.PLUS
 
@@ -113,6 +115,25 @@ def test_symmetry_groups_are_two_transitive_with_known_order(build, order):
     cert = action_certificate(L, symmetry_unitaries(L))
     assert cert.two_transitive
     assert cert.group_order == order
+
+
+@pytest.mark.parametrize("p,m", [(3, 1), (5, 1), (3, 2)])
+@pytest.mark.parametrize("eigen", [MINUS, PLUS])
+def test_weil_label_maps_give_the_induced_permutations(p, m, eigen):
+    # U (x) conj(R) fixes line 0 and sends line i, D(label_i) applied to line 0,
+    # to the line of D(S label_i): its permutation is read off the label map S
+    L = construct_case_iv(p, m, eigen)
+    labels = lex_digits(p, 2 * m)
+    even, odd = parity_split(p, m)
+    iota = odd if eigen is MINUS else even
+    gens = weil_generators(p, m)
+    pairs = _weil_kron(L)
+    assert len(pairs) == len(gens)
+    for U, (S_kron, W_kron) in zip(gens, pairs):
+        S = induced_symplectic(U, p, m)
+        W = np.kron(U, (iota.conj().T @ U @ iota).conj())
+        assert np.array_equal(S, S_kron) and np.array_equal(W, W_kron)
+        assert tuple(lex_index(labels @ S.T % p, p).tolist()) == induced_permutation(L, W)
 
 
 def test_stabilizer_sign_case():
@@ -225,7 +246,7 @@ def test_odd_prime_meta_is_checked_against_the_dimensions():
 @pytest.mark.parametrize("tag", [MINUS, PLUS])
 def test_transvection_perms_match_functional_pullbacks(m, tag):
     q = standard_form(m)
-    phis = [h.functional for h in enumerate_hyperplanes(q, tag)]
+    phis = enumerate_hyperplanes(q, tag)
     expected = [
         tuple(phis.index(transvection_on_functional(q, u, phi)) for phi in phis)
         for u in nonsingular_vectors(q)

@@ -5,7 +5,6 @@ from equiline.heisenberg import check_unitary, displacement
 from equiline.weil import (
     NotNormalizing,
     NotSymplectic,
-    SymplecticAction,
     induced_symplectic,
     parity_operator,
     parity_split,
@@ -30,7 +29,8 @@ def test_generators_are_unitary_and_normalize(p, m):
     for U in gens:
         check_unitary(U)
         S = induced_symplectic(U, p, m)  # raises if not normalizing
-        assert S.p == p and S.m == m
+        assert S.shape == (2 * m, 2 * m) and S.dtype == np.int64
+        assert ((0 <= S) & (S < p)).all()
 
 
 @pytest.mark.parametrize("p,m", [(3, 1), (5, 1)])
@@ -40,11 +40,10 @@ def test_induced_action_moves_labels_correctly(p, m):
     for U in weil_generators(p, m):
         S = induced_symplectic(U, p, m)
         for _ in range(10):
-            a = tuple(int(x) for x in rng.integers(0, p, m))
-            b = tuple(int(x) for x in rng.integers(0, p, m))
-            M = U @ displacement(p, m, a, b) @ U.conj().T
-            a2, b2 = S.apply(a, b)
-            D2 = displacement(p, m, a2, b2)
+            e = rng.integers(0, p, 2 * m)
+            M = U @ displacement(p, m, e[:m], e[m:]) @ U.conj().T
+            e2 = S @ e % p
+            D2 = displacement(p, m, e2[:m], e2[m:])
             # strip the phase via the largest entry of D2
             idx = np.unravel_index(np.argmax(np.abs(D2)), D2.shape)
             phase = M[idx] / D2[idx]
@@ -55,27 +54,27 @@ def test_induced_action_moves_labels_correctly(p, m):
 @pytest.mark.parametrize("p", sorted(SP2_ORDERS))
 def test_induced_maps_generate_the_full_symplectic_group(p):
     gens = [induced_symplectic(U, p, 1) for U in weil_generators(p, 1)]
-    seen = {((1, 0), (0, 1))}
-    frontier = [SymplecticAction(p, 1, ((1, 0), (0, 1)))]
+    identity = np.eye(2, dtype=np.int64)
+    seen = {identity.tobytes()}
+    frontier = [identity]
     while frontier:
         s = frontier.pop()
         for g in gens:
-            t = g.compose(s)
-            if t.matrix not in seen:
-                seen.add(t.matrix)
+            t = g @ s % p
+            if t.tobytes() not in seen:
+                seen.add(t.tobytes())
                 frontier.append(t)
     assert len(seen) == SP2_ORDERS[p]
 
 
-def test_symplectic_action_compose_and_apply():
-    s = SymplecticAction(3, 1, ((1, 1), (0, 1)))
-    t = SymplecticAction(3, 1, ((1, 0), (1, 1)))
-    st = s.compose(t)
-    a, b = st.apply((1,), (2,))
-    a2, b2 = s.apply(*t.apply((1,), (2,)))
-    assert (a, b) == (a2, b2)
-    with pytest.raises(ValueError):
-        s.compose(SymplecticAction(5, 1, ((1, 0), (0, 1))))
+def test_induced_maps_compose_by_matmul():
+    # conjugating by U1 U2 applies U2's label map, then U1's: S(U1 U2) = S(U1) S(U2)
+    for p, m in [(3, 1), (5, 1), (3, 2)]:
+        gens = weil_generators(p, m)
+        maps = [induced_symplectic(U, p, m) for U in gens]
+        for U1, S1 in zip(gens, maps):
+            for U2, S2 in zip(gens[:3], maps[:3]):
+                assert np.array_equal(induced_symplectic(U1 @ U2, p, m), S1 @ S2 % p)
 
 
 def test_induced_symplectic_rejects_non_normalizing():
