@@ -3,116 +3,36 @@ families: sign-matrix sets from quadratic-space hyperplanes, displacement
 orbits of parity eigenspaces for odd primes, and the two fiducial-orbit sets
 found by frame-potential search.
 
-Submodule attributes are re-exported lazily so that the command-line entry
-point can cap BLAS worker threads before numpy is first loaded.
+The package root re-exports every name in each submodule's `__all__`.
+`EQUILINE_THREADS=<k>` caps the BLAS worker threads; it is applied here,
+before any submodule loads numpy.
 """
 
-from importlib import import_module
+import os
+
+# Cap worker threads before any BLAS-backed import happens.
+_threads = os.environ.get("EQUILINE_THREADS")
+if _threads:
+    for _var in (
+        "OMP_NUM_THREADS",
+        "OPENBLAS_NUM_THREADS",
+        "MKL_NUM_THREADS",
+        "NUMEXPR_NUM_THREADS",
+    ):
+        os.environ[_var] = _threads
 
 __version__ = "0.1.0"
 
-_EXPORTS = {
-    "finfield": (
-        "HyperplaneType",
-        "QuadForm2",
-        "standard_form",
-        "radical",
-        "singular_count",
-        "classify_hyperplane",
-        "enumerate_hyperplanes",
-        "nonsingular_vectors",
-        "transvection",
-        "transvection_on_functional",
-    ),
-    "heisenberg": (
-        "HeisenbergElement",
-        "group_elements",
-        "schroedinger_rep",
-        "displacement",
-        "valid_rep_indices",
-        "check_unitary",
-        "commutant_dimension",
-    ),
-    "weil": (
-        "weil_generators",
-        "induced_symplectic",
-        "parity_operator",
-        "parity_split",
-        "NotNormalizing",
-        "NotSymplectic",
-    ),
-    "lineset": (
-        "LineSet",
-        "GramMatrix",
-        "AngleCertificate",
-        "translations",
-        "construct_case_iii",
-        "construct_case_iv",
-        "gram",
-        "certify_equiangular",
-        "certify_tight",
-        "dimension_pair",
-        "classification_rows",
-        "SpanDeficient",
-        "NotEquiangular",
-        "WelchViolation",
-        "UnknownCase",
-    ),
-    "fiducial": (
-        "SearchConfig",
-        "SearchReport",
-        "NotConverged",
-        "search_fiducial",
-        "orbit_lineset",
-        "displacements",
-        "frame_potential",
-        "frame_potential_grad",
-        "potential_bound",
-    ),
-    "action": (
-        "Perm",
-        "NotASymmetry",
-        "NotAProjector",
-        "induced_permutation",
-        "StabilizerChain",
-        "two_transitivity",
-        "group_order",
-        "close_permutations",
-        "ActionCertificate",
-        "action_certificate",
-        "MultiplicityCertificate",
-        "multiplicity_certificate",
-        "projector_commutant_dimension",
-        "scalar_kernel_check",
-    ),
-    "symmetries": (
-        "translation_unitaries",
-        "geometry_unitaries",
-        "symmetry_unitaries",
-        "stabilizer_unitaries",
-    ),
-    "serialize": (
-        "serialize_lineset",
-        "parse_lineset",
-        "gram_csv",
-    ),
-}
+from . import action, fiducial, finfield, heisenberg, lineset, serialize, symmetries, weil
+from .finfield import *
+from .heisenberg import *
+from .weil import *
+from .lineset import *
+from .fiducial import *
+from .action import *
+from .symmetries import *
+from .serialize import *
 
-_ATTR_TO_MODULE = {
-    name: module for module, names in _EXPORTS.items() for name in names
-}
-
-__all__ = ["__version__", *_ATTR_TO_MODULE]
-
-
-def __getattr__(name: str):
-    module = _ATTR_TO_MODULE.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(f".{module}", __name__), name)
-    globals()[name] = value
-    return value
-
-
-def __dir__():
-    return sorted(__all__)
+__all__ = ["__version__"]
+for _module in (finfield, heisenberg, weil, lineset, fiducial, action, symmetries, serialize):
+    __all__ += _module.__all__

@@ -6,22 +6,11 @@ certificate is named on stderr), 5 the symmetry action could not be derived.
 
 A run manifest (command, parameters, seed, version, tolerances, timestamp)
 is printed to stderr; stdout and output files are byte-deterministic.
+`EQUILINE_THREADS` is applied by the package on `import equiline`, before
+numpy loads, so it caps the BLAS threads of every command.
 """
 
 from __future__ import annotations
-
-import os
-
-# Cap worker threads before any BLAS-backed import happens.
-_threads = os.environ.get("EQUILINE_THREADS")
-if _threads:
-    for _var in (
-        "OMP_NUM_THREADS",
-        "OPENBLAS_NUM_THREADS",
-        "MKL_NUM_THREADS",
-        "NUMEXPR_NUM_THREADS",
-    ):
-        os.environ[_var] = _threads
 
 import argparse
 import datetime
@@ -135,6 +124,9 @@ def _cmd_construct(args) -> int:
     except ValueError as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return EXIT_PARAMS
+    except MemoryError as exc:  # numpy names the refused allocation
+        print(f"invalid parameters: line set too large to build: {exc}", file=sys.stderr)
+        return EXIT_PARAMS
 
     _write(args.out, serialize_lineset(lines))
     if args.gram_csv:
@@ -241,9 +233,6 @@ def _cmd_action(args) -> int:
     if lines is None:
         return code
     _manifest("action", {"input": args.input}, None, {"tol": args.tol})
-    if lines.meta.get("case") not in ("i", "ii", "iii", "iv"):
-        print("lineset carries no construction tag; cannot derive symmetries", file=sys.stderr)
-        return EXIT_ACTION_FAILED
     try:
         unis = symmetry_unitaries(lines)
         cert = action_certificate(lines, unis, tol=args.tol)

@@ -243,10 +243,11 @@ def gram(L: LineSet) -> GramMatrix:
 def certify_equiangular(G: GramMatrix, tol: float = 1e-8) -> AngleCertificate:
     """Check all off-diagonal overlap magnitudes share one value alpha.
 
-    Integer-product Grams are certified exactly (max_dev is exactly zero when
-    all integer magnitudes agree); otherwise alpha is the mean off-diagonal
-    magnitude and max_dev the worst deviation from it.  Raises NotEquiangular,
-    carrying the worst pair, when max_dev > tol.
+    Integer-product Grams are decided exactly: equal integer magnitudes give
+    max_dev = 0, and unequal ones raise NotEquiangular whatever tol is.
+    Otherwise alpha is the mean off-diagonal magnitude and max_dev the worst
+    deviation from it, and NotEquiangular is raised when max_dev > tol.  The
+    error carries the pair farthest from the mean magnitude.
     """
     n = G.n
     iu = np.triu_indices(n, k=1)
@@ -257,14 +258,9 @@ def certify_equiangular(G: GramMatrix, tol: float = 1e-8) -> AngleCertificate:
             return AngleCertificate(
                 alpha=lo / G.d, max_dev=0.0, exact=True, numerator=lo, denominator=G.d
             )
-        # fall through to a float certificate over the exact integers
-        mean = mags.mean() / G.d
-        devs = np.abs(mags / G.d - mean)
+        devs = np.abs(mags / G.d - mags.mean() / G.d)
         worst = int(np.argmax(devs))
-        i, j = iu[0][worst], iu[1][worst]
-        if devs[worst] > tol:
-            raise NotEquiangular(int(i), int(j), float(devs[worst]))
-        return AngleCertificate(alpha=float(mean), max_dev=float(devs.max()), exact=True)
+        raise NotEquiangular(int(iu[0][worst]), int(iu[1][worst]), float(devs[worst]))
     mags = np.abs(G.values[iu])
     alpha = float(mags.mean())
     devs = np.abs(mags - alpha)

@@ -92,6 +92,8 @@ def parse_lineset(text: str) -> LineSet:
     except OverflowError as exc:  # an integer literal beyond the double range
         raise TypeError(f"vector entry is not a double: {exc}") from None
     meta = obj.get("meta") or {}
+    if not isinstance(meta, dict):
+        raise TypeError(f"meta must be a JSON object, got {type(meta).__name__}")
     signs = None
     if meta.get("exact_signs") and np.isfinite(vectors).all():  # else LineSet says why
         scaled = vectors * np.sqrt(d)

@@ -49,7 +49,9 @@ def _case(lines: LineSet) -> tuple[str, int, int]:
     meta, n, d = lines.meta, lines.n, lines.d
     case = meta.get("case")
     if case not in ("i", "ii", "iii", "iv"):
-        raise ValueError(f"line set carries no construction tag, meta={meta}")
+        raise ValueError(
+            f"line set carries no construction tag, meta={meta}; cannot derive symmetries"
+        )
     row = _valid_dims(n).get(d)
     if row is None or row[0] != case:
         raise ValueError(f"(n, d) = ({n}, {d}) is not a case {case} line set")

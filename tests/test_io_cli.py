@@ -176,6 +176,54 @@ def test_cli_certify_catches_corruption(tmp_path, capsys):
     assert main(["certify", str(garbage)]) == EXIT_PARAMS
 
 
+@pytest.mark.parametrize("tol", ["1e-8", "1"])
+def test_cli_certify_rejects_unequal_integer_magnitudes_at_any_tol(tmp_path, capsys, tol):
+    out = tmp_path / "l.json"
+    main(["construct", "--case", "iii", "--m", "2", "--type", "minus", "--out", str(out)])
+    obj = json.loads(out.read_text())
+    obj["vectors"][3][0][0] *= -1  # exact signs, but two integer magnitudes
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert main(["certify", str(bad), "--tol", tol]) == EXIT_CERT_FAILED
+    err = capsys.readouterr().err
+    assert "FAIL equiangular: pair (3, 7) deviates from the common angle by 3.472e-01" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["certify", "action"])
+@pytest.mark.parametrize("meta", [[1], "x"])
+def test_cli_rejects_non_object_meta(tmp_path, capsys, command, meta):
+    out = tmp_path / "l.json"
+    main(["construct", "--case", "iii", "--m", "2", "--type", "minus", "--out", str(out)])
+    obj = json.loads(out.read_text())
+    obj["meta"] = meta
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert main([command, str(bad)]) == EXIT_PARAMS
+    err = capsys.readouterr().err
+    assert "not a lineset JSON file: meta must be a JSON object" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--case", "iv", "--p", "1000003", "--m", "1", "--eigen", "minus"],  # 3.6 TiB
+        ["--case", "iii", "--m", "40", "--type", "minus"],  # beyond numpy's size limit
+    ],
+)
+def test_cli_construct_refuses_oversized_sets(tmp_path, capsys, args):
+    out = tmp_path / "l.json"
+    start = time.perf_counter()
+    assert main(["construct", *args, "--out", str(out)]) == EXIT_PARAMS
+    assert time.perf_counter() - start < 2.0  # the allocation is refused at once
+    err = capsys.readouterr().err
+    assert "invalid parameters:" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_cli_certify_reports_welch_violation(tmp_path, capsys, monkeypatch):
     out = tmp_path / "l.json"
     main(["construct", "--case", "iii", "--m", "2", "--type", "minus", "--out", str(out)])

@@ -1,6 +1,11 @@
 """Checks on the package source itself."""
 
 import ast
+import importlib
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import equiline
@@ -21,3 +26,37 @@ def test_no_assert_statements_in_package():
         if isinstance(node, ast.Assert)
     ]
     assert not found, f"assert statements in equiline: {found}"
+
+
+def test_root_exports_every_module_all():
+    modules = [
+        importlib.import_module(f"equiline.{path.stem}")
+        for path in SOURCES
+        if path.stem not in ("__init__", "cli")
+    ]
+    expected = ["__version__", *(name for module in modules for name in module.__all__)]
+    assert sorted(equiline.__all__) == sorted(expected)
+    assert len(set(expected)) == len(expected)  # no name is exported twice
+    assert [name for name in equiline.__all__ if not hasattr(equiline, name)] == []
+
+
+def test_readme_import_block_runs():
+    readme = (Path(equiline.__file__).parents[2] / "README.md").read_text()
+    block = re.search(r"^from equiline import \(.*?\)$", readme, re.M | re.S)
+    assert block is not None
+    exec(block.group(0), {})
+
+
+def test_thread_cap_is_applied_on_import():
+    src = str(Path(equiline.__file__).parents[1])
+    env = {**os.environ, "EQUILINE_THREADS": "1", "OPENBLAS_NUM_THREADS": "7", "PYTHONPATH": src}
+    probe = "import os, equiline; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert result.stdout == "1\n", result.stderr
+    readers = [
+        path.name
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Constant) and node.value == "EQUILINE_THREADS"
+    ]
+    assert readers == ["__init__.py"]  # the package applies the cap in one place
