@@ -7,9 +7,19 @@ classes,
 
 with equality exactly when the d^2 lines D(g) v are equiangular.  The search
 is multi-restart projected gradient descent on the unit sphere with a
-Barzilai-Borwein initial step and monotone Armijo backtracking; it is
-deterministic for a fixed seed (all starts are drawn up front, and the winner
-is the (f value, restart index) minimum, so restarts could run in any order).
+Barzilai-Borwein initial step and monotone Armijo backtracking.  All restarts
+run in lockstep as the rows of one array, each with its own step, stop test
+and iteration count, and a row drops out when it stops; the displacements act
+as monomials (perm, phase), so every overlap is a gather and an elementwise
+sum with no BLAS reduction.  The search is deterministic for a fixed seed: all
+starts are drawn up front, and the winner is the (f value, restart index)
+minimum.
+
+Closing the potential gap to target_tol only bounds the overlap residuals
+r_g = |<v, D(g) v>|^2 - 1/(d + 1) by sqrt(target_tol) (f - bound is the sum
+of the r_g^2 for a unit v), so the winner is then polished by Gauss-Newton
+least-squares steps on the r_g, and the search converges only when the
+polished max |r_g| is within target_tol as well.
 """
 
 from __future__ import annotations
@@ -18,7 +28,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .heisenberg import monomial_matrix
 from .lineset import LineSet, orbit, translations
 
 __all__ = [
@@ -41,15 +50,24 @@ class NotConverged(Exception):
         self.report = report
         super().__init__(
             f"best f = {report.best_f:.12f} after {report.restarts_run} restarts "
-            f"(bound {report.bound:.12f}, target gap {report.target_tol:.1e})"
+            f"(bound {report.bound:.12f}, target gap {report.target_tol:.1e}), "
+            f"polished overlap residual {report.residual:.1e}"
         )
 
 
 # Armijo sufficient-decrease constant, the first step before Barzilai-Borwein
-# steps are available, and the backtracking factor
+# steps are available, the backtracking factor and its number of halvings
 _ARMIJO = 1e-4
 _STEP_INIT = 0.1
 _SHRINK = 0.5
+_HALVINGS = 60
+# Rows are evaluated in blocks whose (rows, g, d) complex temporaries stay
+# within this many bytes, so the search's peak memory does not grow with the
+# number of restarts
+_BLOCK_BYTES = 1 << 17
+# Gauss-Newton steps of the polish; each roughly squares the residual, and the
+# search leaves it near sqrt(target_tol)
+_POLISH_STEPS = 5
 
 
 @dataclass
@@ -82,6 +100,7 @@ class SearchReport:
     best_restart: int
     restarts_run: int
     total_iterations: int
+    residual: float  # max_g |r_g| of the returned (polished) fiducial
     iterations_per_restart: list[int] = field(default_factory=list)
 
 
@@ -92,110 +111,195 @@ def _qubits(d: int) -> int:
     return k
 
 
-def displacements(d: int) -> np.ndarray:
-    """Stacked nontrivial displacement matrices in line order: shape
-    (d^2 - 1, d, d), the translations after the identity."""
-    return monomial_matrix(*translations(2, _qubits(d), np.arange(1, d * d)))
+def displacements(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Monomials (perm, phase) of the nontrivial displacements in line order,
+    each of shape (d^2 - 1, d): the translations after the identity."""
+    return translations(2, _qubits(d), np.arange(1, d * d))
 
 
 def potential_bound(d: int) -> float:
     return (d - 1) / (d + 1)
 
 
-def frame_potential(v: np.ndarray, disp: np.ndarray) -> float:
-    """Quartic overlap sum of the unit vector v over the given displacements."""
-    w = np.einsum("i,gij,j->g", v.conj(), disp, v)
+def _overlaps(v: np.ndarray, disp) -> tuple[np.ndarray, np.ndarray]:
+    """w_g = <v, D_g v> of each row of v (shape (..., d)) and the images
+    D_g^dagger v, of shape (..., g, d): (D_g^dagger v)_x = conj(phase_gx) v_perm(g, x)."""
+    perm, phase = disp
+    adj = v[..., perm]
+    adj *= phase.conj()
+    return np.einsum("...gx,...x->...g", adj, v.conj()).conj(), adj
+
+
+def _jacobian(v: np.ndarray, disp) -> tuple[np.ndarray, np.ndarray]:
+    """h_g = |<v, D_g v>|^2 of each row of v and its gradient, packed as in
+    frame_potential_grad: 2 (conj(w_g) D_g v + w_g D_g^dagger v), of shape (..., g, d)."""
+    perm, phase = disp
+    inv = np.argsort(perm, axis=-1)
+    w, jac = _overlaps(v, disp)
+    jac *= w[..., None]
+    fwd = v[..., inv]  # D_g v
+    fwd *= np.take_along_axis(phase, inv, axis=-1)
+    fwd *= w.conj()[..., None]
+    jac += fwd
+    jac *= 2.0
+    return (w * w.conj()).real, jac
+
+
+def frame_potential(v: np.ndarray, disp) -> np.ndarray:
+    """Quartic overlap sum of each row of v (shape (..., d)) over the
+    displacement monomials disp = (perm, phase)."""
+    w, _ = _overlaps(v, disp)
     h = (w * w.conj()).real
-    return float(np.sum(h * h))
+    return np.sum(h * h, axis=-1)
 
 
-def frame_potential_grad(v: np.ndarray, disp: np.ndarray) -> np.ndarray:
-    """Euclidean gradient of the potential, packed as a complex vector.
+def frame_potential_grad(v: np.ndarray, disp) -> np.ndarray:
+    """Euclidean gradient of the potential at each row of v, packed as a
+    complex vector.
 
     Component k holds d f / d Re(v_k) + i * d f / d Im(v_k), so it matches
     central finite differences taken separately in the real and imaginary
     parts.
     """
-    w = np.einsum("i,gij,j->g", v.conj(), disp, v)
-    h = (w * w.conj()).real
-    Dv = np.einsum("gij,j->gi", disp, v)
-    Dhv = np.einsum("gji,j->gi", disp.conj(), v)
-    return 4.0 * np.einsum("g,gi->i", h * w.conj(), Dv) + 4.0 * np.einsum(
-        "g,gi->i", h * w, Dhv
-    )
+    h, jac = _jacobian(v, disp)
+    return 2.0 * np.einsum("...g,...gi->...i", h, jac)
 
 
-def _descend(v0: np.ndarray, disp: np.ndarray, cfg: SearchConfig, bound: float):
-    """One restart of projected gradient descent; returns (v, f, iterations)."""
-    v = v0
-    f = frame_potential(v, disp)
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Re <x, y> of each pair of rows."""
+    return np.einsum("ri,ri->r", x.conj(), y).real
+
+
+def _tangent(v: np.ndarray, disp) -> np.ndarray:
+    """The gradient at each row of v projected off that row."""
     g = frame_potential_grad(v, disp)
-    gt = g - v * np.vdot(v, g)
-    step = _STEP_INIT
-    prev_v = prev_gt = None
-    iters = 0
-    for iters in range(1, cfg.max_iters + 1):
-        gnorm2 = float(np.vdot(gt, gt).real)
-        if gnorm2 < 1e-26 or f - bound <= cfg.target_tol:
+    return g - v * np.einsum("ri,ri->r", v.conj(), g)[:, None]
+
+
+def _in_blocks(fn, v: np.ndarray, disp) -> np.ndarray:
+    """fn(rows, disp) over blocks of the rows of v, concatenated."""
+    rows = max(1, _BLOCK_BYTES // (16 * disp[0].size))
+    return np.concatenate([fn(b, disp) for b in np.split(v, range(rows, len(v), rows))])
+
+
+def _descend(v: np.ndarray, disp, cfg: SearchConfig, bound: float):
+    """Projected gradient descent from every row of v at once; returns the
+    rows reached, their potentials and the iteration count of each."""
+    v = v.copy()
+    f = _in_blocks(frame_potential, v, disp)
+    gt = _in_blocks(_tangent, v, disp)
+    step = np.full(len(v), _STEP_INIT)
+    prev_v, prev_gt = np.zeros_like(v), np.zeros_like(v)
+    stepped = np.zeros(len(v), dtype=bool)
+    iters = np.full(len(v), cfg.max_iters)
+    live = np.arange(len(v))  # the restarts still descending
+    for it in range(1, cfg.max_iters + 1):
+        gnorm2 = _dot(gt[live], gt[live])
+        stop = (gnorm2 < 1e-26) | (f[live] - bound <= cfg.target_tol)
+        iters[live[stop]] = it
+        live, gnorm2 = live[~stop], gnorm2[~stop]
+        if not live.size:
             break
-        if prev_v is not None:
-            s = v - prev_v
-            y = gt - prev_gt
-            sy = float(np.vdot(s, y).real)
-            if sy > 1e-30:
-                step = float(np.vdot(s, s).real) / sy
-            step = min(max(step, 1e-10), 1e3)
-        accepted = False
-        t = step
-        for _ in range(60):
-            cand = v - t * gt
-            cand = cand / np.linalg.norm(cand)
-            fc = frame_potential(cand, disp)
-            if fc <= f - _ARMIJO * t * gnorm2:
-                accepted = True
+        bb = live[stepped[live]]  # Barzilai-Borwein step from the last move
+        s, y = v[bb] - prev_v[bb], gt[bb] - prev_gt[bb]
+        sy = _dot(s, y)
+        step[bb] = np.clip(
+            np.divide(_dot(s, s), sy, out=step[bb], where=sy > 1e-30), 1e-10, 1e3
+        )
+        # monotone Armijo backtracking: row i of pending still halves t[i]
+        t = step[live]
+        cand = np.empty((len(live), v.shape[1]), dtype=v.dtype)
+        fcand = np.empty(len(live))
+        pending = np.arange(len(live))
+        for _ in range(_HALVINGS):
+            rows = live[pending]
+            c = v[rows] - t[pending, None] * gt[rows]
+            c /= np.sqrt(_dot(c, c))[:, None]
+            fc = _in_blocks(frame_potential, c, disp)
+            ok = fc <= f[rows] - _ARMIJO * t[pending] * gnorm2[pending]
+            cand[pending[ok]], fcand[pending[ok]] = c[ok], fc[ok]
+            pending = pending[~ok]
+            if not pending.size:
                 break
-            t *= _SHRINK
-        if not accepted:
-            break
-        prev_v, prev_gt = v, gt
-        v, f = cand, fc
-        g = frame_potential_grad(v, disp)
-        gt = g - v * np.vdot(v, g)
+            t[pending] *= _SHRINK
+        moved = np.ones(len(live), dtype=bool)
+        moved[pending] = False
+        iters[live[pending]] = it
+        live = live[moved]
+        prev_v[live], prev_gt[live], stepped[live] = v[live], gt[live], True
+        v[live], f[live] = cand[moved], fcand[moved]
+        gt[live] = _in_blocks(_tangent, v[live], disp)
     return v, f, iters
 
 
+def _least_squares(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The minimum-norm x minimizing |a x - b|, by conjugate gradients on the
+    normal equations (CGLS): at most a.shape[1] steps from x = 0, stopped once
+    a^T (b - a x) falls to rounding.  Its products are einsum sums, so no
+    LAPACK routine or workspace is touched."""
+    x = np.zeros(a.shape[1])
+    r = b.copy()
+    s = np.einsum("gi,g->i", a, r)
+    p, gamma = s.copy(), s @ s
+    floor = gamma * np.finfo(float).eps ** 2
+    for _ in range(a.shape[1]):
+        if gamma <= floor:
+            break
+        q = np.einsum("gi,i->g", a, p)
+        alpha = gamma / (q @ q)
+        x += alpha * p
+        r -= alpha * q
+        s = np.einsum("gi,g->i", a, r)
+        gamma, last = s @ s, gamma
+        p = s + (gamma / last) * p
+    return x
+
+
+def _polish(v: np.ndarray, disp) -> tuple[np.ndarray, float]:
+    """Gauss-Newton on the overlap residuals r_g = h_g - 1/(d + 1): at most
+    _POLISH_STEPS least-squares steps, each renormalised and kept only while
+    max |r_g| falls; returns the vector and its max |r_g|."""
+    d = len(v)
+    h, jac = _jacobian(v, disp)
+    best = float(np.abs(h - 1.0 / (d + 1)).max())
+    for _ in range(_POLISH_STEPS):
+        delta = _least_squares(np.hstack([jac.real, jac.imag]), 1.0 / (d + 1) - h)
+        cand = v + delta[:d] + 1j * delta[d:]
+        cand /= np.linalg.norm(cand)
+        h, jac = _jacobian(cand, disp)
+        resid = float(np.abs(h - 1.0 / (d + 1)).max())
+        if not resid < best:
+            break
+        v, best = cand, resid
+    return v, best
+
+
 def search_fiducial(cfg: SearchConfig) -> tuple[np.ndarray, SearchReport]:
-    """Best fiducial over cfg.restarts seeded starts; raises NotConverged if no
-    restart closes the gap to the lower bound within cfg.target_tol."""
+    """Best fiducial over cfg.restarts seeded starts, polished; raises
+    NotConverged unless the search closes the gap to the lower bound and the
+    polish brings every overlap residual within cfg.target_tol."""
     disp = displacements(cfg.d)
     bound = potential_bound(cfg.d)
-    rng = np.random.default_rng(cfg.seed)
-    starts = []
-    for _ in range(cfg.restarts):
-        z = rng.normal(size=cfg.d) + 1j * rng.normal(size=cfg.d)
-        starts.append(z / np.linalg.norm(z))
-    best_v = None
-    best_f = np.inf
-    best_r = -1
-    iter_counts = []
-    for r, v0 in enumerate(starts):
-        v, f, iters = _descend(v0, disp, cfg, bound)
-        iter_counts.append(iters)
-        if f < best_f:
-            best_v, best_f, best_r = v, f, r
+    z = np.random.default_rng(cfg.seed).normal(size=(cfg.restarts, 2, cfg.d))
+    starts = z[:, 0] + 1j * z[:, 1]
+    starts /= np.sqrt(_dot(starts, starts))[:, None]
+    v, f, iters = _descend(starts, disp, cfg, bound)
+    best = int(np.argmin(f))  # the first restart of least f
+    fiducial, residual = _polish(v[best], disp)
     report = SearchReport(
-        converged=bool(best_f - bound <= cfg.target_tol),
-        best_f=float(best_f),
+        converged=bool(f[best] - bound <= cfg.target_tol and residual <= cfg.target_tol),
+        best_f=float(f[best]),
         bound=bound,
         target_tol=cfg.target_tol,
-        best_restart=best_r,
+        best_restart=best,
         restarts_run=cfg.restarts,
-        total_iterations=int(sum(iter_counts)),
-        iterations_per_restart=iter_counts,
+        total_iterations=int(iters.sum()),
+        residual=residual,
+        iterations_per_restart=iters.tolist(),
     )
     if not report.converged:
         raise NotConverged(report)
-    return best_v, report
+    return fiducial, report
 
 
 def orbit_lineset(v: np.ndarray, d: int, meta: dict | None = None) -> LineSet:

@@ -8,6 +8,7 @@ normalized columns so that angle certificates can be exact.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from math import isqrt
 
@@ -161,14 +162,22 @@ def construct_case_iii(m: int, type_choice: HyperplaneType) -> LineSet:
     order.  The lines are the translation orbit of the all-ones vector, so
     column(e)[M] = character_M(e) / sqrt(d) over the lexicographic-least
     representatives e of the cosets of the radical.  All signs are exact
-    integers.
+    integers.  Raises MemoryError, before any enumeration, when the d x n
+    complex columns alone would exceed physical memory.
     """
     if m < 2:
         raise ValueError("m must be >= 2; m = 1 leaves no usable dimension pair")
     if type_choice is HyperplaneType.DEGENERATE:
         raise ValueError("degenerate hyperplanes do not give a line set")
+    d = 2 ** (m - 1) * (2**m - 1 if type_choice is HyperplaneType.MINUS else 2**m + 1)
+    size = 16 * d * 4**m
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if size > memory:
+        raise MemoryError(
+            f"its {d} x {4**m} complex columns take {size} bytes, "
+            f"more than the {memory} bytes of physical memory"
+        )
     phis = enumerate_hyperplanes(standard_form(m), type_choice)
-    d = len(phis)
     shifts = translations(2, m, functionals=phis)
     signs = orbit(np.ones(d, dtype=np.int64), *shifts)
     meta = {

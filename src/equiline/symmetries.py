@@ -41,6 +41,10 @@ CLIFFORD_SEARCH_SEED = 7
 # action_certificate re-proves every word it keeps at the command's tolerance.
 _CLIFFORD_MAX_TRIALS = 5000
 _CLIFFORD_TOL = 1e-8
+# Words have 4 to _CLIFFORD_MAX_LENGTH letters, and are tested at line 0
+# _CLIFFORD_BLOCK at a time.
+_CLIFFORD_MAX_LENGTH = 24
+_CLIFFORD_BLOCK = 32
 
 
 def _case(lines: LineSet) -> tuple[str, int, int]:
@@ -132,37 +136,65 @@ def _qubit_clifford_generators(k: int) -> list[np.ndarray]:
     return gens
 
 
+def _clifford_words(rng: np.random.Generator, letters: int, count: int) -> np.ndarray:
+    """The scan's next count words, drawn as the scan draws them (a length,
+    then that many letters below `letters`), padded with the index `letters`
+    to _CLIFFORD_MAX_LENGTH letters."""
+    words = np.full((count, _CLIFFORD_MAX_LENGTH), letters)
+    for word in words:
+        length = int(rng.integers(4, _CLIFFORD_MAX_LENGTH + 1))
+        word[:length] = rng.integers(0, letters, size=length)
+    return words
+
+
+def _line0_candidates(lines: LineSet, stack: np.ndarray, words: np.ndarray, tol: float) -> np.ndarray:
+    """Mask of the words (rows of letters, applied first to last) whose image of
+    line 0 comes within tol + 1e-6 of some line.
+
+    A word fails induced_permutation's line-0 test unless some overlap reaches
+    1 - tol; the 1e-6 margin is far above the rounding of a few dozen 8 x 8
+    products, so a word dropped here fails the exact test too."""
+    x = np.broadcast_to(lines.vectors[:, 0], (len(words), lines.d))
+    for letter in words.T:
+        x = np.einsum("wij,wj->wi", stack[letter], x)
+    return (np.abs(x.conj() @ lines.vectors) >= 1.0 - tol - 1e-6).any(axis=1)
+
+
 def _clifford_symmetries(lines: LineSet) -> list[np.ndarray]:
     """Seeded scan of Clifford words for unitaries permuting the orbit lines,
-    stopping once, together with the translations, they act 2-transitively."""
+    stopping once, together with the translations, they act 2-transitively.
+
+    The words are drawn and tested at line 0 a block at a time; each word that
+    passes is multiplied out and matched by induced_permutation, in draw order."""
     k = lines.d.bit_length() - 1
     gens = _qubit_clifford_generators(k)
+    stack = np.stack(gens + [np.eye(lines.d, dtype=complex)])  # the last pads words
     rng = np.random.default_rng(CLIFFORD_SEARCH_SEED)
     perms = [induced_permutation(lines, U, _CLIFFORD_TOL) for U in translation_unitaries(lines)]
     chain = StabilizerChain(perms)
     found: list[np.ndarray] = []
     seen: set[Perm] = set(perms)
-    for _ in range(_CLIFFORD_MAX_TRIALS):
+    for start in range(0, _CLIFFORD_MAX_TRIALS, _CLIFFORD_BLOCK):
         if chain.two_transitive:
             return found
-        length = int(rng.integers(4, 25))
-        word = rng.integers(0, len(gens), size=length)
-        U = np.eye(lines.d, dtype=complex)
-        for idx in word:
-            U = gens[idx] @ U
-        try:
-            perm = induced_permutation(lines, U, _CLIFFORD_TOL)
-        except NotASymmetry:
-            continue
-        if perm not in seen:
-            seen.add(perm)
-            chain.add(perm)
-            found.append(U)
-    if not chain.two_transitive:
-        raise RuntimeError(
-            f"Clifford scan exhausted {_CLIFFORD_MAX_TRIALS} trials without 2-transitivity"
-        )
-    return found
+        words = _clifford_words(rng, len(gens), min(_CLIFFORD_BLOCK, _CLIFFORD_MAX_TRIALS - start))
+        for word in words[_line0_candidates(lines, stack, words, _CLIFFORD_TOL)]:
+            U = np.eye(lines.d, dtype=complex)
+            for idx in word[word < len(gens)]:
+                U = gens[idx] @ U
+            try:
+                perm = induced_permutation(lines, U, _CLIFFORD_TOL)
+            except NotASymmetry:
+                continue
+            if perm not in seen:
+                seen.add(perm)
+                chain.add(perm)
+                found.append(U)
+                if chain.two_transitive:
+                    return found
+    raise RuntimeError(
+        f"Clifford scan exhausted {_CLIFFORD_MAX_TRIALS} trials without 2-transitivity"
+    )
 
 
 def geometry_unitaries(lines: LineSet) -> list[np.ndarray]:

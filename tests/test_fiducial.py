@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from equiline import fiducial
 from equiline.fiducial import (
     NotConverged,
     SearchConfig,
@@ -31,7 +32,7 @@ def test_config_validation():
 
 @pytest.mark.parametrize("d", [2, 8])
 def test_displacement_stack(d):
-    disp = displacements(d)
+    disp = monomial_matrix(*displacements(d))
     assert disp.shape == (d * d - 1, d, d)
     full = monomial_matrix(*translations(2, d.bit_length() - 1))
     assert full.shape == (d * d, d, d)
@@ -96,6 +97,54 @@ def test_search_is_deterministic():
     assert r1 == r2
     v3, _ = search_fiducial(SearchConfig(d=2, seed=2))
     assert v3.tobytes() != v1.tobytes()  # different seed, different starts
+
+
+# iterations_per_restart and best_restart as the one-restart-at-a-time search
+# gave them; the lockstep search must take the same path on every restart
+PARENT_SEARCHES = {
+    (2, 1): (5, [7, 7, 5, 5, 4, 6, 7, 6]),
+    (8, 1): (26, [7, 9, 10, 9, 10, 10, 10, 12, 8, 9, 8, 11, 12, 11, 7, 8, 9, 11, 10, 7, 12, 9,
+                  10, 14, 10, 8, 10, 9, 7, 8, 10, 8, 10, 9, 12, 11, 12, 11, 9, 15, 12, 8, 16, 11,
+                  10, 7, 11, 8, 8, 9, 12, 12, 11, 11, 8, 9, 8, 11, 11, 15, 8, 10, 7, 9]),
+    (8, 3): (34, [11, 9, 8, 12, 10, 10, 11, 8, 9, 9, 10, 9, 11, 9, 9, 10, 8, 12, 9, 7, 9, 6, 10,
+                  12, 7, 10, 8, 11, 10, 11, 11, 9, 11, 7, 10, 7, 10, 10, 8, 11, 11, 10, 12, 8, 9,
+                  12, 9, 11, 13, 19, 10, 9, 10, 11, 9, 12, 7, 10, 9, 14, 9, 9, 12, 9]),
+}
+
+
+@pytest.mark.parametrize("d,seed", sorted(PARENT_SEARCHES))
+def test_lockstep_search_keeps_each_restart_path(d, seed):
+    _, report = search_fiducial(SearchConfig(d=d, seed=seed))
+    assert (report.best_restart, report.iterations_per_restart) == PARENT_SEARCHES[(d, seed)]
+
+
+@pytest.mark.parametrize("d", [2, 8])
+@pytest.mark.parametrize("seed", range(1, 21))
+def test_polished_orbits_certify_at_default_tol(d, seed):
+    v, report = search_fiducial(SearchConfig(d=d, seed=seed))
+    assert report.residual <= report.target_tol
+    cert = certify_equiangular(gram(orbit_lineset(v, d)), tol=1e-8)
+    assert abs(cert.alpha**2 - 1 / (d + 1)) < 1e-8
+
+
+def test_polish_least_squares_matches_lapack():
+    rng = np.random.default_rng(5)
+    a, b = rng.normal(size=(63, 16)), rng.normal(size=63)
+    assert np.abs(fiducial._least_squares(a, b) - np.linalg.lstsq(a, b, rcond=None)[0]).max() < 1e-12
+    a[:, 3] = a[:, 7]  # rank-deficient, like the Jacobian's global-phase direction
+    assert np.abs(fiducial._least_squares(a, b) - np.linalg.lstsq(a, b, rcond=None)[0]).max() < 1e-12
+    assert not fiducial._least_squares(a, np.zeros(63)).any()
+
+
+def test_unpolished_winner_does_not_converge(monkeypatch):
+    # the search alone closes the potential gap but leaves the overlap
+    # residuals near sqrt(gap), above d = 2's target of 1e-10
+    monkeypatch.setattr(fiducial, "_POLISH_STEPS", 0)
+    with pytest.raises(NotConverged) as exc:
+        search_fiducial(SearchConfig(d=2, seed=1))
+    rep = exc.value.report
+    assert rep.best_f - rep.bound <= rep.target_tol < rep.residual
+    assert "residual" in str(exc.value)
 
 
 def test_search_not_converged_carries_report():

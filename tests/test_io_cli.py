@@ -224,6 +224,20 @@ def test_cli_construct_refuses_oversized_sets(tmp_path, capsys, args):
     assert not out.exists()
 
 
+def test_cli_construct_refuses_case_iii_beyond_physical_memory(tmp_path, capsys, monkeypatch):
+    def enumerate_hyperplanes(*args):  # reached only if the size check lets m = 12 through
+        raise RuntimeError("case iii m = 12 was enumerated")
+
+    monkeypatch.setattr(equiline.lineset, "enumerate_hyperplanes", enumerate_hyperplanes)
+    out = tmp_path / "l.json"
+    assert main(["construct", "--case", "iii", "--m", "12", "--type", "minus",
+                 "--out", str(out)]) == EXIT_PARAMS
+    err = capsys.readouterr().err
+    assert "invalid parameters: line set too large to build" in err
+    assert "more than the" in err and "bytes of physical memory" in err
+    assert not out.exists()
+
+
 def test_cli_certify_reports_welch_violation(tmp_path, capsys, monkeypatch):
     out = tmp_path / "l.json"
     main(["construct", "--case", "iii", "--m", "2", "--type", "minus", "--out", str(out)])
@@ -404,5 +418,10 @@ def test_search_and_action_bytes_do_not_depend_on_blas_threads(tmp_path):
         built = _cli_under_threads(threads, "construct", "--case", "ii", "--seed", "1",
                                    "--out", str(lines))
         results.append((built, lines.read_bytes(), _cli_under_threads(threads, "action", str(lines))))
+        # case i seeds 3 and 4 pick their winner among restarts tied to 1e-16
+        for seed in ("3", "4"):
+            out = tmp_path / f"i{seed}-{threads}.json"
+            _cli_under_threads(threads, "construct", "--case", "i", "--seed", seed, "--out", str(out))
+            results[-1] += (out.read_bytes(),)
     assert results[0] == results[1]
     assert json.loads(results[0][2])["group_order"] == 387072

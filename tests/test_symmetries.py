@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from equiline.action import (
+    NotASymmetry,
+    StabilizerChain,
     action_certificate,
     induced_permutation,
     is_transitive,
@@ -22,6 +24,9 @@ from equiline.heisenberg import check_unitary, lex_digits, lex_index, monomial_m
 from equiline.lineset import LineSet, construct_case_iii, construct_case_iv
 from equiline.symmetries import (
     CLIFFORD_SEARCH_SEED,
+    _clifford_words,
+    _line0_candidates,
+    _qubit_clifford_generators,
     _transvection_perms,
     _weil_kron,
     geometry_unitaries,
@@ -195,6 +200,59 @@ def test_clifford_scan_stops_as_soon_as_the_group_is_two_transitive():
     assert cert.matched_unitaries == 9
     assert cert.group_order == 387072
     assert cert.two_transitive
+
+
+def _word_unitary(gens, word):
+    U = np.eye(gens[0].shape[0], dtype=complex)
+    for idx in word:
+        U = gens[idx] @ U
+    return U
+
+
+def test_line0_filter_keeps_every_word_the_exact_test_accepts():
+    v, _ = search_fiducial(SearchConfig(d=8, seed=1))
+    L = orbit_lineset(v, 8)
+    V = L.vectors
+    gens = _qubit_clifford_generators(3)
+    stack = np.stack(gens + [np.eye(8, dtype=complex)])
+    words = _clifford_words(np.random.default_rng(CLIFFORD_SEARCH_SEED), len(gens), 2000)
+    kept = _line0_candidates(L, stack, words, 1e-8)
+    # induced_permutation's line-0 test, one word at a time
+    exact = np.array([
+        np.count_nonzero(np.abs((_word_unitary(gens, w[w < len(gens)]) @ V[:, 0]).conj() @ V)
+                         >= 1.0 - 1e-8) == 1
+        for w in words
+    ])
+    assert exact.any() and not kept.all()
+    assert not (exact & ~kept).any()
+
+
+def _scan_one_word_at_a_time(L):
+    """The Clifford scan as it was before the batched line-0 test."""
+    gens = _qubit_clifford_generators(L.d.bit_length() - 1)
+    rng = np.random.default_rng(CLIFFORD_SEARCH_SEED)
+    perms = [induced_permutation(L, U) for U in translation_unitaries(L)]
+    chain, seen, found = StabilizerChain(perms), set(perms), []
+    while not chain.two_transitive:
+        length = int(rng.integers(4, 25))
+        U = _word_unitary(gens, rng.integers(0, len(gens), size=length))
+        try:
+            perm = induced_permutation(L, U)
+        except NotASymmetry:
+            continue
+        if perm not in seen:
+            seen.add(perm)
+            chain.add(perm)
+            found.append(U)
+    return found
+
+
+@pytest.mark.parametrize("d,seed", [(2, 1), (2, 3), (8, 1), (8, 2)])
+def test_batched_scan_keeps_the_same_words(d, seed):
+    v, _ = search_fiducial(SearchConfig(d=d, seed=seed))
+    L = orbit_lineset(v, d)
+    batched = [U.tobytes() for U in geometry_unitaries(L)]
+    assert batched == [U.tobytes() for U in _scan_one_word_at_a_time(L)]
 
 
 def test_orbit_case_detection_is_deterministic():
