@@ -12,14 +12,13 @@ run in lockstep as the rows of one array, each with its own step, stop test
 and iteration count, and a row drops out when it stops; the displacements act
 as monomials (perm, phase), so every overlap is a gather and an elementwise
 sum with no BLAS reduction.  The search is deterministic for a fixed seed: all
-starts are drawn up front, and the winner is the (f value, restart index)
-minimum.
+starts are drawn up front, and the winner is the (gap, restart index) minimum.
 
-Closing the potential gap to target_tol only bounds the overlap residuals
-r_g = |<v, D(g) v>|^2 - 1/(d + 1) by sqrt(target_tol) (f - bound is the sum
-of the r_g^2 for a unit v), so the winner is then polished by Gauss-Newton
-least-squares steps on the r_g, and the search converges only when the
-polished max |r_g| is within target_tol as well.
+The gap f - bound equals the sum of the squared overlap residuals
+r_g = |<v, D(g) v>|^2 - 1/(d + 1) for a unit v.  The search ends with gaps of
+1e-16 to 1e-14, below the rounding of f itself (f is about 1/3 for d = 2), so
+the winner's gap is taken as that sum of squares, which keeps its relative
+precision there, and not as f - bound.
 """
 
 from __future__ import annotations
@@ -50,8 +49,7 @@ class NotConverged(Exception):
         self.report = report
         super().__init__(
             f"best f = {report.best_f:.12f} after {report.restarts_run} restarts "
-            f"(bound {report.bound:.12f}, target gap {report.target_tol:.1e}), "
-            f"polished overlap residual {report.residual:.1e}"
+            f"(bound {report.bound:.12f}, target gap {report.target_tol:.1e})"
         )
 
 
@@ -65,9 +63,6 @@ _HALVINGS = 60
 # within this many bytes, so the search's peak memory does not grow with the
 # number of restarts
 _BLOCK_BYTES = 1 << 17
-# Gauss-Newton steps of the polish; each roughly squares the residual, and the
-# search leaves it near sqrt(target_tol)
-_POLISH_STEPS = 5
 
 
 @dataclass
@@ -100,7 +95,6 @@ class SearchReport:
     best_restart: int
     restarts_run: int
     total_iterations: int
-    residual: float  # max_g |r_g| of the returned (polished) fiducial
     iterations_per_restart: list[int] = field(default_factory=list)
 
 
@@ -130,21 +124,6 @@ def _overlaps(v: np.ndarray, disp) -> tuple[np.ndarray, np.ndarray]:
     return np.einsum("...gx,...x->...g", adj, v.conj()).conj(), adj
 
 
-def _jacobian(v: np.ndarray, disp) -> tuple[np.ndarray, np.ndarray]:
-    """h_g = |<v, D_g v>|^2 of each row of v and its gradient, packed as in
-    frame_potential_grad: 2 (conj(w_g) D_g v + w_g D_g^dagger v), of shape (..., g, d)."""
-    perm, phase = disp
-    inv = np.argsort(perm, axis=-1)
-    w, jac = _overlaps(v, disp)
-    jac *= w[..., None]
-    fwd = v[..., inv]  # D_g v
-    fwd *= np.take_along_axis(phase, inv, axis=-1)
-    fwd *= w.conj()[..., None]
-    jac += fwd
-    jac *= 2.0
-    return (w * w.conj()).real, jac
-
-
 def frame_potential(v: np.ndarray, disp) -> np.ndarray:
     """Quartic overlap sum of each row of v (shape (..., d)) over the
     displacement monomials disp = (perm, phase)."""
@@ -161,8 +140,24 @@ def frame_potential_grad(v: np.ndarray, disp) -> np.ndarray:
     central finite differences taken separately in the real and imaginary
     parts.
     """
-    h, jac = _jacobian(v, disp)
-    return 2.0 * np.einsum("...g,...gi->...i", h, jac)
+    perm, phase = disp
+    inv = np.argsort(perm, axis=-1)
+    w, jac = _overlaps(v, disp)
+    jac *= w[..., None]
+    fwd = v[..., inv]  # D_g v
+    fwd *= np.take_along_axis(phase, inv, axis=-1)
+    fwd *= w.conj()[..., None]
+    jac += fwd  # the gradient of |w_g|^2, halved
+    h = (w * w.conj()).real
+    return 4.0 * np.einsum("...g,...gi->...i", h, jac)
+
+
+def _gap(v: np.ndarray, disp) -> np.ndarray:
+    """f - bound at each unit row of v, as the sum of its squared overlap
+    residuals."""
+    w, _ = _overlaps(v, disp)
+    r = (w * w.conj()).real - 1.0 / (v.shape[-1] + 1)
+    return np.sum(r * r, axis=-1)
 
 
 def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -232,74 +227,30 @@ def _descend(v: np.ndarray, disp, cfg: SearchConfig, bound: float):
     return v, f, iters
 
 
-def _least_squares(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The minimum-norm x minimizing |a x - b|, by conjugate gradients on the
-    normal equations (CGLS): at most a.shape[1] steps from x = 0, stopped once
-    a^T (b - a x) falls to rounding.  Its products are einsum sums, so no
-    LAPACK routine or workspace is touched."""
-    x = np.zeros(a.shape[1])
-    r = b.copy()
-    s = np.einsum("gi,g->i", a, r)
-    p, gamma = s.copy(), s @ s
-    floor = gamma * np.finfo(float).eps ** 2
-    for _ in range(a.shape[1]):
-        if gamma <= floor:
-            break
-        q = np.einsum("gi,i->g", a, p)
-        alpha = gamma / (q @ q)
-        x += alpha * p
-        r -= alpha * q
-        s = np.einsum("gi,g->i", a, r)
-        gamma, last = s @ s, gamma
-        p = s + (gamma / last) * p
-    return x
-
-
-def _polish(v: np.ndarray, disp) -> tuple[np.ndarray, float]:
-    """Gauss-Newton on the overlap residuals r_g = h_g - 1/(d + 1): at most
-    _POLISH_STEPS least-squares steps, each renormalised and kept only while
-    max |r_g| falls; returns the vector and its max |r_g|."""
-    d = len(v)
-    h, jac = _jacobian(v, disp)
-    best = float(np.abs(h - 1.0 / (d + 1)).max())
-    for _ in range(_POLISH_STEPS):
-        delta = _least_squares(np.hstack([jac.real, jac.imag]), 1.0 / (d + 1) - h)
-        cand = v + delta[:d] + 1j * delta[d:]
-        cand /= np.linalg.norm(cand)
-        h, jac = _jacobian(cand, disp)
-        resid = float(np.abs(h - 1.0 / (d + 1)).max())
-        if not resid < best:
-            break
-        v, best = cand, resid
-    return v, best
-
-
 def search_fiducial(cfg: SearchConfig) -> tuple[np.ndarray, SearchReport]:
-    """Best fiducial over cfg.restarts seeded starts, polished; raises
-    NotConverged unless the search closes the gap to the lower bound and the
-    polish brings every overlap residual within cfg.target_tol."""
+    """Best fiducial over cfg.restarts seeded starts; raises NotConverged if no
+    restart closes the gap to the lower bound within cfg.target_tol."""
     disp = displacements(cfg.d)
     bound = potential_bound(cfg.d)
     z = np.random.default_rng(cfg.seed).normal(size=(cfg.restarts, 2, cfg.d))
     starts = z[:, 0] + 1j * z[:, 1]
     starts /= np.sqrt(_dot(starts, starts))[:, None]
     v, f, iters = _descend(starts, disp, cfg, bound)
-    best = int(np.argmin(f))  # the first restart of least f
-    fiducial, residual = _polish(v[best], disp)
+    gap = _in_blocks(_gap, v, disp)
+    best = int(np.argmin(gap))  # the first restart of least gap
     report = SearchReport(
-        converged=bool(f[best] - bound <= cfg.target_tol and residual <= cfg.target_tol),
+        converged=bool(gap[best] <= cfg.target_tol),
         best_f=float(f[best]),
         bound=bound,
         target_tol=cfg.target_tol,
         best_restart=best,
         restarts_run=cfg.restarts,
         total_iterations=int(iters.sum()),
-        residual=residual,
         iterations_per_restart=iters.tolist(),
     )
     if not report.converged:
         raise NotConverged(report)
-    return fiducial, report
+    return v[best], report
 
 
 def orbit_lineset(v: np.ndarray, d: int, meta: dict | None = None) -> LineSet:

@@ -418,7 +418,7 @@ def test_search_and_action_bytes_do_not_depend_on_blas_threads(tmp_path):
         built = _cli_under_threads(threads, "construct", "--case", "ii", "--seed", "1",
                                    "--out", str(lines))
         results.append((built, lines.read_bytes(), _cli_under_threads(threads, "action", str(lines))))
-        # case i seeds 3 and 4 pick their winner among restarts tied to 1e-16
+        # case i seeds 3 and 4 have restarts whose f - bound tie to 1e-16
         for seed in ("3", "4"):
             out = tmp_path / f"i{seed}-{threads}.json"
             _cli_under_threads(threads, "construct", "--case", "i", "--seed", seed, "--out", str(out))
