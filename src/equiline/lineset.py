@@ -11,6 +11,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from math import isqrt
+from pathlib import Path
 
 import numpy as np
 
@@ -154,6 +155,31 @@ def orbit(base: np.ndarray, perm: np.ndarray, phase: np.ndarray) -> np.ndarray:
     return cols
 
 
+# Peak bytes per entry of the d x n columns while construct_case_iii runs: the
+# translations' float phases, the orbit's float signs, the complex columns and
+# the copies LineSet makes to check their norms and rank (62.6 B measured as
+# the rise in peak RSS at m = 5).
+_BUILD_BYTES_PER_ENTRY = 64
+_CGROUP_MEMORY_MAX = Path("/sys/fs/cgroup/memory.max")
+
+
+def _memory_limit() -> int:
+    """Physical memory, or the cgroup v2 memory limit of this process where
+    that is set and lower."""
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    try:
+        limit = _CGROUP_MEMORY_MAX.read_text().strip()
+    except OSError:
+        return memory
+    return min(memory, int(limit)) if limit.isdigit() else memory
+
+
+def _case_iii_dims(m: int) -> tuple[int, int]:
+    """The dimensions 2^(m-1)(2^m - 1) and 2^(m-1)(2^m + 1) of the minus- and
+    plus-type case-iii line sets of 4^m lines."""
+    return 2 ** (m - 1) * (2**m - 1), 2 ** (m - 1) * (2**m + 1)
+
+
 def construct_case_iii(m: int, type_choice: HyperplaneType) -> LineSet:
     """Sign-matrix line set from hyperplanes of one type: n = 4^m lines in
     dimension d = 2^(m-1)(2^m -+ 1) (minus type gives the minus sign).
@@ -162,20 +188,21 @@ def construct_case_iii(m: int, type_choice: HyperplaneType) -> LineSet:
     order.  The lines are the translation orbit of the all-ones vector, so
     column(e)[M] = character_M(e) / sqrt(d) over the lexicographic-least
     representatives e of the cosets of the radical.  All signs are exact
-    integers.  Raises MemoryError, before any enumeration, when the d x n
-    complex columns alone would exceed physical memory.
+    integers.  Raises MemoryError, before any enumeration, when the build's
+    peak of _BUILD_BYTES_PER_ENTRY bytes per entry of the d x n columns would
+    exceed the memory available (see _memory_limit).
     """
     if m < 2:
         raise ValueError("m must be >= 2; m = 1 leaves no usable dimension pair")
     if type_choice is HyperplaneType.DEGENERATE:
         raise ValueError("degenerate hyperplanes do not give a line set")
-    d = 2 ** (m - 1) * (2**m - 1 if type_choice is HyperplaneType.MINUS else 2**m + 1)
-    size = 16 * d * 4**m
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    d_minus, d_plus = _case_iii_dims(m)
+    d = d_minus if type_choice is HyperplaneType.MINUS else d_plus
+    size, memory = _BUILD_BYTES_PER_ENTRY * d * 4**m, _memory_limit()
     if size > memory:
         raise MemoryError(
-            f"its {d} x {4**m} complex columns take {size} bytes, "
-            f"more than the {memory} bytes of physical memory"
+            f"building its {d} x {4**m} columns takes about {size} bytes, "
+            f"more than the {memory} bytes of memory available"
         )
     phis = enumerate_hyperplanes(standard_form(m), type_choice)
     shifts = translations(2, m, functionals=phis)
@@ -336,8 +363,8 @@ def _valid_dims(n: int) -> dict[int, tuple[str, int, int]]:
                 out[8] = ("ii", 2, 3)
                 out[56] = ("ii", 2, 3)
             if m >= 2:
-                out[2 ** (m - 1) * (2**m - 1)] = ("iii", 2, m)
-                out[2 ** (m - 1) * (2**m + 1)] = ("iii", 2, m)
+                for d in _case_iii_dims(m):
+                    out[d] = ("iii", 2, m)
         else:
             q = p**m
             out[q * (q - 1) // 2] = ("iv", p, m)

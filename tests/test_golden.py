@@ -14,8 +14,7 @@ import numpy as np
 import pytest
 
 from equiline.cli import EXIT_OK, main
-from equiline import fiducial
-from equiline.fiducial import SearchConfig, orbit_lineset, search_fiducial
+from equiline.fiducial import orbit_lineset
 from equiline.finfield import HyperplaneType
 from equiline.heisenberg import group_elements, schroedinger_rep, valid_rep_indices
 from equiline.lineset import construct_case_iii, construct_case_iv
@@ -47,7 +46,7 @@ ORBITS = {
 ACTIONS = {
     ("ii", "--seed", "1"): "4f3689ae292826f7f33b0b801273bb7b8da9cf61fe42734ade5ad6f642be87cf",
     ("ii", "--seed", "2"): "8c1eb3a60283c7889738d6ec4df9547b72bafd47de52465fcd9c76c23aa5ab4d",
-    ("ii", "--seed", "3"): "79826edc472f4fc0c1fedbece708d0f2578a87d7318c82197041729b2ce6ff7d",
+    ("ii", "--seed", "3"): "beba9e794b0218e6fd346b5340afaeb5af9c65a391f0b43e0a4d523588bdca7c",
     ("i", "--seed", "1"): "671fe0cb25319d5cbd32ef0a9f9dd6692d28b34cea72058e38115993d46810e6",
     ("iii", "--m", "2", "--type", "minus"): "2e36bc1b2ed0a9450319e32014c63d82c919ba67d975e6c5e462e94617e3d6c7",
     ("iii", "--m", "3", "--type", "minus"): "410fffae45bce63e0f82479ee2e192ab3e45ebe7e99320c8881a41a7f7a97de6",
@@ -55,12 +54,14 @@ ACTIONS = {
     ("iv", "--p", "3", "--m", "2", "--eigen", "plus"): "8e294607926a116565739321c64f6499898df5f2e3eed01736b63e21a2256d7d",
 }
 
-# ii seed 3's search ends with restart 34 at f - bound = 1.1e-15 and restart
-# 60 at 2.4e-15, but their sums of squared overlap residuals are 1.76e-15 and
-# 1.48e-15: f rounds at about 1e-16, so the winner is restart 60.  The action
-# of restart 34's orbit is pinned to the payload recorded when f chose it.
-RESTART_ACTIONS = {
-    (8, 3, 34): "beba9e794b0218e6fd346b5340afaeb5af9c65a391f0b43e0a4d523588bdca7c",
+# `construct` output of the search seeds whose best restarts tie to 1e-16 in
+# f (case i seeds 3 and 19, ii seeds 3 and 18), as the one-restart-at-a-time
+# search wrote it: the lockstep search must reach every restart's last bit.
+SEARCHES = {
+    ("i", "3"): "3ae437d785bd904bc9fdf33c3a3eb83f70d291f93aa00177e343197ef1146a1a",
+    ("i", "19"): "5da1b24373ca544f4ae8cf65ff039b86e1c80a5760dd423d06bb68143dd62603",
+    ("ii", "3"): "cd35b641685759cfe3e06412bc2b10c20faf15d670f59cb90b9889baf17ef10a",
+    ("ii", "18"): "35b92d2a87e67ab4eb2e4702cd10484dbb278a73123b93a0e829d563fd2cbfb5",
 }
 
 REPRESENTATIONS = {
@@ -108,21 +109,8 @@ def test_action_bytes(tmp_path, capsys, args):
     assert sha256(capsys.readouterr().out.encode()) == ACTIONS[args]
 
 
-@pytest.mark.parametrize("key", sorted(RESTART_ACTIONS))
-def test_action_bytes_of_a_restart(tmp_path, capsys, monkeypatch, key):
-    d, seed, restart = key
-    reached = []
-    descend = fiducial._descend
-
-    def spy(*args):
-        out = descend(*args)
-        reached.append(out[0])
-        return out
-
-    monkeypatch.setattr(fiducial, "_descend", spy)
-    _, report = search_fiducial(SearchConfig(d=d, seed=seed))
-    assert report.best_restart != restart
+@pytest.mark.parametrize("case,seed", sorted(SEARCHES))
+def test_search_bytes(tmp_path, case, seed):
     path = tmp_path / "lines.json"
-    path.write_text(serialize_lineset(orbit_lineset(reached[0][restart], d)))
-    assert main(["action", str(path)]) == EXIT_OK
-    assert sha256(capsys.readouterr().out.encode()) == RESTART_ACTIONS[key]
+    assert main(["construct", "--case", case, "--seed", seed, "--out", str(path)]) == EXIT_OK
+    assert sha256(path.read_bytes()) == SEARCHES[(case, seed)]

@@ -224,7 +224,7 @@ def test_cli_construct_refuses_oversized_sets(tmp_path, capsys, args):
     assert not out.exists()
 
 
-def test_cli_construct_refuses_case_iii_beyond_physical_memory(tmp_path, capsys, monkeypatch):
+def test_cli_construct_refuses_case_iii_beyond_memory(tmp_path, capsys, monkeypatch):
     def enumerate_hyperplanes(*args):  # reached only if the size check lets m = 12 through
         raise RuntimeError("case iii m = 12 was enumerated")
 
@@ -234,8 +234,20 @@ def test_cli_construct_refuses_case_iii_beyond_physical_memory(tmp_path, capsys,
                  "--out", str(out)]) == EXIT_PARAMS
     err = capsys.readouterr().err
     assert "invalid parameters: line set too large to build" in err
-    assert "more than the" in err and "bytes of physical memory" in err
+    assert "more than the" in err and "bytes of memory available" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("limit,code", [("4096\n", EXIT_PARAMS), ("max\n", EXIT_OK)])
+def test_cli_construct_case_iii_heeds_the_cgroup_memory_limit(tmp_path, capsys, monkeypatch,
+                                                              limit, code):
+    cgroup = tmp_path / "memory.max"
+    cgroup.write_text(limit)
+    monkeypatch.setattr(equiline.lineset, "_CGROUP_MEMORY_MAX", cgroup)
+    out = tmp_path / "l.json"
+    assert main(["construct", "--case", "iii", "--m", "2", "--type", "minus",
+                 "--out", str(out)]) == code
+    assert out.exists() == (code == EXIT_OK)
 
 
 def test_cli_certify_reports_welch_violation(tmp_path, capsys, monkeypatch):
