@@ -64,11 +64,20 @@ class UnknownCase(ValueError):
 
 @dataclass
 class LineSet:
-    """Unit representative columns of n lines spanning C^d."""
+    """Unit representative columns of n lines spanning C^d.
+
+    frame is the d x d frame operator F = V V*, formed once here.  The columns
+    span C^d iff F is nonsingular; its rank is the number of eigenvalues
+    lambda > lambda_max * max(d, n) * eps, the size of the rounding error of
+    F's eigenvalues (max(d, n) = n, as n > d).  Forming F squares the singular
+    values of V, so a column direction below sigma_max * sqrt(n * eps) counts
+    as missing.
+    """
 
     vectors: np.ndarray
     meta: dict = field(default_factory=dict)
     signs: np.ndarray | None = None
+    frame: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.vectors = np.asarray(self.vectors, dtype=complex)
@@ -82,7 +91,12 @@ class LineSet:
         norms = np.linalg.norm(self.vectors, axis=0)
         if np.abs(norms - 1.0).max() > NORM_TOL:
             raise ValueError("columns must be unit vectors")
-        rank = np.linalg.matrix_rank(self.vectors)
+        V = self.vectors
+        if not V.imag.any():  # real columns: a real product, a quarter of the work
+            V = np.ascontiguousarray(V.real)
+        self.frame = V @ V.conj().T
+        eigs = np.linalg.eigvalsh(self.frame)
+        rank = int(np.count_nonzero(eigs > eigs[-1] * n * np.finfo(float).eps))
         if rank != d:
             raise SpanDeficient(f"columns span rank {rank} < d = {d}")
         if self.signs is not None:
@@ -101,14 +115,19 @@ class LineSet:
 
 @dataclass
 class GramMatrix:
-    """Gram matrix of a line set, with exact integer products when available.
+    """Gram matrix of a line set and its frame operator, with exact integer
+    products when available.
 
-    int_products holds d * <v_i, v_j> as integers for sign-matrix constructions.
+    frame is the d x d frame operator V V* of the line set.  For sign-matrix
+    constructions int_products holds d * <v_i, v_j> = (S^T S)_ij and
+    int_frame holds S S^T, both as integers.
     """
 
     values: np.ndarray
     d: int
+    frame: np.ndarray
     int_products: np.ndarray | None = None
+    int_frame: np.ndarray | None = None
 
     @property
     def n(self) -> int:
@@ -157,8 +176,8 @@ def orbit(base: np.ndarray, perm: np.ndarray, phase: np.ndarray) -> np.ndarray:
 
 # Peak bytes per entry of the d x n columns while construct_case_iii runs: the
 # translations' float phases, the orbit's float signs, the complex columns and
-# the copies LineSet makes to check their norms and rank (62.6 B measured as
-# the rise in peak RSS at m = 5).
+# the copies LineSet makes to check their norms and form the frame operator
+# (58.5 B measured as the rise in peak RSS at m = 5, 53.1 B at m = 6).
 _BUILD_BYTES_PER_ENTRY = 64
 _CGROUP_MEMORY_MAX = Path("/sys/fs/cgroup/memory.max")
 
@@ -255,25 +274,36 @@ def construct_case_iv(p: int, m: int, eigen_choice: HyperplaneType) -> LineSet:
     return LineSet(cols, meta)
 
 
-def gram(L: LineSet) -> GramMatrix:
-    """Hermitian Gram matrix of the line representatives, unit diagonal.
+def _integral(P: np.ndarray) -> np.ndarray:
+    """The float64 product P of integer matrices as int64, or ValueError when
+    rounding would move an entry."""
+    ip = np.rint(P).astype(np.int64)
+    if not np.array_equal(ip, P):
+        raise ValueError("sign Gram is not integral")
+    return ip
 
-    The exact sign Gram is a float64 BLAS product rounded back to int64.  It
-    is exact while every partial sum is an integer below 2^53, which holds
-    when d * max|s|^2 < 2^53 (d for +-1 signs); otherwise, or if the rounding
-    moves any entry, ValueError is raised.
+
+def gram(L: LineSet) -> GramMatrix:
+    """Hermitian Gram matrix of the line representatives, unit diagonal, with
+    the line set's frame operator.
+
+    The exact sign Gram S^T S and sign frame S S^T are float64 BLAS products
+    rounded back to int64.  They are exact while every partial sum is an
+    integer below 2^53, which holds when n * max|s|^2 < 2^53 (n for +-1
+    signs; n > d bounds the terms of both products); otherwise, or if the
+    rounding moves any entry, ValueError is raised.
     """
     G = L.vectors.conj().T @ L.vectors
     if np.abs(G - G.conj().T).max() > 1e-12 or np.abs(np.diag(G) - 1.0).max() > 1e-10:
         raise ValueError("Gram matrix failed hermiticity/diagonal validation")
-    ip = None
+    ip = int_frame = None
     if L.signs is not None:
         S = L.signs.astype(np.float64)
-        P = S.T @ S  # one operand seen twice: numpy takes the symmetric syrk path
-        ip = np.rint(P).astype(np.int64)
-        if L.d * np.abs(S).max() ** 2 >= 2.0**53 or not np.array_equal(ip, P):
+        if L.n * np.abs(S).max() ** 2 >= 2.0**53:
             raise ValueError("sign Gram is not integral")
-    return GramMatrix(G, L.d, ip)
+        # one operand seen twice: numpy takes the symmetric syrk path
+        ip, int_frame = _integral(S.T @ S), _integral(S @ S.T)
+    return GramMatrix(G, L.d, L.frame, ip, int_frame)
 
 
 def certify_equiangular(G: GramMatrix, tol: float = 1e-8) -> AngleCertificate:
@@ -308,16 +338,23 @@ def certify_equiangular(G: GramMatrix, tol: float = 1e-8) -> AngleCertificate:
 
 
 def certify_tight(G: GramMatrix, d: int, tol: float = 1e-8) -> bool:
-    """True iff G^2 = (n/d) G within tol (the frame-operator multiple-of-identity
-    condition read off the Gram side).
+    """True iff the frame operator F = V V* is (n/d) I: exactly, as
+    S S^T = n I in integers, for sign-matrix sets, and otherwise within tol,
+    as max|F - (n/d) I| <= tol.
+
+    This is the tight-frame condition G^2 = (n/d) G of the Gram side, read
+    off the d x d operator: G^2 = V* F V, and V has rank d, so V* is
+    injective and V onto, and V* (F - cI) V = 0 iff F = cI.
 
     When the set is also equiangular, the common angle must satisfy the
     extremal identity alpha^2 = (n - d) / (d (n - 1)); a violation raises
     WelchViolation.
     """
     n = G.n
-    resid = np.abs(G.values @ G.values - (n / d) * G.values).max()
-    if resid > tol:
+    if G.int_frame is not None:
+        if not np.array_equal(G.int_frame, n * np.eye(d, dtype=np.int64)):
+            return False
+    elif np.abs(G.frame - (n / d) * np.eye(d)).max() > tol:
         return False
     try:
         cert = certify_equiangular(G, tol=max(tol, 1e-8))

@@ -18,9 +18,18 @@ from equiline.cli import (
     EXIT_PARAMS,
     main,
 )
+from equiline.fiducial import SearchConfig, orbit_lineset, search_fiducial
 from equiline.finfield import HyperplaneType
 from equiline.lineset import AngleCertificate, LineSet, construct_case_iii, construct_case_iv
-from equiline.serialize import _encode, gram_csv, parse_lineset, serialize_lineset
+from equiline.serialize import (
+    _encode,
+    _fmt_float,
+    _parse_canonical,
+    _parse_json,
+    gram_csv,
+    parse_lineset,
+    serialize_lineset,
+)
 
 
 def test_serialize_round_trip_sign_case():
@@ -437,3 +446,106 @@ def test_search_and_action_bytes_do_not_depend_on_blas_threads(tmp_path):
             results[-1] += (out.read_bytes(),)
     assert results[0] == results[1]
     assert json.loads(results[0][2])["group_order"] == 387072
+
+
+# the golden and benchmark rows, and iii m=4, both types
+GOLDEN_ROWS = [
+    *((m, kind) for m in (2, 3, 4, 5) for kind in ("minus", "plus")),
+    *((p, m, kind) for p, m in ((3, 1), (5, 1), (3, 2), (3, 3), (5, 2)) for kind in ("minus", "plus")),
+]
+
+
+def _golden(row) -> LineSet:
+    kind = HyperplaneType(row[-1])
+    return construct_case_iii(row[0], kind) if len(row) == 2 else construct_case_iv(*row[:2], kind)
+
+
+def _searched(case: str, seed: int) -> LineSet:
+    v, _ = search_fiducial(SearchConfig(d=2 if case == "i" else 8, seed=seed))
+    return orbit_lineset(v, v.shape[0])
+
+
+def _assert_parses_agree(text: str) -> None:
+    """The one-pass parse of canonical text gives the json parse's bits."""
+    fast = _parse_canonical(text)
+    assert fast is not None
+    obj, vectors = _parse_json(text)
+    assert fast[1].flags.c_contiguous
+    assert np.array_equal(fast[1].view(np.uint64), vectors.view(np.uint64))
+    assert fast[0] == dict(obj, vectors=[])
+
+
+@pytest.mark.parametrize("row", GOLDEN_ROWS, ids=str)
+def test_canonical_parse_is_bit_identical_on_golden_rows(row):
+    _assert_parses_agree(serialize_lineset(_golden(row)))
+
+
+@pytest.mark.parametrize("case", ["i", "ii"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_canonical_parse_is_bit_identical_on_searched_sets(case, seed):
+    _assert_parses_agree(serialize_lineset(_searched(case, seed)))
+
+
+def _reordered_keys(text: str) -> str:
+    obj = json.loads(text)
+    return "{\n" + ",\n".join(
+        f"{json.dumps(k)}: {_encode(obj[k])}" for k in ("d", "n", "case", "params", "vectors", "meta")
+    ) + "\n}\n"
+
+
+NON_CANONICAL = {
+    "indented": lambda text: json.dumps(json.loads(text), indent=1),
+    "float zero": lambda text: text.replace(",0]", ",0.0]", 1),
+    "negative zero": lambda text: text.replace(",0]", ",-0]", 1),
+    "exponent": lambda text: text.replace(",0]", ",0e0]"),
+    "reordered keys": _reordered_keys,
+    "reordered meta": lambda text: text.replace('"meta": {"case"', '"meta": {"zz": 0, "case"'),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(NON_CANONICAL))
+@pytest.mark.parametrize("build", [
+    lambda: construct_case_iii(2, HyperplaneType.MINUS),
+    lambda: construct_case_iv(3, 1, HyperplaneType.PLUS),
+], ids=["iii-m2", "iv-p3-m1"])
+def test_non_canonical_text_takes_the_json_path(build, variant):
+    text = serialize_lineset(build())
+    L = parse_lineset(text)
+    changed = NON_CANONICAL[variant](text)
+    assert changed != text
+    assert _parse_canonical(changed) is None
+    back = parse_lineset(changed)
+    assert np.array_equal(back.vectors.view(np.uint64), L.vectors.view(np.uint64))
+    assert {k: v for k, v in back.meta.items() if k != "zz"} == L.meta
+    assert (back.signs is None) == (L.signs is None)
+    if L.signs is not None:
+        assert np.array_equal(back.signs, L.signs)
+
+
+def test_declared_shape_beyond_the_text_allocates_nothing():
+    text = serialize_lineset(construct_case_iii(2, HyperplaneType.MINUS))
+    changed = text.replace('"d": 6,', f'"d": {10**12},', 1)
+    assert _parse_canonical(changed) is None
+    with pytest.raises(ValueError, match="shape disagrees"):
+        parse_lineset(changed)
+
+
+def _reference_gram_csv(lines: LineSet) -> str:
+    """The per-entry loop gram_csv replaced, kept as its oracle."""
+    G = lines.vectors.conj().T @ lines.vectors
+    rows = ["i,j,re,im"]
+    for i in range(lines.n):
+        for j in range(lines.n):
+            z = G[i, j]
+            rows.append(f"{i},{j},{_fmt_float(z.real)},{_fmt_float(z.imag)}")
+    return "\n".join(rows) + "\n"
+
+
+@pytest.mark.parametrize("build", [
+    lambda: construct_case_iii(2, HyperplaneType.MINUS),
+    lambda: construct_case_iv(3, 1, HyperplaneType.MINUS),
+    lambda: orbit_lineset([1, 1j] @ np.random.default_rng(7).normal(size=(2, 8)), 8),
+], ids=["iii-m2", "iv-p3-m1", "orbit-d8"])
+def test_gram_csv_matches_per_entry_reference(build):
+    L = build()
+    assert gram_csv(L) == _reference_gram_csv(L)

@@ -221,3 +221,71 @@ def test_lineset_rejects_non_finite_entries(bad):
     V[1, 2] = bad
     with pytest.raises(ValueError, match="columns must be finite"):
         LineSet(V)
+
+
+def _gram_square_tight(G, d, tol=1e-8) -> bool:
+    """The n x n test certify_tight made before reading the frame operator:
+    G^2 = (n/d) G within tol.  Kept as its oracle for n <= 1024."""
+    return np.abs(G.values @ G.values - (G.n / d) * G.values).max() <= tol
+
+
+GOLDEN = [
+    *(lambda m=m, t=t: construct_case_iii(m, t) for m in (2, 3, 4, 5) for t in (MINUS, PLUS)),
+    *(lambda p=p, m=m, t=t: construct_case_iv(p, m, t)
+      for p, m in ((3, 1), (5, 1), (3, 2), (3, 3), (5, 2)) for t in (MINUS, PLUS)),
+]
+
+
+@pytest.mark.parametrize("build", GOLDEN)
+def test_frame_operator_certificate_agrees_with_gram_square(build):
+    L = build()
+    G = gram(L)
+    assert G.frame is L.frame and G.frame.shape == (L.d, L.d)
+    assert (G.int_frame is not None) == (L.signs is not None)
+    assert certify_tight(G, L.d) and _gram_square_tight(G, L.d)
+
+
+def test_frame_operator_rejects_what_gram_square_rejects():
+    L = construct_case_iii(2, MINUS)
+    sub = LineSet(L.vectors[:, :9], signs=L.signs[:, :9])
+    K = construct_case_iv(3, 1, MINUS)
+    V = K.vectors.copy()
+    v = V[:, 4] + 1e-3 * np.ones(K.d)
+    V[:, 4] = v / np.linalg.norm(v)
+    bent = LineSet(V)
+    for lines in (sub, bent):
+        G = gram(lines)
+        assert not _gram_square_tight(G, lines.d)
+        assert not certify_tight(G, lines.d)
+
+
+def test_exact_frame_catches_one_flipped_sign():
+    L = construct_case_iii(3, MINUS)
+    assert np.array_equal(gram(L).int_frame, L.n * np.eye(L.d, dtype=np.int64))
+    signs = L.signs.copy()
+    signs[5, 17] *= -1
+    G = gram(LineSet(signs / np.sqrt(L.d), signs=signs))
+    assert G.int_frame.dtype == np.int64
+    assert np.array_equal(G.int_frame, signs @ signs.T)
+    assert not certify_tight(G, L.d, tol=1.0)  # the integer test ignores tol
+    assert not _gram_square_tight(G, L.d)
+
+
+def test_span_threshold_keeps_ill_conditioned_spanning_sets():
+    V = construct_case_iv(3, 2, MINUS).vectors.copy()
+    V[0] *= 1e-6  # one direction squeezed: sigma_min / sigma_max about 1e-6
+    V /= np.linalg.norm(V, axis=0)
+    assert np.linalg.matrix_rank(V) == V.shape[0]
+    L = LineSet(V)
+    assert L.frame.shape == (V.shape[0],) * 2
+
+
+def test_span_threshold_drops_rounding_noise_off_a_hyperplane():
+    # eight unit columns of C^4 in the hyperplane x_3 = 0, plus 1e-14 noise
+    rng = np.random.default_rng(5)
+    V = rng.normal(size=(4, 8)) + 1j * rng.normal(size=(4, 8))
+    V[3] = 1e-14 * rng.normal(size=8)
+    V /= np.linalg.norm(V, axis=0)
+    assert np.linalg.matrix_rank(V) == 4  # the SVD resolves the noise
+    with pytest.raises(SpanDeficient, match="rank 3 < d = 4"):
+        LineSet(V)

@@ -24,7 +24,13 @@ from equiline.cli import EXIT_ACTION_FAILED, EXIT_CERT_FAILED, EXIT_PARAMS, main
 from equiline.fiducial import orbit_lineset
 from equiline.finfield import HyperplaneType
 from equiline.lineset import LineSet, construct_case_iii, construct_case_iv
-from equiline.serialize import parse_lineset, serialize_lineset
+from equiline.serialize import (
+    _encode,
+    _parse_canonical,
+    _parse_json,
+    parse_lineset,
+    serialize_lineset,
+)
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=50)
 
@@ -63,6 +69,15 @@ def fiducials(draw):
 def test_fiducial_orbits_round_trip_byte_for_byte(drawn):
     text = serialize_lineset(orbit_lineset(*drawn))
     assert serialize_lineset(parse_lineset(text)) == text
+
+
+@PROPERTY
+@given(fiducials())
+def test_canonical_text_takes_the_one_pass_parse(drawn):
+    text = serialize_lineset(orbit_lineset(*drawn))
+    fast = _parse_canonical(text)
+    assert fast is not None
+    assert np.array_equal(fast[1].view(np.uint64), _parse_json(text)[1].view(np.uint64))
 
 
 @lru_cache(maxsize=None)
@@ -168,3 +183,25 @@ def test_action_refuses_damaged_files(text):
     code, err = _run("action", text)
     assert code in (EXIT_PARAMS, EXIT_CERT_FAILED, EXIT_ACTION_FAILED), err
     assert "Traceback" not in err
+
+
+def _one_column_per_line(obj: dict) -> str:
+    """obj laid out as serialize_lineset writes, one column per line, in its
+    own key order, so the one-pass parse meets its damage first."""
+    def value(key):
+        if key == "vectors" and isinstance(obj[key], list):
+            return "[\n" + ",\n".join(_encode(col) for col in obj[key]) + "\n]"
+        return _encode(obj[key])
+    return "{\n" + ",\n".join(f"{json.dumps(key)}: {value(key)}" for key in obj) + "\n}\n"
+
+
+def _outcome(command: str, text: str) -> tuple[int, list[str]]:
+    code, err = _run(command, text)
+    return code, [line for line in err.splitlines() if not line.startswith("manifest: ")]
+
+
+@PROPERTY
+@given(damaged_files())
+def test_damage_in_the_written_layout_is_refused_as_in_any_layout(text):
+    laid_out = _one_column_per_line(json.loads(text))
+    assert _outcome("certify", laid_out) == _outcome("certify", text)

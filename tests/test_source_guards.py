@@ -60,3 +60,16 @@ def test_thread_cap_is_applied_on_import():
         if isinstance(node, ast.Constant) and node.value == "EQUILINE_THREADS"
     ]
     assert readers == ["__init__.py"]  # the package applies the cap in one place
+
+
+def test_certify_path_makes_no_rank_decomposition():
+    # span and tightness are read off the d x d frame operator, O(d^2 n)
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        if path.stem in ("lineset", "serialize")
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if (isinstance(node, ast.Attribute) and node.attr in ("matrix_rank", "svd"))
+        or (isinstance(node, ast.alias) and node.name in ("matrix_rank", "svd"))
+    ]
+    assert not found, f"rank decompositions on the certify path: {found}"
