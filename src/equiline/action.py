@@ -17,8 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .heisenberg import commutant_dimension
-from .lineset import LineSet
+from .lineset import LineSet, _frame_rank
 
 __all__ = [
     "NotASymmetry",
@@ -76,10 +75,6 @@ def induced_permutation(lines: LineSet, unitary: np.ndarray, tol: float = 1e-8) 
     matches do not form a bijection.
     """
     V = lines.vectors
-    # most words that are not symmetries already fail at line 0: one product decides
-    first = np.count_nonzero(np.abs((unitary @ V[:, 0]).conj() @ V) >= 1.0 - tol)
-    if first != 1:
-        raise NotASymmetry(f"line 0 has {first} near-unit overlaps after the map")
     hits = np.abs(V.conj().T @ (unitary @ V)) >= 1.0 - tol  # [j, i]: |<v_j, U v_i>|
     counts = hits.sum(0)
     bad = np.flatnonzero(counts != 1)
@@ -274,51 +269,43 @@ def multiplicity_certificate(
     residual = float(np.linalg.norm(pi @ pi - pi, 2))
     if residual > 1e-6:
         raise NotAProjector(f"averaging operator fails idempotency by {residual:.3e}")
-    svals = np.linalg.svd(pi, compute_uv=False)
+    u, svals, _ = np.linalg.svd(pi)
     rank = int(np.sum(svals > tol))
-    range_ok = False
-    if rank == 1:
-        u = np.linalg.svd(pi)[0][:, 0]
-        range_ok = bool(abs(np.vdot(u, lines.vectors[:, 0])) >= 1.0 - 1e-6)
+    range_ok = rank == 1 and bool(abs(np.vdot(u[:, 0], lines.vectors[:, 0])) >= 1.0 - 1e-6)
     return MultiplicityCertificate(rank, range_ok, residual)
 
 
 def projector_commutant_dimension(vectors: np.ndarray, tol: float = 1e-8) -> int:
-    """Dimension of {X : X commutes with every v_i v_i*}.
+    """Dimension of {X : X commutes with every v_i v_i*}, in closed form.
 
-    X commutes with a rank-1 projector exactly when v_i is an eigenvector of
-    both X and X*; eigenvalues agree across non-orthogonal pairs, so for a
-    spanning family the commutant consists of the constant blocks over the
-    connected components of the non-orthogonality graph and its dimension is
-    the component count.  Non-spanning input falls back to the nullity of the
-    stacked commutation system.
+    X commutes with v_i v_i* exactly when v_i is an eigenvector of both X and
+    X*.  Eigenvalues agree across non-orthogonal pairs, so X is one scalar on
+    the span of each connected component of the non-orthogonality graph; and
+    X maps the complement W of the span S of the columns into W, on which it
+    is arbitrary.  The dimension is the component count plus (d - r)^2 with
+    r = dim S.  A zero column raises ValueError: it would count as a component.
     """
     V = np.asarray(vectors, dtype=complex)
+    if not V.any(axis=0).all():
+        raise ValueError("zero column")
     d, n = V.shape
-    if np.linalg.matrix_rank(V, tol=1e-10) < d:
-        projs = [np.outer(V[:, i], V[:, i].conj()) for i in range(n)]
-        return commutant_dimension(projs, tol=tol)
-    return _component_count(V, tol)
+    return _component_count(V, tol) + (d - _frame_rank(V @ V.conj().T, n)) ** 2
 
 
 def _component_count(V: np.ndarray, tol: float) -> int:
-    """Connected components of the graph joining i, j when |<v_i, v_j>| > tol;
-    the commutant dimension of a spanning family."""
-    n = V.shape[1]
-    adj = np.abs(V.conj().T @ V) > tol
-    seen = np.zeros(n, dtype=bool)
+    """Connected components of the graph joining i, j when |<v_i, v_j>| > tol.
+
+    A frontier search over the columns not yet reached: each step takes the
+    overlaps of the columns reached last with those, so a family whose first
+    column meets every other costs one d x n product and no n x n matrix."""
+    rest = np.arange(V.shape[1])
     components = 0
-    for start in range(n):
-        if seen[start]:
-            continue
+    while rest.size:
         components += 1
-        dq = deque([start])
-        seen[start] = True
-        while dq:
-            a = dq.popleft()
-            for b in np.flatnonzero(adj[a] & ~seen):
-                seen[b] = True
-                dq.append(int(b))
+        frontier, rest = rest[:1], rest[1:]
+        while frontier.size and rest.size:
+            hit = (np.abs(V[:, frontier].conj().T @ V[:, rest]) > tol).any(axis=0)
+            frontier, rest = rest[hit], rest[~hit]
     return components
 
 

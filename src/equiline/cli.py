@@ -171,7 +171,7 @@ def _read_lineset(path: str):
 
 def _cmd_certify(args) -> int:
     from .action import scalar_kernel_check
-    from .lineset import NotEquiangular, WelchViolation, certify_equiangular, certify_tight, gram
+    from .lineset import NotEquiangular, certify_equiangular, certify_tight, gram
 
     lines, code = _read_lineset(args.input)
     if lines is None:
@@ -187,18 +187,20 @@ def _cmd_certify(args) -> int:
     except NotEquiangular as exc:
         print(f"FAIL equiangular: {exc}", file=sys.stderr)
         return EXIT_CERT_FAILED
-    try:
-        tight = certify_tight(G, lines.d, tol=args.tol)
-    except WelchViolation as exc:
-        print(f"FAIL welch: {exc}", file=sys.stderr)
-        return EXIT_CERT_FAILED
-    if not tight:
+    if not certify_tight(G, lines.d, tol=args.tol):
         print("FAIL tight-frame: frame operator is not a multiple of the identity", file=sys.stderr)
         return EXIT_CERT_FAILED
     n, d = lines.n, lines.d
-    welch_residual = abs(cert.alpha**2 - (n - d) / (d * (n - 1)))
-    commutant_trivial = scalar_kernel_check(lines)
-    if not commutant_trivial:
+    welch = (n - d) / (d * (n - 1))  # alpha^2 of every tight equiangular set
+    welch_residual = abs(cert.alpha**2 - welch)
+    if welch_residual > max(args.tol, 1e-8):
+        print(
+            "FAIL welch: tight equiangular set violates the extremal angle identity: "
+            f"alpha^2 = {cert.alpha**2}, expected {welch}",
+            file=sys.stderr,
+        )
+        return EXIT_CERT_FAILED
+    if not scalar_kernel_check(lines):
         print("FAIL scalar-kernel: some non-scalar unitary fixes every line", file=sys.stderr)
         return EXIT_CERT_FAILED
     report = {

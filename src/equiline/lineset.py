@@ -22,7 +22,6 @@ from .weil import parity_split
 __all__ = [
     "SpanDeficient",
     "NotEquiangular",
-    "WelchViolation",
     "UnknownCase",
     "LineSet",
     "GramMatrix",
@@ -54,12 +53,19 @@ class NotEquiangular(Exception):
         super().__init__(f"pair ({i}, {j}) deviates from the common angle by {deviation:.3e}")
 
 
-class WelchViolation(Exception):
-    """A tight equiangular set whose angle misses alpha^2 = (n - d) / (d (n - 1))."""
-
-
 class UnknownCase(ValueError):
     """(n, d) is not a row of the classification table."""
+
+
+def _frame_rank(frame: np.ndarray, n: int) -> int:
+    """Rank of the span of n columns, read off their d x d frame operator
+    F = V V*: the number of eigenvalues lambda > lambda_max * max(d, n) * eps,
+    the size of the rounding error of F's eigenvalues.  Forming F squares the
+    singular values of V, so a column direction below
+    sigma_max * sqrt(max(d, n) * eps) counts as missing.
+    """
+    eigs = np.linalg.eigvalsh(frame)
+    return int(np.count_nonzero(eigs > eigs[-1] * max(len(frame), n) * np.finfo(float).eps))
 
 
 @dataclass
@@ -67,11 +73,7 @@ class LineSet:
     """Unit representative columns of n lines spanning C^d.
 
     frame is the d x d frame operator F = V V*, formed once here.  The columns
-    span C^d iff F is nonsingular; its rank is the number of eigenvalues
-    lambda > lambda_max * max(d, n) * eps, the size of the rounding error of
-    F's eigenvalues (max(d, n) = n, as n > d).  Forming F squares the singular
-    values of V, so a column direction below sigma_max * sqrt(n * eps) counts
-    as missing.
+    span C^d iff F is nonsingular, which _frame_rank decides.
     """
 
     vectors: np.ndarray
@@ -95,8 +97,7 @@ class LineSet:
         if not V.imag.any():  # real columns: a real product, a quarter of the work
             V = np.ascontiguousarray(V.real)
         self.frame = V @ V.conj().T
-        eigs = np.linalg.eigvalsh(self.frame)
-        rank = int(np.count_nonzero(eigs > eigs[-1] * n * np.finfo(float).eps))
+        rank = _frame_rank(self.frame, n)
         if rank != d:
             raise SpanDeficient(f"columns span rank {rank} < d = {d}")
         if self.signs is not None:
@@ -345,28 +346,11 @@ def certify_tight(G: GramMatrix, d: int, tol: float = 1e-8) -> bool:
     This is the tight-frame condition G^2 = (n/d) G of the Gram side, read
     off the d x d operator: G^2 = V* F V, and V has rank d, so V* is
     injective and V onto, and V* (F - cI) V = 0 iff F = cI.
-
-    When the set is also equiangular, the common angle must satisfy the
-    extremal identity alpha^2 = (n - d) / (d (n - 1)); a violation raises
-    WelchViolation.
     """
     n = G.n
     if G.int_frame is not None:
-        if not np.array_equal(G.int_frame, n * np.eye(d, dtype=np.int64)):
-            return False
-    elif np.abs(G.frame - (n / d) * np.eye(d)).max() > tol:
-        return False
-    try:
-        cert = certify_equiangular(G, tol=max(tol, 1e-8))
-    except NotEquiangular:
-        return True
-    welch = (n - d) / (d * (n - 1))
-    if abs(cert.alpha**2 - welch) > max(tol, 1e-8):
-        raise WelchViolation(
-            f"tight equiangular set violates the extremal angle identity: "
-            f"alpha^2 = {cert.alpha**2}, expected {welch}"
-        )
-    return True
+        return np.array_equal(G.int_frame, n * np.eye(d, dtype=np.int64))
+    return bool(np.abs(G.frame - (n / d) * np.eye(d)).max() <= tol)
 
 
 def _factor_prime_power_square(n: int):

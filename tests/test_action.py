@@ -1,3 +1,5 @@
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from equiline.action import (
     scalar_kernel_check,
     two_transitivity,
 )
+from equiline.action import _component_count
 from equiline.fiducial import SearchConfig, orbit_lineset, search_fiducial
 from equiline.finfield import HyperplaneType
 from equiline.heisenberg import commutant_dimension
@@ -280,15 +283,15 @@ def test_multiplicity_certificate_rejects_non_projector():
         multiplicity_certificate(L, [np.eye(L.d)], [1.0, 1.0])
 
 
-@pytest.mark.parametrize(
-    "build",
-    [
-        lambda: construct_case_iv(3, 1, HyperplaneType.MINUS),
-        lambda: construct_case_iv(3, 1, HyperplaneType.PLUS),
-        lambda: construct_case_iii(2, HyperplaneType.MINUS),
-        lambda: construct_case_iv(5, 1, HyperplaneType.MINUS),
-    ],
-)
+COMMUTANT_BUILDS = [
+    lambda: construct_case_iv(3, 1, HyperplaneType.MINUS),
+    lambda: construct_case_iv(3, 1, HyperplaneType.PLUS),
+    lambda: construct_case_iii(2, HyperplaneType.MINUS),
+    lambda: construct_case_iv(5, 1, HyperplaneType.MINUS),
+]
+
+
+@pytest.mark.parametrize("build", COMMUTANT_BUILDS)
 def test_commutant_graph_count_matches_stacked_svd(build):
     L = build()
     projs = [
@@ -321,6 +324,63 @@ def test_commutant_non_spanning_falls_back():
     V = np.array([[1.0], [0.0]], dtype=complex)
     assert projector_commutant_dimension(V) == 2
     assert commutant_dimension([np.outer(V[:, 0], V[:, 0].conj())]) == 2
+
+
+def _bfs_component_count(V, tol=1e-8):
+    """Components of the non-orthogonality graph by a breadth-first search
+    over the whole n x n overlap matrix; the oracle for _component_count."""
+    n = V.shape[1]
+    adj = np.abs(V.conj().T @ V) > tol
+    seen = np.zeros(n, dtype=bool)
+    components = 0
+    for start in range(n):
+        if seen[start]:
+            continue
+        components += 1
+        queue = deque([start])
+        seen[start] = True
+        while queue:
+            a = queue.popleft()
+            for b in np.flatnonzero(adj[a] & ~seen):
+                seen[b] = True
+                queue.append(int(b))
+    return components
+
+
+def _sparse_families(count, seed):
+    """Seeded families of n = 1..11 unit columns in C^d, d = 2..6, each entry
+    nonzero with probability 0.35: some span C^d, some do not, and disjoint
+    supports split some into several components."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        d, n = int(rng.integers(2, 7)), int(rng.integers(1, 12))
+        mask = rng.random((d, n)) < 0.35
+        mask[rng.integers(0, d, size=n), np.arange(n)] = True  # no zero column
+        V = (rng.normal(size=(d, n)) + 1j * rng.normal(size=(d, n))) * mask
+        yield V / np.linalg.norm(V, axis=0)
+
+
+def test_component_count_matches_bfs_oracle():
+    families = [*_sparse_families(200, 37), *(build().vectors for build in COMMUTANT_BUILDS)]
+    for V in families:
+        assert _component_count(V, 1e-8) == _bfs_component_count(V)
+
+
+def test_closed_form_commutant_matches_stacked_svd():
+    seen = set()
+    for V in _sparse_families(300, 41):
+        projs = [np.outer(v, v.conj()) for v in V.T]
+        dim = projector_commutant_dimension(V)
+        assert dim == commutant_dimension(projs), V
+        d = V.shape[0]
+        seen.add((np.linalg.matrix_rank(V) == d, _bfs_component_count(V) > 1))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_commutant_rejects_a_zero_column():
+    V = np.array([[1.0, 0.0, 0.6], [0.0, 0.0, 0.8]], dtype=complex)
+    with pytest.raises(ValueError, match="zero column"):
+        projector_commutant_dimension(V)
 
 
 def test_scalar_kernel_check():

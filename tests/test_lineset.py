@@ -6,12 +6,10 @@ import pytest
 import equiline.lineset
 from equiline.finfield import HyperplaneType
 from equiline.lineset import (
-    AngleCertificate,
     LineSet,
     NotEquiangular,
     SpanDeficient,
     UnknownCase,
-    WelchViolation,
     certify_equiangular,
     certify_tight,
     construct_case_iii,
@@ -133,12 +131,17 @@ def test_perturbation_raises_not_equiangular():
     assert exc.value.deviation > 1e-6
 
 
-def test_welch_violation_is_raised_not_asserted(monkeypatch):
-    G = gram(construct_case_iii(2, MINUS))
-    wrong = AngleCertificate(alpha=0.5, max_dev=0.0, exact=False)
-    monkeypatch.setattr(equiline.lineset, "certify_equiangular", lambda G, tol: wrong)
-    with pytest.raises(WelchViolation, match="extremal angle identity"):
-        certify_tight(G, 6)
+def test_certify_tight_decides_only_the_frame(monkeypatch):
+    def angle_check(G, tol):
+        raise AssertionError("certify_tight repeated the angle check")
+
+    monkeypatch.setattr(equiline.lineset, "certify_equiangular", angle_check)
+    L = construct_case_iii(2, MINUS)
+    assert certify_tight(gram(L), L.d)
+    K = construct_case_iv(3, 1, MINUS)
+    assert certify_tight(gram(K), K.d)
+    sub = LineSet(L.vectors[:, :9], signs=L.signs[:, :9])
+    assert not certify_tight(gram(sub), sub.d)
 
 
 def test_integer_certificate_path_catches_bad_pairs():

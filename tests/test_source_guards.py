@@ -73,3 +73,15 @@ def test_certify_path_makes_no_rank_decomposition():
         or (isinstance(node, ast.alias) and node.name in ("matrix_rank", "svd"))
     ]
     assert not found, f"rank decompositions on the certify path: {found}"
+
+
+def test_no_module_uses_matrix_rank():
+    # ranks are read off a d x d frame operator (lineset._frame_rank)
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if (isinstance(node, ast.Attribute) and node.attr == "matrix_rank")
+        or (isinstance(node, ast.alias) and node.name == "matrix_rank")
+    ]
+    assert not found, f"matrix_rank in equiline: {found}"
