@@ -195,11 +195,16 @@ def classify_hyperplane(q: QuadForm2, phi: int) -> HyperplaneType:
     raise ClassifierMismatch(f"singular count {s} fits no type at m={m}")
 
 
+@lru_cache(maxsize=None)
+def _hyperplanes(q: QuadForm2, tag: HyperplaneType) -> tuple[int, ...]:
+    return tuple(phi for phi in _packed_lex(q.dim) if phi and classify_hyperplane(q, phi) is tag)
+
+
 def enumerate_hyperplanes(q: QuadForm2, tag: HyperplaneType) -> list[int]:
     """The packed functionals phi whose hyperplanes ker(phi) have the given
     type, in lexicographic order.  The +-1 character of ker(phi) at e is
-    (-1)^dot2(phi, e)."""
-    return [phi for phi in _packed_lex(q.dim) if phi and classify_hyperplane(q, phi) is tag]
+    (-1)^dot2(phi, e).  The enumeration is made once per (q, tag)."""
+    return list(_hyperplanes(q, tag))
 
 
 def nonsingular_vectors(q: QuadForm2) -> list[int]:

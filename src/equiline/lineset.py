@@ -28,6 +28,7 @@ __all__ = [
     "AngleCertificate",
     "translations",
     "orbit",
+    "line_translations",
     "construct_case_iii",
     "construct_case_iv",
     "gram",
@@ -57,6 +58,18 @@ class UnknownCase(ValueError):
     """(n, d) is not a row of the classification table."""
 
 
+def _gershgorin_full_rank(frame: np.ndarray, n: int) -> bool:
+    """True when Gershgorin's discs prove that every eigenvalue of the d x d
+    frame operator F = V V* clears _frame_rank's threshold with a factor 2 to
+    spare: min_i (F_ii - R_i) > 2 max_i (F_ii + R_i) * max(d, n) * eps, with
+    R_i = sum_{j != i} |F_ij|.  O(d^2); False leaves the rank to _frame_rank.
+    """
+    rows = np.abs(frame).sum(axis=1)  # |F_ii| + R_i
+    diag = frame.diagonal()
+    lower = (diag.real - (rows - np.abs(diag))).min()
+    return bool(lower > 2 * rows.max() * max(len(frame), n) * np.finfo(float).eps)
+
+
 def _frame_rank(frame: np.ndarray, n: int) -> int:
     """Rank of the span of n columns, read off their d x d frame operator
     F = V V*: the number of eigenvalues lambda > lambda_max * max(d, n) * eps,
@@ -72,13 +85,16 @@ def _frame_rank(frame: np.ndarray, n: int) -> int:
 class LineSet:
     """Unit representative columns of n lines spanning C^d.
 
-    frame is the d x d frame operator F = V V*, formed once here.  The columns
-    span C^d iff F is nonsingular, which _frame_rank decides.
+    norms holds the column norms, which must be 1 within NORM_TOL.  frame is
+    the d x d frame operator F = V V*, formed once here.  The columns
+    span C^d iff F is nonsingular: a Gershgorin bound decides that in O(d^2)
+    for well-conditioned F, and _frame_rank otherwise.
     """
 
     vectors: np.ndarray
     meta: dict = field(default_factory=dict)
     signs: np.ndarray | None = None
+    norms: np.ndarray = field(init=False, repr=False, compare=False)
     frame: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -90,16 +106,17 @@ class LineSet:
         d, n = self.vectors.shape
         if n <= d:
             raise ValueError(f"need more lines than dimensions, got n={n}, d={d}")
-        norms = np.linalg.norm(self.vectors, axis=0)
-        if np.abs(norms - 1.0).max() > NORM_TOL:
+        self.norms = np.linalg.norm(self.vectors, axis=0)
+        if np.abs(self.norms - 1.0).max() > NORM_TOL:
             raise ValueError("columns must be unit vectors")
         V = self.vectors
         if not V.imag.any():  # real columns: a real product, a quarter of the work
             V = np.ascontiguousarray(V.real)
         self.frame = V @ V.conj().T
-        rank = _frame_rank(self.frame, n)
-        if rank != d:
-            raise SpanDeficient(f"columns span rank {rank} < d = {d}")
+        if not _gershgorin_full_rank(self.frame, n):
+            rank = _frame_rank(self.frame, n)
+            if rank != d:
+                raise SpanDeficient(f"columns span rank {rank} < d = {d}")
         if self.signs is not None:
             self.signs = np.asarray(self.signs, dtype=np.int64)
             if self.signs.shape != (d, n):
@@ -122,6 +139,11 @@ class GramMatrix:
     frame is the d x d frame operator V V* of the line set.  For sign-matrix
     constructions int_products holds d * <v_i, v_j> = (S^T S)_ij and
     int_frame holds S S^T, both as integers.
+
+    A row Gram keeps only line 0's row: values and int_products have shape
+    (1, n), orbit_eps is the orbit residual of gram, and lines is the line set,
+    from which certify_equiangular forms the n x n Gram when the row does not
+    prove the angle.  An n x n Gram has orbit_eps None.
     """
 
     values: np.ndarray
@@ -129,10 +151,12 @@ class GramMatrix:
     frame: np.ndarray
     int_products: np.ndarray | None = None
     int_frame: np.ndarray | None = None
+    orbit_eps: float | None = None
+    lines: LineSet | None = field(default=None, repr=False, compare=False)
 
     @property
     def n(self) -> int:
-        return self.values.shape[0]
+        return self.values.shape[1]
 
 
 @dataclass
@@ -159,8 +183,9 @@ def translations(p: int, k: int, elements=None, *, du: int = 1, functionals=None
     """
     labels = lex_digits(p, 2 * k, elements)
     if functionals is not None:
-        bits = np.asarray(functionals)[None, :] >> np.arange(1, 2 * k + 1)[:, None] & 1
-        phase = 1.0 - 2.0 * (labels @ bits % 2)
+        packed = labels @ (2 << np.arange(2 * k))  # e = (0, a, b), as in finfield
+        parity = np.bitwise_count(packed[:, None] & np.asarray(functionals)) & 1
+        phase = np.array([1.0, -1.0])[parity]
         return np.broadcast_to(np.arange(len(functionals)), phase.shape), phase
     perm, phase = displacement_monomial(p, k, labels[:, :k], labels[:, k:])
     perm = (perm[..., None] * du + np.arange(du)).reshape(len(labels), -1)
@@ -173,6 +198,39 @@ def orbit(base: np.ndarray, perm: np.ndarray, phase: np.ndarray) -> np.ndarray:
     cols = np.empty(perm.shape[::-1], dtype=np.result_type(phase, base))
     np.put_along_axis(cols, perm.T, (phase * base).T, axis=0)
     return cols
+
+
+def _case(lines: LineSet) -> tuple[str, int, int]:
+    """(case, p, m) of a constructed line set, after checking its meta against
+    the classification row of (n, d); raises ValueError on any mismatch."""
+    meta, n, d = lines.meta, lines.n, lines.d
+    case = meta.get("case")
+    if case not in ("i", "ii", "iii", "iv"):
+        raise ValueError(
+            f"line set carries no construction tag, meta={meta}; cannot derive symmetries"
+        )
+    row = _valid_dims(n).get(d)
+    if row is None or row[0] != case:
+        raise ValueError(f"(n, d) = ({n}, {d}) is not a case {case} line set")
+    _, p, m = row
+    if case in ("i", "ii") and d * d != n:
+        raise ValueError(f"case {case} line sets are fiducial orbits with n = d^2, got ({n}, {d})")
+    kind = "minus" if 2 * d < n else "plus"
+    expected = {"iii": {"m": m, "type": kind}, "iv": {"p": p, "m": m, "eigen": kind}}
+    for key, value in expected.get(case, {}).items():
+        if meta.get(key) != value:
+            raise ValueError(f"meta {key} = {meta.get(key)!r}, expected {value!r} for ({n}, {d})")
+    return case, p, m
+
+
+def line_translations(lines: LineSet, elements=None):
+    """The translation monomials of a constructed line set, in line order
+    (translations): element i maps line 0 to line i."""
+    case, p, m = _case(lines)
+    if case == "iii":
+        phis = enumerate_hyperplanes(standard_form(m), HyperplaneType(lines.meta["type"]))
+        return translations(2, m, elements, functionals=phis)
+    return translations(p, m, elements, du=lines.d // p**m)
 
 
 # Peak bytes per entry of the d x n columns while construct_case_iii runs: the
@@ -284,27 +342,103 @@ def _integral(P: np.ndarray) -> np.ndarray:
     return ip
 
 
+# Orbit residuals up to this count as the file being its translation orbit:
+# rounding in the monomials leaves about 1e-16, and 3 * ORBIT_TOL is far
+# below any certify tolerance.
+ORBIT_TOL = 1e-12
+# Entries of the d x b column blocks the orbit check compares at a time.
+_ORBIT_BLOCK = 1 << 17
+
+
+def _orbit_residual(L: LineSet) -> float | None:
+    """eps when the tagged line set L is the translation orbit of its line 0,
+    or None when L fails _case or the check.
+
+    With T_a the monomials of line_translations, sign sets must satisfy
+    S_a = T_a s_0 exactly (eps = 0); the others give
+    eps = max_a min_phi ||v_a - e^(i phi) T_a v_0||, read off the difference
+    vector at the best phase, which must not exceed ORBIT_TOL.  Both sides
+    are compared at the coordinates perm[a] that T_a moves v_0 to, on
+    _ORBIT_BLOCK entries at a time: O(nd) time, O(_ORBIT_BLOCK) memory.
+    """
+    try:
+        _case(L)
+    except ValueError:
+        return None
+    V = L.vectors if L.signs is None else L.signs
+    step = max(1, _ORBIT_BLOCK // L.d)
+    eps = 0.0
+    for start in range(0, L.n, step):
+        perm, phase = line_translations(L, np.arange(start, min(start + step, L.n)))
+        W = phase * V[:, 0]  # W[a, k] = (T_a v_0)[perm[a, k]]
+        X = np.ascontiguousarray(V[:, start : start + step].T)
+        X = X.reshape(-1).take(perm + np.arange(0, X.size, L.d)[:, None])  # v_a[perm[a, k]]
+        if L.signs is not None:
+            if not np.array_equal(X, W):
+                return None
+            continue
+        c = np.einsum("ak,ak->a", X, W.conj())  # <T_a v_0, v_a>
+        size = np.abs(c)
+        X -= np.divide(c, size, out=np.ones_like(c), where=size > 0)[:, None] * W
+        eps = max(eps, float(np.sqrt(np.einsum("ak,ak->a", X.real, X.real)
+                                     + np.einsum("ak,ak->a", X.imag, X.imag)).max()))
+        if eps > ORBIT_TOL:
+            return None
+    return eps
+
+
+def _pair_gram(L: LineSet) -> GramMatrix:
+    """The n x n Gram of L: real columns take a real product."""
+    V = L.vectors
+    if not V.imag.any():
+        V = np.ascontiguousarray(V.real)
+    G = V.conj().T @ V
+    if np.abs(G - G.conj().T).max() > 1e-12 or np.abs(np.diag(G) - 1.0).max() > 1e-10:
+        raise ValueError("Gram matrix failed hermiticity/diagonal validation")
+    return GramMatrix(G, L.d, L.frame, *_sign_products(L, row=False))
+
+
+def _sign_products(L: LineSet, row: bool) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """S^T S (or, if row, its row s_0^T S) and S S^T over the integers for the
+    sign matrix S of L, as float64 BLAS products checked integral (see gram);
+    (None, None) when L has no signs."""
+    if L.signs is None:
+        return None, None
+    if L.n * float(np.abs(L.signs).max()) ** 2 >= 2.0**53:
+        raise ValueError("sign Gram is not integral")
+    S = L.signs.astype(np.float64)
+    # one operand seen twice: numpy takes the symmetric syrk path
+    ip = _integral(S[:, :1].T @ S if row else S.T @ S)
+    frame = S @ S.T
+    del S  # the d x n copy is not needed while the frame is checked
+    return ip, _integral(frame)
+
+
 def gram(L: LineSet) -> GramMatrix:
     """Hermitian Gram matrix of the line representatives, unit diagonal, with
     the line set's frame operator.
 
-    The exact sign Gram S^T S and sign frame S S^T are float64 BLAS products
-    rounded back to int64.  They are exact while every partial sum is an
-    integer below 2^53, which holds when n * max|s|^2 < 2^53 (n for +-1
-    signs; n > d bounds the terms of both products); otherwise, or if the
-    rounding moves any entry, ValueError is raised.
+    A tagged line set (one that passes _case) that is the translation orbit
+    of its line 0 (_orbit_residual) gets a row Gram: only line 0's row, in
+    O(nd).  The translations satisfy T_a* T_b = lambda T_(b-a) with
+    |lambda| = 1, so every overlap magnitude |<v_a, v_b>| lies within
+    3 * orbit_eps of |<v_0, v_(b-a)>|.  Every other line set gets the n x n
+    Gram.
+
+    The exact sign products S^T S (or its row s_0^T S) and sign frame S S^T
+    are float64 BLAS products rounded back to int64.  They are exact while
+    every partial sum is an integer below 2^53, which holds when
+    n * max|s|^2 < 2^53 (n for +-1 signs; n > d bounds the terms of both
+    products); otherwise, or if the rounding moves any entry, ValueError is
+    raised.
     """
-    G = L.vectors.conj().T @ L.vectors
-    if np.abs(G - G.conj().T).max() > 1e-12 or np.abs(np.diag(G) - 1.0).max() > 1e-10:
+    eps = _orbit_residual(L)
+    if eps is None:
+        return _pair_gram(L)
+    if np.abs(L.norms**2 - 1.0).max() > 1e-10:  # the Gram diagonal
         raise ValueError("Gram matrix failed hermiticity/diagonal validation")
-    ip = int_frame = None
-    if L.signs is not None:
-        S = L.signs.astype(np.float64)
-        if L.n * np.abs(S).max() ** 2 >= 2.0**53:
-            raise ValueError("sign Gram is not integral")
-        # one operand seen twice: numpy takes the symmetric syrk path
-        ip, int_frame = _integral(S.T @ S), _integral(S @ S.T)
-    return GramMatrix(G, L.d, L.frame, ip, int_frame)
+    row = np.einsum("k,kj->j", L.vectors[:, 0].conj(), L.vectors)[None, :]
+    return GramMatrix(row, L.d, L.frame, *_sign_products(L, row=True), eps, L)
 
 
 def certify_equiangular(G: GramMatrix, tol: float = 1e-8) -> AngleCertificate:
@@ -315,9 +449,16 @@ def certify_equiangular(G: GramMatrix, tol: float = 1e-8) -> AngleCertificate:
     Otherwise alpha is the mean off-diagonal magnitude and max_dev the worst
     deviation from it, and NotEquiangular is raised when max_dev > tol.  The
     error carries the pair farthest from the mean magnitude.
+
+    A row Gram proves the angle from line 0's n - 1 overlaps: equal integer
+    magnitudes, or a worst deviation from their mean alpha, plus 3 * orbit_eps
+    (the bound of gram) and the rounding of the computed overlaps, of at most
+    tol, which is then max_dev.  Where the row proves nothing, the n x n Gram
+    decides as above, so every rejection is the n x n one.
     """
     n = G.n
-    iu = np.triu_indices(n, k=1)
+    row = G.orbit_eps is not None
+    iu = (np.zeros(n - 1, dtype=np.intp), np.arange(1, n)) if row else np.triu_indices(n, k=1)
     if G.int_products is not None:
         mags = np.abs(G.int_products[iu])
         lo, hi = int(mags.min()), int(mags.max())
@@ -326,16 +467,20 @@ def certify_equiangular(G: GramMatrix, tol: float = 1e-8) -> AngleCertificate:
                 alpha=lo / G.d, max_dev=0.0, exact=True, numerator=lo, denominator=G.d
             )
         devs = np.abs(mags / G.d - mags.mean() / G.d)
-        worst = int(np.argmax(devs))
-        raise NotEquiangular(int(iu[0][worst]), int(iu[1][worst]), float(devs[worst]))
-    mags = np.abs(G.values[iu])
-    alpha = float(mags.mean())
-    devs = np.abs(mags - alpha)
+    else:
+        mags = np.abs(G.values[iu])
+        alpha = float(mags.mean())
+        devs = np.abs(mags - alpha)
+        # (d + 2) eps bounds the rounding of a computed overlap of unit
+        # vectors (Higham 2002, sec. 3.6) and of their mean
+        slack = 3 * G.orbit_eps + (G.d + 2) * np.finfo(float).eps if row else 0.0
+        max_dev = float(devs.max()) + slack
+        if max_dev <= tol:
+            return AngleCertificate(alpha=alpha, max_dev=max_dev, exact=False)
+    if row:
+        return certify_equiangular(_pair_gram(G.lines), tol)
     worst = int(np.argmax(devs))
-    if devs[worst] > tol:
-        i, j = iu[0][worst], iu[1][worst]
-        raise NotEquiangular(int(i), int(j), float(devs[worst]))
-    return AngleCertificate(alpha=alpha, max_dev=float(devs.max()), exact=False)
+    raise NotEquiangular(int(iu[0][worst]), int(iu[1][worst]), float(devs[worst]))
 
 
 def certify_tight(G: GramMatrix, d: int, tol: float = 1e-8) -> bool:

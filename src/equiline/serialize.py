@@ -93,9 +93,9 @@ def serialize_lineset(lines: LineSet) -> str:
 _OPEN, _CLOSE = '"vectors": [\n', '\n],\n"meta": '
 
 
-def _parse_canonical(text: str) -> tuple[dict, np.ndarray] | None:
-    """Header and d x n vectors of text written by serialize_lineset, or None
-    for any other text.
+def _parse_canonical(text: str) -> tuple[dict, np.ndarray, tuple] | None:
+    """Header, d x n vectors and (distinct entries, d x n codes into them) of
+    text written by serialize_lineset, or None for any other text.
 
     The header and meta are read by json with the vectors block cut out and
     must print back as they stand.  The block must hold n column lines of d
@@ -139,7 +139,7 @@ def _parse_canonical(text: str) -> tuple[dict, np.ndarray] | None:
         except ValueError:  # not a number, or not finite
             return None
         values[k] = complex(x, y)
-    return obj, values[codes]
+    return obj, values[codes], (values, codes)
 
 
 def _parse_json(text: str) -> tuple[dict, np.ndarray]:
@@ -158,23 +158,35 @@ def _parse_json(text: str) -> tuple[dict, np.ndarray]:
     return obj, vectors
 
 
+def _exact_signs(entries: np.ndarray, d: int) -> np.ndarray:
+    """The integers rint(sqrt(d) * entries), or ValueError unless every entry
+    is +-1/sqrt(d)."""
+    scaled = entries * np.sqrt(d)
+    signs = np.rint(scaled.real).astype(np.int64)
+    if (
+        np.abs(entries.imag).max() > 1e-15
+        or not np.all(np.abs(signs) == 1)
+        or np.abs(scaled.real - signs).max() > 1e-9
+    ):
+        raise ValueError("exact_signs declared but entries are not +-1/sqrt(d)")
+    return signs
+
+
 def parse_lineset(text: str) -> LineSet:
-    """Inverse of serialize_lineset; revalidates structure and exact signs."""
-    obj, vectors = _parse_canonical(text) or _parse_json(text)
-    d = obj["d"]
+    """Inverse of serialize_lineset; revalidates structure and exact signs.
+    Text in the canonical layout has its signs checked on its distinct
+    entries only."""
+    obj, vectors, distinct = _parse_canonical(text) or (*_parse_json(text), None)
     meta = obj.get("meta") or {}
     if not isinstance(meta, dict):
         raise TypeError(f"meta must be a JSON object, got {type(meta).__name__}")
     signs = None
-    if meta.get("exact_signs") and np.isfinite(vectors).all():  # else LineSet says why
-        scaled = vectors * np.sqrt(d)
-        signs = np.rint(scaled.real).astype(np.int64)
-        if (
-            np.abs(vectors.imag).max() > 1e-15
-            or not np.all(np.abs(signs) == 1)
-            or np.abs(scaled.real - signs).max() > 1e-9
-        ):
-            raise ValueError("exact_signs declared but entries are not +-1/sqrt(d)")
+    if meta.get("exact_signs"):
+        if distinct is not None:  # canonical entries are finite
+            entries, codes = distinct
+            signs = _exact_signs(entries, obj["d"])[codes]
+        elif np.isfinite(vectors).all():  # else LineSet says why
+            signs = _exact_signs(vectors, obj["d"])
     return LineSet(vectors, meta, signs=signs)
 
 

@@ -21,11 +21,10 @@ from .finfield import (
     standard_form,
 )
 from .heisenberg import monomial_matrix
-from .lineset import LineSet, _valid_dims, translations
+from .lineset import LineSet, _case, line_translations
 from .weil import induced_symplectic, parity_split, weil_generators
 
 __all__ = [
-    "line_translations",
     "translation_unitaries",
     "geometry_unitaries",
     "symmetry_unitaries",
@@ -45,39 +44,6 @@ _CLIFFORD_TOL = 1e-8
 # _CLIFFORD_BLOCK at a time.
 _CLIFFORD_MAX_LENGTH = 24
 _CLIFFORD_BLOCK = 32
-
-
-def _case(lines: LineSet) -> tuple[str, int, int]:
-    """(case, p, m) of a constructed line set, after checking its meta against
-    the classification row of (n, d); raises ValueError on any mismatch."""
-    meta, n, d = lines.meta, lines.n, lines.d
-    case = meta.get("case")
-    if case not in ("i", "ii", "iii", "iv"):
-        raise ValueError(
-            f"line set carries no construction tag, meta={meta}; cannot derive symmetries"
-        )
-    row = _valid_dims(n).get(d)
-    if row is None or row[0] != case:
-        raise ValueError(f"(n, d) = ({n}, {d}) is not a case {case} line set")
-    _, p, m = row
-    if case in ("i", "ii") and d * d != n:
-        raise ValueError(f"case {case} line sets are fiducial orbits with n = d^2, got ({n}, {d})")
-    kind = "minus" if 2 * d < n else "plus"
-    expected = {"iii": {"m": m, "type": kind}, "iv": {"p": p, "m": m, "eigen": kind}}
-    for key, value in expected.get(case, {}).items():
-        if meta.get(key) != value:
-            raise ValueError(f"meta {key} = {meta.get(key)!r}, expected {value!r} for ({n}, {d})")
-    return case, p, m
-
-
-def line_translations(lines: LineSet, elements=None):
-    """The translation monomials of a constructed line set, in line order
-    (lineset.translations): element i maps line 0 to line i."""
-    case, p, m = _case(lines)
-    if case == "iii":
-        phis = enumerate_hyperplanes(standard_form(m), HyperplaneType(lines.meta["type"]))
-        return translations(2, m, elements, functionals=phis)
-    return translations(p, m, elements, du=lines.d // p**m)
 
 
 def translation_unitaries(lines: LineSet) -> list[np.ndarray]:

@@ -549,3 +549,65 @@ def _reference_gram_csv(lines: LineSet) -> str:
 def test_gram_csv_matches_per_entry_reference(build):
     L = build()
     assert gram_csv(L) == _reference_gram_csv(L)
+
+
+def _scaled_first_entry(canonical: bool) -> str:
+    """An iii m=2 minus file that declares exact_signs but has its first entry
+    scaled by 1.0001, in the written layout or reformatted by json."""
+    text = serialize_lineset(construct_case_iii(2, HyperplaneType.MINUS))
+    start = text.index('"vectors": [\n[[') + len('"vectors": [\n[[')
+    stop = text.index(",", start)
+    text = text[:start] + _fmt_float(float(text[start:stop]) * 1.0001) + text[stop:]
+    return text if canonical else json.dumps(json.loads(text), indent=1)
+
+
+@pytest.mark.parametrize("command", ["certify", "action"])
+@pytest.mark.parametrize("canonical", [True, False], ids=["written-layout", "json-layout"])
+def test_cli_rejects_entries_off_the_declared_signs(tmp_path, capsys, command, canonical):
+    text = _scaled_first_entry(canonical)
+    assert (_parse_canonical(text) is not None) == canonical  # the sign check under test
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    capsys.readouterr()
+    assert main([command, str(path)]) == EXIT_CERT_FAILED
+    err = capsys.readouterr().err
+    assert "FAIL structure: exact_signs declared but entries are not +-1/sqrt(d)" in err
+    assert "Traceback" not in err
+
+
+def _certify_output(tmp_path, capsys, lines: LineSet) -> tuple[int, str, list[str]]:
+    path = tmp_path / "lines.json"
+    path.write_text(serialize_lineset(lines))
+    capsys.readouterr()
+    code = main(["certify", str(path)])
+    out, err = capsys.readouterr()
+    return code, out, [line for line in err.splitlines() if not line.startswith("manifest: ")]
+
+
+_IV_32_PASS = (
+    "PASS equiangular: alpha = 0.125, max_dev = 2.91e-16\n"
+    "PASS tight-frame\n"
+    "PASS welch: |alpha^2 - (n-d)/(d(n-1))| = 1.04e-17\n"
+    "PASS scalar-kernel: commutant dimension 1\n"
+)
+
+
+def test_certify_takes_the_pair_path_off_the_orbit(tmp_path, capsys):
+    # tagged iv (3, 2) files that are not the orbit of their line 0, and an
+    # untagged one, are certified from the n x n Gram, with its output
+    L = construct_case_iv(3, 2, HyperplaneType.MINUS)
+    swapped = L.vectors.copy()
+    swapped[:, [3, 7]] = swapped[:, [7, 3]]
+    bent = L.vectors.copy()
+    v = bent[:, 4] + 1e-5 * np.ones(L.d)
+    bent[:, 4] = v / np.linalg.norm(v)
+    cases = [
+        (LineSet(swapped, L.meta), EXIT_OK, _IV_32_PASS, []),
+        (LineSet(bent, L.meta), EXIT_CERT_FAILED, "",
+         ["FAIL equiangular: pair (4, 15) deviates from the common angle by 1.591e-05"]),
+        (LineSet(L.vectors, {}), EXIT_OK, _IV_32_PASS, []),
+    ]
+    for lines, code, out, err in cases:
+        G = equiline.lineset.gram(parse_lineset(serialize_lineset(lines)))
+        assert G.values.shape == (L.n, L.n) and G.orbit_eps is None
+        assert _certify_output(tmp_path, capsys, lines) == (code, out, err)

@@ -1,10 +1,14 @@
+import tracemalloc
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
 import equiline.lineset
+from equiline.fiducial import SearchConfig, orbit_lineset, search_fiducial
 from equiline.finfield import HyperplaneType
+from equiline.heisenberg import lex_digits, lex_index
 from equiline.lineset import (
     LineSet,
     NotEquiangular,
@@ -17,6 +21,7 @@ from equiline.lineset import (
     dimension_pair,
     gram,
     classification_rows,
+    line_translations,
 )
 
 MINUS, PLUS = HyperplaneType.MINUS, HyperplaneType.PLUS
@@ -188,15 +193,28 @@ def test_classification_rows_table():
     assert {d for (n, d) in key if n == 64} == {8, 28}
 
 
+def _untagged(L: LineSet) -> LineSet:
+    """L without its construction tag, so gram takes the n x n path."""
+    return LineSet(L.vectors, {}, signs=L.signs)
+
+
 def test_gram_validates_input():
     L = construct_case_iv(3, 1, MINUS)
-    G = gram(L)
+    G = gram(_untagged(L))
     assert G.values.shape == (9, 9)
     assert np.abs(np.diag(G.values) - 1.0).max() < 1e-12
     assert G.int_products is None
-    Gs = gram(construct_case_iii(2, PLUS))
+    K = construct_case_iii(2, PLUS)
+    Gs = gram(_untagged(K))
     assert Gs.int_products is not None
     assert Gs.int_products.dtype == np.int64
+    # the tagged sets get line 0's row
+    row, row_s = gram(L), gram(K)
+    assert row.values.shape == (1, 9) and row.n == 9 and row.orbit_eps <= 1e-15
+    assert abs(row.values[0, 0] - 1.0) < 1e-12
+    assert row.int_products is None
+    assert row_s.int_products.dtype == np.int64 and row_s.int_products.shape == (1, 16)
+    assert row_s.orbit_eps == 0.0
 
 
 @pytest.mark.parametrize("tag", [MINUS, PLUS])
@@ -204,9 +222,12 @@ def test_gram_validates_input():
 def test_exact_gram_matches_int64_product(m, tag):
     # the int64 product is the oracle for the float64 BLAS sign Gram
     L = construct_case_iii(m, tag)
-    G = gram(L)
+    G = gram(_untagged(L))
     assert G.int_products.dtype == np.int64
     assert np.array_equal(G.int_products, L.signs.T @ L.signs)
+    row = gram(L).int_products
+    assert row.dtype == np.int64
+    assert np.array_equal(row, L.signs[:, :1].T @ L.signs)
 
 
 def test_exact_gram_rejects_signs_beyond_the_double_range():
@@ -239,13 +260,134 @@ GOLDEN = [
 ]
 
 
+@lru_cache(maxsize=None)
+def _searched(d: int, seed: int) -> LineSet:
+    return orbit_lineset(search_fiducial(SearchConfig(d=d, seed=seed))[0], d)
+
+
+SEARCHED = [lambda d=d, seed=seed: _searched(d, seed) for d in (2, 8) for seed in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("build", GOLDEN + SEARCHED)
+def test_row_certificate_agrees_with_the_pair_gram(build):
+    L = build()
+    G, oracle = gram(L), gram(_untagged(L))
+    assert G.values.shape == (1, L.n) and G.lines is L
+    assert oracle.values.shape == (L.n, L.n) and oracle.orbit_eps is None
+    # searched fiducials stop about 5e-8 off the common angle
+    tol = 1e-8 if L.meta["case"] in ("iii", "iv") else 1e-7
+    cert, want = certify_equiangular(G, tol), certify_equiangular(oracle, tol)
+    assert cert.exact == want.exact == (L.signs is not None)
+    if cert.exact:
+        assert G.orbit_eps == 0.0 and cert.max_dev == want.max_dev == 0.0
+        fraction = Fraction(want.numerator, want.denominator)
+        assert Fraction(cert.numerator, cert.denominator) == fraction
+        assert np.array_equal(G.int_products[0], (L.signs.T @ L.signs)[0])
+    else:
+        assert G.orbit_eps <= 1e-15
+        assert abs(cert.alpha - want.alpha) <= 1e-14
+        # the row's max_dev adds 3 * orbit_eps and (d + 2) eps of rounding
+        rounding = (L.d + 2) * np.finfo(float).eps
+        assert want.max_dev <= cert.max_dev <= want.max_dev + 2 * rounding
+
+
+def _monomial_product(perm, phase, a, b):
+    """(perm, phase) of T_a* T_b, for the monomials |x> -> phase[x] |perm[x]>
+    stacked in perm and phase, over all index pairs (a, b) broadcast."""
+    inverse = np.argsort(perm, axis=-1)
+    y = np.take_along_axis(inverse[a], perm[b], axis=-1)  # T_a moves y to perm_b[x]
+    return y, phase[b] * np.take_along_axis(phase[a], y, axis=-1).conj()
+
+
+@pytest.mark.parametrize(
+    "build,p,m",
+    [
+        *((lambda m=m, t=t: construct_case_iii(m, t), 2, m) for m in (2, 3) for t in (MINUS, PLUS)),
+        *((lambda p=p, m=m, t=t: construct_case_iv(p, m, t), p, m)
+          for p, m in ((3, 1), (5, 1), (3, 2)) for t in (MINUS, PLUS)),
+        (lambda: _searched(2, 1), 2, 1),
+        (lambda: _searched(8, 1), 2, 3),
+    ],
+)
+def test_translations_compose_by_label_difference(build, p, m):
+    # T_a* T_b = lambda T_(b - a) with |lambda| = 1, b - a taken digitwise
+    # mod p: the lemma the row certificate rests on
+    perm, phase = (np.asarray(x) for x in line_translations(build()))
+    labels = lex_digits(p, 2 * m)
+    a, b = np.meshgrid(np.arange(len(perm)), np.arange(len(perm)), indexing="ij")
+    diff = lex_index(labels[b] - labels[a], p)
+    got_perm, got_phase = _monomial_product(perm, phase, a, b)
+    assert np.array_equal(got_perm, perm[diff])
+    lam = got_phase / phase[diff]
+    assert np.abs(np.abs(lam) - 1.0).max() < 1e-12
+    assert np.abs(lam - lam[..., :1]).max() < 1e-12
+
+
+def test_row_certificate_stays_below_the_pair_gram_in_memory():
+    # the n x n float Gram alone is n^2 * 8 bytes; the row path never forms it
+    L = construct_case_iii(5, MINUS)
+    tracemalloc.start()
+    try:
+        cert = certify_equiangular(gram(L))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert.exact and Fraction(cert.numerator, cert.denominator) == Fraction(1, 31)
+    assert peak < L.n**2 * 8
+
+
+@pytest.mark.parametrize("m,tag", [(2, MINUS), (3, PLUS), (4, MINUS)])
+def test_pair_gram_of_real_columns_is_a_real_product(m, tag):
+    L = _untagged(construct_case_iii(m, tag))
+    G = gram(L)
+    assert G.values.dtype == np.float64
+    assert np.abs(G.values - L.vectors.conj().T @ L.vectors).max() <= 1e-15
+    assert np.array_equal(G.int_products, L.signs.T @ L.signs)
+    assert np.array_equal(G.int_frame, L.signs @ L.signs.T)
+
+
+def test_row_rejection_falls_back_to_the_pair_gram():
+    L = construct_case_iii(2, MINUS)
+    signs = L.signs.copy()
+    signs[0, 3] *= -1  # no longer the orbit of line 0: the pair path decides
+    bad = LineSet(signs / np.sqrt(L.d), L.meta, signs=signs)
+    assert gram(bad).orbit_eps is None
+    with pytest.raises(NotEquiangular) as row_exc:
+        certify_equiangular(gram(bad))
+    with pytest.raises(NotEquiangular) as pair_exc:
+        certify_equiangular(gram(_untagged(bad)))
+    assert row_exc.value.pair == pair_exc.value.pair
+    # an exact orbit of a fiducial off the common angle: the row rejects,
+    # and the pair Gram names the worst pair
+    K = construct_case_iv(3, 1, MINUS)
+    w = K.vectors[:, 0] + 1e-4 * np.arange(K.d)
+    cols = equiline.lineset.orbit(w / np.linalg.norm(w), *line_translations(K))
+    off = LineSet(cols, K.meta)
+    G = gram(off)
+    assert G.values.shape == (1, K.n) and G.orbit_eps <= 1e-15
+    with pytest.raises(NotEquiangular) as row_exc:
+        certify_equiangular(G, tol=1e-8)
+    with pytest.raises(NotEquiangular) as pair_exc:
+        certify_equiangular(gram(_untagged(off)), tol=1e-8)
+    assert (row_exc.value.pair, row_exc.value.deviation) == (
+        pair_exc.value.pair, pair_exc.value.deviation)
+
+
 @pytest.mark.parametrize("build", GOLDEN)
 def test_frame_operator_certificate_agrees_with_gram_square(build):
     L = build()
-    G = gram(L)
-    assert G.frame is L.frame and G.frame.shape == (L.d, L.d)
+    # the Gershgorin bound settles the span of every construction
+    assert equiline.lineset._gershgorin_full_rank(L.frame, L.n)
+    assert equiline.lineset._frame_rank(L.frame, L.n) == L.d
+    U = _untagged(L)
+    G = gram(U)
+    assert G.frame is U.frame and G.frame.shape == (L.d, L.d)
     assert (G.int_frame is not None) == (L.signs is not None)
     assert certify_tight(G, L.d) and _gram_square_tight(G, L.d)
+    row = gram(L)
+    assert row.values.shape == (1, L.n) and row.frame is L.frame
+    assert (row.int_frame is not None) == (L.signs is not None)
+    assert certify_tight(row, L.d)
 
 
 def test_frame_operator_rejects_what_gram_square_rejects():
@@ -274,16 +416,45 @@ def test_exact_frame_catches_one_flipped_sign():
     assert not _gram_square_tight(G, L.d)
 
 
-def test_span_threshold_keeps_ill_conditioned_spanning_sets():
+def _spy_frame_rank(monkeypatch) -> list[int]:
+    """The ranks _frame_rank returns from here on, in call order."""
+    ranks = []
+    frame_rank = equiline.lineset._frame_rank
+
+    def spy(frame, n):
+        ranks.append(frame_rank(frame, n))
+        return ranks[-1]
+
+    monkeypatch.setattr(equiline.lineset, "_frame_rank", spy)
+    return ranks
+
+
+def test_span_threshold_keeps_ill_conditioned_spanning_sets(monkeypatch):
+    ranks = _spy_frame_rank(monkeypatch)
     V = construct_case_iv(3, 2, MINUS).vectors.copy()
     V[0] *= 1e-6  # one direction squeezed: sigma_min / sigma_max about 1e-6
     V /= np.linalg.norm(V, axis=0)
     assert np.linalg.matrix_rank(V) == V.shape[0]
     L = LineSet(V)
     assert L.frame.shape == (V.shape[0],) * 2
+    # F stays diagonal up to rounding, so its Gershgorin discs settle the span
+    assert ranks == []
 
 
-def test_span_threshold_drops_rounding_noise_off_a_hyperplane():
+def test_span_threshold_keeps_a_squeeze_off_the_axes(monkeypatch):
+    ranks = _spy_frame_rank(monkeypatch)
+    V = construct_case_iv(3, 2, MINUS).vectors.copy()
+    u = np.ones(len(V)) / np.sqrt(len(V))  # squeeze along a direction F mixes
+    V -= (1 - 1e-6) * np.outer(u, u @ V)
+    V /= np.linalg.norm(V, axis=0)
+    assert np.linalg.matrix_rank(V) == V.shape[0]
+    L = LineSet(V)
+    assert L.frame.shape == (V.shape[0],) * 2
+    assert ranks == [V.shape[0]]  # the discs overlap 0, and eigvalsh decided
+
+
+def test_span_threshold_drops_rounding_noise_off_a_hyperplane(monkeypatch):
+    ranks = _spy_frame_rank(monkeypatch)
     # eight unit columns of C^4 in the hyperplane x_3 = 0, plus 1e-14 noise
     rng = np.random.default_rng(5)
     V = rng.normal(size=(4, 8)) + 1j * rng.normal(size=(4, 8))
@@ -292,3 +463,4 @@ def test_span_threshold_drops_rounding_noise_off_a_hyperplane():
     assert np.linalg.matrix_rank(V) == 4  # the SVD resolves the noise
     with pytest.raises(SpanDeficient, match="rank 3 < d = 4"):
         LineSet(V)
+    assert ranks == [3]
