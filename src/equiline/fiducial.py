@@ -10,11 +10,12 @@ is multi-restart projected gradient descent on the unit sphere with a
 Barzilai-Borwein initial step and monotone Armijo backtracking.  All restarts
 run in lockstep as the rows of one array, each with its own step, stop test
 and iteration count, and a row drops out when it stops.  The displacements
-act as monomials (perm, phase), so the overlaps are gathers and elementwise
-sums; the inner products of the descent stay one np.vdot or np.linalg.norm
-per row.  Each row therefore takes, to the last bit, the path it would take
-alone.  The search is deterministic for a fixed seed: all starts are drawn up
-front, and the winner is the (f value, restart index) minimum.
+act as monomials (perm, phase), so the overlaps are gathers, formed once per
+search, and elementwise sums; the inner products of the descent stay one
+np.vdot, or the two real dots of np.linalg.norm, per row.  Each row therefore
+takes, to the last bit, the path it would take alone.  The search is
+deterministic for a fixed seed: all starts are drawn up front, and the winner
+is the (f value, restart index) minimum.
 """
 
 from __future__ import annotations
@@ -112,14 +113,23 @@ def potential_bound(d: int) -> float:
     return (d - 1) / (d + 1)
 
 
-def _images(v: np.ndarray, disp) -> np.ndarray:
-    """D_g v for each row of v (shape (..., d)), of shape (..., g, d).  D_g
-    sends e_x to phase_gx e_perm(g, x), so the image is a gather times a phase
-    of +-1 or +-i, which multiplies exactly."""
+def _gathers(disp) -> tuple:
+    """The monomials disp = (perm, phase) and their adjoints as gathers
+    (index, phase).  D_g sends e_x to phase_gx e_perm(g, x), so D_g v =
+    v[inv] * phase[inv] with inv the inverse of perm, and D_g^dagger v =
+    v[perm] * conj(phase).  The phases are +-1 or +-i, which multiply
+    exactly."""
     perm, phase = disp
     inv = np.argsort(perm, axis=-1)
-    out = v[..., inv]
-    out *= np.take_along_axis(phase, inv, axis=-1)
+    return (inv, np.take_along_axis(phase, inv, axis=-1)), (perm, phase.conj())
+
+
+def _gather(v: np.ndarray, gather) -> np.ndarray:
+    """v[..., index] * phase for each row of v (shape (..., d)), of shape
+    (..., g, d)."""
+    index, phase = gather
+    out = v[..., index]
+    out *= phase
     return out
 
 
@@ -134,8 +144,7 @@ def _overlaps(v: np.ndarray, fwd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def frame_potential(v: np.ndarray, disp) -> np.ndarray:
     """Quartic overlap sum of each row of v (shape (..., d)) over the
     displacement monomials disp = (perm, phase)."""
-    _, h = _overlaps(v, _images(v, disp))
-    return np.sum(h * h, axis=-1)
+    return _potential(v, _gathers(disp))
 
 
 def frame_potential_grad(v: np.ndarray, disp) -> np.ndarray:
@@ -146,47 +155,58 @@ def frame_potential_grad(v: np.ndarray, disp) -> np.ndarray:
     central finite differences taken separately in the real and imaginary
     parts.
     """
-    perm, phase = disp
-    fwd = _images(v, disp)
+    return _gradient(v, _gathers(disp))
+
+
+def _potential(v: np.ndarray, gathers) -> np.ndarray:
+    _, h = _overlaps(v, _gather(v, gathers[0]))
+    return np.sum(h * h, axis=-1)
+
+
+def _gradient(v: np.ndarray, gathers) -> np.ndarray:
+    fwd, adj = _gather(v, gathers[0]), _gather(v, gathers[1])  # D_g v, D_g^dagger v
     w, h = _overlaps(v, fwd)
-    adj = v[..., perm]  # D_g^dagger v
-    adj *= phase.conj()
     return 4.0 * np.einsum("...g,...gi->...i", h * w.conj(), fwd) + 4.0 * np.einsum(
         "...g,...gi->...i", h * w, adj
     )
 
 
 # The inner products of the descent are taken one row at a time with the BLAS
-# calls a single restart makes (np.vdot, np.linalg.norm): a batched reduction
-# rounds differently, and the last bits of f decide the winner among restarts
-# that tie to 1e-16.
+# calls a single restart makes (np.vdot, and the two real dots of
+# np.linalg.norm): a batched reduction rounds differently, and the last bits of
+# f decide the winner among restarts that tie to 1e-16.
 def _vdots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """np.vdot of each pair of rows."""
     return np.array([np.vdot(a, b) for a, b in zip(x, y)], dtype=complex)
 
 
 def _normalized(x: np.ndarray) -> np.ndarray:
-    return x / np.array([np.linalg.norm(row) for row in x])[:, None]
+    """The rows of x over their norms, each sqrt(re . re + im . im) as
+    np.linalg.norm takes it for a complex vector."""
+    return x / np.sqrt([a.dot(a) + b.dot(b) for a, b in zip(x.real, x.imag)])[:, None]
 
 
-def _tangent(v: np.ndarray, disp) -> np.ndarray:
+def _tangent(v: np.ndarray, gathers) -> np.ndarray:
     """The gradient at each row of v projected off that row."""
-    g = frame_potential_grad(v, disp)
+    g = _gradient(v, gathers)
     return g - v * _vdots(v, g)[:, None]
 
 
-def _in_blocks(fn, v: np.ndarray, disp) -> np.ndarray:
-    """fn(rows, disp) over blocks of the rows of v, concatenated."""
-    rows = max(1, _BLOCK_BYTES // (16 * disp[0].size))
-    return np.concatenate([fn(b, disp) for b in np.split(v, range(rows, len(v), rows))])
+def _in_blocks(fn, v: np.ndarray, gathers) -> np.ndarray:
+    """fn(rows, gathers) over blocks of the rows of v, concatenated."""
+    rows = max(1, _BLOCK_BYTES // (16 * gathers[0][0].size))
+    if len(v) <= rows:
+        return fn(v, gathers)
+    return np.concatenate([fn(b, gathers) for b in np.split(v, range(rows, len(v), rows))])
 
 
 def _descend(v: np.ndarray, disp, cfg: SearchConfig, bound: float):
     """Projected gradient descent from every row of v at once; returns the
     rows reached, their potentials and the iteration count of each."""
+    gathers = _gathers(disp)
     v = v.copy()
-    f = _in_blocks(frame_potential, v, disp)
-    gt = _in_blocks(_tangent, v, disp)
+    f = _in_blocks(_potential, v, gathers)
+    gt = _in_blocks(_tangent, v, gathers)
     step = np.full(len(v), _STEP_INIT)
     prev_v, prev_gt = np.zeros_like(v), np.zeros_like(v)
     stepped = np.zeros(len(v), dtype=bool)
@@ -213,7 +233,7 @@ def _descend(v: np.ndarray, disp, cfg: SearchConfig, bound: float):
         for _ in range(_HALVINGS):
             rows = live[pending]
             c = _normalized(v[rows] - t[pending, None] * gt[rows])
-            fc = _in_blocks(frame_potential, c, disp)
+            fc = _in_blocks(_potential, c, gathers)
             ok = fc <= f[rows] - _ARMIJO * t[pending] * gnorm2[pending]
             cand[pending[ok]], fcand[pending[ok]] = c[ok], fc[ok]
             pending = pending[~ok]
@@ -226,7 +246,7 @@ def _descend(v: np.ndarray, disp, cfg: SearchConfig, bound: float):
         live = live[moved]
         prev_v[live], prev_gt[live], stepped[live] = v[live], gt[live], True
         v[live], f[live] = cand[moved], fcand[moved]
-        gt[live] = _in_blocks(_tangent, v[live], disp)
+        gt[live] = _in_blocks(_tangent, v[live], gathers)
     return v, f, iters
 
 

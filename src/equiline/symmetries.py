@@ -6,13 +6,21 @@ hyperplane-coordinate permutations from quadratic-space transvections for the
 sign-matrix case, conjugation-induced maps from the displacement-normalizing
 unitaries for the odd-prime case, and stabilizing qubit Clifford words found
 by seeded search for the two fiducial-orbit cases.
+
+The search draws its words as one Generator.integers call per length and one
+per word's letters would, but decodes a block of them from one bulk draw of
+the generator's uint32 stream.  It stops when the orbit of the ordered pair
+(0, 1) holds every pair of distinct lines, that is, when the group is
+2-transitive; the stabilizer chain is left to action_certificate.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 import numpy as np
 
-from .action import NotASymmetry, Perm, StabilizerChain, close_permutations, induced_permutation
+from .action import NotASymmetry, Perm, close_permutations, induced_permutation
 from .finfield import (
     HyperplaneType,
     dot2,
@@ -40,10 +48,12 @@ CLIFFORD_SEARCH_SEED = 7
 # action_certificate re-proves every word it keeps at the command's tolerance.
 _CLIFFORD_MAX_TRIALS = 5000
 _CLIFFORD_TOL = 1e-8
-# Words have 4 to _CLIFFORD_MAX_LENGTH letters, and are tested at line 0
-# _CLIFFORD_BLOCK at a time.
+# Words have 4 to _CLIFFORD_MAX_LENGTH letters, and are drawn and tested at
+# line 0 _CLIFFORD_BLOCK at a time; a block takes at most _CLIFFORD_BLOCK_DRAWS
+# uint32 draws unless some are rejected.
 _CLIFFORD_MAX_LENGTH = 24
 _CLIFFORD_BLOCK = 32
+_CLIFFORD_BLOCK_DRAWS = _CLIFFORD_BLOCK * (_CLIFFORD_MAX_LENGTH + 1)
 
 
 def translation_unitaries(lines: LineSet) -> list[np.ndarray]:
@@ -102,15 +112,99 @@ def _qubit_clifford_generators(k: int) -> list[np.ndarray]:
     return gens
 
 
-def _clifford_words(rng: np.random.Generator, letters: int, count: int) -> np.ndarray:
-    """The scan's next count words, drawn as the scan draws them (a length,
-    then that many letters below `letters`), padded with the index `letters`
-    to _CLIFFORD_MAX_LENGTH letters."""
-    words = np.full((count, _CLIFFORD_MAX_LENGTH), letters)
-    for word in words:
-        length = int(rng.integers(4, _CLIFFORD_MAX_LENGTH + 1))
-        word[:length] = rng.integers(0, letters, size=length)
-    return words
+def _bounded(x: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Generator.integers(0, r) of each uint32 draw in x (as uint64), by
+    Lemire's multiply-shift (x r) >> 32, and the positions of the draws it
+    keeps: numpy draws again exactly when (x r) mod 2^32 < (2^32 - r) mod r."""
+    m = x * np.uint64(r)
+    return m >> 32, np.flatnonzero((m & 0xFFFFFFFF) >= ((1 << 32) - r) % r)
+
+
+def _decode_words(raw: np.ndarray, letters: int, count: int) -> tuple[np.ndarray, int] | None:
+    """The first count words of the uint32 stream raw, as the scan draws them
+    one Generator.integers call at a time (a length in [4,
+    _CLIFFORD_MAX_LENGTH], then that many letters below `letters`), padded
+    with the index `letters`; returns the words and the draws they use, or
+    None if raw runs out first."""
+    x = raw.astype(np.uint64)
+    lengths, length_at = _bounded(x, _CLIFFORD_MAX_LENGTH - 3)
+    values, letter_at = _bounded(x, letters)
+    # the first kept draw at or after each position, as an index into *_at
+    # (the position itself when no draw is rejected, the common case)
+    everywhere = range(len(x) + 1)
+    first_length, first_letter = (
+        everywhere if len(at) == len(x) else np.searchsorted(at, everywhere).tolist()
+        for at in (length_at, letter_at)
+    )
+    starts, sizes, used = [], [], 0
+    for _ in range(count):
+        i = first_length[used]
+        if i == len(length_at):
+            return None
+        at = int(length_at[i])
+        start, size = first_letter[at + 1], 4 + int(lengths[at])
+        if start + size > len(letter_at):
+            return None
+        starts.append(start)
+        sizes.append(size)
+        used = int(letter_at[start + size - 1]) + 1
+    cols = np.arange(_CLIFFORD_MAX_LENGTH)
+    valid = cols < np.array(sizes)[:, None]
+    picks = letter_at[np.where(valid, np.array(starts)[:, None] + cols, 0)]
+    return np.where(valid, values[picks], letters), used
+
+
+def _clifford_words(rng: np.random.Generator, letters: int) -> Iterator[np.ndarray]:
+    """The scan's words, _CLIFFORD_BLOCK at a time, as one rng.integers call
+    per length and per word's letters would draw them: each block is decoded
+    from bulk draws of rng's uint32 stream, the draws it leaves carried over."""
+    raw, need = np.empty(0, dtype=np.uint32), _CLIFFORD_BLOCK_DRAWS
+    while True:
+        if len(raw) < need:
+            more = rng.integers(0, 1 << 32, size=need - len(raw), dtype=np.uint32)
+            raw = np.concatenate((raw, more))
+        decoded = _decode_words(raw, letters, _CLIFFORD_BLOCK)
+        if decoded is None:  # rejected draws left too few for the block
+            need += _CLIFFORD_BLOCK_DRAWS
+            continue
+        words, used = decoded
+        raw, need = raw[used:], _CLIFFORD_BLOCK_DRAWS
+        yield words
+
+
+class _PairOrbit:
+    """The orbit of the ordered pair (0, 1) under the group generated by the
+    permutations added so far, as an n x n mask; the group is 2-transitive iff
+    the orbit holds all n (n - 1) pairs of distinct points.
+
+    Each `add` applies the new generator to every pair reached, then every
+    generator to the pairs each round first reaches, one generator at a time,
+    so no temporary is larger than one generator's image of a frontier."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.gens: list[np.ndarray] = []
+        self.reach = np.zeros((n, n), dtype=bool)
+        if n >= 2:
+            self.reach[0, 1] = True
+
+    @property
+    def two_transitive(self) -> bool:
+        return self.n >= 2 and np.count_nonzero(self.reach) == self.n * (self.n - 1)
+
+    def add(self, perm: Perm) -> None:
+        g = np.array(perm, dtype=np.intp)
+        self.gens.append(g)
+        frontier, movers = np.nonzero(self.reach), [g]
+        while frontier[0].size:
+            reached = []
+            for p in movers:
+                a, b = p[frontier[0]], p[frontier[1]]
+                new = ~self.reach[a, b]
+                a, b = a[new], b[new]
+                self.reach[a, b] = True
+                reached.append((a, b))
+            frontier, movers = tuple(map(np.concatenate, zip(*reached))), self.gens
 
 
 def _line0_candidates(lines: LineSet, stack: np.ndarray, words: np.ndarray, tol: float) -> np.ndarray:
@@ -131,19 +225,23 @@ def _clifford_symmetries(lines: LineSet) -> list[np.ndarray]:
     stopping once, together with the translations, they act 2-transitively.
 
     The words are drawn and tested at line 0 a block at a time; each word that
-    passes is multiplied out and matched by induced_permutation, in draw order."""
+    passes is multiplied out and matched by induced_permutation, in draw order.
+    The stop test is the orbit of the pair (0, 1) (_PairOrbit), so the one
+    stabilizer chain is the one action_certificate builds."""
     k = lines.d.bit_length() - 1
     gens = _qubit_clifford_generators(k)
     stack = np.stack(gens + [np.eye(lines.d, dtype=complex)])  # the last pads words
-    rng = np.random.default_rng(CLIFFORD_SEARCH_SEED)
+    blocks = _clifford_words(np.random.default_rng(CLIFFORD_SEARCH_SEED), len(gens))
     perms = [induced_permutation(lines, U, _CLIFFORD_TOL) for U in translation_unitaries(lines)]
-    chain = StabilizerChain(perms)
+    orbit = _PairOrbit(lines.n)
+    for perm in perms:
+        orbit.add(perm)
     found: list[np.ndarray] = []
     seen: set[Perm] = set(perms)
     for start in range(0, _CLIFFORD_MAX_TRIALS, _CLIFFORD_BLOCK):
-        if chain.two_transitive:
+        if orbit.two_transitive:
             return found
-        words = _clifford_words(rng, len(gens), min(_CLIFFORD_BLOCK, _CLIFFORD_MAX_TRIALS - start))
+        words = next(blocks)[: _CLIFFORD_MAX_TRIALS - start]
         for word in words[_line0_candidates(lines, stack, words, _CLIFFORD_TOL)]:
             U = np.eye(lines.d, dtype=complex)
             for idx in word[word < len(gens)]:
@@ -154,9 +252,9 @@ def _clifford_symmetries(lines: LineSet) -> list[np.ndarray]:
                 continue
             if perm not in seen:
                 seen.add(perm)
-                chain.add(perm)
+                orbit.add(perm)
                 found.append(U)
-                if chain.two_transitive:
+                if orbit.two_transitive:
                     return found
     raise RuntimeError(
         f"Clifford scan exhausted {_CLIFFORD_MAX_TRIALS} trials without 2-transitivity"

@@ -21,6 +21,7 @@ from equiline.action import (
     two_transitivity,
 )
 from equiline.action import _component_count
+from equiline.cli import EXIT_OK, main
 from equiline.fiducial import SearchConfig, orbit_lineset, search_fiducial
 from equiline.finfield import HyperplaneType
 from equiline.heisenberg import commutant_dimension
@@ -257,6 +258,23 @@ def test_action_certificate_full_symmetries():
     assert cert.group_order % (L.n * (L.n - 1)) == 0
 
 
+def test_action_command_builds_one_chain(tmp_path, monkeypatch):
+    # the Clifford scan stops by its pair orbit; the one chain is the
+    # certificate's
+    path = str(tmp_path / "lines.json")
+    assert main(["construct", "--case", "ii", "--seed", "1", "--out", path]) == EXIT_OK
+    built = []
+    init = StabilizerChain.__init__
+
+    def counting_init(self, gens):
+        built.append(len(gens))
+        init(self, gens)
+
+    monkeypatch.setattr(StabilizerChain, "__init__", counting_init)
+    assert main(["action", path]) == EXIT_OK
+    assert built == [9]
+
+
 def test_action_certificate_requires_input():
     L = construct_case_iii(2, HyperplaneType.MINUS)
     with pytest.raises(ValueError):
@@ -360,8 +378,24 @@ def _sparse_families(count, seed):
         yield V / np.linalg.norm(V, axis=0)
 
 
+def _paths(sizes):
+    """The unit vector e_0, then the columns e_(j-1) + i e_j / 2 of C^(n+1),
+    normalized: each meets only its neighbours in that order, so every step
+    of the frontier search starts from a one-column frontier."""
+    for n in sizes:
+        V = np.zeros((n + 1, n + 1), dtype=complex)
+        V[0, 0] = 1.0
+        V[np.arange(n), np.arange(1, n + 1)] = 1.0
+        V[np.arange(1, n + 1), np.arange(1, n + 1)] = 0.5j
+        yield V / np.linalg.norm(V, axis=0)
+
+
 def test_component_count_matches_bfs_oracle():
-    families = [*_sparse_families(200, 37), *(build().vectors for build in COMMUTANT_BUILDS)]
+    families = [
+        *_sparse_families(200, 37),
+        *_paths([1, 2, 5, 12]),
+        *(build().vectors for build in COMMUTANT_BUILDS),
+    ]
     for V in families:
         assert _component_count(V, 1e-8) == _bfs_component_count(V)
 

@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -140,6 +143,23 @@ def test_each_row_descends_as_it_would_alone(d):
     for r in range(len(starts)):
         vr, fr, ir = fiducial._descend(starts[r : r + 1], disp, cfg, bound)
         assert (vr[0].tobytes(), fr[0], ir[0]) == (v[r].tobytes(), f[r], iters[r])
+
+
+def test_repeated_searches_keep_no_memory():
+    # nothing is cached from one search to the next: after a warm-up, the
+    # memory still live stays within the interpreter's own free lists
+    search_fiducial(SearchConfig(d=2, seed=1))
+    tracemalloc.start()
+    try:
+        sizes = []
+        for k in range(1, 51):
+            search_fiducial(SearchConfig(d=2, seed=1))
+            if k in (10, 50):
+                gc.collect()
+                sizes.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+    assert sizes[1] - sizes[0] < 4096
 
 
 def test_search_not_converged_carries_report():

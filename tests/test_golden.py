@@ -64,6 +64,10 @@ SEARCHES = {
     ("ii", "18"): "35b92d2a87e67ab4eb2e4702cd10484dbb278a73123b93a0e829d563fd2cbfb5",
 }
 
+# One sha256 over the `construct` stdout and then the `action` stdout of every
+# search-seeds benchmark row: case ii, then case i, seeds 1-20 each.
+SEARCH_SEED_OUTPUTS = "b8ffa47e7744e084df08e8bb30e8a80b116def3bab0127fb12005525219f15d7"
+
 REPRESENTATIONS = {
     (2, 1, 1): "5c11722effc3a811176744f30e0269015a9225ad16c227bde4bbcf1ab93e3892",
     (2, 1, 3): "c2b09d583825b3f29518e949f38eaeabefc29601c6f3cd138a995e707cf4bb01",
@@ -114,3 +118,17 @@ def test_search_bytes(tmp_path, case, seed):
     path = tmp_path / "lines.json"
     assert main(["construct", "--case", case, "--seed", seed, "--out", str(path)]) == EXIT_OK
     assert sha256(path.read_bytes()) == SEARCHES[(case, seed)]
+
+
+def test_search_seed_outputs(tmp_path, capsys):
+    digest = hashlib.sha256()
+    path = tmp_path / "lines.json"
+    for case in ("ii", "i"):
+        for seed in range(1, 21):
+            assert main(["construct", "--case", case, "--seed", str(seed)]) == EXIT_OK
+            lines = capsys.readouterr().out
+            path.write_text(lines)
+            assert main(["action", str(path)]) == EXIT_OK
+            digest.update(lines.encode())
+            digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == SEARCH_SEED_OUTPUTS

@@ -1,3 +1,4 @@
+import tracemalloc
 from math import log
 
 import numpy as np
@@ -24,7 +25,9 @@ from equiline.heisenberg import check_unitary, lex_digits, lex_index, monomial_m
 from equiline.lineset import LineSet, construct_case_iii, construct_case_iv
 from equiline.symmetries import (
     CLIFFORD_SEARCH_SEED,
+    _PairOrbit,
     _clifford_words,
+    _decode_words,
     _line0_candidates,
     _qubit_clifford_generators,
     _transvection_perms,
@@ -209,13 +212,187 @@ def _word_unitary(gens, word):
     return U
 
 
+def _scan_words(letters, count):
+    """The scan's first count words, from its seeded generator."""
+    blocks = _clifford_words(np.random.default_rng(CLIFFORD_SEARCH_SEED), letters)
+    return np.concatenate([next(blocks) for _ in range(-(-count // 32))])[:count]
+
+
+def _words_one_at_a_time(rng, letters, count):
+    """The scan's words as it drew them before the bulk decoder: one
+    rng.integers call for each length and one for each word's letters."""
+    words = np.full((count, 24), letters)
+    for word in words:
+        length = int(rng.integers(4, 25))
+        word[:length] = rng.integers(0, letters, size=length)
+    return words
+
+
+@pytest.mark.parametrize("letters", [2, 9])
+def test_bulk_words_match_the_per_word_draws(letters):
+    count = 100_000
+    expected = _words_one_at_a_time(np.random.default_rng(CLIFFORD_SEARCH_SEED), letters, count)
+    assert np.array_equal(_scan_words(letters, count), expected)
+
+
+def _lemire(draws, r):
+    """numpy's buffered_bounded_lemire_uint32 with rng = r - 1, the draw of
+    Generator.integers(0, r), on an iterator of uint32 draws."""
+    m = next(draws) * r
+    leftover = m & 0xFFFFFFFF
+    if leftover < r:
+        threshold = (0xFFFFFFFF - (r - 1)) % r
+        while leftover < threshold:
+            m = next(draws) * r
+            leftover = m & 0xFFFFFFFF
+    return m >> 32
+
+
+def _reference_words(raw, letters, count):
+    """The words and the draws they use, decoded one draw at a time."""
+    draws = iter(raw.tolist())
+    words = np.full((count, 24), letters)
+    for word in words:
+        length = 4 + _lemire(draws, 21)
+        word[:length] = [_lemire(draws, letters) for _ in range(length)]
+    return words, len(raw) - sum(1 for _ in draws)
+
+
+def _rejection_prone(r, size, rng):
+    """uint32 draws x with (x r) mod 2^32 < r, so that Generator.integers(0, r)
+    takes its rejection branch; those below (2^32 - r) mod r are redrawn."""
+    return np.array([-(-(j << 32) // r) for j in rng.integers(0, r, size=size)], dtype=np.uint32)
+
+
+@pytest.mark.parametrize("letters", [2, 9, 12])
+def test_word_decoder_matches_lemire_reference_on_rejections(letters):
+    rng = np.random.default_rng(5)
+    rejected = 0
+    for _ in range(40):
+        raw = rng.integers(0, 1 << 32, size=1200, dtype=np.uint32)
+        at = rng.random(raw.size) < 0.3
+        prone = _rejection_prone(21 if rng.random() < 0.5 else letters, raw.size, rng)
+        raw[at] = prone[at]
+        words, used = _decode_words(raw, letters, 32)
+        expected, expected_used = _reference_words(raw, letters, 32)
+        assert np.array_equal(words, expected) and used == expected_used
+        rejected += used - int((words < letters).sum()) - 32
+    assert rejected > 0
+    # a stream that runs out before the last word is reported, not read past
+    assert _decode_words(raw[: used - 1], letters, 32) is None
+
+
+class _ZeroHeavy:
+    """A stand-in generator whose uint32 stream is mostly 0, a draw that
+    Generator.integers(0, r) rejects whenever (2^32 - r) mod r > 0."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.drawn = []
+
+    def integers(self, low, high, size, dtype):
+        assert (low, high, dtype) == (0, 1 << 32, np.uint32)
+        x = self.rng.integers(0, 1 << 32, size=size, dtype=np.uint32)
+        x[self.rng.random(size) < 0.6] = 0
+        self.drawn.append(x)
+        return x
+
+
+def test_word_blocks_draw_more_after_rejections():
+    # 32 words need about 1,200 draws of this stream, more than one bulk draw
+    stream = _ZeroHeavy(3)
+    blocks = _clifford_words(stream, 9)
+    words = np.concatenate([next(blocks) for _ in range(20)])
+    expected, _ = _reference_words(np.concatenate(stream.drawn), 9, len(words))
+    assert np.array_equal(words, expected)
+
+
+def _agl1(p):
+    """x -> x + 1 and x -> g x on F_p, g a primitive root."""
+    g = next(g for g in range(2, p) if len({pow(g, k, p) for k in range(p - 1)}) == p - 1)
+    return [tuple((x + 1) % p for x in range(p)), tuple(g * x % p for x in range(p))]
+
+
+def _cyclic(n):
+    return [tuple((x + 1) % n for x in range(n))]
+
+
+def _dihedral(n):
+    return _cyclic(n) + [tuple(-x % n for x in range(n))]
+
+
+def _symmetric(n):
+    return _cyclic(n) + [(1, 0, *range(2, n))]
+
+
+PAIR_ORBIT_GROUPS = [
+    [(0,)],
+    [(0, 1)],
+    [(1, 0)],
+    [(1, 2, 0)],
+    [(0, 2, 1)],
+    [(1, 2, 0), (0, 2, 1)],
+    *(_cyclic(n) for n in (4, 5, 8)),
+    *(_dihedral(n) for n in (4, 5, 6, 9)),
+    *(_agl1(p) for p in (5, 7, 11)),
+    *(_symmetric(n) for n in (4, 6, 9)),
+]
+
+
+def _pair_orbit_agrees_with_chain(gens):
+    orbit = _PairOrbit(len(gens[0]))
+    for k, g in enumerate(gens, 1):
+        orbit.add(g)
+        assert orbit.two_transitive == StabilizerChain(gens[:k]).two_transitive, gens[:k]
+    return orbit.two_transitive
+
+
+@pytest.mark.parametrize("gens", PAIR_ORBIT_GROUPS)
+def test_pair_orbit_stop_rule_matches_the_chain_on_known_groups(gens):
+    _pair_orbit_agrees_with_chain(gens)
+
+
+def test_pair_orbit_stop_rule_matches_the_chain_on_random_generators():
+    rng = np.random.default_rng(29)
+    outcomes = set()
+    for _ in range(150):
+        n = int(rng.integers(1, 10))
+        gens = []
+        for _ in range(int(rng.integers(1, 4))):
+            # a random permutation, or one moving only a few points
+            perm = rng.permutation(n)
+            if rng.random() < 0.6:
+                keep = rng.random(n) < 0.6
+                perm = np.arange(n)
+                moved = np.flatnonzero(~keep)
+                perm[moved] = rng.permutation(moved)
+            gens.append(tuple(int(x) for x in perm))
+        outcomes.add(_pair_orbit_agrees_with_chain(gens))
+    assert outcomes == {True, False}
+
+
+def test_scan_allocates_little():
+    # the scan's temporaries stay small: no all-generators image of a frontier,
+    # and no cache kept from one call to the next
+    v, _ = search_fiducial(SearchConfig(d=8, seed=1))
+    L = orbit_lineset(v, 8)
+    symmetry_unitaries(L)  # imports and first-call set-up
+    tracemalloc.start()
+    try:
+        symmetry_unitaries(L)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 18
+
+
 def test_line0_filter_keeps_every_word_the_exact_test_accepts():
     v, _ = search_fiducial(SearchConfig(d=8, seed=1))
     L = orbit_lineset(v, 8)
     V = L.vectors
     gens = _qubit_clifford_generators(3)
     stack = np.stack(gens + [np.eye(8, dtype=complex)])
-    words = _clifford_words(np.random.default_rng(CLIFFORD_SEARCH_SEED), len(gens), 2000)
+    words = _scan_words(len(gens), 2000)
     kept = _line0_candidates(L, stack, words, 1e-8)
     # induced_permutation's line-0 test, one word at a time
     exact = np.array([
