@@ -1,8 +1,16 @@
 """Command-line interface: construct, certify, action, table.
 
-Exit codes: 0 success, 2 invalid parameters or unreadable input, 3 fiducial
-search did not converge, 4 a certification check failed (the first failing
-certificate is named on stderr), 5 the symmetry action could not be derived.
+Each command is a shell around the library calls of this module:
+construct_lineset or read_lineset gives the line set, and certify_report and
+action_payload return exactly the report and payload the commands write.
+Every documented failure raises Refused(exit_code, message); main prints the
+message to stderr and returns the code.
+
+Exit codes: 0 success, 2 invalid parameters, unreadable input or an output
+path that cannot be written ("cannot write <path>: ..."), 3 fiducial search
+did not converge, 4 a certification check failed (the first failing
+certificate is named on stderr; a file of lines in C^1 fails `structure`, as
+a line set needs d >= 2), 5 the symmetry action could not be derived.
 
 A run manifest (command, parameters, seed, version, tolerances, timestamp)
 is printed to stderr; stdout and output files are byte-deterministic.
@@ -16,14 +24,139 @@ import argparse
 import datetime
 import json
 import sys
+from math import gcd
 
 from . import __version__ as _VERSION
+from . import action, fiducial, finfield, lineset, serialize, symmetries
 
 EXIT_OK = 0
 EXIT_PARAMS = 2
 EXIT_NOT_CONVERGED = 3
 EXIT_CERT_FAILED = 4
 EXIT_ACTION_FAILED = 5
+
+
+class Refused(Exception):
+    """A documented failure: message is the command's stderr line and
+    exit_code its exit status."""
+
+    def __init__(self, exit_code: int, message: str):
+        super().__init__(message)
+        self.exit_code, self.message = exit_code, message
+
+
+def construct_lineset(case: str, m=None, p=None, kind=None, seed: int = 1, restarts=None,
+                      max_iters=None, tol=None) -> lineset.LineSet:
+    """The line set `construct` writes: kind is the hyperplane type of case
+    iii or the eigenspace of case iv; seed, restarts, max_iters and tol set
+    the search of cases i and ii."""
+    try:
+        if case == "iii":
+            if m is None or kind is None:
+                raise Refused(EXIT_PARAMS, "construct --case iii needs --m and --type")
+            return lineset.construct_case_iii(m, finfield.HyperplaneType(kind))
+        if case == "iv":
+            if p is None or m is None or kind is None:
+                raise Refused(EXIT_PARAMS, "construct --case iv needs --p, --m and --eigen")
+            return lineset.construct_case_iv(p, m, finfield.HyperplaneType(kind))
+        if case not in ("i", "ii"):
+            raise ValueError(f"unknown case {case!r}")
+        d = 2 if case == "i" else 8
+        cfg = fiducial.SearchConfig(d=d, seed=seed, restarts=restarts, max_iters=max_iters,
+                                    target_tol=tol)
+        try:
+            v, report = fiducial.search_fiducial(cfg)
+        except fiducial.NotConverged as exc:
+            raise Refused(EXIT_NOT_CONVERGED, f"search did not converge: {exc}")
+        meta = {"seed": cfg.seed, "restarts": cfg.restarts, "max_iters": cfg.max_iters,
+                "potential": report.best_f}
+        return fiducial.orbit_lineset(v, d, meta=meta)
+    except ValueError as exc:
+        raise Refused(EXIT_PARAMS, f"invalid parameters: {exc}")
+    except MemoryError as exc:  # numpy names the refused allocation
+        raise Refused(EXIT_PARAMS, f"invalid parameters: line set too large to build: {exc}")
+
+
+def read_lineset(path: str) -> lineset.LineSet:
+    """The line set in the lineset JSON file at path: exit 2 when the file
+    cannot be read or is not lineset JSON, 4 when it is not a line set."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise Refused(EXIT_PARAMS, f"cannot read {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise Refused(EXIT_PARAMS, f"not a lineset JSON file: {exc}")
+    try:
+        return serialize.parse_lineset(text)
+    except (json.JSONDecodeError, KeyError, TypeError, RecursionError) as exc:
+        raise Refused(EXIT_PARAMS, f"not a lineset JSON file: {exc}")
+    except ValueError as exc:
+        raise Refused(EXIT_CERT_FAILED, f"FAIL structure: {exc}")
+
+
+def certify_report(lines: lineset.LineSet, tol: float = 1e-8) -> dict:
+    """The report `certify --out` writes.  The checks run in the order gram,
+    equiangular, tight-frame, welch, scalar-kernel, and the first to fail
+    refuses with exit 4, named on its message."""
+    try:
+        G = lineset.gram(lines)
+    except ValueError as exc:
+        raise Refused(EXIT_CERT_FAILED, f"FAIL gram: {exc}")
+    try:
+        cert = lineset.certify_equiangular(G, tol=tol)
+    except lineset.NotEquiangular as exc:
+        raise Refused(EXIT_CERT_FAILED, f"FAIL equiangular: {exc}")
+    if not lineset.certify_tight(G, lines.d, tol=tol):
+        raise Refused(
+            EXIT_CERT_FAILED, "FAIL tight-frame: frame operator is not a multiple of the identity"
+        )
+    n, d = lines.n, lines.d
+    welch = (n - d) / (d * (n - 1))  # alpha^2 of every tight equiangular set
+    welch_residual = abs(cert.alpha**2 - welch)
+    if welch_residual > max(tol, 1e-8):
+        raise Refused(
+            EXIT_CERT_FAILED,
+            "FAIL welch: tight equiangular set violates the extremal angle identity: "
+            f"alpha^2 = {cert.alpha**2}, expected {welch}",
+        )
+    if not action.scalar_kernel_check(lines):
+        raise Refused(
+            EXIT_CERT_FAILED, "FAIL scalar-kernel: some non-scalar unitary fixes every line"
+        )
+    report = {
+        "n": n,
+        "d": d,
+        "alpha": cert.alpha,
+        "max_dev": cert.max_dev,
+        "exact": cert.exact,
+        "welch_residual": welch_residual,
+        "commutant_dimension": 1,
+        "tight": True,
+    }
+    if cert.exact:
+        g = gcd(cert.numerator, cert.denominator)
+        report["alpha_fraction"] = f"{cert.numerator // g}/{cert.denominator // g}"
+    return report
+
+
+def action_payload(lines: lineset.LineSet, tol: float = 1e-8) -> dict:
+    """The payload `action` writes; exit 5 when the symmetries cannot be
+    derived or do not permute the lines."""
+    try:
+        unis = symmetries.symmetry_unitaries(lines)
+        cert = action.action_certificate(lines, unis, tol=tol)
+    except (action.NotASymmetry, RuntimeError, ValueError) as exc:
+        raise Refused(EXIT_ACTION_FAILED, f"action derivation failed: {exc}")
+    return {
+        "n": lines.n,
+        "d": lines.d,
+        "generators": [list(p) for p in cert.generators],
+        "transitive": cert.transitive,
+        "two_transitive": cert.two_transitive,
+        "group_order": cert.group_order,
+        "matched_unitaries": cert.matched_unitaries,
+    }
 
 
 def _manifest(command: str, parameters: dict, seed, tolerances: dict) -> None:
@@ -41,9 +174,12 @@ def _manifest(command: str, parameters: dict, seed, tolerances: dict) -> None:
 def _write(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise Refused(EXIT_PARAMS, f"cannot write {path}: {exc}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -80,184 +216,38 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_construct(args) -> int:
-    from .finfield import HyperplaneType
-    from .fiducial import NotConverged, SearchConfig, orbit_lineset, search_fiducial
-    from .lineset import construct_case_iii, construct_case_iv
-    from .serialize import gram_csv, serialize_lineset
-
-    try:
-        if args.case == "iii":
-            if args.m is None or args.type is None:
-                print("construct --case iii needs --m and --type", file=sys.stderr)
-                return EXIT_PARAMS
-            lines = construct_case_iii(args.m, HyperplaneType(args.type))
-        elif args.case == "iv":
-            if args.p is None or args.m is None or args.eigen is None:
-                print("construct --case iv needs --p, --m and --eigen", file=sys.stderr)
-                return EXIT_PARAMS
-            lines = construct_case_iv(args.p, args.m, HyperplaneType(args.eigen))
-        else:
-            d = 2 if args.case == "i" else 8
-            cfg = SearchConfig(
-                d=d,
-                seed=args.seed,
-                restarts=args.restarts,
-                max_iters=getattr(args, "max_iters"),
-                target_tol=args.tol,
-            )
-            try:
-                v, report = search_fiducial(cfg)
-            except NotConverged as exc:
-                print(f"search did not converge: {exc}", file=sys.stderr)
-                return EXIT_NOT_CONVERGED
-            lines = orbit_lineset(
-                v,
-                d,
-                meta={
-                    "seed": cfg.seed,
-                    "restarts": cfg.restarts,
-                    "max_iters": cfg.max_iters,
-                    "potential": report.best_f,
-                },
-            )
-    except ValueError as exc:
-        print(f"invalid parameters: {exc}", file=sys.stderr)
-        return EXIT_PARAMS
-    except MemoryError as exc:  # numpy names the refused allocation
-        print(f"invalid parameters: line set too large to build: {exc}", file=sys.stderr)
-        return EXIT_PARAMS
-
-    _write(args.out, serialize_lineset(lines))
+def _cmd_construct(args) -> None:
+    kind = args.type if args.case == "iii" else args.eigen
+    lines = construct_lineset(args.case, args.m, args.p, kind, args.seed, args.restarts,
+                              args.max_iters, args.tol)
+    keys = ("case", "m", "p", "type", "eigen", "restarts", "max_iters", "out", "gram_csv")
+    parameters = {k: getattr(args, k) for k in keys}
+    _manifest("construct", parameters, args.seed, {"search_target": args.tol})
+    _write(args.out, serialize.serialize_lineset(lines))
     if args.gram_csv:
-        _write(args.gram_csv, gram_csv(lines))
-    _manifest(
-        "construct",
-        {
-            "case": args.case,
-            "m": args.m,
-            "p": args.p,
-            "type": args.type,
-            "eigen": args.eigen,
-            "restarts": args.restarts,
-            "max_iters": getattr(args, "max_iters"),
-            "out": args.out,
-            "gram_csv": args.gram_csv,
-        },
-        args.seed,
-        {"search_target": args.tol},
-    )
-    return EXIT_OK
+        _write(args.gram_csv, serialize.gram_csv(lines))
 
 
-def _read_lineset(path: str):
-    from .serialize import parse_lineset
-
-    try:
-        with open(path) as fh:
-            text = fh.read()
-    except OSError as exc:
-        print(f"cannot read {path}: {exc}", file=sys.stderr)
-        return None, EXIT_PARAMS
-    try:
-        return parse_lineset(text), EXIT_OK
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
-        print(f"not a lineset JSON file: {exc}", file=sys.stderr)
-        return None, EXIT_PARAMS
-    except ValueError as exc:
-        print(f"FAIL structure: {exc}", file=sys.stderr)
-        return None, EXIT_CERT_FAILED
-
-
-def _cmd_certify(args) -> int:
-    from .action import scalar_kernel_check
-    from .lineset import NotEquiangular, certify_equiangular, certify_tight, gram
-
-    lines, code = _read_lineset(args.input)
-    if lines is None:
-        return code
+def _cmd_certify(args) -> None:
+    lines = read_lineset(args.input)
     _manifest("certify", {"input": args.input}, None, {"tol": args.tol})
-    try:
-        G = gram(lines)
-    except ValueError as exc:
-        print(f"FAIL gram: {exc}", file=sys.stderr)
-        return EXIT_CERT_FAILED
-    try:
-        cert = certify_equiangular(G, tol=args.tol)
-    except NotEquiangular as exc:
-        print(f"FAIL equiangular: {exc}", file=sys.stderr)
-        return EXIT_CERT_FAILED
-    if not certify_tight(G, lines.d, tol=args.tol):
-        print("FAIL tight-frame: frame operator is not a multiple of the identity", file=sys.stderr)
-        return EXIT_CERT_FAILED
-    n, d = lines.n, lines.d
-    welch = (n - d) / (d * (n - 1))  # alpha^2 of every tight equiangular set
-    welch_residual = abs(cert.alpha**2 - welch)
-    if welch_residual > max(args.tol, 1e-8):
-        print(
-            "FAIL welch: tight equiangular set violates the extremal angle identity: "
-            f"alpha^2 = {cert.alpha**2}, expected {welch}",
-            file=sys.stderr,
-        )
-        return EXIT_CERT_FAILED
-    if not scalar_kernel_check(lines):
-        print("FAIL scalar-kernel: some non-scalar unitary fixes every line", file=sys.stderr)
-        return EXIT_CERT_FAILED
-    report = {
-        "n": n,
-        "d": d,
-        "alpha": cert.alpha,
-        "max_dev": cert.max_dev,
-        "exact": cert.exact,
-        "welch_residual": welch_residual,
-        "commutant_dimension": 1,
-        "tight": True,
-    }
-    if cert.exact:
-        from math import gcd
-
-        g = gcd(cert.numerator, cert.denominator)
-        report["alpha_fraction"] = f"{cert.numerator // g}/{cert.denominator // g}"
-    print(f"PASS equiangular: alpha = {cert.alpha:.12g}, max_dev = {cert.max_dev:.3g}")
+    report = certify_report(lines, args.tol)
+    print(f"PASS equiangular: alpha = {report['alpha']:.12g}, max_dev = {report['max_dev']:.3g}")
     print("PASS tight-frame")
-    print(f"PASS welch: |alpha^2 - (n-d)/(d(n-1))| = {welch_residual:.3g}")
+    print(f"PASS welch: |alpha^2 - (n-d)/(d(n-1))| = {report['welch_residual']:.3g}")
     print("PASS scalar-kernel: commutant dimension 1")
     if args.out:
         _write(args.out, json.dumps(report, sort_keys=True) + "\n")
-    return EXIT_OK
 
 
-def _cmd_action(args) -> int:
-    from .action import NotASymmetry, action_certificate
-    from .symmetries import symmetry_unitaries
-
-    lines, code = _read_lineset(args.input)
-    if lines is None:
-        return code
+def _cmd_action(args) -> None:
+    lines = read_lineset(args.input)
     _manifest("action", {"input": args.input}, None, {"tol": args.tol})
-    try:
-        unis = symmetry_unitaries(lines)
-        cert = action_certificate(lines, unis, tol=args.tol)
-    except (NotASymmetry, RuntimeError, ValueError) as exc:
-        print(f"action derivation failed: {exc}", file=sys.stderr)
-        return EXIT_ACTION_FAILED
-    payload = {
-        "n": lines.n,
-        "d": lines.d,
-        "generators": [list(p) for p in cert.generators],
-        "transitive": cert.transitive,
-        "two_transitive": cert.two_transitive,
-        "group_order": cert.group_order,
-        "matched_unitaries": cert.matched_unitaries,
-    }
-    _write(args.out, json.dumps(payload, sort_keys=True) + "\n")
-    return EXIT_OK
+    _write(args.out, json.dumps(action_payload(lines, args.tol), sort_keys=True) + "\n")
 
 
-def _cmd_table(args) -> int:
-    from .lineset import classification_rows
-
-    rows = classification_rows(4096)
+def _cmd_table(args) -> None:
+    rows = lineset.classification_rows(4096)
     header = f"{'case':<5} {'n':>5} {'d':>5} {'d_prime':>8}  command"
     print(header)
     print("-" * len(header))
@@ -277,7 +267,6 @@ def _cmd_table(args) -> int:
             elif row["case"] == "ii" and row["d"] == 8:
                 cmd = "equiline construct --case ii --seed 1"
         print(f"{row['case']:<5} {row['n']:>5} {row['d']:>5} {row['d_prime']:>8}  {cmd}".rstrip())
-    return EXIT_OK
 
 
 def main(argv=None) -> int:
@@ -286,13 +275,14 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    handlers = {
-        "construct": _cmd_construct,
-        "certify": _cmd_certify,
-        "action": _cmd_action,
-        "table": _cmd_table,
-    }
-    return handlers[args.command](args)
+    handlers = {"construct": _cmd_construct, "certify": _cmd_certify, "action": _cmd_action,
+                "table": _cmd_table}
+    try:
+        handlers[args.command](args)
+    except Refused as exc:
+        print(exc.message, file=sys.stderr)
+        return exc.exit_code
+    return EXIT_OK
 
 
 if __name__ == "__main__":

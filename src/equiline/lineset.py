@@ -83,7 +83,7 @@ def _frame_rank(frame: np.ndarray, n: int) -> int:
 
 @dataclass
 class LineSet:
-    """Unit representative columns of n lines spanning C^d.
+    """Unit representative columns of n lines spanning C^d, n > d >= 2.
 
     norms holds the column norms, which must be 1 within NORM_TOL.  frame is
     the d x d frame operator F = V V*, formed once here.  The columns
@@ -109,6 +109,8 @@ class LineSet:
         self.norms = np.linalg.norm(self.vectors, axis=0)
         if np.abs(self.norms - 1.0).max() > NORM_TOL:
             raise ValueError("columns must be unit vectors")
+        if d < 2:
+            raise ValueError("need d >= 2: every unit column of C^1 spans the same line")
         V = self.vectors
         if not V.imag.any():  # real columns: a real product, a quarter of the work
             V = np.ascontiguousarray(V.real)

@@ -177,7 +177,7 @@ def parse_lineset(text: str) -> LineSet:
     Text in the canonical layout has its signs checked on its distinct
     entries only."""
     obj, vectors, distinct = _parse_canonical(text) or (*_parse_json(text), None)
-    meta = obj.get("meta") or {}
+    meta = obj.get("meta", {})
     if not isinstance(meta, dict):
         raise TypeError(f"meta must be a JSON object, got {type(meta).__name__}")
     signs = None

@@ -1,19 +1,30 @@
-"""Byte-level pins of the constructions, the Schrödinger representation and
-the `equiline action` payload.
+"""Byte-level pins of the constructions, the Schrödinger representation, the
+`equiline action` payload and the `equiline certify` report.
 
 The digests are sha256 of the serialized line sets, of the stacked
-representation matrices (with + 0.0 so that signed zeros compare equal) and of
-the action command's stdout.  They hold the output of every family, of every
-representation entry and of every certified group fixed, so a change in how
-translations, displacements or stabilizer chains are built cannot move a byte.
+representation matrices (with + 0.0 so that signed zeros compare equal), of
+the action command's stdout and of the certify command's reports.  They hold
+the output of every family, of every representation entry and of every
+certified group fixed, so a change in how translations, displacements or
+stabilizer chains are built cannot move a byte.  On the same rows the core
+calls of `equiline.cli` must return exactly what the commands write.
 """
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
 
-from equiline.cli import EXIT_OK, main
+from equiline.cli import (
+    EXIT_OK,
+    Refused,
+    action_payload,
+    certify_report,
+    construct_lineset,
+    main,
+    read_lineset,
+)
 from equiline.fiducial import orbit_lineset
 from equiline.finfield import HyperplaneType
 from equiline.heisenberg import group_elements, schroedinger_rep, valid_rep_indices
@@ -132,3 +143,71 @@ def test_search_seed_outputs(tmp_path, capsys):
             digest.update(lines.encode())
             digest.update(capsys.readouterr().out.encode())
     assert digest.hexdigest() == SEARCH_SEED_OUTPUTS
+
+
+# every `construct` argument list pinned above, as the core tests below run it
+CORE_ROWS = sorted({
+    *(("iii", "--m", str(k[1]), "--type", k[2]) for k in CONSTRUCTIONS if k[0] == "iii"),
+    *(("iv", "--p", str(k[1]), "--m", str(k[2]), "--eigen", k[3]) for k in CONSTRUCTIONS
+      if k[0] == "iv"),
+    *ACTIONS,
+    *((case, "--seed", seed) for case, seed in SEARCHES),
+})
+
+# One sha256 over the `certify --out` report, or else the exit code and the
+# stderr line, of every CORE_ROWS set in order.
+CERTIFY_OUTCOMES = "f0251f67f59057f9186095fccc5f6dd51895f7990ae1105d30731c3ed32de958"
+
+
+def _row_id(args) -> str:
+    return "-".join(arg.lstrip("-") for arg in args)
+
+
+def _stderr_lines(capsys) -> list[str]:
+    """The stderr lines captured since the last reading, without the manifest."""
+    return [line for line in capsys.readouterr().err.splitlines() if not line.startswith("manifest")]
+
+
+def test_certify_outcome_bytes(tmp_path, capsys):
+    digest = hashlib.sha256()
+    path, report = tmp_path / "lines.json", tmp_path / "report.json"
+    for args in CORE_ROWS:
+        assert main(["construct", "--case", *args, "--out", str(path)]) == EXIT_OK
+        capsys.readouterr()
+        code = main(["certify", str(path), "--out", str(report)])
+        err = _stderr_lines(capsys)
+        digest.update(report.read_bytes() if code == EXIT_OK else f"{code} {err}\n".encode())
+        report.unlink(missing_ok=True)
+    assert digest.hexdigest() == CERTIFY_OUTCOMES
+
+
+def _core_construct(case, *options):
+    """construct_lineset called with the options of `construct --case case ...`."""
+    given = dict(zip(options[::2], options[1::2]))
+    number = {key: int(given[f"--{key}"]) for key in ("m", "p", "seed") if f"--{key}" in given}
+    return construct_lineset(case, kind=given.get("--type", given.get("--eigen")), **number)
+
+
+def _same_outcome(tmp_path, capsys, argv, core_call) -> None:
+    """`main(argv)` and core_call() write the same bytes to argv's --out or
+    refuse with the same exit code and stderr line."""
+    out = tmp_path / "out.json"
+    capsys.readouterr()
+    code = main([*argv, "--out", str(out)])
+    err = _stderr_lines(capsys)
+    if code == EXIT_OK:
+        assert json.dumps(core_call(), sort_keys=True) + "\n" == out.read_text()
+    else:
+        with pytest.raises(Refused) as refused:
+            core_call()
+        assert (refused.value.exit_code, [refused.value.message]) == (code, err)
+
+
+@pytest.mark.parametrize("args", CORE_ROWS, ids=_row_id)
+def test_core_calls_give_the_command_bytes(tmp_path, capsys, args):
+    path = tmp_path / "lines.json"
+    assert main(["construct", "--case", *args, "--out", str(path)]) == EXIT_OK
+    assert serialize_lineset(_core_construct(*args)) == path.read_text()
+    lines = read_lineset(str(path))
+    _same_outcome(tmp_path, capsys, ["certify", str(path)], lambda: certify_report(lines, 1e-8))
+    _same_outcome(tmp_path, capsys, ["action", str(path)], lambda: action_payload(lines, 1e-8))

@@ -16,7 +16,12 @@ from equiline.cli import (
     EXIT_NOT_CONVERGED,
     EXIT_OK,
     EXIT_PARAMS,
+    Refused,
+    action_payload,
+    certify_report,
+    construct_lineset,
     main,
+    read_lineset,
 )
 from equiline.fiducial import SearchConfig, orbit_lineset, search_fiducial
 from equiline.finfield import HyperplaneType
@@ -201,7 +206,7 @@ def test_cli_certify_rejects_unequal_integer_magnitudes_at_any_tol(tmp_path, cap
 
 
 @pytest.mark.parametrize("command", ["certify", "action"])
-@pytest.mark.parametrize("meta", [[1], "x"])
+@pytest.mark.parametrize("meta", [[1], "x", [], False, 0, "", None])
 def test_cli_rejects_non_object_meta(tmp_path, capsys, command, meta):
     out = tmp_path / "l.json"
     main(["construct", "--case", "iii", "--m", "2", "--type", "minus", "--out", str(out)])
@@ -611,3 +616,170 @@ def test_certify_takes_the_pair_path_off_the_orbit(tmp_path, capsys):
         G = equiline.lineset.gram(parse_lineset(serialize_lineset(lines)))
         assert G.values.shape == (L.n, L.n) and G.orbit_eps is None
         assert _certify_output(tmp_path, capsys, lines) == (code, out, err)
+
+
+def _iii_m2_file(tmp_path, edit=None) -> str:
+    """An iii m=2 minus lineset file, its JSON object first changed by edit."""
+    obj = json.loads(serialize_lineset(construct_case_iii(2, HyperplaneType.MINUS)))
+    if edit is not None:
+        edit(obj)
+    path = tmp_path / "lines.json"
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["construct", "--case", "iii", "--m", "2", "--type", "minus", "--out", "{missing}"],
+        ["construct", "--case", "iv", "--p", "3", "--m", "1", "--eigen", "minus",
+         "--out", "{lines}.copy", "--gram-csv", "{missing}"],
+        ["certify", "{lines}", "--out", "{missing}"],
+        ["action", "{lines}", "--out", "{missing}"],
+    ],
+    ids=["construct", "construct-gram-csv", "certify", "action"],
+)
+def test_cli_refuses_an_unwritable_output_path(tmp_path, capsys, args):
+    lines = _iii_m2_file(tmp_path)
+    missing = tmp_path / "no-such-directory" / "out"
+    capsys.readouterr()
+    assert main([a.format(lines=lines, missing=missing) for a in args]) == EXIT_PARAMS
+    err = capsys.readouterr().err
+    message = f"cannot write {missing}: [Errno 2] No such file or directory: '{missing}'"
+    assert message in err.splitlines() and "Traceback" not in err
+
+
+def _latin1_meta() -> bytes:
+    text = serialize_lineset(construct_case_iii(2, HyperplaneType.MINUS))
+    return text.replace('"meta": {', '"meta": {"note": "caf\xe9", ').encode("latin-1")
+
+
+@pytest.mark.parametrize("command", ["certify", "action"])
+@pytest.mark.parametrize(
+    "content,message",
+    [
+        (_latin1_meta, "not a lineset JSON file: 'utf-8' codec can't decode byte 0xe9 in position"),
+        (lambda: b"[" * 200_000, "not a lineset JSON file: maximum recursion depth exceeded"),
+    ],
+    ids=["not-utf8", "nested-too-deep"],
+)
+def test_cli_refuses_text_it_cannot_decode(tmp_path, capsys, command, content, message):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content())
+    capsys.readouterr()
+    assert main([command, str(path)]) == EXIT_PARAMS
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["certify", "action"])
+def test_cli_refuses_lines_in_c1(tmp_path, capsys, command):
+    # 1, i and -1 are three unit columns of C^1 but all span its one line
+    obj = {"case": None, "n": 3, "d": 1, "params": {}, "vectors": [[[1, 0]], [[0, 1]], [[-1, 0]]],
+           "meta": {}}
+    path = tmp_path / "c1.json"
+    path.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert main([command, str(path)]) == EXIT_CERT_FAILED
+    err = capsys.readouterr().err
+    assert "FAIL structure: need d >= 2: every unit column of C^1 spans the same line" in err
+    with pytest.raises(ValueError, match="need d >= 2"):
+        LineSet(np.array([[1, 1j, -1]]))
+
+
+def _flip_one_sign(obj):
+    obj["vectors"][3][0][0] *= -1  # stays +-1/sqrt(d) but breaks the angle
+
+
+def _stretch_one_entry(obj):
+    obj["vectors"][0][0][0] = 2.0
+
+
+def _garbage(tmp_path) -> str:
+    path = tmp_path / "garbage.json"
+    path.write_text("not json at all")
+    return str(path)
+
+
+def _welch_violation(tmp_path, monkeypatch):
+    lines = read_lineset(_iii_m2_file(tmp_path))
+    wrong = AngleCertificate(alpha=0.5, max_dev=0.0, exact=False)
+    monkeypatch.setattr(equiline.lineset, "certify_equiangular", lambda G, tol: wrong)
+    return certify_report(lines, 1e-8)
+
+
+def _beyond_the_cgroup_limit(tmp_path, monkeypatch):
+    cgroup = tmp_path / "memory.max"
+    cgroup.write_text("4096\n")
+    monkeypatch.setattr(equiline.lineset, "_CGROUP_MEMORY_MAX", cgroup)
+    return construct_lineset("iii", m=2, kind="minus")
+
+
+# each documented refusal of the core calls: (call, exit code, the stderr line
+# the command prints); {tmp} stands for the test's directory
+CORE_REFUSALS = {
+    "missing-file": (
+        lambda tmp, mp: read_lineset(str(tmp / "missing.json")),
+        EXIT_PARAMS,
+        "cannot read {tmp}/missing.json: "
+        "[Errno 2] No such file or directory: '{tmp}/missing.json'",
+    ),
+    "not-json": (
+        lambda tmp, mp: read_lineset(_garbage(tmp)),
+        EXIT_PARAMS,
+        "not a lineset JSON file: Expecting value: line 1 column 1 (char 0)",
+    ),
+    "fail-structure": (
+        lambda tmp, mp: read_lineset(_iii_m2_file(tmp, _stretch_one_entry)),
+        EXIT_CERT_FAILED,
+        "FAIL structure: exact_signs declared but entries are not +-1/sqrt(d)",
+    ),
+    "fail-equiangular": (
+        lambda tmp, mp: certify_report(read_lineset(_iii_m2_file(tmp, _flip_one_sign)), 1e-8),
+        EXIT_CERT_FAILED,
+        "FAIL equiangular: pair (3, 7) deviates from the common angle by 3.472e-01",
+    ),
+    "fail-welch": (
+        _welch_violation,
+        EXIT_CERT_FAILED,
+        "FAIL welch: tight equiangular set violates the extremal angle identity: "
+        "alpha^2 = 0.25, expected 0.1111111111111111",
+    ),
+    "not-converged": (
+        lambda tmp, mp: construct_lineset("i", restarts=2, max_iters=1),
+        EXIT_NOT_CONVERGED,
+        "search did not converge: best f = 0.452578377806 after 2 restarts "
+        "(bound 0.333333333333, target gap 1.0e-10)",
+    ),
+    "missing-parameters": (
+        lambda tmp, mp: construct_lineset("iv", m=1, kind="plus"),
+        EXIT_PARAMS,
+        "construct --case iv needs --p, --m and --eigen",
+    ),
+    "invalid-parameters": (
+        lambda tmp, mp: construct_lineset("iv", m=1, p=4, kind="plus"),
+        EXIT_PARAMS,
+        "invalid parameters: p must be an odd prime, got 4",
+    ),
+    "too-large-for-memory": (
+        _beyond_the_cgroup_limit,
+        EXIT_PARAMS,
+        "invalid parameters: line set too large to build: building its 6 x 16 columns takes "
+        "about 6144 bytes, more than the 4096 bytes of memory available",
+    ),
+    "action-derivation-failed": (
+        lambda tmp, mp: action_payload(read_lineset(_iii_m2_file(tmp, _flip_one_sign)), 1e-8),
+        EXIT_ACTION_FAILED,
+        "action derivation failed: line 3 has 0 near-unit overlaps after the map",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(CORE_REFUSALS))
+def test_core_calls_refuse_with_the_command_line(tmp_path, monkeypatch, capsys, name):
+    call, code, message = CORE_REFUSALS[name]
+    with pytest.raises(Refused) as refused:
+        call(tmp_path, monkeypatch)
+    assert (refused.value.exit_code, refused.value.message) == (code, message.format(tmp=tmp_path))
+    assert str(refused.value) == refused.value.message
+    assert capsys.readouterr() == ("", "")  # the core prints nothing
