@@ -299,14 +299,15 @@ def _component_count(V: np.ndarray, tol: float) -> int:
     overlaps of the columns reached last with those, so a family whose first
     column meets every other costs one d x n product and no n x n matrix.  The
     product is an einsum, as in gram's row: BLAS runs a one-column product
-    many times slower on two threads than on one."""
+    many times slower on two threads than on one.  It reads all of V and
+    keeps the columns not yet reached, which costs less than gathering them."""
     rest = np.arange(V.shape[1])
     components = 0
     while rest.size:
         components += 1
         frontier, rest = rest[:1], rest[1:]
         while frontier.size and rest.size:
-            overlaps = np.einsum("kf,kr->fr", V[:, frontier].conj(), V[:, rest])
+            overlaps = np.einsum("kf,kr->fr", V[:, frontier].conj(), V)[:, rest]
             hit = (np.abs(overlaps) > tol).any(axis=0)
             frontier, rest = rest[hit], rest[~hit]
     return components

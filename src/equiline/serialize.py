@@ -4,18 +4,23 @@ Writing is hand-rolled so output is byte-stable across runs and platforms:
 fixed key order, sorted mapping keys, floats at 17 significant digits (which
 round-trips IEEE doubles exactly), complex entries as [re, im] pairs.
 
-Parsing reads text in exactly that layout in one pass over the vectors block:
-each distinct entry string is converted once, and only where _fmt_float
-prints it back byte for byte.  Any other text (other whitespace or key order,
-`1.0`, `-0`, NaN, ...) goes through the standard json module, so each error
-is the one json and the shape checks give.
+The vectors block is written from a table of the distinct entries and one
+code per entry, through patterns of a few entries each (_text_blocks, the
+one definition of the layout).  Parsing guesses the table and the codes from
+the bytes of the block, converts each distinct entry once, and accepts the
+guess only where the writer prints the block back byte for byte.  Any other
+text (other whitespace or key order, `1.0`, `-0`, NaN, ...) goes through the
+standard json module, so each error is the one json and the shape checks give.
 """
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 import operator
+from collections.abc import Iterable, Iterator
+from itertools import chain
 
 import numpy as np
 
@@ -54,21 +59,121 @@ def _encode(obj) -> str:
     raise ValueError(f"cannot serialize {type(obj).__name__}")
 
 
-def _columns(vectors: np.ndarray) -> list[str]:
-    """The [[re,im],...] text of each column, formatting each distinct entry
-    once (-0.0 and 0.0 merge, and print alike).  Rows of the index are
-    converted one at a time: a whole-matrix tolist() raises peak memory."""
-    values, index = np.unique(vectors.T, return_inverse=True)
-    entries = [f"[{_fmt_float(z.real)},{_fmt_float(z.imag)}]" for z in values.tolist()]
-    return [
-        "[" + ",".join([entries[i] for i in row.tolist()]) + "]"
-        for row in index.reshape(vectors.shape[::-1])
-    ]
+# Entries per block of columns: every array the writer and the reader make
+# besides the codes and the text itself is of this size.
+_BLOCK = 1 << 14
+# Bound on the pattern table: 4 kinds of group times (K + 1)^w patterns.
+_PATTERNS = 1 << 14
+# The longest entry _fmt_float can print: "[" + 24 + "," + 24 + "]".
+_MAX_ENTRY = 51
 
 
-def _layout(obj: dict, block: str) -> str:
-    """The file text of header obj around the vectors block text, joined in
-    one copy (the block can take hundreds of megabytes)."""
+def _block_columns(d: int, n: int) -> int:
+    """Columns per block: at most _BLOCK entries and at most half the set, so
+    a block's arrays stay a fraction of the text at every size."""
+    return max(1, min(_BLOCK, n * d // 2) // d)
+
+
+class _Codes:
+    """Codes 0, 1, 2, ... for int64 keys, found by searchsorted in a sorted
+    copy of the keys seen so far, which grows only when a lookup misses.  A
+    key keeps its code, so the codes of one block stay valid after the
+    next block adds keys."""
+
+    def __init__(self):
+        self.keys = np.empty(0, np.int64)  # by code
+        self._sorted = self.keys
+        self._code = np.empty(0, np.intp)  # code of each sorted key
+
+    def __call__(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The codes of keys, and the flat index into keys of the first
+        occurrence of each key seen for the first time, in code order."""
+        codes = self._find(keys)
+        miss = np.flatnonzero(codes < 0)
+        if not miss.size:
+            return codes, miss
+        new, first, index = np.unique(keys.ravel()[miss], return_index=True, return_inverse=True)
+        codes.ravel()[miss] = self.keys.size + index
+        self.keys = np.concatenate([self.keys, new])
+        self._code = np.argsort(self.keys)
+        self._sorted = self.keys[self._code]
+        return codes, miss[first]
+
+    def _find(self, keys: np.ndarray) -> np.ndarray:
+        if not self.keys.size:
+            return np.full(keys.shape, -1, np.intp)
+        at = np.minimum(np.searchsorted(self._sorted, keys), self.keys.size - 1)
+        return np.where(self._sorted[at] == keys, self._code[at], -1)
+
+
+def _entry_table(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct entries of the d x n matrix V, -0.0 merged with 0.0, and
+    the d x n codes of its entries into them.
+
+    Each real and imaginary part is looked up by its bit pattern, and each
+    entry by the pair of its parts' codes, so nothing complex is sorted.
+    The pair key fits an int64 below 1.5e9 entries."""
+    d, n = V.shape
+    parts, entries = _Codes(), _Codes()
+    radix = 2 * V.size  # more than the number of distinct parts
+    codes = np.empty((d, n), np.intp)
+    cols = _block_columns(d, n)
+    for a in range(0, n, cols):
+        part, _ = parts(np.add(V[:, a : a + cols], 0.0, order="C").view(np.int64))
+        codes[:, a : a + cols] = entries(part[:, 0::2] * radix + part[:, 1::2])[0]
+    real, imag = np.divmod(entries.keys, radix)
+    values = np.empty(real.size, complex)
+    values.real, values.imag = parts.keys[real].view(float), parts.keys[imag].view(float)
+    return values, codes
+
+
+def _text_blocks(tokens: list[str], codes: np.ndarray) -> Iterator[list[str]]:
+    """The vectors block text of the d x n codes into tokens, as one list of
+    pieces per block of columns: column lines joined by ",\n", each
+    "[" + d tokens joined by "," + "]".
+
+    This is the one definition of the layout.  A piece covers a group of w
+    entries of one column, and each group that occurs is formatted once: w
+    is the longest group whose table of (K + 1)^w patterns per kind (K
+    tokens and a pad that fills the last group of a column) stays within
+    _PATTERNS and within the number of groups, so that it never outgrows
+    the text."""
+    d, n = codes.shape
+    base = len(tokens) + 1
+    w = 1
+    while w < d and 4 * base ** (w + 1) <= min(_PATTERNS, n * d // (w + 1)):
+        w += 1
+    groups = -(-d // w)
+    kinds = np.zeros(groups, np.intp)
+    kinds[0] += 1  # opens a column
+    kinds[-1] += 2  # closes it
+    offsets = kinds * base**w
+    radix = base ** np.arange(w)
+    powers = radix.tolist()
+    sep = ["," + t for t in tokens] + [""]
+    table = np.empty(4 * base**w, object)
+    built = np.zeros(table.size, bool)
+    cols = _block_columns(d, n)
+    for a in range(0, n, cols):
+        block = np.full((min(cols, n - a), groups * w), base - 1)
+        block[:, :d] = codes[:, a : a + cols].T
+        keys = (block.reshape(-1, groups, w) @ radix + offsets).ravel()
+        for key in set(keys[~built[keys]].tolist()):
+            kind, rest = divmod(key, base**w)
+            text = "".join([sep[rest // b % base] for b in powers])
+            if kind & 1:
+                text = ",\n[" + text[1:]
+            table[key] = text + "]" if kind & 2 else text
+        built[keys] = True
+        pieces = table[keys].tolist()
+        if not a:
+            pieces[0] = pieces[0][2:]  # no separator before the first column
+        yield pieces
+
+
+def _layout(obj: dict, pieces: Iterable[str]) -> str:
+    """The file text of header obj around the pieces of the vectors block,
+    joined in one copy (the block can take hundreds of megabytes)."""
     head = (
         "{\n"
         f'"case": {_encode(obj["case"])},\n'
@@ -77,7 +182,12 @@ def _layout(obj: dict, block: str) -> str:
         f'"params": {_encode(obj["params"])},\n'
         '"vectors": [\n'
     )
-    return "".join((head, block, f'\n],\n"meta": {_encode(obj["meta"])}\n}}\n'))
+    tail = f'\n],\n"meta": {_encode(obj["meta"])}\n}}\n'
+    return "".join(chain([head], pieces, [tail]))
+
+
+def _token(z: complex) -> str:
+    return f"[{_fmt_float(z.real)},{_fmt_float(z.imag)}]"
 
 
 def serialize_lineset(lines: LineSet) -> str:
@@ -87,10 +197,72 @@ def serialize_lineset(lines: LineSet) -> str:
         k: v for k, v in meta.items() if k not in ("case", "n", "d", "exact_signs")
     }
     header = {"case": meta.get("case"), "n": lines.n, "d": lines.d, "params": params, "meta": meta}
-    return _layout(header, ",\n".join(_columns(lines.vectors)))
+    values, codes = _entry_table(lines.vectors)
+    tokens = [_token(z) for z in values.tolist()]
+    return _layout(header, chain.from_iterable(_text_blocks(tokens, codes)))
 
 
 _OPEN, _CLOSE = '"vectors": [\n', '\n],\n"meta": '
+_PAD = 8 * -(-_MAX_ENTRY // 8)  # whole 8-byte words past an entry's start
+# The mask of the word k of an entry of length m, at _WORD_MASKS[m + _PAD - 8k]:
+# its bytes before the entry's end.
+_WORD_MASKS = np.array(
+    [(1 << 8 * min(max(i - _PAD, 0), 8)) - 1 for i in range(_PAD + _MAX_ENTRY + 1)], np.uint64
+)
+_MIX = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)  # splitmix64
+
+
+def _entry_hash(raw: bytes, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """A 64-bit hash of every byte of each entry raw[start : start + length]:
+    its little-endian words, the bytes past its end masked off, each mixed
+    into the hash with a full avalanche.  raw holds _PAD bytes from each
+    start."""
+    words = -(-int(lengths.max()) // 8)
+    windows = np.ndarray((len(raw) - 8 * words + 1, 8 * words), np.uint8, raw, strides=(1, 1))
+    entries = windows[starts].view("<u8")
+    h = np.zeros(starts.size, np.uint64)
+    for k in range(words):
+        h ^= entries[:, k] & _WORD_MASKS[lengths + (_PAD - 8 * k)]
+        h ^= h >> np.uint64(32)
+        h *= _MIX[0]
+        h ^= h >> np.uint64(29)
+        h *= _MIX[1]
+    return (h ^ (h >> np.uint64(32))).view(np.int64)
+
+
+def _read_block(text: str, begin: int, end: int, count: int, hashes: _Codes,
+                tokens: list[str], values: list[complex]) -> np.ndarray | None:
+    """The codes of the count "[re,im]" entries of text[begin:end], guessed
+    from a hash of each entry's bytes, or None where the text cannot be
+    canonical.  Each entry not seen before is converted once, must print
+    back through _fmt_float as it stands, and extends tokens and values."""
+    try:  # with _PAD bytes past the end; canonical text is ASCII throughout
+        raw = text[begin : end + _PAD].encode("ascii").ljust(end - begin + _PAD, b"\0")
+    except UnicodeEncodeError:
+        return None
+    b = np.frombuffer(raw, np.uint8)
+    starts = np.flatnonzero(b[: end - begin] == ord("["))
+    starts = starts[b[starts + 1] != ord("[")]  # not a column's "["
+    lengths = np.flatnonzero(b[: end - begin] == ord("]"))
+    lengths = lengths[b[lengths - 1] != ord("]")]  # not a column's "]"
+    if not starts.size == lengths.size == count:
+        return None
+    lengths -= starts - 1
+    if not 0 < lengths.min() <= lengths.max() <= _MAX_ENTRY:
+        return None
+    codes, new = hashes(_entry_hash(raw, starts, lengths))
+    for i in new.tolist():
+        token = raw[starts[i] : starts[i] + lengths[i]].decode()
+        real, _, imag = token[1:-1].partition(",")
+        try:
+            z = complex(float(real), float(imag))
+        except ValueError:  # not a number
+            return None
+        if not cmath.isfinite(z) or _token(z) != token:
+            return None
+        tokens.append(token)
+        values.append(z)
+    return codes
 
 
 def _parse_canonical(text: str) -> tuple[dict, np.ndarray, tuple] | None:
@@ -98,9 +270,11 @@ def _parse_canonical(text: str) -> tuple[dict, np.ndarray, tuple] | None:
     text written by serialize_lineset, or None for any other text.
 
     The header and meta are read by json with the vectors block cut out and
-    must print back as they stand.  The block must hold n column lines of d
-    [re,im] entries, and each distinct entry string is converted once and
-    must print back as it stands, as _columns writes it.
+    must print back as they stand.  The codes are guessed from a hash of
+    each entry's bytes, and each distinct entry is converted once and must
+    print back through _fmt_float as it stands.  The guess is then proved:
+    _text_blocks must print the block back byte for byte, which no other
+    text and no hash collision passes.
     """
     start = text.find(_OPEN) + len(_OPEN)
     stop = text.find(_CLOSE, start)
@@ -109,37 +283,39 @@ def _parse_canonical(text: str) -> tuple[dict, np.ndarray, tuple] | None:
     cut = text[:start] + text[stop:]
     try:
         obj = json.loads(cut)
-        if _layout(obj, "") != cut:
+        if _layout(obj, ()) != cut:
             return None
     except (KeyError, TypeError, ValueError):  # JSONDecodeError is a ValueError
         return None
     n, d = obj["n"], obj["d"]
     # n * d entries of more than one character each; this also bounds codes
-    if type(n) is not int or type(d) is not int or not 0 < n * d < len(text):
+    if type(n) is not int or type(d) is not int or not (n > 0 and d > 0 and n * d < len(text)):
         return None
-    cols = text[start:stop].split(",\n")
-    if len(cols) != n:
-        return None
-    table: dict[str, int] = {}
-    codes = np.empty((d, n), dtype=np.intp)
-    for k, col in enumerate(cols):
-        entries = col[2:-2].split("],[")
-        if col[:2] != "[[" or col[-2:] != "]]" or len(entries) != d:
-            return None
-        new = set(entries).difference(table)
-        table.update(zip(new, range(len(table), len(table) + len(new))))
-        codes[:, k] = np.fromiter(map(table.__getitem__, entries), np.intp, d)
-    values = np.empty(len(table), dtype=complex)
-    for entry, k in table.items():
-        real, _, imag = entry.partition(",")
-        try:
-            x, y = float(real), float(imag)
-            if _fmt_float(x) != real or _fmt_float(y) != imag:
+    hashes, tokens, values = _Codes(), [], []
+    codes = np.empty((d, n), np.intp)
+    cols = _block_columns(d, n)
+    pos = start
+    for a in range(0, n, cols):
+        begin, k = pos, min(cols, n - a)
+        last = a + k == n
+        for _ in range(k - last):  # past the ",\n" after each column
+            pos = text.find("\n", pos, stop) + 1
+            if pos < begin + 2:  # not found, or no room for the ","
                 return None
-        except ValueError:  # not a number, or not finite
+        block = _read_block(text, begin, stop if last else pos - 2, k * d, hashes, tokens, values)
+        if block is None:
             return None
-        values[k] = complex(x, y)
-    return obj, values[codes], (values, codes)
+        codes[:, a : a + k] = block.reshape(k, d).T
+    pos = start
+    for pieces in _text_blocks(tokens, codes):
+        block = "".join(pieces)
+        if not text.startswith(block, pos):
+            return None
+        pos += len(block)
+    if pos != stop:
+        return None
+    entries = np.array(values, dtype=complex)
+    return obj, entries[codes], (entries, codes)
 
 
 def _parse_json(text: str) -> tuple[dict, np.ndarray]:
@@ -183,23 +359,25 @@ def parse_lineset(text: str) -> LineSet:
     signs = None
     if meta.get("exact_signs"):
         if distinct is not None:  # canonical entries are finite
-            entries, codes = distinct
-            signs = _exact_signs(entries, obj["d"])[codes]
+            signs = _exact_signs(distinct[0], obj["d"])[distinct[1]]
         elif np.isfinite(vectors).all():  # else LineSet says why
             signs = _exact_signs(vectors, obj["d"])
+    del distinct  # the codes, before LineSet's checks
     return LineSet(vectors, meta, signs=signs)
 
 
 def gram_csv(lines: LineSet) -> str:
     """All n^2 Gram entries as i,j,re,im rows with a header, formatting each
-    distinct entry once (as _columns does)."""
+    distinct entry once.  Every line carries its own i and j, so lines are
+    joined one by one, not as patterns."""
     G = lines.vectors.conj().T @ lines.vectors
-    values, index = np.unique(G, return_inverse=True)
+    values, codes = _entry_table(G.T)  # column i of G.T is row i of G
     entries = [f"{_fmt_float(z.real)},{_fmt_float(z.imag)}" for z in values.tolist()]
+    entries = np.array(entries, object)
     cells = [f"{j}," for j in range(lines.n)]
     rows = ["i,j,re,im"]
-    for i, row in enumerate(index.reshape(G.shape)):
+    for i, row in enumerate(codes.T):
         prefix = f"{i},"
-        pairs = map(operator.add, cells, map(entries.__getitem__, row.tolist()))
+        pairs = map(operator.add, cells, entries[row].tolist())
         rows.append(prefix + ("\n" + prefix).join(pairs))
     return "\n".join(rows) + "\n"

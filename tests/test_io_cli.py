@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -530,6 +531,117 @@ def test_non_canonical_text_takes_the_json_path(build, variant):
 def test_declared_shape_beyond_the_text_allocates_nothing():
     text = serialize_lineset(construct_case_iii(2, HyperplaneType.MINUS))
     changed = text.replace('"d": 6,', f'"d": {10**12},', 1)
+    assert _parse_canonical(changed) is None
+    with pytest.raises(ValueError, match="shape disagrees"):
+        parse_lineset(changed)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: construct_case_iii(2, HyperplaneType.MINUS),
+    lambda: _searched("ii", 1),
+], ids=["iii-m2", "ii-seed1"])
+def test_the_print_back_not_the_hash_decides_the_parse(monkeypatch, build):
+    # with every entry hashed alike the guessed codes are wrong, and the
+    # print-back sends the text to the json path, which gives the same bits
+    text = serialize_lineset(build())
+    honest = parse_lineset(text)
+    monkeypatch.setattr(equiline.serialize, "_entry_hash",
+                        lambda raw, starts, lengths: np.zeros(starts.size, np.int64))
+    assert _parse_canonical(text) is None
+    L = parse_lineset(text)
+    assert np.array_equal(L.vectors.view(np.uint64), _parse_json(text)[1].view(np.uint64))
+    assert np.array_equal(L.vectors.view(np.uint64), honest.vectors.view(np.uint64))
+    assert (L.signs is None) == (honest.signs is None)
+    if honest.signs is not None:
+        assert np.array_equal(L.signs, honest.signs)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: construct_case_iv(3, 1, HyperplaneType.MINUS),
+    lambda: _searched("ii", 1),
+], ids=["iv-p3-m1", "ii-seed1"])
+def test_a_collision_of_entries_of_one_length_is_caught_byte_for_byte(monkeypatch, build):
+    # entries of equal length share a code, so the print-back has the
+    # text's length but not its bytes
+    text = serialize_lineset(build())
+    monkeypatch.setattr(equiline.serialize, "_entry_hash", lambda raw, starts, lengths: lengths)
+    assert _parse_canonical(text) is None
+    L = parse_lineset(text)
+    assert np.array_equal(L.vectors.view(np.uint64), _parse_json(text)[1].view(np.uint64))
+
+
+def test_text_past_the_printed_back_block_takes_the_json_path():
+    # the print-back matches all of the block but its last character
+    text = serialize_lineset(construct_case_iv(3, 1, HyperplaneType.PLUS))
+    changed = text.replace("]\n],\n", "] \n],\n", 1)
+    assert _parse_canonical(changed) is None
+    assert np.array_equal(parse_lineset(changed).vectors, parse_lineset(text).vectors)
+
+
+def test_canonical_text_of_distinct_entries_takes_the_canonical_path():
+    # all n * d entries distinct, so the entry table is as long as the set;
+    # the searched sets of case ii repeat theirs (15 distinct of 512 at seed 1)
+    W = np.random.default_rng(1).normal(size=(8, 64, 2)) @ [1, 1j]
+    L = LineSet(W / np.linalg.norm(W, axis=0), {"seed": 1})
+    text = serialize_lineset(L)
+    fast = _parse_canonical(text)
+    assert fast is not None and len(fast[2][0]) == L.n * L.d
+    _assert_parses_agree(text)
+
+
+def _traced_peak(fn, *args):
+    """fn(*args) and the most memory it held at once, as tracemalloc counts it."""
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+# Peaks of the per-column writer and the one-pass reader that the entry
+# table replaced, measured by _traced_peak (CPython 3.11, numpy 2.4).
+_PER_COLUMN_PEAKS = {"serialize": 28_952_000, "parse": 25_967_000, "ii round trip": 74_900}
+
+
+def test_codec_peaks_on_iii_m5_stay_below_the_per_column_codec():
+    text, peak = _traced_peak(serialize_lineset, construct_case_iii(5, HyperplaneType.MINUS))
+    assert peak <= _PER_COLUMN_PEAKS["serialize"], peak
+    _, peak = _traced_peak(parse_lineset, text)
+    assert peak <= _PER_COLUMN_PEAKS["parse"], peak
+
+
+def test_codec_round_trip_peak_on_a_searched_set_stays_below_the_per_column_codec():
+    L = _searched("ii", 1)
+    parse_lineset(serialize_lineset(L))  # past any first-call set-up
+    _, peak = _traced_peak(lambda: parse_lineset(serialize_lineset(L)))
+    assert peak <= _PER_COLUMN_PEAKS["ii round trip"], peak
+
+
+def test_codec_round_trip_imports_nothing():
+    # a lazily imported module (numpy.ma, behind a plain np.unique) costs a
+    # process about 2 MB of resident memory for nothing
+    script = (
+        "import sys\n"
+        "from equiline.fiducial import SearchConfig, orbit_lineset, search_fiducial\n"
+        "from equiline.serialize import parse_lineset, serialize_lineset\n"
+        "v, _ = search_fiducial(SearchConfig(d=8, seed=1))\n"
+        "L = orbit_lineset(v, 8)\n"
+        "before = set(sys.modules)\n"
+        "parse_lineset(serialize_lineset(L))\n"
+        "print(sorted(set(sys.modules) - before))\n"
+    )
+    src = str(Path(equiline.__file__).parents[1])
+    result = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
+                            capture_output=True, text=True, check=True)
+    assert result.stdout == "[]\n"
+
+
+def test_declared_shape_of_negative_n_and_d_takes_the_json_path():
+    text = serialize_lineset(construct_case_iii(2, HyperplaneType.MINUS))
+    changed = text.replace('"n": 16,', '"n": -16,', 1).replace('"d": 6,', '"d": -6,', 1)
     assert _parse_canonical(changed) is None
     with pytest.raises(ValueError, match="shape disagrees"):
         parse_lineset(changed)
