@@ -5,6 +5,15 @@ character multiplicity, and triviality of the projector commutant.
 Permutations are tuples ``p`` of length n with ``p[i]`` = image of i.
 Composition is ``compose(p, q) = p after q``, matching
 ``induced_permutation(U1 @ U2) == compose(perm(U1), perm(U2))``.
+
+Line i of a constructed set carries the label x_i = lex_digits(p, 2m)[i] in
+F_p^(2m), and the translations T = F_p^(2m) act regularly by x -> x + a.  A
+symmetry normalizes T, so it acts as an affine label map x -> S x + b, and
+the group G of the symmetries is T x| G_0 with G_0 the stabilizer of line 0,
+generated by the linear parts x -> S x.  action_certificate reads each
+generator's map off its permutation, checks it on every label, and builds
+the stabilizer chain of G_0 only: |G| = n |G_0|, G is transitive, and G is
+2-transitive iff G_0 is transitive on the n - 1 lines other than line 0.
 """
 
 from __future__ import annotations
@@ -17,7 +26,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .lineset import LineSet, _frame_rank
+from .heisenberg import lex_digits
+from .lineset import LineSet, _case, _frame_rank
 
 __all__ = [
     "NotASymmetry",
@@ -222,21 +232,60 @@ class ActionCertificate:
     matched_unitaries: int
 
 
+def _unit_translations(p: int, r: int) -> np.ndarray:
+    """Row i: the translation x -> x + e_i of F_p^r on lexicographic indices,
+    e_i the unit label of index p^(r-1-i), which adds p^(r-1-i) to x unless
+    digit i of x is p - 1 and wraps to 0."""
+    x = np.arange(p**r)
+    unit = p ** np.arange(r - 1, -1, -1)[:, None]
+    return x + unit - p * unit * (x // unit % p == p - 1)
+
+
+def _linear_part(perm: Perm, labels: np.ndarray, p: int) -> Perm:
+    """The linear part x -> S x of the permutation perm of the label indices,
+    when perm is the affine map x -> S x + b; raises NotASymmetry otherwise.
+
+    b is the label of perm(0) and column i of S is label(perm(e_i)) - b; the
+    map is checked on all n labels."""
+    g = np.array(perm)
+    r = labels.shape[1]
+    weights = p ** np.arange(r - 1, -1, -1)
+    b = labels[g[0]]
+    image = labels @ ((labels[g[weights]] - b) % p)  # S^T has row i label(perm(e_i)) - b
+    if not np.array_equal((image + b) % p @ weights, g):
+        raise NotASymmetry("a symmetry does not act on the line labels as an affine map")
+    return tuple((image % p @ weights).tolist())
+
+
 def action_certificate(
     lines: LineSet,
     unitaries: Iterable[np.ndarray],
     tol: float = 1e-8,
 ) -> ActionCertificate:
-    """Extract permutations of every unitary and certify the induced group."""
+    """Extract permutations of every unitary and certify the induced group
+    G = T x| G_0 (see the module docstring) from the chain of G_0.
+
+    The lines must carry their construction tag (lineset._case), and the
+    permutations must hold the 2m unit translations (ValueError otherwise)
+    and be affine label maps (NotASymmetry otherwise)."""
     perms = [induced_permutation(lines, U, tol) for U in unitaries]
     if not perms:
         raise ValueError("no unitaries supplied")
-    chain = StabilizerChain(perms)
+    _, p, m = _case(lines)
+    distinct = dict.fromkeys(perms)
+    missing = [i for i, t in enumerate(_unit_translations(p, 2 * m).tolist())
+               if tuple(t) not in distinct]
+    if missing:
+        raise ValueError(f"the unit translations {missing} are not among the symmetries")
+    labels = lex_digits(p, 2 * m)
+    e = identity_perm(lines.n)
+    linear = [s for s in dict.fromkeys(_linear_part(g, labels, p) for g in distinct) if s != e]
+    chain = StabilizerChain(linear or [e])
     return ActionCertificate(
-        generators=tuple(dict.fromkeys(perms)),
-        transitive=chain.transitive,
-        two_transitive=chain.two_transitive,
-        group_order=chain.order,
+        generators=tuple(distinct),
+        transitive=True,
+        two_transitive=len(chain.orbits[1]) == lines.n - 1,
+        group_order=lines.n * chain.order,
         matched_unitaries=len(perms),
     )
 

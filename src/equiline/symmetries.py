@@ -9,9 +9,13 @@ by seeded search for the two fiducial-orbit cases.
 
 The search draws its words as one Generator.integers call per length and one
 per word's letters would, but decodes a block of them from one bulk draw of
-the generator's uint32 stream.  It stops when the orbit of the ordered pair
-(0, 1) holds every pair of distinct lines, that is, when the group is
-2-transitive; the stabilizer chain is left to action_certificate.
+the generator's uint32 stream.  Every Clifford word normalizes the Pauli
+translations, so a word that permutes the lines acts on their labels as an
+affine map x -> S x + b over F_2, whose linear part is the permutation
+x -> g[x] XOR g[0].  With the translations in the group, the group is
+2-transitive iff the linear parts move line 1 to all n - 1 lines other than
+line 0 (see equiline.action), and the search stops when that orbit is full;
+the stabilizer chain is left to action_certificate.
 """
 
 from __future__ import annotations
@@ -20,7 +24,13 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .action import NotASymmetry, Perm, close_permutations, induced_permutation
+from .action import (
+    NotASymmetry,
+    Perm,
+    _unit_translations,
+    close_permutations,
+    induced_permutation,
+)
 from .finfield import (
     HyperplaneType,
     dot2,
@@ -52,7 +62,7 @@ _CLIFFORD_TOL = 1e-8
 # line 0 _CLIFFORD_BLOCK at a time; a block takes at most _CLIFFORD_BLOCK_DRAWS
 # uint32 draws unless some are rejected.
 _CLIFFORD_MAX_LENGTH = 24
-_CLIFFORD_BLOCK = 32
+_CLIFFORD_BLOCK = 64
 _CLIFFORD_BLOCK_DRAWS = _CLIFFORD_BLOCK * (_CLIFFORD_MAX_LENGTH + 1)
 
 
@@ -93,23 +103,20 @@ def _weil_kron(lines: LineSet) -> list[tuple[np.ndarray, np.ndarray]]:
     return out
 
 
-def _qubit_clifford_generators(k: int) -> list[np.ndarray]:
-    h1 = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-    s1 = np.diag([1.0, 1j])
-    gens = []
-    for i in range(k):
-        for g in (h1, s1):
-            M = np.eye(1, dtype=complex)
-            for j in range(k):
-                M = np.kron(M, g if j == i else np.eye(2))
-            gens.append(M)
+def _qubit_clifford_generators(k: int) -> np.ndarray:
+    """The Clifford letters on k qubits as a stack of 2^k x 2^k matrices: H
+    and S on each qubit in turn, then CNOT on each ordered pair of qubits.
+    Qubit i is bit k - 1 - i of the basis index."""
     x = np.arange(1 << k)
-    for ctrl in range(k):
-        for tgt in range(k):
-            if ctrl != tgt:
-                cb, tb = 1 << (k - 1 - ctrl), 1 << (k - 1 - tgt)
-                gens.append(monomial_matrix(x ^ np.where(x & cb, tb, 0), 1.0 + 0j))
-    return gens
+    bit = (1 << np.arange(k - 1, -1, -1))[:, None, None]
+    # <x|H_i|y> = (-1)^(x_i y_i) / sqrt(2) where x and y agree off bit i
+    sign = np.where(x[:, None] & x & bit, -1.0, 1.0)
+    h = np.where((x[:, None] ^ x) & ~bit == 0, sign / np.sqrt(2), 0.0)
+    s = monomial_matrix(np.broadcast_to(x, h.shape[:2]), np.where(x & bit[:, 0], 1j, 1.0))
+    pairs = [(c, t) for c in range(k) for t in range(k) if c != t]
+    ctrl, tgt = np.array(pairs, dtype=int).reshape(-1, 2).T
+    cnot = monomial_matrix(x ^ np.where(x & bit[ctrl, 0], bit[tgt, 0], 0), 1.0 + 0j)
+    return np.concatenate((np.stack((h, s), axis=1).reshape(-1, len(x), len(x)), cnot))
 
 
 def _bounded(x: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
@@ -127,30 +134,35 @@ def _decode_words(raw: np.ndarray, letters: int, count: int) -> tuple[np.ndarray
     with the index `letters`; returns the words and the draws they use, or
     None if raw runs out first."""
     x = raw.astype(np.uint64)
-    lengths, length_at = _bounded(x, _CLIFFORD_MAX_LENGTH - 3)
-    values, letter_at = _bounded(x, letters)
-    # the first kept draw at or after each position, as an index into *_at
-    # (the position itself when no draw is rejected, the common case)
+    lengths, length_kept = _bounded(x, _CLIFFORD_MAX_LENGTH - 3)
+    values, letter_kept = _bounded(x, letters)
+    # for each kind of draw: the first kept draw at or after each position, as
+    # an index into the kept draws, and the position of each kept draw; both
+    # are the position itself when no draw is rejected, the common case
     everywhere = range(len(x) + 1)
-    first_length, first_letter = (
-        everywhere if len(at) == len(x) else np.searchsorted(at, everywhere).tolist()
-        for at in (length_at, letter_at)
+    (first_length, length_at), (first_letter, letter_at) = (
+        (everywhere, everywhere) if len(kept) == len(x)
+        else (np.searchsorted(kept, everywhere).tolist(), kept.tolist())
+        for kept in (length_kept, letter_kept)
     )
+    sizes_at = (lengths + 4).tolist()
     starts, sizes, used = [], [], 0
     for _ in range(count):
         i = first_length[used]
-        if i == len(length_at):
+        if i == len(length_kept):
             return None
-        at = int(length_at[i])
-        start, size = first_letter[at + 1], 4 + int(lengths[at])
-        if start + size > len(letter_at):
+        at = length_at[i]
+        start, size = first_letter[at + 1], sizes_at[at]
+        if start + size > len(letter_kept):
             return None
         starts.append(start)
         sizes.append(size)
-        used = int(letter_at[start + size - 1]) + 1
+        used = letter_at[start + size - 1] + 1
     cols = np.arange(_CLIFFORD_MAX_LENGTH)
     valid = cols < np.array(sizes)[:, None]
-    picks = letter_at[np.where(valid, np.array(starts)[:, None] + cols, 0)]
+    picks = np.where(valid, np.array(starts)[:, None] + cols, 0)
+    if len(letter_kept) < len(x):
+        picks = letter_kept[picks]
     return np.where(valid, values[picks], letters), used
 
 
@@ -172,39 +184,37 @@ def _clifford_words(rng: np.random.Generator, letters: int) -> Iterator[np.ndarr
         yield words
 
 
-class _PairOrbit:
-    """The orbit of the ordered pair (0, 1) under the group generated by the
-    permutations added so far, as an n x n mask; the group is 2-transitive iff
-    the orbit holds all n (n - 1) pairs of distinct points.
+class _LineOrbit:
+    """The orbit of line 1 under the group generated by the permutations added
+    so far, all of which fix line 0, as a mask of the n lines; with the
+    translations, the group they generate is 2-transitive iff the orbit holds
+    the n - 1 lines other than line 0 (`complete`).
 
-    Each `add` applies the new generator to every pair reached, then every
-    generator to the pairs each round first reaches, one generator at a time,
-    so no temporary is larger than one generator's image of a frontier."""
+    Each `add` applies the new permutation to every line reached, then every
+    permutation to the lines each round first reaches."""
 
     def __init__(self, n: int):
-        self.n = n
+        self.n, self.size = n, 1
         self.gens: list[np.ndarray] = []
-        self.reach = np.zeros((n, n), dtype=bool)
-        if n >= 2:
-            self.reach[0, 1] = True
+        self.reach = np.zeros(n, dtype=bool)
+        self.reach[1] = True
 
     @property
-    def two_transitive(self) -> bool:
-        return self.n >= 2 and np.count_nonzero(self.reach) == self.n * (self.n - 1)
+    def complete(self) -> bool:
+        return self.size == self.n - 1
 
-    def add(self, perm: Perm) -> None:
-        g = np.array(perm, dtype=np.intp)
-        self.gens.append(g)
-        frontier, movers = np.nonzero(self.reach), [g]
-        while frontier[0].size:
+    def add(self, perm: np.ndarray) -> None:
+        self.gens.append(perm)
+        frontier, movers = np.flatnonzero(self.reach), [perm]
+        while frontier.size:
             reached = []
-            for p in movers:
-                a, b = p[frontier[0]], p[frontier[1]]
-                new = ~self.reach[a, b]
-                a, b = a[new], b[new]
-                self.reach[a, b] = True
-                reached.append((a, b))
-            frontier, movers = tuple(map(np.concatenate, zip(*reached))), self.gens
+            for g in movers:
+                image = g[frontier]
+                image = image[~self.reach[image]]
+                self.reach[image] = True
+                reached.append(image)
+            frontier, movers = np.concatenate(reached), self.gens
+            self.size += frontier.size
 
 
 def _line0_candidates(lines: LineSet, stack: np.ndarray, words: np.ndarray, tol: float) -> np.ndarray:
@@ -214,10 +224,10 @@ def _line0_candidates(lines: LineSet, stack: np.ndarray, words: np.ndarray, tol:
     A word fails induced_permutation's line-0 test unless some overlap reaches
     1 - tol; the 1e-6 margin is far above the rounding of a few dozen 8 x 8
     products, so a word dropped here fails the exact test too."""
-    x = np.broadcast_to(lines.vectors[:, 0], (len(words), lines.d))
+    x = np.broadcast_to(lines.vectors[:, :1], (len(words), lines.d, 1))
     for letter in words.T:
-        x = np.einsum("wij,wj->wi", stack[letter], x)
-    return (np.abs(x.conj() @ lines.vectors) >= 1.0 - tol - 1e-6).any(axis=1)
+        x = np.matmul(stack[letter], x)
+    return (np.abs(x[..., 0].conj() @ lines.vectors) >= 1.0 - tol - 1e-6).any(axis=1)
 
 
 def _clifford_symmetries(lines: LineSet) -> list[np.ndarray]:
@@ -225,36 +235,35 @@ def _clifford_symmetries(lines: LineSet) -> list[np.ndarray]:
     stopping once, together with the translations, they act 2-transitively.
 
     The words are drawn and tested at line 0 a block at a time; each word that
-    passes is multiplied out and matched by induced_permutation, in draw order.
-    The stop test is the orbit of the pair (0, 1) (_PairOrbit), so the one
-    stabilizer chain is the one action_certificate builds."""
+    passes is multiplied out and matched by induced_permutation, in draw
+    order.  The stop test is the orbit of line 1 under the linear
+    parts of the words kept (_LineOrbit), so the one stabilizer chain is the
+    one action_certificate builds.  The translations are the unit label
+    translations, so the permutations of theirs that the scan skips are
+    label arithmetic."""
     k = lines.d.bit_length() - 1
-    gens = _qubit_clifford_generators(k)
-    stack = np.stack(gens + [np.eye(lines.d, dtype=complex)])  # the last pads words
-    blocks = _clifford_words(np.random.default_rng(CLIFFORD_SEARCH_SEED), len(gens))
-    perms = [induced_permutation(lines, U, _CLIFFORD_TOL) for U in translation_unitaries(lines)]
-    orbit = _PairOrbit(lines.n)
-    for perm in perms:
-        orbit.add(perm)
+    letters = _qubit_clifford_generators(k)
+    stack = np.concatenate((letters, np.eye(lines.d, dtype=complex)[None]))  # the last pads words
+    blocks = _clifford_words(np.random.default_rng(CLIFFORD_SEARCH_SEED), len(letters))
+    seen: set[Perm] = set(map(tuple, _unit_translations(2, 2 * k).tolist()))
+    orbit = _LineOrbit(lines.n)
     found: list[np.ndarray] = []
-    seen: set[Perm] = set(perms)
     for start in range(0, _CLIFFORD_MAX_TRIALS, _CLIFFORD_BLOCK):
-        if orbit.two_transitive:
-            return found
         words = next(blocks)[: _CLIFFORD_MAX_TRIALS - start]
         for word in words[_line0_candidates(lines, stack, words, _CLIFFORD_TOL)]:
             U = np.eye(lines.d, dtype=complex)
-            for idx in word[word < len(gens)]:
-                U = gens[idx] @ U
+            for letter in word[word < len(letters)].tolist():
+                U = stack[letter] @ U
             try:
                 perm = induced_permutation(lines, U, _CLIFFORD_TOL)
             except NotASymmetry:
                 continue
             if perm not in seen:
                 seen.add(perm)
-                orbit.add(perm)
+                g = np.array(perm)
+                orbit.add(g ^ g[0])  # labels add by XOR
                 found.append(U)
-                if orbit.two_transitive:
+                if orbit.complete:
                     return found
     raise RuntimeError(
         f"Clifford scan exhausted {_CLIFFORD_MAX_TRIALS} trials without 2-transitivity"

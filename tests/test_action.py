@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import equiline
+from equiline import action
 from equiline.action import (
     NotAProjector,
     NotASymmetry,
@@ -21,12 +27,12 @@ from equiline.action import (
     two_transitivity,
 )
 from equiline.action import _component_count
-from equiline.cli import EXIT_OK, main
+from equiline.cli import EXIT_OK, construct_lineset, main
 from equiline.fiducial import SearchConfig, orbit_lineset, search_fiducial
 from equiline.finfield import HyperplaneType
 from equiline.heisenberg import commutant_dimension
 from equiline.lineset import LineSet, construct_case_iii, construct_case_iv
-from equiline.symmetries import symmetry_unitaries, translation_unitaries
+from equiline.symmetries import geometry_unitaries, symmetry_unitaries, translation_unitaries
 
 
 def rand_perm(rng, n):
@@ -259,8 +265,9 @@ def test_action_certificate_full_symmetries():
 
 
 def test_action_command_builds_one_chain(tmp_path, monkeypatch):
-    # the Clifford scan stops by its pair orbit; the one chain is the
-    # certificate's
+    # the Clifford scan stops by its orbit of line 1; the one chain is the
+    # certificate's, on the linear parts of the three words it keeps (the
+    # six translations have the identity as linear part)
     path = str(tmp_path / "lines.json")
     assert main(["construct", "--case", "ii", "--seed", "1", "--out", path]) == EXIT_OK
     built = []
@@ -272,7 +279,95 @@ def test_action_command_builds_one_chain(tmp_path, monkeypatch):
 
     monkeypatch.setattr(StabilizerChain, "__init__", counting_init)
     assert main(["action", path]) == EXIT_OK
-    assert built == [9]
+    assert built == [3]
+
+
+# every row of tests/test_golden.py, iv (5, 2), and the search seeds 1-20
+G0_ROWS = [
+    *(("iii", {"m": m, "kind": kind}) for m in (2, 3) for kind in ("minus", "plus")),
+    *(("iv", {"p": p, "m": m, "kind": kind}) for p, m in ((3, 1), (5, 1), (3, 2))
+      for kind in ("minus", "plus")),
+    ("iv", {"p": 5, "m": 2, "kind": "minus"}),
+    *((case, {"seed": seed}) for case in ("i", "ii") for seed in range(1, 21)),
+]
+
+
+def _chain_claims(chain):
+    return chain.order, chain.transitive, chain.two_transitive
+
+
+def _certificate_claims(cert):
+    return cert.group_order, cert.transitive, cert.two_transitive
+
+
+@pytest.mark.parametrize("case,params", G0_ROWS,
+                         ids=["-".join(map(str, (c, *kw.values()))) for c, kw in G0_ROWS])
+def test_g0_certificate_matches_the_full_chain(case, params):
+    L = construct_lineset(case, **params)
+    unis = symmetry_unitaries(L)
+    chain = StabilizerChain([induced_permutation(L, U) for U in unis])
+    assert _certificate_claims(action_certificate(L, unis)) == _chain_claims(chain)
+    assert chain.two_transitive
+
+
+@pytest.mark.parametrize("build", [
+    lambda: construct_case_iii(2, HyperplaneType.MINUS),
+    lambda: construct_case_iii(3, HyperplaneType.PLUS),
+    lambda: construct_case_iv(3, 2, HyperplaneType.MINUS),
+])
+def test_g0_certificate_matches_the_full_chain_on_subgroups(build):
+    # the translations with the first j geometry symmetries: transitive
+    # groups that are not all 2-transitive
+    L = build()
+    translations, geometry = translation_unitaries(L), geometry_unitaries(L)
+    seen = set()
+    for j in range(4):
+        unis = translations + geometry[:j]
+        chain = StabilizerChain([induced_permutation(L, U) for U in unis])
+        assert _certificate_claims(action_certificate(L, unis)) == _chain_claims(chain)
+        seen.add(chain.two_transitive)
+    assert False in seen
+
+
+def test_action_certificate_rejects_a_symmetry_that_is_not_affine(monkeypatch):
+    # a permutation that fixes line 0 and swaps lines 1 and 2 only is no
+    # affine map of F_2^4: it would fix e_1 + e_3 (line 5) but move e_3
+    L = construct_case_iii(2, HyperplaneType.MINUS)
+    marker = np.eye(L.d)
+    real = action.induced_permutation
+
+    def induced(lines, unitary, tol=1e-8):
+        return (0, 2, 1, *range(3, L.n)) if unitary is marker else real(lines, unitary, tol)
+
+    monkeypatch.setattr(action, "induced_permutation", induced)
+    with pytest.raises(NotASymmetry, match="affine"):
+        action_certificate(L, [*translation_unitaries(L), marker])
+
+
+def test_action_certificate_requires_the_unit_translations():
+    L = construct_case_iii(2, HyperplaneType.MINUS)
+    with pytest.raises(ValueError, match=r"unit translations \[0, 1, 2, 3\]"):
+        action_certificate(L, geometry_unitaries(L))
+    unis = symmetry_unitaries(L)
+    with pytest.raises(ValueError, match=r"unit translations \[1\]"):
+        action_certificate(L, unis[:1] + unis[2:])
+
+
+def test_action_payload_imports_nothing():
+    # a lazily imported module (numpy.ma, behind a plain np.unique) costs a
+    # process about 2 MB of resident memory for nothing
+    script = (
+        "import sys\n"
+        "import equiline.cli\n"
+        "lines = equiline.cli.construct_lineset('ii', seed=1)\n"
+        "before = set(sys.modules)\n"
+        "equiline.cli.action_payload(lines)\n"
+        "print(sorted(set(sys.modules) - before))\n"
+    )
+    src = str(Path(equiline.__file__).parents[1])
+    result = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
+                            capture_output=True, text=True, check=True)
+    assert result.stdout == "[]\n"
 
 
 def test_action_certificate_requires_input():

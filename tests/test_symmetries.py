@@ -7,6 +7,8 @@ import pytest
 from equiline.action import (
     NotASymmetry,
     StabilizerChain,
+    _linear_part,
+    _unit_translations,
     action_certificate,
     induced_permutation,
     is_transitive,
@@ -25,7 +27,7 @@ from equiline.heisenberg import check_unitary, lex_digits, lex_index, monomial_m
 from equiline.lineset import LineSet, construct_case_iii, construct_case_iv
 from equiline.symmetries import (
     CLIFFORD_SEARCH_SEED,
-    _PairOrbit,
+    _LineOrbit,
     _clifford_words,
     _decode_words,
     _line0_candidates,
@@ -81,6 +83,25 @@ def test_translations_act_freely_and_transitively(build):
     assert len(gens) == r
     for i, U in enumerate(gens):
         assert np.array_equal(U, unis[p ** (r - 1 - i)])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: construct_case_iii(2, MINUS),
+        lambda: construct_case_iii(3, PLUS),
+        lambda: construct_case_iv(3, 1, MINUS),
+        lambda: construct_case_iv(3, 2, PLUS),
+        lambda: construct_case_iv(5, 1, MINUS),
+        lambda: seeded_orbit(2),
+        lambda: seeded_orbit(8),
+    ],
+)
+def test_unit_translations_are_the_translation_permutations(build):
+    L = build()
+    p = L.meta.get("p", 2)
+    expected = [induced_permutation(L, U) for U in translation_unitaries(L)]
+    assert [tuple(t) for t in _unit_translations(p, len(expected)).tolist()] == expected
 
 
 def test_translation_generators_are_unitary():
@@ -307,67 +328,78 @@ def test_word_blocks_draw_more_after_rejections():
     assert np.array_equal(words, expected)
 
 
+def _affine_perm(S, b, p):
+    """x -> S x + b on the lexicographic indices of F_p^k."""
+    labels = lex_digits(p, len(b))
+    return tuple(lex_index(labels @ np.asarray(S).T + b, p).tolist())
+
+
 def _agl1(p):
-    """x -> x + 1 and x -> g x on F_p, g a primitive root."""
+    """T x| H = AGL(1, p): x -> x + 1, then x -> g x + 1 for g a primitive root."""
     g = next(g for g in range(2, p) if len({pow(g, k, p) for k in range(p - 1)}) == p - 1)
-    return [tuple((x + 1) % p for x in range(p)), tuple(g * x % p for x in range(p))]
+    return 1, p, [_affine_perm([[g]], [1], p)]
 
 
-def _cyclic(n):
-    return [tuple((x + 1) % n for x in range(n))]
+def _agl2_subgroup(rng, k):
+    """1-3 affine maps of F_2^k with random translation parts: linear parts
+    that are random invertible matrices (mostly generating GL(k, 2)) or, half
+    the time, upper unitriangular ones, which fix the line of e_0."""
+    upper = rng.random() < 0.5
+    gens = []
+    while len(gens) < int(rng.integers(1, 4)):
+        S = rng.integers(0, 2, size=(k, k))
+        if upper:
+            S = np.triu(S, 1) + np.eye(k, dtype=int)
+        if round(np.linalg.det(S)) % 2:
+            gens.append(_affine_perm(S, rng.integers(0, 2, size=k), 2))
+    return k, 2, gens
 
 
-def _dihedral(n):
-    return _cyclic(n) + [tuple(-x % n for x in range(n))]
+def _seeded_agl2_subgroups(seed, count):
+    rng = np.random.default_rng(seed)
+    return [_agl2_subgroup(rng, int(rng.integers(2, 5))) for _ in range(count)]
 
 
-def _symmetric(n):
-    return _cyclic(n) + [(1, 0, *range(2, n))]
+# T x| H as (k, p, generators of H as affine maps): AGL(1, p), then seeded
+# subgroups of AGL(k, 2), 2 <= k <= 4
+PAIR_ORBIT_GROUPS = [*(_agl1(p) for p in (5, 7, 11)), *_seeded_agl2_subgroups(61, 16)]
 
 
-PAIR_ORBIT_GROUPS = [
-    [(0,)],
-    [(0, 1)],
-    [(1, 0)],
-    [(1, 2, 0)],
-    [(0, 2, 1)],
-    [(1, 2, 0), (0, 2, 1)],
-    *(_cyclic(n) for n in (4, 5, 8)),
-    *(_dihedral(n) for n in (4, 5, 6, 9)),
-    *(_agl1(p) for p in (5, 7, 11)),
-    *(_symmetric(n) for n in (4, 6, 9)),
-]
-
-
-def _pair_orbit_agrees_with_chain(gens):
-    orbit = _PairOrbit(len(gens[0]))
-    for k, g in enumerate(gens, 1):
-        orbit.add(g)
-        assert orbit.two_transitive == StabilizerChain(gens[:k]).two_transitive, gens[:k]
-    return orbit.two_transitive
+def _line_orbit_agrees_with_chain(k, p, gens):
+    """The scan's stop rule, the orbit of line 1 under the linear parts of
+    gens, is full exactly when the chain of the translations and gens is
+    2-transitive, after every added generator."""
+    translations = [tuple(t) for t in _unit_translations(p, k).tolist()]
+    labels = lex_digits(p, k)
+    orbit = _LineOrbit(p**k)
+    assert orbit.complete == StabilizerChain(translations).two_transitive
+    for j, g in enumerate(gens, 1):
+        linear = _linear_part(g, labels, p)
+        if p == 2:  # the scan's form: labels add by XOR
+            assert linear == tuple((np.array(g) ^ g[0]).tolist())
+        orbit.add(np.array(linear))
+        assert orbit.complete == StabilizerChain(translations + gens[:j]).two_transitive, gens[:j]
+    return orbit.complete
 
 
 @pytest.mark.parametrize("gens", PAIR_ORBIT_GROUPS)
 def test_pair_orbit_stop_rule_matches_the_chain_on_known_groups(gens):
-    _pair_orbit_agrees_with_chain(gens)
+    # the orbit of the pair (0, 1) holds every pair of distinct lines iff
+    # that of line 1 under the line-0 stabilizer holds every line but 0
+    _line_orbit_agrees_with_chain(*gens)
 
 
 def test_pair_orbit_stop_rule_matches_the_chain_on_random_generators():
     rng = np.random.default_rng(29)
     outcomes = set()
-    for _ in range(150):
-        n = int(rng.integers(1, 10))
-        gens = []
-        for _ in range(int(rng.integers(1, 4))):
-            # a random permutation, or one moving only a few points
-            perm = rng.permutation(n)
-            if rng.random() < 0.6:
-                keep = rng.random(n) < 0.6
-                perm = np.arange(n)
-                moved = np.flatnonzero(~keep)
-                perm[moved] = rng.permutation(moved)
-            gens.append(tuple(int(x) for x in perm))
-        outcomes.add(_pair_orbit_agrees_with_chain(gens))
+    for _ in range(100):
+        k, p, gens = _agl2_subgroup(rng, int(rng.integers(1, 5)))
+        outcomes.add(_line_orbit_agrees_with_chain(k, p, gens))
+    for p in (3, 5, 7, 11, 13):  # subgroups x -> a x + b of AGL(1, p)
+        for _ in range(10):
+            gens = [_affine_perm([[int(rng.integers(1, p))]], [int(rng.integers(p))], p)
+                    for _ in range(int(rng.integers(1, 3)))]
+            outcomes.add(_line_orbit_agrees_with_chain(1, p, gens))
     assert outcomes == {True, False}
 
 
@@ -386,12 +418,29 @@ def test_scan_allocates_little():
     assert peak < 1 << 18
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_clifford_letters_are_the_kron_products(k):
+    one = {"h": np.array([[1, 1], [1, -1]]) / np.sqrt(2), "s": np.diag([1, 1j]),
+           "x": np.array([[0, 1], [1, 0]]), "0": np.diag([1, 0]), "1": np.diag([0, 1])}
+
+    def kron(gates):  # gates: qubit -> name, the identity elsewhere
+        M = np.eye(1)
+        for j in range(k):
+            M = np.kron(M, one[gates[j]] if j in gates else np.eye(2))
+        return M
+
+    expected = [kron({i: g}) for i in range(k) for g in "hs"]
+    expected += [kron({c: "0"}) + kron({c: "1", t: "x"})  # CNOT, control c, target t
+                 for c in range(k) for t in range(k) if c != t]
+    assert np.array_equal(_qubit_clifford_generators(k), np.array(expected))
+
+
 def test_line0_filter_keeps_every_word_the_exact_test_accepts():
     v, _ = search_fiducial(SearchConfig(d=8, seed=1))
     L = orbit_lineset(v, 8)
     V = L.vectors
     gens = _qubit_clifford_generators(3)
-    stack = np.stack(gens + [np.eye(8, dtype=complex)])
+    stack = np.concatenate((gens, np.eye(8, dtype=complex)[None]))
     words = _scan_words(len(gens), 2000)
     kept = _line0_candidates(L, stack, words, 1e-8)
     # induced_permutation's line-0 test, one word at a time
