@@ -171,13 +171,23 @@ def _manifest(command: str, parameters: dict, seed, tolerances: dict) -> None:
     print("manifest: " + json.dumps(payload, sort_keys=True), file=sys.stderr)
 
 
+# Characters handed to a text stream at a time: the stream encodes each
+# write whole, so one write of a whole line set would copy all of it.
+_WRITE_SLICE = 1 << 18
+
+
+def _write_slices(fh, text: str) -> None:
+    for start in range(0, len(text), _WRITE_SLICE):
+        fh.write(text[start : start + _WRITE_SLICE])
+
+
 def _write(path: str | None, text: str) -> None:
     if path is None or path == "-":
-        sys.stdout.write(text)
+        _write_slices(sys.stdout, text)
         return
     try:
         with open(path, "w") as fh:
-            fh.write(text)
+            _write_slices(fh, text)
     except OSError as exc:
         raise Refused(EXIT_PARAMS, f"cannot write {path}: {exc}")
 

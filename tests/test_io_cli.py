@@ -21,6 +21,7 @@ from equiline.cli import (
     action_payload,
     certify_report,
     construct_lineset,
+    _write,
     main,
     read_lineset,
 )
@@ -759,6 +760,19 @@ def test_cli_refuses_an_unwritable_output_path(tmp_path, capsys, args):
     err = capsys.readouterr().err
     message = f"cannot write {missing}: [Errno 2] No such file or directory: '{missing}'"
     assert message in err.splitlines() and "Traceback" not in err
+
+
+@pytest.mark.parametrize("to_stdout", [False, True], ids=["out", "stdout"])
+def test_writing_a_large_text_holds_no_copy_of_it(tmp_path, monkeypatch, to_stdout):
+    # a text stream encodes each write whole, so one write of a line set
+    # would hold an encoded copy as large as the file (211 MB at iii m=6)
+    text = "".join(f"{i:07d}\n" for i in range(1 << 20))  # 8 MiB
+    out, stdout = tmp_path / "out.txt", tmp_path / "stdout.txt"
+    with open(stdout, "w") as stream:
+        monkeypatch.setattr(sys, "stdout", stream)
+        _, peak = _traced_peak(_write, None if to_stdout else str(out), text)
+    assert (stdout if to_stdout else out).read_text() == text
+    assert peak < len(text) // 8, peak
 
 
 def _latin1_meta() -> bytes:

@@ -323,6 +323,51 @@ def test_translations_compose_by_label_difference(build, p, m):
     assert np.abs(lam - lam[..., :1]).max() < 1e-12
 
 
+def _traced_peak(fn, *args):
+    """fn(*args) and the most memory it held at once, as tracemalloc counts it."""
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+# The peak of LineSet's checks on iii m=5 minus when real columns took their
+# norms through a complex V.conj() * V and their frame through a .conj()
+# copy, measured by _traced_peak (CPython 3.11, numpy 2.4): the size of the
+# complex columns.
+_COMPLEX_TEMPORARIES_PEAK = 8_143_608
+
+
+def test_lineset_checks_of_real_columns_stay_below_the_complex_temporaries():
+    # one real copy (half the complex columns) and the d x d frame with its
+    # Gershgorin temporary come to 3/4 of the complex columns
+    L = construct_case_iii(5, MINUS)
+    checked, peak = _traced_peak(LineSet, L.vectors, L.meta, L.signs)
+    assert peak <= 0.8 * _COMPLEX_TEMPORARIES_PEAK, peak
+    assert np.abs(checked.frame - L.n / L.d * np.eye(L.d)).max() <= 1e-12
+    assert np.abs(checked.norms - 1.0).max() <= 1e-12
+
+
+@pytest.mark.parametrize("imag", [0.0, 1e-3], ids=["real", "complex"])
+def test_lineset_messages_on_real_and_complex_columns(imag):
+    cols = np.array([[1.0, 0.0, 0.6], [0.0, 1.0, 0.8]]) + 1j * imag
+    cols /= np.linalg.norm(cols, axis=0)
+    with pytest.raises(ValueError, match="columns must be unit vectors"):
+        LineSet(2.0 * cols)
+    with pytest.raises(ValueError, match="columns must be finite"):
+        LineSet(np.where(cols == cols[0, 0], np.inf, cols))
+    flat = np.vstack([cols, np.zeros((1, 3))])  # three columns in a plane of C^3, n = d
+    with pytest.raises(ValueError, match="need more lines than dimensions"):
+        LineSet(flat)
+    with pytest.raises(SpanDeficient, match="rank 2 < d = 3"):
+        LineSet(np.hstack([flat, flat[:, :1]]))
+    assert LineSet(cols).frame.dtype == (np.float64 if imag == 0.0 else complex)
+
+
 def test_row_certificate_stays_below_the_pair_gram_in_memory():
     # the n x n float Gram alone is n^2 * 8 bytes; the row path never forms it
     L = construct_case_iii(5, MINUS)
