@@ -245,7 +245,8 @@ def _clifford_symmetries(lines: LineSet) -> list[np.ndarray]:
     letters = _qubit_clifford_generators(k)
     stack = np.concatenate((letters, np.eye(lines.d, dtype=complex)[None]))  # the last pads words
     blocks = _clifford_words(np.random.default_rng(CLIFFORD_SEARCH_SEED), len(letters))
-    seen: set[Perm] = set(map(tuple, _unit_translations(2, 2 * k).tolist()))
+    # a word acting as the identity or as a unit translation adds nothing
+    seen: set[Perm] = {tuple(range(lines.n)), *map(tuple, _unit_translations(2, 2 * k).tolist())}
     orbit = _LineOrbit(lines.n)
     found: list[np.ndarray] = []
     for start in range(0, _CLIFFORD_MAX_TRIALS, _CLIFFORD_BLOCK):

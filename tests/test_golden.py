@@ -54,9 +54,12 @@ ORBITS = {
     8: "c8351da2acc13c8f918c4ea2f39ea2c0e6a79a517ccb8c60c64ee390258d97e4",
 }
 
+# ii seed 2 was re-recorded when the Clifford scan stopped keeping a word
+# that acts as the identity: its payload lost the generator [0, 1, ..., 63]
+# and one matched unitary, and kept its group order.
 ACTIONS = {
     ("ii", "--seed", "1"): "4f3689ae292826f7f33b0b801273bb7b8da9cf61fe42734ade5ad6f642be87cf",
-    ("ii", "--seed", "2"): "8c1eb3a60283c7889738d6ec4df9547b72bafd47de52465fcd9c76c23aa5ab4d",
+    ("ii", "--seed", "2"): "4e94a946de35cb38660200913abbe2c5fec388f24fbc7e681882d3bca8494b52",
     ("ii", "--seed", "3"): "beba9e794b0218e6fd346b5340afaeb5af9c65a391f0b43e0a4d523588bdca7c",
     ("i", "--seed", "1"): "671fe0cb25319d5cbd32ef0a9f9dd6692d28b34cea72058e38115993d46810e6",
     ("iii", "--m", "2", "--type", "minus"): "2e36bc1b2ed0a9450319e32014c63d82c919ba67d975e6c5e462e94617e3d6c7",
@@ -76,8 +79,10 @@ SEARCHES = {
 }
 
 # One sha256 over the `construct` stdout and then the `action` stdout of every
-# search-seeds benchmark row: case ii, then case i, seeds 1-20 each.
-SEARCH_SEED_OUTPUTS = "b8ffa47e7744e084df08e8bb30e8a80b116def3bab0127fb12005525219f15d7"
+# search-seeds benchmark row: case ii, then case i, seeds 1-20 each.  Re-recorded
+# with ii seed 2 above: the payloads of ii seeds 2, 5, 7, 8, 9, 10, 12 and 19
+# each lost the identity generator.
+SEARCH_SEED_OUTPUTS = "abc2713947323aa355c262431bdf67c534e6b031943df64d8968e1a4af5c7037"
 
 REPRESENTATIONS = {
     (2, 1, 1): "5c11722effc3a811176744f30e0269015a9225ad16c227bde4bbcf1ab93e3892",

@@ -454,11 +454,12 @@ def test_line0_filter_keeps_every_word_the_exact_test_accepts():
 
 
 def _scan_one_word_at_a_time(L):
-    """The Clifford scan as it was before the batched line-0 test."""
+    """The Clifford scan as it was before the batched line-0 test, skipping,
+    as the scan does, a word that acts as the identity."""
     gens = _qubit_clifford_generators(L.d.bit_length() - 1)
     rng = np.random.default_rng(CLIFFORD_SEARCH_SEED)
     perms = [induced_permutation(L, U) for U in translation_unitaries(L)]
-    chain, seen, found = StabilizerChain(perms), set(perms), []
+    chain, seen, found = StabilizerChain(perms), {*perms, tuple(range(L.n))}, []
     while not chain.two_transitive:
         length = int(rng.integers(4, 25))
         U = _word_unitary(gens, rng.integers(0, len(gens), size=length))
@@ -479,6 +480,15 @@ def test_batched_scan_keeps_the_same_words(d, seed):
     L = orbit_lineset(v, d)
     batched = [U.tobytes() for U in geometry_unitaries(L)]
     assert batched == [U.tobytes() for U in _scan_one_word_at_a_time(L)]
+
+
+def test_scan_keeps_no_word_that_acts_as_the_identity():
+    # ii seed 2 draws such a word between its two kept words; ii seeds 5, 7,
+    # 8, 9, 10, 12 and 19 draw one too
+    v, _ = search_fiducial(SearchConfig(d=8, seed=2))
+    L = orbit_lineset(v, 8)
+    perms = [induced_permutation(L, U) for U in geometry_unitaries(L)]
+    assert len(perms) == 2 and tuple(range(L.n)) not in perms
 
 
 def test_orbit_case_detection_is_deterministic():
