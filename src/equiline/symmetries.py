@@ -236,16 +236,15 @@ def _clifford_symmetries(lines: LineSet) -> list[np.ndarray]:
 
     The words are drawn and tested at line 0 a block at a time; each word that
     passes is multiplied out and matched by induced_permutation, in draw
-    order.  The stop test is the orbit of line 1 under the linear
-    parts of the words kept (_LineOrbit), so the one stabilizer chain is the
-    one action_certificate builds.  The translations are the unit label
-    translations, so the permutations of theirs that the scan skips are
-    label arithmetic."""
+    order.  A word is kept unless its permutation is the identity, a unit
+    translation (label arithmetic gives those) or one kept before.  The stop
+    test is the orbit of line 1 under the linear parts of the words kept
+    (_LineOrbit), so the one stabilizer chain is the one action_certificate
+    builds."""
     k = lines.d.bit_length() - 1
     letters = _qubit_clifford_generators(k)
     stack = np.concatenate((letters, np.eye(lines.d, dtype=complex)[None]))  # the last pads words
     blocks = _clifford_words(np.random.default_rng(CLIFFORD_SEARCH_SEED), len(letters))
-    # a word acting as the identity or as a unit translation adds nothing
     seen: set[Perm] = {tuple(range(lines.n)), *map(tuple, _unit_translations(2, 2 * k).tolist())}
     orbit = _LineOrbit(lines.n)
     found: list[np.ndarray] = []
