@@ -320,7 +320,7 @@ class _ZeroHeavy:
 
 
 def test_word_blocks_draw_more_after_rejections():
-    # 32 words need about 1,200 draws of this stream, more than one bulk draw
+    # 64 words need about 2,400 draws of this stream, more than one bulk draw
     stream = _ZeroHeavy(3)
     blocks = _clifford_words(stream, 9)
     words = np.concatenate([next(blocks) for _ in range(20)])
