@@ -11,11 +11,13 @@ Barzilai-Borwein initial step and monotone Armijo backtracking.  All restarts
 run in lockstep as the rows of one array, each with its own step, stop test
 and iteration count, and a row drops out when it stops.  The displacements
 act as monomials (perm, phase), so the overlaps are gathers, formed once per
-search, and elementwise sums; the inner products of the descent stay one
-np.vdot, or the two real dots of np.linalg.norm, per row.  Each row therefore
-takes, to the last bit, the path it would take alone.  The search is
-deterministic for a fixed seed: all starts are drawn up front, and the winner
-is the (f value, restart index) minimum.
+search, and elementwise sums; each candidate point is gathered once for its
+potential and, if accepted, its tangent.  The inner products of the descent
+are batched with np.vecdot, which makes per row the BLAS call of np.vdot, or
+the two real dots of np.linalg.norm.  Each row therefore takes, to the last
+bit, the path it would take alone.  The search is deterministic for a fixed
+seed: all starts are drawn up front, and the winner is the (f value, restart
+index) minimum.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ _SHRINK = 0.5
 _HALVINGS = 60
 # Rows are evaluated in blocks whose (rows, g, d) complex images stay within
 # this many bytes: at d = 8 that is 16 of the 64 restarts, and it takes a
-# search-seeds pass's peak RSS from 41.2 to 40.3 MB (39.9 MB one restart at a
+# search-seeds pass's peak RSS from 40.0 to 39.3 MB (39.1 MB one restart at a
 # time)
 _BLOCK_BYTES = 1 << 17
 
@@ -113,38 +115,48 @@ def potential_bound(d: int) -> float:
     return (d - 1) / (d + 1)
 
 
-def _gathers(disp) -> tuple:
-    """The monomials disp = (perm, phase) and their adjoints as gathers
-    (index, phase).  D_g sends e_x to phase_gx e_perm(g, x), so D_g v =
-    v[inv] * phase[inv] with inv the inverse of perm, and D_g^dagger v =
-    v[perm] * conj(phase).  The phases are +-1 or +-i, which multiply
-    exactly."""
+def _gathers(disp) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The monomials disp = (perm, phase) as gathers (index, phase, sign).
+    D_g sends e_x to phase_gx e_perm(g, x), so D_g v = v[inv] * phase[inv]
+    with inv the inverse of perm; the phases are +-1 or +-i, which multiply
+    exactly.  A qubit displacement squares to +-1, so D_g^dagger = sign_g D_g
+    with sign_g = +-1, and its gather v[perm] * conj(phase) is the forward one
+    times sign_g, which rounds exactly.  Raises ValueError if disp is not such
+    a stack."""
     perm, phase = disp
     inv = np.argsort(perm, axis=-1)
-    return (inv, np.take_along_axis(phase, inv, axis=-1)), (perm, phase.conj())
+    gathered = np.take_along_axis(phase, inv, axis=-1)
+    sign = np.where(phase[:, :1].conj() == gathered[:, :1], 1.0, -1.0)
+    if not (np.array_equal(inv, perm) and np.array_equal(phase.conj(), sign * gathered)):
+        raise ValueError("displacements must be their own adjoints up to sign")
+    return inv, gathered, sign[:, 0]
 
 
-def _gather(v: np.ndarray, gather) -> np.ndarray:
-    """v[..., index] * phase for each row of v (shape (..., d)), of shape
-    (..., g, d)."""
-    index, phase = gather
-    out = v[..., index]
-    out *= phase
-    return out
-
-
-def _overlaps(v: np.ndarray, fwd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """w_g = <v, D_g v> of each row of v and h_g = |w_g|^2.  h is made
+def _overlaps(v: np.ndarray, gathers) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The images D_g v of each row of v (shape (..., d)), of shape (..., g,
+    d), the overlaps w_g = <v, D_g v> and h_g = |w_g|^2.  h is made
     C-contiguous so that np.sum takes each row pairwise, as it takes one row
     alone."""
+    index, phase, _ = gathers
+    fwd = np.take(v, index, axis=-1)
+    fwd *= phase
     w = np.einsum("...i,...gi->...g", v.conj(), fwd)
-    return w, np.ascontiguousarray((w * w.conj()).real)
+    return fwd, w, np.ascontiguousarray((w * w.conj()).real)
+
+
+def _gradient(fwd: np.ndarray, w: np.ndarray, h: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    """4 sum_g h_g (conj(w_g) D_g v + w_g D_g^dagger v), with D_g^dagger v
+    taken as sign_g D_g v on the side of the overlaps."""
+    return 4.0 * np.einsum("...g,...gi->...i", h * w.conj(), fwd) + 4.0 * np.einsum(
+        "...g,...gi->...i", h * w * sign, fwd
+    )
 
 
 def frame_potential(v: np.ndarray, disp) -> np.ndarray:
     """Quartic overlap sum of each row of v (shape (..., d)) over the
     displacement monomials disp = (perm, phase)."""
-    return _potential(v, _gathers(disp))
+    _, _, h = _overlaps(v, _gathers(disp))
+    return np.sum(h * h, axis=-1)
 
 
 def frame_potential_grad(v: np.ndarray, disp) -> np.ndarray:
@@ -155,49 +167,37 @@ def frame_potential_grad(v: np.ndarray, disp) -> np.ndarray:
     central finite differences taken separately in the real and imaginary
     parts.
     """
-    return _gradient(v, _gathers(disp))
+    gathers = _gathers(disp)
+    return _gradient(*_overlaps(v, gathers), gathers[2])
 
 
-def _potential(v: np.ndarray, gathers) -> np.ndarray:
-    _, h = _overlaps(v, _gather(v, gathers[0]))
-    return np.sum(h * h, axis=-1)
-
-
-def _gradient(v: np.ndarray, gathers) -> np.ndarray:
-    fwd, adj = _gather(v, gathers[0]), _gather(v, gathers[1])  # D_g v, D_g^dagger v
-    w, h = _overlaps(v, fwd)
-    return 4.0 * np.einsum("...g,...gi->...i", h * w.conj(), fwd) + 4.0 * np.einsum(
-        "...g,...gi->...i", h * w, adj
-    )
-
-
-# The inner products of the descent are taken one row at a time with the BLAS
-# calls a single restart makes (np.vdot, and the two real dots of
-# np.linalg.norm): a batched reduction rounds differently, and the last bits of
-# f decide the winner among restarts that tie to 1e-16.
-def _vdots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """np.vdot of each pair of rows."""
-    return np.array([np.vdot(a, b) for a, b in zip(x, y)], dtype=complex)
-
-
+# The inner products of the descent are batched with np.vecdot, which makes
+# per row the BLAS call a single restart makes (np.vdot's zdotc, and the two
+# real ddots of np.linalg.norm) with the same strides: a reduction that rounds
+# differently would move the last bits of f, and those decide the winner among
+# restarts that tie to 1e-16.
 def _normalized(x: np.ndarray) -> np.ndarray:
     """The rows of x over their norms, each sqrt(re . re + im . im) as
     np.linalg.norm takes it for a complex vector."""
-    return x / np.sqrt([a.dot(a) + b.dot(b) for a, b in zip(x.real, x.imag)])[:, None]
+    return x / np.sqrt(np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag))[:, None]
 
 
-def _tangent(v: np.ndarray, gathers) -> np.ndarray:
-    """The gradient at each row of v projected off that row."""
-    g = _gradient(v, gathers)
-    return g - v * _vdots(v, g)[:, None]
-
-
-def _in_blocks(fn, v: np.ndarray, gathers) -> np.ndarray:
-    """fn(rows, gathers) over blocks of the rows of v, concatenated."""
-    rows = max(1, _BLOCK_BYTES // (16 * gathers[0][0].size))
-    if len(v) <= rows:
-        return fn(v, gathers)
-    return np.concatenate([fn(b, gathers) for b in np.split(v, range(rows, len(v), rows))])
+def _evaluate(v: np.ndarray, gathers, bar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The potential f at each row of v and, at the rows where f <= bar, the
+    tangent: the gradient projected off the row (NaN at the other rows).  One
+    gather and one set of overlaps serve both, a block of rows at a time."""
+    rows = max(1, _BLOCK_BYTES // (16 * gathers[0].size))
+    f, gt = np.empty(len(v)), np.full_like(v, np.nan)
+    for lo in range(0, len(v), rows):
+        x = v[lo : lo + rows]
+        fwd, w, h = _overlaps(x, gathers)
+        f[lo : lo + rows] = fb = np.sum(h * h, axis=-1)
+        ok = fb <= bar[lo : lo + rows]
+        if not ok.all():
+            x, fwd, w, h = x[ok], fwd[ok], w[ok], h[ok]
+        g = _gradient(fwd, w, h, gathers[2])
+        gt[lo : lo + rows][ok] = g - x * np.vecdot(x, g)[:, None]
+    return f, gt
 
 
 def _descend(v: np.ndarray, disp, cfg: SearchConfig, bound: float):
@@ -205,15 +205,14 @@ def _descend(v: np.ndarray, disp, cfg: SearchConfig, bound: float):
     rows reached, their potentials and the iteration count of each."""
     gathers = _gathers(disp)
     v = v.copy()
-    f = _in_blocks(_potential, v, gathers)
-    gt = _in_blocks(_tangent, v, gathers)
+    f, gt = _evaluate(v, gathers, np.full(len(v), np.inf))
     step = np.full(len(v), _STEP_INIT)
     prev_v, prev_gt = np.zeros_like(v), np.zeros_like(v)
     stepped = np.zeros(len(v), dtype=bool)
     iters = np.full(len(v), cfg.max_iters)
     live = np.arange(len(v))  # the restarts still descending
     for it in range(1, cfg.max_iters + 1):
-        gnorm2 = _vdots(gt[live], gt[live]).real
+        gnorm2 = np.vecdot(gt[live], gt[live]).real
         stop = (gnorm2 < 1e-26) | (f[live] - bound <= cfg.target_tol)
         iters[live[stop]] = it
         live, gnorm2 = live[~stop], gnorm2[~stop]
@@ -221,21 +220,23 @@ def _descend(v: np.ndarray, disp, cfg: SearchConfig, bound: float):
             break
         bb = live[stepped[live]]  # Barzilai-Borwein step from the last move
         s, y = v[bb] - prev_v[bb], gt[bb] - prev_gt[bb]
-        sy = _vdots(s, y).real
+        sy = np.vecdot(s, y).real
         step[bb] = np.clip(
-            np.divide(_vdots(s, s).real, sy, out=step[bb], where=sy > 1e-30), 1e-10, 1e3
+            np.divide(np.vecdot(s, s).real, sy, out=step[bb], where=sy > 1e-30), 1e-10, 1e3
         )
-        # monotone Armijo backtracking: row i of pending still halves t[i]
+        # monotone Armijo backtracking: row i of pending still halves t[i]; an
+        # accepted candidate comes with its tangent
         t = step[live]
-        cand = np.empty((len(live), v.shape[1]), dtype=v.dtype)
+        cand, gcand = np.empty((2, len(live), v.shape[1]), dtype=v.dtype)
         fcand = np.empty(len(live))
         pending = np.arange(len(live))
         for _ in range(_HALVINGS):
             rows = live[pending]
             c = _normalized(v[rows] - t[pending, None] * gt[rows])
-            fc = _in_blocks(_potential, c, gathers)
-            ok = fc <= f[rows] - _ARMIJO * t[pending] * gnorm2[pending]
-            cand[pending[ok]], fcand[pending[ok]] = c[ok], fc[ok]
+            bar = f[rows] - _ARMIJO * t[pending] * gnorm2[pending]
+            fc, gc = _evaluate(c, gathers, bar)
+            ok = fc <= bar
+            cand[pending[ok]], fcand[pending[ok]], gcand[pending[ok]] = c[ok], fc[ok], gc[ok]
             pending = pending[~ok]
             if not pending.size:
                 break
@@ -245,8 +246,7 @@ def _descend(v: np.ndarray, disp, cfg: SearchConfig, bound: float):
         iters[live[pending]] = it
         live = live[moved]
         prev_v[live], prev_gt[live], stepped[live] = v[live], gt[live], True
-        v[live], f[live] = cand[moved], fcand[moved]
-        gt[live] = _in_blocks(_tangent, v[live], gathers)
+        v[live], f[live], gt[live] = cand[moved], fcand[moved], gcand[moved]
     return v, f, iters
 
 

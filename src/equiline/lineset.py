@@ -111,8 +111,9 @@ class LineSet:
         if real:  # one real copy, and real products: a quarter of the work
             V = np.ascontiguousarray(V.real)
             self.norms = np.sqrt(np.einsum("ij,ij->j", V, V))
-        else:
-            self.norms = np.linalg.norm(V, axis=0)
+        else:  # per-column sums of squares, with no temporary the size of V
+            re, im = V.real, V.imag
+            self.norms = np.sqrt(np.einsum("ij,ij->j", re, re) + np.einsum("ij,ij->j", im, im))
         if np.abs(self.norms - 1.0).max() > NORM_TOL:
             raise ValueError("columns must be unit vectors")
         if d < 2:

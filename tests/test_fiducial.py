@@ -145,6 +145,54 @@ def test_each_row_descends_as_it_would_alone(d):
         assert (vr[0].tobytes(), fr[0], ir[0]) == (v[r].tobytes(), f[r], iters[r])
 
 
+# The descent batches its inner products with np.vecdot; these pin that each
+# row still gets the bits of the per-row BLAS call a single restart makes, so a
+# numpy or BLAS change that breaks it fails here and not only in the goldens.
+@pytest.mark.parametrize("d", [2, 8])
+@pytest.mark.parametrize("rows", [0, 1, 16, 64])
+def test_batched_dots_give_the_per_row_bits(d, rows):
+    rng = np.random.default_rng(100 * d + rows)
+    x, y = rng.normal(size=(2, rows, d)) + 1j * rng.normal(size=(2, rows, d))
+    per_row = np.array([np.vdot(a, b) for a, b in zip(x, y)], dtype=complex)
+    assert np.vecdot(x, y).tobytes() == per_row.tobytes()
+    # x.real and x.imag are strided views, as in _normalized
+    sq = np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag)
+    assert sq.tobytes() == np.array([a.dot(a) + b.dot(b) for a, b in zip(x.real, x.imag)]).tobytes()
+    alone = np.array([a / np.linalg.norm(a) for a in x]).reshape(rows, d)
+    assert fiducial._normalized(x).tobytes() == alone.tobytes()
+
+
+@pytest.mark.parametrize("d", [2, 8])
+def test_adjoint_gather_is_the_signed_forward_gather(d):
+    perm, phase = disp = displacements(d)
+    gathers = fiducial._gathers(disp)
+    sign = gathers[2]
+    assert set(sign.tolist()) <= {-1.0, 1.0}
+    D = monomial_matrix(perm, phase)
+    assert np.array_equal(D.conj().transpose(0, 2, 1), sign[:, None, None] * D)
+    v = _starts(d, 5)
+    fwd, w, h = fiducial._overlaps(v, gathers)
+    adj = v[..., perm] * phase.conj()  # D_g^dagger v gathered as it is defined
+    assert adj.tobytes() == (sign[:, None] * fwd).tobytes()
+    # so the gradient is, bit for bit, the one taken with the adjoint gather
+    grad = 4.0 * np.einsum("...g,...gi->...i", h * w.conj(), fwd) + 4.0 * np.einsum(
+        "...g,...gi->...i", h * w, adj
+    )
+    assert frame_potential_grad(v, disp).tobytes() == grad.tobytes()
+
+
+@pytest.mark.parametrize(
+    "disp",
+    [
+        (np.array([[1, 2, 0]]), np.ones((1, 3), dtype=complex)),  # a 3-cycle
+        (np.array([[0, 1]]), np.array([[1.0, 1j]])),  # diag(1, i) is not +-diag(1, -i)
+    ],
+)
+def test_gathers_refuse_a_monomial_that_is_not_signed_self_adjoint(disp):
+    with pytest.raises(ValueError):
+        fiducial._gathers(disp)
+
+
 def test_repeated_searches_keep_no_memory():
     # nothing is cached from one search to the next: after a warm-up, the
     # memory still live stays within the interpreter's own free lists

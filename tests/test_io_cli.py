@@ -446,10 +446,11 @@ def test_search_and_action_bytes_do_not_depend_on_blas_threads(tmp_path):
         built = _cli_under_threads(threads, "construct", "--case", "ii", "--seed", "1",
                                    "--out", str(lines))
         results.append((built, lines.read_bytes(), _cli_under_threads(threads, "action", str(lines))))
-        # case i seeds 3 and 4 have restarts whose f - bound tie to 1e-16
-        for seed in ("3", "4"):
-            out = tmp_path / f"i{seed}-{threads}.json"
-            _cli_under_threads(threads, "construct", "--case", "i", "--seed", seed, "--out", str(out))
+        # case i seeds 3 and 4 have restarts whose f - bound tie to 1e-16, and
+        # on ii seed 18 restarts 29 and 8 end one ulp of f apart
+        for case, seed in (("i", "3"), ("i", "4"), ("ii", "18")):
+            out = tmp_path / f"{case}{seed}-{threads}.json"
+            _cli_under_threads(threads, "construct", "--case", case, "--seed", seed, "--out", str(out))
             results[-1] += (out.read_bytes(),)
     assert results[0] == results[1]
     assert json.loads(results[0][2])["group_order"] == 387072
