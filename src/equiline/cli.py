@@ -6,11 +6,12 @@ action_payload return exactly the report and payload the commands write.
 Every documented failure raises Refused(exit_code, message); main prints the
 message to stderr and returns the code.
 
-Exit codes: 0 success, 2 invalid parameters, unreadable input or an output
-path that cannot be written ("cannot write <path>: ..."), 3 fiducial search
-did not converge, 4 a certification check failed (the first failing
-certificate is named on stderr; a file of lines in C^1 fails `structure`, as
-a line set needs d >= 2), 5 the symmetry action could not be derived.
+Exit codes: 0 success, 2 invalid parameters (a --tol that is not a finite
+number >= 0 among them), unreadable input or an output path that cannot be
+written ("cannot write <path>: ..."), 3 fiducial search did not converge, 4 a
+certification check failed (the first failing certificate is named on
+stderr; a file of lines in C^1 fails `structure`, as a line set needs
+d >= 2), 5 the symmetry action could not be derived.
 
 A run manifest (command, parameters, seed, version, tolerances, timestamp)
 is printed to stderr; stdout and output files are byte-deterministic.
@@ -24,7 +25,7 @@ import argparse
 import datetime
 import json
 import sys
-from math import gcd
+from math import gcd, isfinite
 
 from . import __version__ as _VERSION
 from . import action, fiducial, finfield, lineset, serialize, symmetries
@@ -192,6 +193,14 @@ def _write(path: str | None, text: str) -> None:
         raise Refused(EXIT_PARAMS, f"cannot write {path}: {exc}")
 
 
+def _tolerance(text: str) -> float:
+    """The value of a --tol flag: a finite number >= 0, else exit 2."""
+    tol = float(text)
+    if not (isfinite(tol) and tol >= 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return tol
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="equiline",
@@ -208,18 +217,18 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--seed", type=int, default=1, help="search seed (cases i and ii)")
     c.add_argument("--restarts", type=int, help="search restarts (cases i and ii)")
     c.add_argument("--max-iters", type=int, help="iteration cap per restart (cases i and ii)")
-    c.add_argument("--tol", type=float, help="search target gap (cases i and ii)")
+    c.add_argument("--tol", type=_tolerance, help="search target gap (cases i and ii)")
     c.add_argument("--out", help="output path for the lineset JSON (default stdout)")
     c.add_argument("--gram-csv", help="also write the Gram matrix as CSV to this path")
 
     y = sub.add_parser("certify", help="run the certificates on a lineset JSON file")
     y.add_argument("input", help="lineset JSON path")
-    y.add_argument("--tol", type=float, default=1e-8)
+    y.add_argument("--tol", type=_tolerance, default=1e-8)
     y.add_argument("--out", help="write the JSON report here as well")
 
     a = sub.add_parser("action", help="derive symmetries and certify the group action")
     a.add_argument("input", help="lineset JSON path")
-    a.add_argument("--tol", type=float, default=1e-8)
+    a.add_argument("--tol", type=_tolerance, default=1e-8)
     a.add_argument("--out", help="output path for the action JSON (default stdout)")
 
     sub.add_parser("table", help="print the classification table up to n <= 4096")

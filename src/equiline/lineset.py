@@ -240,10 +240,11 @@ def line_translations(lines: LineSet, elements=None):
     return translations(p, m, elements, du=lines.d // p**m)
 
 
-# Peak bytes per entry of the d x n columns while construct_case_iii runs: the
-# translations' float phases, the orbit's float signs, the complex columns and
-# the copies LineSet makes to check their norms and form the frame operator
-# (58.5 B measured as the rise in peak RSS at m = 5, 53.1 B at m = 6).
+# Peak bytes per entry of the d x n columns while construct_case_iii or
+# construct_case_iv runs: the translations' phases, the orbit, the complex
+# columns and the copies LineSet makes to check their norms and form the frame
+# operator (measured as the rise in peak RSS: case iii 58.5 B at m = 5 and
+# 53.1 B at m = 6, case iv 56-58 B at (3, 3), (7, 2) and (61, 1)).
 _BUILD_BYTES_PER_ENTRY = 64
 _CGROUP_MEMORY_MAX = Path("/sys/fs/cgroup/memory.max")
 
@@ -257,6 +258,17 @@ def _memory_limit() -> int:
     except OSError:
         return memory
     return min(memory, int(limit)) if limit.isdigit() else memory
+
+
+def _check_build_size(d: int, n: int) -> None:
+    """Raise MemoryError when building d x n columns, at
+    _BUILD_BYTES_PER_ENTRY bytes per entry, would exceed _memory_limit()."""
+    size, memory = _BUILD_BYTES_PER_ENTRY * d * n, _memory_limit()
+    if size > memory:
+        raise MemoryError(
+            f"building its {d} x {n} columns takes about {size} bytes, "
+            f"more than the {memory} bytes of memory available"
+        )
 
 
 def _case_iii_dims(m: int) -> tuple[int, int]:
@@ -283,12 +295,7 @@ def construct_case_iii(m: int, type_choice: HyperplaneType) -> LineSet:
         raise ValueError("degenerate hyperplanes do not give a line set")
     d_minus, d_plus = _case_iii_dims(m)
     d = d_minus if type_choice is HyperplaneType.MINUS else d_plus
-    size, memory = _BUILD_BYTES_PER_ENTRY * d * 4**m, _memory_limit()
-    if size > memory:
-        raise MemoryError(
-            f"building its {d} x {4**m} columns takes about {size} bytes, "
-            f"more than the {memory} bytes of memory available"
-        )
+    _check_build_size(d, 4**m)
     phis = enumerate_hyperplanes(standard_form(m), type_choice)
     shifts = translations(2, m, functionals=phis)
     signs = orbit(np.ones(d, dtype=np.int64), *shifts)
@@ -318,6 +325,8 @@ def construct_case_iv(p: int, m: int, eigen_choice: HyperplaneType) -> LineSet:
     smaller one).  The fiducial is the normalized inclusion of U; line e is the
     flattened matrix D(e) @ iota / sqrt(dim U), the translation orbit of the
     flattened iota.  LineSet raises SpanDeficient if the orbit fails to span.
+    Raises MemoryError before any work when the build would exceed the memory
+    available, as construct_case_iii does.
     """
     if not _is_odd_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
@@ -325,6 +334,8 @@ def construct_case_iv(p: int, m: int, eigen_choice: HyperplaneType) -> LineSet:
         raise ValueError("m must be >= 1")
     if eigen_choice is HyperplaneType.DEGENERATE:
         raise ValueError("eigenspace choice must be plus or minus")
+    q = p**m
+    _check_build_size(q * (q - 1 if eigen_choice is HyperplaneType.MINUS else q + 1) // 2, q * q)
     even, odd = parity_split(p, m)
     iota = odd if eigen_choice is HyperplaneType.MINUS else even
     du = iota.shape[1]

@@ -7,11 +7,10 @@ sign-matrix case, conjugation-induced maps from the displacement-normalizing
 unitaries for the odd-prime case, and stabilizing qubit Clifford words found
 by seeded search for the two fiducial-orbit cases.
 
-The search draws its words as one Generator.integers call per length and one
-per word's letters would, but decodes a block of them from one bulk draw of
-the generator's uint32 stream.  Every Clifford word normalizes the Pauli
-translations, so a word that permutes the lines acts on their labels as an
-affine map x -> S x + b over F_2, whose linear part is the permutation
+The search draws its words a block at a time, each block of fixed-length
+words in one Generator.integers call.  Every Clifford word normalizes the
+Pauli translations, so a word that permutes the lines acts on their labels
+as an affine map x -> S x + b over F_2, whose linear part is the permutation
 x -> g[x] XOR g[0].  With the translations in the group, the group is
 2-transitive iff the linear parts move line 1 to all n - 1 lines other than
 line 0 (see equiline.action), and the search stops when that orbit is full;
@@ -20,14 +19,11 @@ the stabilizer chain is left to action_certificate.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-
 import numpy as np
 
 from .action import (
     NotASymmetry,
     Perm,
-    _unit_translations,
     close_permutations,
     induced_permutation,
 )
@@ -58,12 +54,10 @@ CLIFFORD_SEARCH_SEED = 7
 # action_certificate re-proves every word it keeps at the command's tolerance.
 _CLIFFORD_MAX_TRIALS = 5000
 _CLIFFORD_TOL = 1e-8
-# Words have 4 to _CLIFFORD_MAX_LENGTH letters, and are drawn and tested at
-# line 0 _CLIFFORD_BLOCK at a time; a block takes at most _CLIFFORD_BLOCK_DRAWS
-# uint32 draws unless some are rejected.
-_CLIFFORD_MAX_LENGTH = 24
+# Words have _CLIFFORD_WORD_LENGTH letters, and are drawn and tested at line 0
+# _CLIFFORD_BLOCK at a time.
+_CLIFFORD_WORD_LENGTH = 16
 _CLIFFORD_BLOCK = 64
-_CLIFFORD_BLOCK_DRAWS = _CLIFFORD_BLOCK * (_CLIFFORD_MAX_LENGTH + 1)
 
 
 def translation_unitaries(lines: LineSet) -> list[np.ndarray]:
@@ -119,71 +113,6 @@ def _qubit_clifford_generators(k: int) -> np.ndarray:
     return np.concatenate((np.stack((h, s), axis=1).reshape(-1, len(x), len(x)), cnot))
 
 
-def _bounded(x: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """Generator.integers(0, r) of each uint32 draw in x (as uint64), by
-    Lemire's multiply-shift (x r) >> 32, and the positions of the draws it
-    keeps: numpy draws again exactly when (x r) mod 2^32 < (2^32 - r) mod r."""
-    m = x * np.uint64(r)
-    return m >> 32, np.flatnonzero((m & 0xFFFFFFFF) >= ((1 << 32) - r) % r)
-
-
-def _decode_words(raw: np.ndarray, letters: int, count: int) -> tuple[np.ndarray, int] | None:
-    """The first count words of the uint32 stream raw, as the scan draws them
-    one Generator.integers call at a time (a length in [4,
-    _CLIFFORD_MAX_LENGTH], then that many letters below `letters`), padded
-    with the index `letters`; returns the words and the draws they use, or
-    None if raw runs out first."""
-    x = raw.astype(np.uint64)
-    lengths, length_kept = _bounded(x, _CLIFFORD_MAX_LENGTH - 3)
-    values, letter_kept = _bounded(x, letters)
-    # for each kind of draw: the first kept draw at or after each position, as
-    # an index into the kept draws, and the position of each kept draw; both
-    # are the position itself when no draw is rejected, the common case
-    everywhere = range(len(x) + 1)
-    (first_length, length_at), (first_letter, letter_at) = (
-        (everywhere, everywhere) if len(kept) == len(x)
-        else (np.searchsorted(kept, everywhere).tolist(), kept.tolist())
-        for kept in (length_kept, letter_kept)
-    )
-    sizes_at = (lengths + 4).tolist()
-    starts, sizes, used = [], [], 0
-    for _ in range(count):
-        i = first_length[used]
-        if i == len(length_kept):
-            return None
-        at = length_at[i]
-        start, size = first_letter[at + 1], sizes_at[at]
-        if start + size > len(letter_kept):
-            return None
-        starts.append(start)
-        sizes.append(size)
-        used = letter_at[start + size - 1] + 1
-    cols = np.arange(_CLIFFORD_MAX_LENGTH)
-    valid = cols < np.array(sizes)[:, None]
-    picks = np.where(valid, np.array(starts)[:, None] + cols, 0)
-    if len(letter_kept) < len(x):
-        picks = letter_kept[picks]
-    return np.where(valid, values[picks], letters), used
-
-
-def _clifford_words(rng: np.random.Generator, letters: int) -> Iterator[np.ndarray]:
-    """The scan's words, _CLIFFORD_BLOCK at a time, as one rng.integers call
-    per length and per word's letters would draw them: each block is decoded
-    from bulk draws of rng's uint32 stream, the draws it leaves carried over."""
-    raw, need = np.empty(0, dtype=np.uint32), _CLIFFORD_BLOCK_DRAWS
-    while True:
-        if len(raw) < need:
-            more = rng.integers(0, 1 << 32, size=need - len(raw), dtype=np.uint32)
-            raw = np.concatenate((raw, more))
-        decoded = _decode_words(raw, letters, _CLIFFORD_BLOCK)
-        if decoded is None:  # rejected draws left too few for the block
-            need += _CLIFFORD_BLOCK_DRAWS
-            continue
-        words, used = decoded
-        raw, need = raw[used:], _CLIFFORD_BLOCK_DRAWS
-        yield words
-
-
 class _LineOrbit:
     """The orbit of line 1 under the group generated by the permutations added
     so far, all of which fix line 0, as a mask of the n lines; with the
@@ -217,7 +146,8 @@ class _LineOrbit:
             self.size += frontier.size
 
 
-def _line0_candidates(lines: LineSet, stack: np.ndarray, words: np.ndarray, tol: float) -> np.ndarray:
+def _line0_candidates(lines: LineSet, letters: np.ndarray, words: np.ndarray,
+                      tol: float) -> np.ndarray:
     """Mask of the words (rows of letters, applied first to last) whose image of
     line 0 comes within tol + 1e-6 of some line.
 
@@ -226,7 +156,7 @@ def _line0_candidates(lines: LineSet, stack: np.ndarray, words: np.ndarray, tol:
     products, so a word dropped here fails the exact test too."""
     x = np.broadcast_to(lines.vectors[:, :1], (len(words), lines.d, 1))
     for letter in words.T:
-        x = np.matmul(stack[letter], x)
+        x = np.matmul(letters[letter], x)
     return (np.abs(x[..., 0].conj() @ lines.vectors) >= 1.0 - tol - 1e-6).any(axis=1)
 
 
@@ -236,32 +166,31 @@ def _clifford_symmetries(lines: LineSet) -> list[np.ndarray]:
 
     The words are drawn and tested at line 0 a block at a time; each word that
     passes is multiplied out and matched by induced_permutation, in draw
-    order.  A word is kept unless its permutation is the identity, a unit
-    translation (label arithmetic gives those) or one kept before.  The stop
-    test is the orbit of line 1 under the linear parts of the words kept
+    order.  A word is kept when its linear part is neither the identity (so
+    no word acting as a translation or as the identity) nor one kept before.
+    The stop test is the orbit of line 1 under those linear parts
     (_LineOrbit), so the one stabilizer chain is the one action_certificate
     builds."""
-    k = lines.d.bit_length() - 1
-    letters = _qubit_clifford_generators(k)
-    stack = np.concatenate((letters, np.eye(lines.d, dtype=complex)[None]))  # the last pads words
-    blocks = _clifford_words(np.random.default_rng(CLIFFORD_SEARCH_SEED), len(letters))
-    seen: set[Perm] = {tuple(range(lines.n)), *map(tuple, _unit_translations(2, 2 * k).tolist())}
+    letters = _qubit_clifford_generators(lines.d.bit_length() - 1)
+    rng = np.random.default_rng(CLIFFORD_SEARCH_SEED)
+    seen = {np.arange(lines.n).tobytes()}
     orbit = _LineOrbit(lines.n)
     found: list[np.ndarray] = []
     for start in range(0, _CLIFFORD_MAX_TRIALS, _CLIFFORD_BLOCK):
-        words = next(blocks)[: _CLIFFORD_MAX_TRIALS - start]
-        for word in words[_line0_candidates(lines, stack, words, _CLIFFORD_TOL)]:
+        words = rng.integers(0, len(letters), size=(_CLIFFORD_BLOCK, _CLIFFORD_WORD_LENGTH))
+        words = words[: _CLIFFORD_MAX_TRIALS - start]
+        for word in words[_line0_candidates(lines, letters, words, _CLIFFORD_TOL)]:
             U = np.eye(lines.d, dtype=complex)
-            for letter in word[word < len(letters)].tolist():
-                U = stack[letter] @ U
+            for letter in word.tolist():
+                U = letters[letter] @ U
             try:
                 perm = induced_permutation(lines, U, _CLIFFORD_TOL)
             except NotASymmetry:
                 continue
-            if perm not in seen:
-                seen.add(perm)
-                g = np.array(perm)
-                orbit.add(g ^ g[0])  # labels add by XOR
+            linear = np.array(perm) ^ perm[0]  # labels add by XOR
+            if linear.tobytes() not in seen:
+                seen.add(linear.tobytes())
+                orbit.add(linear)
                 found.append(U)
                 if orbit.complete:
                     return found

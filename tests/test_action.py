@@ -266,7 +266,7 @@ def test_action_certificate_full_symmetries():
 
 def test_action_command_builds_one_chain(tmp_path, monkeypatch):
     # the Clifford scan stops by its orbit of line 1; the one chain is the
-    # certificate's, on the linear parts of the three words it keeps (the
+    # certificate's, on the linear parts of the two words it keeps (the
     # six translations have the identity as linear part)
     path = str(tmp_path / "lines.json")
     assert main(["construct", "--case", "ii", "--seed", "1", "--out", path]) == EXIT_OK
@@ -279,7 +279,7 @@ def test_action_command_builds_one_chain(tmp_path, monkeypatch):
 
     monkeypatch.setattr(StabilizerChain, "__init__", counting_init)
     assert main(["action", path]) == EXIT_OK
-    assert built == [3]
+    assert built == [2]
 
 
 # every row of tests/test_golden.py, iv (5, 2), and the search seeds 1-20

@@ -207,6 +207,21 @@ def test_cli_certify_rejects_unequal_integer_magnitudes_at_any_tol(tmp_path, cap
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["construct", "certify", "action"])
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_cli_rejects_a_tol_that_is_not_finite_and_nonnegative(tmp_path, capsys, command, tol):
+    out = tmp_path / "l.json"
+    assert main(["construct", "--case", "iii", "--m", "2", "--type", "minus",
+                 "--out", str(out)]) == EXIT_OK
+    searched = tmp_path / "i.json"
+    given = ["--case", "i", "--out", str(searched)] if command == "construct" else [str(out)]
+    capsys.readouterr()
+    assert main([command, *given, "--tol", tol]) == EXIT_PARAMS
+    captured = capsys.readouterr()
+    assert f"argument --tol: must be a finite number >= 0, got '{tol}'" in captured.err
+    assert captured.out == "" and not searched.exists()
+
+
 @pytest.mark.parametrize("command", ["certify", "action"])
 @pytest.mark.parametrize("meta", [[1], "x", [], False, 0, "", None])
 def test_cli_rejects_non_object_meta(tmp_path, capsys, command, meta):
@@ -252,6 +267,19 @@ def test_cli_construct_refuses_case_iii_beyond_memory(tmp_path, capsys, monkeypa
     assert "invalid parameters: line set too large to build" in err
     assert "more than the" in err and "bytes of memory available" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("limit,code", [(186_623, EXIT_PARAMS), (186_624, EXIT_OK)])
+def test_cli_construct_refuses_case_iv_beyond_memory(tmp_path, capsys, monkeypatch, limit, code):
+    # iv (3, 2) minus: 36 x 81 entries at 64 bytes each, 186,624 bytes
+    monkeypatch.setattr(equiline.lineset, "_memory_limit", lambda: limit)
+    out = tmp_path / "l.json"
+    assert main(["construct", "--case", "iv", "--p", "3", "--m", "2", "--eigen", "minus",
+                 "--out", str(out)]) == code
+    assert out.exists() == (code == EXIT_OK)
+    if code == EXIT_PARAMS:
+        err = capsys.readouterr().err
+        assert "line set too large to build: building its 36 x 81 columns" in err
 
 
 @pytest.mark.parametrize("limit,code", [("4096\n", EXIT_PARAMS), ("max\n", EXIT_OK)])

@@ -26,10 +26,10 @@ from equiline.fiducial import SearchConfig, orbit_lineset, search_fiducial
 from equiline.heisenberg import check_unitary, lex_digits, lex_index, monomial_matrix
 from equiline.lineset import LineSet, construct_case_iii, construct_case_iv
 from equiline.symmetries import (
+    _CLIFFORD_BLOCK,
+    _CLIFFORD_WORD_LENGTH,
     CLIFFORD_SEARCH_SEED,
     _LineOrbit,
-    _clifford_words,
-    _decode_words,
     _line0_candidates,
     _qubit_clifford_generators,
     _transvection_perms,
@@ -215,13 +215,13 @@ def test_orbit_case_symmetries_reach_two_transitivity():
 
 
 def test_clifford_scan_stops_as_soon_as_the_group_is_two_transitive():
-    # case ii, d = 8, seed 1: the scan keeps three words, then the chain
+    # case ii, d = 8, seed 1: the scan keeps two words, then the chain
     # reports 2-transitivity and the scan stops
     v, _ = search_fiducial(SearchConfig(d=8, seed=1))
     L = orbit_lineset(v, 8)
-    assert len(geometry_unitaries(L)) == 3
+    assert len(geometry_unitaries(L)) == 2
     cert = action_certificate(L, symmetry_unitaries(L))
-    assert cert.matched_unitaries == 9
+    assert cert.matched_unitaries == 8
     assert cert.group_order == 387072
     assert cert.two_transitive
 
@@ -234,98 +234,12 @@ def _word_unitary(gens, word):
 
 
 def _scan_words(letters, count):
-    """The scan's first count words, from its seeded generator."""
-    blocks = _clifford_words(np.random.default_rng(CLIFFORD_SEARCH_SEED), letters)
-    return np.concatenate([next(blocks) for _ in range(-(-count // 32))])[:count]
-
-
-def _words_one_at_a_time(rng, letters, count):
-    """The scan's words as it drew them before the bulk decoder: one
-    rng.integers call for each length and one for each word's letters."""
-    words = np.full((count, 24), letters)
-    for word in words:
-        length = int(rng.integers(4, 25))
-        word[:length] = rng.integers(0, letters, size=length)
-    return words
-
-
-@pytest.mark.parametrize("letters", [2, 9])
-def test_bulk_words_match_the_per_word_draws(letters):
-    count = 100_000
-    expected = _words_one_at_a_time(np.random.default_rng(CLIFFORD_SEARCH_SEED), letters, count)
-    assert np.array_equal(_scan_words(letters, count), expected)
-
-
-def _lemire(draws, r):
-    """numpy's buffered_bounded_lemire_uint32 with rng = r - 1, the draw of
-    Generator.integers(0, r), on an iterator of uint32 draws."""
-    m = next(draws) * r
-    leftover = m & 0xFFFFFFFF
-    if leftover < r:
-        threshold = (0xFFFFFFFF - (r - 1)) % r
-        while leftover < threshold:
-            m = next(draws) * r
-            leftover = m & 0xFFFFFFFF
-    return m >> 32
-
-
-def _reference_words(raw, letters, count):
-    """The words and the draws they use, decoded one draw at a time."""
-    draws = iter(raw.tolist())
-    words = np.full((count, 24), letters)
-    for word in words:
-        length = 4 + _lemire(draws, 21)
-        word[:length] = [_lemire(draws, letters) for _ in range(length)]
-    return words, len(raw) - sum(1 for _ in draws)
-
-
-def _rejection_prone(r, size, rng):
-    """uint32 draws x with (x r) mod 2^32 < r, so that Generator.integers(0, r)
-    takes its rejection branch; those below (2^32 - r) mod r are redrawn."""
-    return np.array([-(-(j << 32) // r) for j in rng.integers(0, r, size=size)], dtype=np.uint32)
-
-
-@pytest.mark.parametrize("letters", [2, 9, 12])
-def test_word_decoder_matches_lemire_reference_on_rejections(letters):
-    rng = np.random.default_rng(5)
-    rejected = 0
-    for _ in range(40):
-        raw = rng.integers(0, 1 << 32, size=1200, dtype=np.uint32)
-        at = rng.random(raw.size) < 0.3
-        prone = _rejection_prone(21 if rng.random() < 0.5 else letters, raw.size, rng)
-        raw[at] = prone[at]
-        words, used = _decode_words(raw, letters, 32)
-        expected, expected_used = _reference_words(raw, letters, 32)
-        assert np.array_equal(words, expected) and used == expected_used
-        rejected += used - int((words < letters).sum()) - 32
-    assert rejected > 0
-    # a stream that runs out before the last word is reported, not read past
-    assert _decode_words(raw[: used - 1], letters, 32) is None
-
-
-class _ZeroHeavy:
-    """A stand-in generator whose uint32 stream is mostly 0, a draw that
-    Generator.integers(0, r) rejects whenever (2^32 - r) mod r > 0."""
-
-    def __init__(self, seed):
-        self.rng = np.random.default_rng(seed)
-        self.drawn = []
-
-    def integers(self, low, high, size, dtype):
-        assert (low, high, dtype) == (0, 1 << 32, np.uint32)
-        x = self.rng.integers(0, 1 << 32, size=size, dtype=np.uint32)
-        x[self.rng.random(size) < 0.6] = 0
-        self.drawn.append(x)
-        return x
-
-
-def test_word_blocks_draw_more_after_rejections():
-    # 64 words need about 2,400 draws of this stream, more than one bulk draw
-    stream = _ZeroHeavy(3)
-    blocks = _clifford_words(stream, 9)
-    words = np.concatenate([next(blocks) for _ in range(20)])
-    expected, _ = _reference_words(np.concatenate(stream.drawn), 9, len(words))
-    assert np.array_equal(words, expected)
+    """The scan's first count words, drawn a block at a time from its seeded
+    generator as the scan draws them."""
+    rng = np.random.default_rng(CLIFFORD_SEARCH_SEED)
+    blocks = [rng.integers(0, letters, size=(_CLIFFORD_BLOCK, _CLIFFORD_WORD_LENGTH))
+              for _ in range(-(-count // _CLIFFORD_BLOCK))]
+    return np.concatenate(blocks)[:count]
 
 
 def _affine_perm(S, b, p):
@@ -440,13 +354,11 @@ def test_line0_filter_keeps_every_word_the_exact_test_accepts():
     L = orbit_lineset(v, 8)
     V = L.vectors
     gens = _qubit_clifford_generators(3)
-    stack = np.concatenate((gens, np.eye(8, dtype=complex)[None]))
     words = _scan_words(len(gens), 2000)
-    kept = _line0_candidates(L, stack, words, 1e-8)
+    kept = _line0_candidates(L, gens, words, 1e-8)
     # induced_permutation's line-0 test, one word at a time
     exact = np.array([
-        np.count_nonzero(np.abs((_word_unitary(gens, w[w < len(gens)]) @ V[:, 0]).conj() @ V)
-                         >= 1.0 - 1e-8) == 1
+        np.count_nonzero(np.abs((_word_unitary(gens, w) @ V[:, 0]).conj() @ V) >= 1.0 - 1e-8) == 1
         for w in words
     ])
     assert exact.any() and not kept.all()
@@ -454,21 +366,23 @@ def test_line0_filter_keeps_every_word_the_exact_test_accepts():
 
 
 def _scan_one_word_at_a_time(L):
-    """The Clifford scan as it was before the batched line-0 test, skipping,
-    as the scan does, a word that acts as the identity."""
+    """The Clifford scan without the batched line-0 test: each of the scan's
+    words alone through induced_permutation, kept when its linear part is
+    neither the identity nor one kept before, until the chain of the
+    translations and the words kept is 2-transitive."""
     gens = _qubit_clifford_generators(L.d.bit_length() - 1)
-    rng = np.random.default_rng(CLIFFORD_SEARCH_SEED)
     perms = [induced_permutation(L, U) for U in translation_unitaries(L)]
-    chain, seen, found = StabilizerChain(perms), {*perms, tuple(range(L.n))}, []
+    chain, seen, found = StabilizerChain(perms), {tuple(range(L.n))}, []
+    words = iter(_scan_words(len(gens), 5000))
     while not chain.two_transitive:
-        length = int(rng.integers(4, 25))
-        U = _word_unitary(gens, rng.integers(0, len(gens), size=length))
+        U = _word_unitary(gens, next(words))
         try:
             perm = induced_permutation(L, U)
         except NotASymmetry:
             continue
-        if perm not in seen:
-            seen.add(perm)
+        linear = tuple(x ^ perm[0] for x in perm)
+        if linear not in seen:
+            seen.add(linear)
             chain.add(perm)
             found.append(U)
     return found
@@ -482,13 +396,29 @@ def test_batched_scan_keeps_the_same_words(d, seed):
     assert batched == [U.tobytes() for U in _scan_one_word_at_a_time(L)]
 
 
+def _searched_orbit(d, seed):
+    v, _ = search_fiducial(SearchConfig(d=d, seed=seed))
+    return orbit_lineset(v, d)
+
+
 def test_scan_keeps_no_word_that_acts_as_the_identity():
-    # ii seed 2 draws such a word between its two kept words; ii seeds 5, 7,
-    # 8, 9, 10, 12 and 19 draw one too
-    v, _ = search_fiducial(SearchConfig(d=8, seed=2))
-    L = orbit_lineset(v, 8)
-    perms = [induced_permutation(L, U) for U in geometry_unitaries(L)]
-    assert len(perms) == 2 and tuple(range(L.n)) not in perms
+    # nor a word acting as a translation, nor two words with one linear part
+    for d in (2, 8):
+        for seed in range(1, 21):
+            L = _searched_orbit(d, seed)
+            perms = [induced_permutation(L, U) for U in geometry_unitaries(L)]
+            linear = [tuple(x ^ perm[0] for x in perm) for perm in perms]
+            assert len(set(linear)) == len(linear), (d, seed)
+            assert tuple(range(L.n)) not in linear, (d, seed)
+
+
+@pytest.mark.parametrize("d,order", [(2, 12), (8, 387072)])
+def test_scan_reaches_two_transitivity_on_further_seeds(d, order):
+    for seed in range(21, 61):
+        L = _searched_orbit(d, seed)
+        cert = action_certificate(L, symmetry_unitaries(L))
+        claims = cert.group_order, cert.transitive, cert.two_transitive
+        assert claims == (order, True, True), seed
 
 
 def test_orbit_case_detection_is_deterministic():
