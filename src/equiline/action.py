@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .heisenberg import lex_digits
+from .heisenberg import lex_digits, lex_index
 from .lineset import LineSet, _case, _frame_rank
 
 __all__ = [
@@ -232,29 +232,19 @@ class ActionCertificate:
     matched_unitaries: int
 
 
-def _unit_translations(p: int, r: int) -> np.ndarray:
-    """Row i: the translation x -> x + e_i of F_p^r on lexicographic indices,
-    e_i the unit label of index p^(r-1-i), which adds p^(r-1-i) to x unless
-    digit i of x is p - 1 and wraps to 0."""
-    x = np.arange(p**r)
-    unit = p ** np.arange(r - 1, -1, -1)[:, None]
-    return x + unit - p * unit * (x // unit % p == p - 1)
+def _affine_map(perm: Perm, labels: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(S, b), S an int matrix, when the permutation perm of the label indices
+    is the affine map x -> S x + b; raises NotASymmetry otherwise.
 
-
-def _linear_part(perm: Perm, labels: np.ndarray, p: int) -> Perm:
-    """The linear part x -> S x of the permutation perm of the label indices,
-    when perm is the affine map x -> S x + b; raises NotASymmetry otherwise.
-
-    b is the label of perm(0) and column i of S is label(perm(e_i)) - b; the
+    b is the label of perm(0) and column k of S is label(perm(e_k)) - b; the
     map is checked on all n labels."""
-    g = np.array(perm)
-    r = labels.shape[1]
-    weights = p ** np.arange(r - 1, -1, -1)
+    g = np.asarray(perm)
+    units = lex_index(np.eye(labels.shape[1], dtype=np.int64), p)  # the indices of the e_k
     b = labels[g[0]]
-    image = labels @ ((labels[g[weights]] - b) % p)  # S^T has row i label(perm(e_i)) - b
-    if not np.array_equal((image + b) % p @ weights, g):
+    S = ((labels[g[units]] - b) % p).T
+    if not np.array_equal(lex_index(labels @ S.T + b, p), g):
         raise NotASymmetry("a symmetry does not act on the line labels as an affine map")
-    return tuple((image % p @ weights).tolist())
+    return S, b
 
 
 def action_certificate(
@@ -272,15 +262,16 @@ def action_certificate(
     if not perms:
         raise ValueError("no unitaries supplied")
     _, p, m = _case(lines)
+    labels = lex_digits(p, 2 * m)
     distinct = dict.fromkeys(perms)
-    missing = [i for i, t in enumerate(_unit_translations(p, 2 * m).tolist())
-               if tuple(t) not in distinct]
+    units = lex_index(labels + np.eye(2 * m, dtype=np.int64)[:, None], p)  # row k: x -> x + e_k
+    missing = [k for k, t in enumerate(units.tolist()) if tuple(t) not in distinct]
     if missing:
         raise ValueError(f"the unit translations {missing} are not among the symmetries")
-    labels = lex_digits(p, 2 * m)
     e = identity_perm(lines.n)
-    linear = [s for s in dict.fromkeys(_linear_part(g, labels, p) for g in distinct) if s != e]
-    chain = StabilizerChain(linear or [e])
+    linear = dict.fromkeys(tuple(lex_index(labels @ _affine_map(g, labels, p)[0].T, p).tolist())
+                           for g in distinct)
+    chain = StabilizerChain([s for s in linear if s != e] or [e])
     return ActionCertificate(
         generators=tuple(distinct),
         transitive=True,

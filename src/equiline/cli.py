@@ -7,11 +7,12 @@ Every documented failure raises Refused(exit_code, message); main prints the
 message to stderr and returns the code.
 
 Exit codes: 0 success, 2 invalid parameters (a --tol that is not a finite
-number >= 0 among them), unreadable input or an output path that cannot be
-written ("cannot write <path>: ..."), 3 fiducial search did not converge, 4 a
-certification check failed (the first failing certificate is named on
-stderr; a file of lines in C^1 fails `structure`, as a line set needs
-d >= 2), 5 the symmetry action could not be derived.
+number >= 0 among them, and a line set whose `construct`, or whose `action`
+symmetries, would not fit in memory), unreadable input or an output path
+that cannot be written ("cannot write <path>: ..."), 3 fiducial search did
+not converge, 4 a certification check failed (the first failing certificate
+is named on stderr; a file of lines in C^1 fails `structure`, as a line set
+needs d >= 2), 5 the symmetry action could not be derived.
 
 A run manifest (command, parameters, seed, version, tolerances, timestamp)
 is printed to stderr; stdout and output files are byte-deterministic.
@@ -143,12 +144,15 @@ def certify_report(lines: lineset.LineSet, tol: float = 1e-8) -> dict:
 
 def action_payload(lines: lineset.LineSet, tol: float = 1e-8) -> dict:
     """The payload `action` writes; exit 5 when the symmetries cannot be
-    derived or do not permute the lines."""
+    derived or do not permute the lines, 2 when they are too large for
+    memory."""
     try:
         unis = symmetries.symmetry_unitaries(lines)
         cert = action.action_certificate(lines, unis, tol=tol)
     except (action.NotASymmetry, RuntimeError, ValueError) as exc:
         raise Refused(EXIT_ACTION_FAILED, f"action derivation failed: {exc}")
+    except MemoryError as exc:
+        raise Refused(EXIT_PARAMS, f"invalid parameters: symmetries too large to build: {exc}")
     return {
         "n": lines.n,
         "d": lines.d,

@@ -24,6 +24,7 @@ from itertools import chain
 
 import numpy as np
 
+from .heisenberg import lex_index
 from .lineset import LineSet
 
 __all__ = ["serialize_lineset", "parse_lineset", "gram_csv"]
@@ -148,7 +149,7 @@ def _text_blocks(tokens: list[str], codes: np.ndarray) -> Iterator[list[str]]:
     kinds[0] += 1  # opens a column
     kinds[-1] += 2  # closes it
     offsets = kinds * base**w
-    radix = base ** np.arange(w)
+    radix = lex_index(np.eye(w, dtype=np.int64), base)  # a key is the index of its w codes
     powers = radix.tolist()
     sep = ["," + t for t in tokens] + [""]
     table = np.empty(4 * base**w, object)

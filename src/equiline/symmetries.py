@@ -10,11 +10,12 @@ by seeded search for the two fiducial-orbit cases.
 The search draws its words a block at a time, each block of fixed-length
 words in one Generator.integers call.  Every Clifford word normalizes the
 Pauli translations, so a word that permutes the lines acts on their labels
-as an affine map x -> S x + b over F_2, whose linear part is the permutation
-x -> g[x] XOR g[0].  With the translations in the group, the group is
-2-transitive iff the linear parts move line 1 to all n - 1 lines other than
-line 0 (see equiline.action), and the search stops when that orbit is full;
-the stabilizer chain is left to action_certificate.
+as an affine map x -> S x + b over F_2, read off its permutation by
+action._affine_map as the certificate reads it.  With the translations in
+the group, the group is 2-transitive iff the linear parts x -> S x move line
+1 to all n - 1 lines other than line 0 (see equiline.action), and the search
+stops when that orbit is full; the stabilizer chain is left to
+action_certificate.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import numpy as np
 from .action import (
     NotASymmetry,
     Perm,
+    _affine_map,
     close_permutations,
     induced_permutation,
 )
@@ -34,8 +36,8 @@ from .finfield import (
     nonsingular_vectors,
     standard_form,
 )
-from .heisenberg import monomial_matrix
-from .lineset import LineSet, _case, line_translations
+from .heisenberg import lex_digits, lex_index, monomial_matrix
+from .lineset import LineSet, _case, _memory_limit, line_translations
 from .weil import induced_symplectic, parity_split, weil_generators
 
 __all__ = [
@@ -64,7 +66,8 @@ def translation_unitaries(lines: LineSet) -> list[np.ndarray]:
     """Generators of the regular translation action: generator i translates by
     the i-th unit label, element p^(r-1-i) of the r-dimensional label space."""
     _, p, m = _case(lines)
-    return list(monomial_matrix(*line_translations(lines, p ** np.arange(2 * m - 1, -1, -1))))
+    units = lex_index(np.eye(2 * m, dtype=np.int64), p)
+    return list(monomial_matrix(*line_translations(lines, units)))
 
 
 def _transvection_perms(m: int, tag: HyperplaneType) -> list[Perm]:
@@ -113,37 +116,18 @@ def _qubit_clifford_generators(k: int) -> np.ndarray:
     return np.concatenate((np.stack((h, s), axis=1).reshape(-1, len(x), len(x)), cnot))
 
 
-class _LineOrbit:
-    """The orbit of line 1 under the group generated by the permutations added
-    so far, all of which fix line 0, as a mask of the n lines; with the
-    translations, the group they generate is 2-transitive iff the orbit holds
-    the n - 1 lines other than line 0 (`complete`).
-
-    Each `add` applies the new permutation to every line reached, then every
-    permutation to the lines each round first reaches."""
-
-    def __init__(self, n: int):
-        self.n, self.size = n, 1
-        self.gens: list[np.ndarray] = []
-        self.reach = np.zeros(n, dtype=bool)
-        self.reach[1] = True
-
-    @property
-    def complete(self) -> bool:
-        return self.size == self.n - 1
-
-    def add(self, perm: np.ndarray) -> None:
-        self.gens.append(perm)
-        frontier, movers = np.flatnonzero(self.reach), [perm]
-        while frontier.size:
-            reached = []
-            for g in movers:
-                image = g[frontier]
-                image = image[~self.reach[image]]
-                self.reach[image] = True
-                reached.append(image)
-            frontier, movers = np.concatenate(reached), self.gens
-            self.size += frontier.size
+def _moves_line1_everywhere(linear: list[np.ndarray], n: int) -> bool:
+    """Whether the permutations in linear, all fixing line 0, move line 1 to
+    all n - 1 other lines: with the translations, the group they generate is
+    then 2-transitive.  The orbit of line 1 is grown until it stops growing."""
+    reach = np.zeros(n, dtype=bool)
+    reach[1] = True
+    while True:
+        size = np.count_nonzero(reach)
+        for g in linear:
+            reach[g[reach]] = True
+        if np.count_nonzero(reach) == size:
+            return size == n - 1
 
 
 def _line0_candidates(lines: LineSet, letters: np.ndarray, words: np.ndarray,
@@ -166,15 +150,17 @@ def _clifford_symmetries(lines: LineSet) -> list[np.ndarray]:
 
     The words are drawn and tested at line 0 a block at a time; each word that
     passes is multiplied out and matched by induced_permutation, in draw
-    order.  A word is kept when its linear part is neither the identity (so
-    no word acting as a translation or as the identity) nor one kept before.
-    The stop test is the orbit of line 1 under those linear parts
-    (_LineOrbit), so the one stabilizer chain is the one action_certificate
-    builds."""
-    letters = _qubit_clifford_generators(lines.d.bit_length() - 1)
+    order.  A word is kept when the linear part S of its label map is neither
+    the identity (so no word acting as a translation or as the identity) nor
+    one kept before.  The stop test is the orbit of line 1 under those linear
+    parts (_moves_line1_everywhere), so the one stabilizer chain is the one
+    action_certificate builds."""
+    k = lines.d.bit_length() - 1
+    letters = _qubit_clifford_generators(k)
+    labels = lex_digits(2, 2 * k)
     rng = np.random.default_rng(CLIFFORD_SEARCH_SEED)
-    seen = {np.arange(lines.n).tobytes()}
-    orbit = _LineOrbit(lines.n)
+    seen = {np.eye(2 * k, dtype=np.int64).tobytes()}
+    linear: list[np.ndarray] = []
     found: list[np.ndarray] = []
     for start in range(0, _CLIFFORD_MAX_TRIALS, _CLIFFORD_BLOCK):
         words = rng.integers(0, len(letters), size=(_CLIFFORD_BLOCK, _CLIFFORD_WORD_LENGTH))
@@ -184,15 +170,14 @@ def _clifford_symmetries(lines: LineSet) -> list[np.ndarray]:
             for letter in word.tolist():
                 U = letters[letter] @ U
             try:
-                perm = induced_permutation(lines, U, _CLIFFORD_TOL)
+                S, _ = _affine_map(induced_permutation(lines, U, _CLIFFORD_TOL), labels, 2)
             except NotASymmetry:
                 continue
-            linear = np.array(perm) ^ perm[0]  # labels add by XOR
-            if linear.tobytes() not in seen:
-                seen.add(linear.tobytes())
-                orbit.add(linear)
+            if S.tobytes() not in seen:
+                seen.add(S.tobytes())
+                linear.append(lex_index(labels @ S.T, 2))
                 found.append(U)
-                if orbit.complete:
+                if _moves_line1_everywhere(linear, lines.n):
                     return found
     raise RuntimeError(
         f"Clifford scan exhausted {_CLIFFORD_MAX_TRIALS} trials without 2-transitivity"
@@ -200,9 +185,17 @@ def _clifford_symmetries(lines: LineSet) -> list[np.ndarray]:
 
 
 def geometry_unitaries(lines: LineSet) -> list[np.ndarray]:
-    """Symmetries beyond translations: the label-geometry action."""
+    """Symmetries beyond translations: the label-geometry action.  Case iii
+    raises MemoryError, before any is built, when its 4^m dense float64
+    d x d transvection matrices would exceed the memory available."""
     case, _, m = _case(lines)
     if case == "iii":
+        size, memory = 4**m * lines.d**2 * 8, _memory_limit()
+        if size > memory:
+            raise MemoryError(
+                f"its {4**m} dense {lines.d} x {lines.d} symmetries take {size} bytes, "
+                f"more than the {memory} bytes of memory available"
+            )
         perms = _transvection_perms(m, HyperplaneType(lines.meta["type"]))
         return [monomial_matrix(np.array(perm)) for perm in perms]
     if case == "iv":
@@ -211,8 +204,11 @@ def geometry_unitaries(lines: LineSet) -> list[np.ndarray]:
 
 
 def symmetry_unitaries(lines: LineSet) -> list[np.ndarray]:
-    """Translation generators plus geometry unitaries: a 2-transitive set."""
-    return translation_unitaries(lines) + geometry_unitaries(lines)
+    """Translation generators plus geometry unitaries: a 2-transitive set.
+    The geometry ones come first, so a set too large for them is refused
+    before any dense matrix is built."""
+    geometry = geometry_unitaries(lines)
+    return translation_unitaries(lines) + geometry
 
 
 def stabilizer_unitaries(lines: LineSet) -> tuple[list[np.ndarray], list[complex]]:

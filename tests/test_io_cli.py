@@ -11,6 +11,7 @@ import pytest
 
 import equiline
 import equiline.lineset
+import equiline.symmetries
 from equiline.cli import (
     EXIT_ACTION_FAILED,
     EXIT_CERT_FAILED,
@@ -292,6 +293,27 @@ def test_cli_construct_case_iii_heeds_the_cgroup_memory_limit(tmp_path, capsys, 
     assert main(["construct", "--case", "iii", "--m", "2", "--type", "minus",
                  "--out", str(out)]) == code
     assert out.exists() == (code == EXIT_OK)
+
+
+@pytest.mark.parametrize("limit,code", [(4607, EXIT_PARAMS), (4608, EXIT_OK)])
+def test_cli_action_refuses_symmetries_beyond_memory(tmp_path, capsys, monkeypatch, limit, code):
+    # iii m = 2 minus: 16 dense 6 x 6 float64 transvections, 4,608 bytes; a
+    # refused set builds no dense symmetry, not even a translation
+    def monomial_matrix(*args):
+        raise AssertionError("a dense symmetry was built")
+
+    lines, out = tmp_path / "l.json", tmp_path / "a.json"
+    main(["construct", "--case", "iii", "--m", "2", "--type", "minus", "--out", str(lines)])
+    monkeypatch.setattr(equiline.symmetries, "_memory_limit", lambda: limit)
+    if code == EXIT_PARAMS:
+        monkeypatch.setattr(equiline.symmetries, "monomial_matrix", monomial_matrix)
+    capsys.readouterr()
+    assert main(["action", str(lines), "--out", str(out)]) == code
+    assert out.exists() == (code == EXIT_OK)
+    if code == EXIT_PARAMS:
+        err = capsys.readouterr().err
+        assert ("invalid parameters: symmetries too large to build: "
+                "its 16 dense 6 x 6 symmetries take 4608 bytes") in err
 
 
 def test_cli_certify_reports_welch_violation(tmp_path, capsys, monkeypatch):

@@ -85,3 +85,20 @@ def test_no_module_uses_matrix_rank():
         or (isinstance(node, ast.alias) and node.name == "matrix_rank")
     ]
     assert not found, f"matrix_rank in equiline: {found}"
+
+
+def test_lexicographic_weights_live_only_in_heisenberg():
+    # p ** np.arange(...) restates the label weights of heisenberg.lex_index;
+    # elsewhere they are lex_index(np.eye(r, dtype=np.int64), p)
+    def arange_call(node):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "arange")
+
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        if path.stem != "heisenberg"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow) and arange_call(node.right)
+    ]
+    assert not found, f"lexicographic weights outside heisenberg: {found}"

@@ -7,8 +7,7 @@ import pytest
 from equiline.action import (
     NotASymmetry,
     StabilizerChain,
-    _linear_part,
-    _unit_translations,
+    _affine_map,
     action_certificate,
     induced_permutation,
     is_transitive,
@@ -20,6 +19,7 @@ from equiline.finfield import (
     enumerate_hyperplanes,
     nonsingular_vectors,
     standard_form,
+    transvection,
     transvection_on_functional,
 )
 from equiline.fiducial import SearchConfig, orbit_lineset, search_fiducial
@@ -29,8 +29,8 @@ from equiline.symmetries import (
     _CLIFFORD_BLOCK,
     _CLIFFORD_WORD_LENGTH,
     CLIFFORD_SEARCH_SEED,
-    _LineOrbit,
     _line0_candidates,
+    _moves_line1_everywhere,
     _qubit_clifford_generators,
     _transvection_perms,
     _weil_kron,
@@ -52,6 +52,12 @@ def fixed_points(perm):
 def seeded_orbit(d):
     rng = np.random.default_rng(11)
     return orbit_lineset(rng.normal(size=d) + 1j * rng.normal(size=d), d)
+
+
+def _unit_translations(p, k):
+    """Row i: x -> x + e_i on the lexicographic indices of F_p^k, as
+    action_certificate forms it."""
+    return lex_index(lex_digits(p, k) + np.eye(k, dtype=np.int64)[:, None], p)
 
 
 @pytest.mark.parametrize(
@@ -98,10 +104,17 @@ def test_translations_act_freely_and_transitively(build):
     ],
 )
 def test_unit_translations_are_the_translation_permutations(build):
+    # the certificate's x -> x + e_k on the label indices, against the dense
+    # translation unitaries; the certificate accepts them and misses each one
     L = build()
     p = L.meta.get("p", 2)
-    expected = [induced_permutation(L, U) for U in translation_unitaries(L)]
+    gens = translation_unitaries(L)
+    expected = [induced_permutation(L, U) for U in gens]
     assert [tuple(t) for t in _unit_translations(p, len(expected)).tolist()] == expected
+    assert action_certificate(L, gens).group_order == L.n
+    for k in range(len(gens)):
+        with pytest.raises(ValueError, match=rf"unit translations \[{k}\]"):
+            action_certificate(L, gens[:k] + gens[k + 1:])
 
 
 def test_translation_generators_are_unitary():
@@ -150,7 +163,8 @@ def test_symmetry_groups_are_two_transitive_with_known_order(build, order):
 @pytest.mark.parametrize("eigen", [MINUS, PLUS])
 def test_weil_label_maps_give_the_induced_permutations(p, m, eigen):
     # U (x) conj(R) fixes line 0 and sends line i, D(label_i) applied to line 0,
-    # to the line of D(S label_i): its permutation is read off the label map S
+    # to the line of D(S label_i): its permutation is read off the label map S,
+    # and _affine_map reads S back off the permutation
     L = construct_case_iv(p, m, eigen)
     labels = lex_digits(p, 2 * m)
     even, odd = parity_split(p, m)
@@ -162,7 +176,25 @@ def test_weil_label_maps_give_the_induced_permutations(p, m, eigen):
         S = induced_symplectic(U, p, m)
         W = np.kron(U, (iota.conj().T @ U @ iota).conj())
         assert np.array_equal(S, S_kron) and np.array_equal(W, W_kron)
-        assert tuple(lex_index(labels @ S.T % p, p).tolist()) == induced_permutation(L, W)
+        perm = induced_permutation(L, W)
+        assert tuple(lex_index(labels @ S.T % p, p).tolist()) == perm
+        S_read, b = _affine_map(perm, labels, p)
+        assert np.array_equal(S_read, S % p) and not b.any()
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("tag", [MINUS, PLUS])
+def test_transvection_line_permutations_are_the_transvections(m, tag):
+    # label digit j is bit j + 1 of the packed vector (bit 0 spans the
+    # radical), and the transvection of u fixes line 0: column k of S is the
+    # image of 2 << k with its radical bit dropped
+    L = construct_case_iii(m, tag)
+    q, labels = standard_form(m), lex_digits(2, 2 * m)
+    for u, perm in zip(nonsingular_vectors(q), _transvection_perms(m, tag), strict=True):
+        S, b = _affine_map(induced_permutation(L, monomial_matrix(np.array(perm))), labels, 2)
+        images = [transvection(q, u, 2 << k) & ~1 for k in range(2 * m)]
+        assert np.array_equal(S, [[x >> (j + 1) & 1 for x in images] for j in range(2 * m)])
+        assert not b.any()
 
 
 def test_stabilizer_sign_case():
@@ -285,15 +317,17 @@ def _line_orbit_agrees_with_chain(k, p, gens):
     2-transitive, after every added generator."""
     translations = [tuple(t) for t in _unit_translations(p, k).tolist()]
     labels = lex_digits(p, k)
-    orbit = _LineOrbit(p**k)
-    assert orbit.complete == StabilizerChain(translations).two_transitive
+    linear = []
+    complete = _moves_line1_everywhere(linear, p**k)
+    assert complete == StabilizerChain(translations).two_transitive
     for j, g in enumerate(gens, 1):
-        linear = _linear_part(g, labels, p)
-        if p == 2:  # the scan's form: labels add by XOR
-            assert linear == tuple((np.array(g) ^ g[0]).tolist())
-        orbit.add(np.array(linear))
-        assert orbit.complete == StabilizerChain(translations + gens[:j]).two_transitive, gens[:j]
-    return orbit.complete
+        S, _ = _affine_map(g, labels, p)
+        linear.append(lex_index(labels @ S.T, p))
+        if p == 2:  # over F_2 labels add by XOR, so the linear part is g ^ g[0]
+            assert np.array_equal(linear[-1], np.array(g) ^ g[0])
+        complete = _moves_line1_everywhere(linear, p**k)
+        assert complete == StabilizerChain(translations + gens[:j]).two_transitive, gens[:j]
+    return complete
 
 
 @pytest.mark.parametrize("gens", PAIR_ORBIT_GROUPS)
