@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from math import isqrt
+from math import isqrt, prod
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -246,6 +247,7 @@ def line_translations(lines: LineSet, elements=None):
 # operator (measured as the rise in peak RSS: case iii 58.5 B at m = 5 and
 # 53.1 B at m = 6, case iv 56-58 B at (3, 3), (7, 2) and (61, 1)).
 _BUILD_BYTES_PER_ENTRY = 64
+_BUILD_WHAT = "building its {} x {} columns takes about {} bytes"
 _CGROUP_MEMORY_MAX = Path("/sys/fs/cgroup/memory.max")
 
 
@@ -260,15 +262,29 @@ def _memory_limit() -> int:
     return min(memory, int(limit)) if limit.isdigit() else memory
 
 
-def _check_build_size(d: int, n: int) -> None:
-    """Raise MemoryError when building d x n columns, at
-    _BUILD_BYTES_PER_ENTRY bytes per entry, would exceed _memory_limit()."""
-    size, memory = _BUILD_BYTES_PER_ENTRY * d * n, _memory_limit()
-    if size > memory:
-        raise MemoryError(
-            f"building its {d} x {n} columns takes about {size} bytes, "
-            f"more than the {memory} bytes of memory available"
-        )
+def _shape_in_memory(what: str, entry_bytes: int, floors: tuple[int, ...],
+                     shape: Callable[[], tuple[int, ...]]) -> tuple[int, ...]:
+    """The shape() of an array of entry_bytes-byte entries, or MemoryError when
+    the array would exceed _memory_limit().  what describes it, with a {} field
+    for each dimension and one for the size in bytes.
+
+    floors are lower bounds on the dimensions' log2, read off the parameters.
+    An array that they put 2^64 times past memory is refused before shape()
+    forms a single power (3^m takes minutes at m = 10^8), and its numbers are
+    stated as 2^k+, at least 2^k, since str() of an int stops at 4300 digits."""
+    memory = _memory_limit()
+    bits = entry_bytes.bit_length() - 1 + sum(floors)  # the size is at least 2^bits
+    if bits >= memory.bit_length() + 64:
+        numbers = [f"2^{k}+" for k in (*floors, bits)]
+    else:
+        dims = shape()
+        size = entry_bytes * prod(dims)
+        if size <= memory:
+            return dims
+        numbers = [*dims, size]
+    raise MemoryError(
+        f"{what.format(*numbers)}, more than the {memory} bytes of memory available"
+    )
 
 
 def _case_iii_dims(m: int) -> tuple[int, int]:
@@ -293,9 +309,11 @@ def construct_case_iii(m: int, type_choice: HyperplaneType) -> LineSet:
         raise ValueError("m must be >= 2; m = 1 leaves no usable dimension pair")
     if type_choice is HyperplaneType.DEGENERATE:
         raise ValueError("degenerate hyperplanes do not give a line set")
-    d_minus, d_plus = _case_iii_dims(m)
-    d = d_minus if type_choice is HyperplaneType.MINUS else d_plus
-    _check_build_size(d, 4**m)
+    minus = type_choice is HyperplaneType.MINUS
+    d, _ = _shape_in_memory(  # d >= 2^(m-1) 2^(m-1)
+        _BUILD_WHAT, _BUILD_BYTES_PER_ENTRY, (2 * m - 2, 2 * m),
+        lambda: (_case_iii_dims(m)[0 if minus else 1], 4**m),
+    )
     phis = enumerate_hyperplanes(standard_form(m), type_choice)
     shifts = translations(2, m, functionals=phis)
     signs = orbit(np.ones(d, dtype=np.int64), *shifts)
@@ -325,17 +343,22 @@ def construct_case_iv(p: int, m: int, eigen_choice: HyperplaneType) -> LineSet:
     smaller one).  The fiducial is the normalized inclusion of U; line e is the
     flattened matrix D(e) @ iota / sqrt(dim U), the translation orbit of the
     flattened iota.  LineSet raises SpanDeficient if the orbit fails to span.
-    Raises MemoryError before any work when the build would exceed the memory
-    available, as construct_case_iii does.
+    Raises MemoryError before any work, the primality test of p included,
+    when the build would exceed the memory available, as construct_case_iii
+    does.
     """
-    if not _is_odd_prime(p):
-        raise ValueError(f"p must be an odd prime, got {p}")
     if m < 1:
         raise ValueError("m must be >= 1")
     if eigen_choice is HyperplaneType.DEGENERATE:
         raise ValueError("eigenspace choice must be plus or minus")
-    q = p**m
-    _check_build_size(q * (q - 1 if eigen_choice is HyperplaneType.MINUS else q + 1) // 2, q * q)
+    sign = -1 if eigen_choice is HyperplaneType.MINUS else 1
+    b = m * (p.bit_length() - 1)  # q = p^m >= 2^b, and d >= q^2 / 3 >= 2^(2b - 2) for q >= 3
+    _shape_in_memory(
+        _BUILD_WHAT, _BUILD_BYTES_PER_ENTRY, (2 * b - 2, 2 * b),
+        lambda: (p**m * (p**m + sign) // 2, p ** (2 * m)),
+    )
+    if not _is_odd_prime(p):
+        raise ValueError(f"p must be an odd prime, got {p}")
     even, odd = parity_split(p, m)
     iota = odd if eigen_choice is HyperplaneType.MINUS else even
     du = iota.shape[1]

@@ -22,13 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .action import (
-    NotASymmetry,
-    Perm,
-    _affine_map,
-    close_permutations,
-    induced_permutation,
-)
+from .action import NotASymmetry, Perm, _affine_map, induced_permutation
 from .finfield import (
     HyperplaneType,
     dot2,
@@ -37,8 +31,8 @@ from .finfield import (
     standard_form,
 )
 from .heisenberg import lex_digits, lex_index, monomial_matrix
-from .lineset import LineSet, _case, _memory_limit, line_translations
-from .weil import induced_symplectic, parity_split, weil_generators
+from .lineset import LineSet, _case, _shape_in_memory, line_translations
+from .weil import parity_split, weil_generators
 
 __all__ = [
     "translation_unitaries",
@@ -84,10 +78,9 @@ def _transvection_perms(m: int, tag: HyperplaneType) -> list[Perm]:
     return perms
 
 
-def _weil_kron(lines: LineSet) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Pairs (S, U (x) conj(R)) over the displacement normalizers U: S is the
-    label map of U (weil.induced_symplectic) and U (x) conj(R) the line-space
-    unitary, where R is the compression of U to the fiducial eigenspace."""
+def _weil_kron(lines: LineSet) -> list[np.ndarray]:
+    """The line-space unitaries U (x) conj(R) of the displacement normalizers
+    U, where R is the compression of U to the fiducial eigenspace."""
     p, m = lines.meta["p"], lines.meta["m"]
     even, odd = parity_split(p, m)
     iota = odd if HyperplaneType(lines.meta["eigen"]) is HyperplaneType.MINUS else even
@@ -96,7 +89,7 @@ def _weil_kron(lines: LineSet) -> list[tuple[np.ndarray, np.ndarray]]:
         R = iota.conj().T @ U @ iota
         if np.abs(R @ R.conj().T - np.eye(R.shape[0])).max() > 1e-8:
             raise ValueError("eigenspace compression of a normalizer is not unitary")
-        out.append((induced_symplectic(U, p, m), np.kron(U, R.conj())))
+        out.append(np.kron(U, R.conj()))
     return out
 
 
@@ -190,16 +183,13 @@ def geometry_unitaries(lines: LineSet) -> list[np.ndarray]:
     d x d transvection matrices would exceed the memory available."""
     case, _, m = _case(lines)
     if case == "iii":
-        size, memory = 4**m * lines.d**2 * 8, _memory_limit()
-        if size > memory:
-            raise MemoryError(
-                f"its {4**m} dense {lines.d} x {lines.d} symmetries take {size} bytes, "
-                f"more than the {memory} bytes of memory available"
-            )
+        k = lines.d.bit_length() - 1
+        _shape_in_memory("its {} dense {} x {} symmetries take {} bytes", 8, (2 * m, k, k),
+                         lambda: (4**m, lines.d, lines.d))
         perms = _transvection_perms(m, HyperplaneType(lines.meta["type"]))
         return [monomial_matrix(np.array(perm)) for perm in perms]
     if case == "iv":
-        return [W for _, W in _weil_kron(lines)]
+        return _weil_kron(lines)
     return _clifford_symmetries(lines)
 
 
@@ -212,52 +202,22 @@ def symmetry_unitaries(lines: LineSet) -> list[np.ndarray]:
 
 
 def stabilizer_unitaries(lines: LineSet) -> tuple[list[np.ndarray], list[complex]]:
-    """A line-0 stabilizer subgroup with the phases it takes on the base
-    vector, sized for the desk-scale multiplicity certificates.
+    """Generators of a line-0 stabilizer subgroup in the algebraic cases, each
+    with the phase lambda = <v_0, U v_0> it takes on the base vector: the
+    geometry unitaries, that is the transvection permutations of case iii and
+    the induced normalizer maps of case iv.  multiplicity_certificate needs no
+    more than a generating set, so no group is enumerated.
 
-    Sign-matrix case: the closed group of transvection coordinate
-    permutations together with their negatives (phases +-1).  Odd-prime case:
-    the closed group of induced normalizer maps, enumerated by their label
-    maps (phases read off the base vector).
+    Raises NotASymmetry when a generator moves line 0 (|lambda| off 1 by more
+    than 1e-8), and ValueError for cases i and ii, whose scanned words need
+    not fix line 0.
     """
-    case, p, m = _case(lines)
-    if case == "iii":
-        if m != 2:
-            raise ValueError("stabilizer closure is sized for m = 2 only")
-        perms = _transvection_perms(2, HyperplaneType(lines.meta["type"]))
-        unis = []
-        phases = []
-        for perm in close_permutations(perms, limit=1000):
-            P = monomial_matrix(np.array(perm))
-            unis.extend((P, -P))
-            phases.extend((1.0, -1.0))
-        return unis, phases
-    if case == "iv":
-        if m != 1:
-            raise ValueError("stabilizer closure is sized for m = 1 only")
-        # the closure is keyed on the exact label map S, which determines W:
-        # the generators commute with parity, so S fixes U up to a phase, and
-        # that phase cancels in U (x) conj(R)
-        base = _weil_kron(lines)
-        closed: list[np.ndarray] = []
-        seen: set[bytes] = set()
-        frontier = [(np.eye(2 * m, dtype=np.int64), np.eye(lines.d, dtype=complex))]
-        while frontier:
-            S, W = frontier.pop()
-            key = S.tobytes()
-            if key in seen:
-                continue
-            seen.add(key)
-            closed.append(W)
-            if len(closed) > 1000:
-                raise RuntimeError("stabilizer closure exceeded the expected size")
-            frontier.extend((G_S @ S % p, G_W @ W) for G_S, G_W in base)
-        v0 = lines.vectors[:, 0]
-        phases = []
-        for W in closed:
-            lam = complex(np.vdot(v0, W @ v0))
-            if abs(abs(lam) - 1.0) > 1e-8:
-                raise NotASymmetry("closure element does not stabilize the base line")
-            phases.append(lam)
-        return closed, phases
-    raise ValueError("stabilizer closure is provided for the algebraic cases only")
+    case, _, _ = _case(lines)
+    if case not in ("iii", "iv"):
+        raise ValueError("stabilizer generators are provided for the algebraic cases only")
+    unis = geometry_unitaries(lines)
+    v0 = lines.vectors[:, 0]
+    phases = [complex(np.vdot(v0, U @ v0)) for U in unis]
+    if any(abs(abs(lam) - 1.0) > 1e-8 for lam in phases):
+        raise NotASymmetry("a geometry unitary does not stabilize the base line")
+    return unis, phases

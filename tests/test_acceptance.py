@@ -192,11 +192,14 @@ def test_08_two_transitive_actions(capsys, all_sets):
 
 def test_09_multiplicity_one(capsys, all_sets):
     with Clock("09 multiplicity-one stabilizer projectors", None, capsys):
-        for key in ((16, 6), (16, 10), (9, 3), (9, 6)):
+        algebraic = [key for key, L in all_sets.items() if L.meta["case"] in ("iii", "iv")]
+        assert len(algebraic) == 10  # iii m = 2, 3 and iv (3, 1), (5, 1), (3, 2), both types
+        for key in algebraic:
             L = all_sets[key]
             unis, phases = stabilizer_unitaries(L)
             cert = multiplicity_certificate(L, unis, phases)
             assert cert.rank == 1 and cert.range_is_line0, key
+            assert cert.gap >= 0.05, key
         for (n, d), L in all_sets.items():
             assert dimension_pair(n, d) == n - d
         assert all(r["d"] + r["d_prime"] == r["n"] for r in classification_rows(4096))

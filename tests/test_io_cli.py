@@ -270,6 +270,41 @@ def test_cli_construct_refuses_case_iii_beyond_memory(tmp_path, capsys, monkeypa
     assert not out.exists()
 
 
+def test_cli_construct_refuses_a_huge_prime_before_testing_it(tmp_path, capsys, monkeypatch):
+    # trial division of 2^61 - 1 takes minutes; the build size refuses it first
+    def is_odd_prime(p):
+        raise AssertionError("the primality test ran")
+
+    monkeypatch.setattr(equiline.lineset, "_is_odd_prime", is_odd_prime)
+    out = tmp_path / "l.json"
+    assert main(["construct", "--case", "iv", "--p", "2305843009213693951", "--m", "1",
+                 "--eigen", "minus", "--out", str(out)]) == EXIT_PARAMS
+    assert "invalid parameters: line set too large to build" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["--case", "iii", "--m", "5000", "--type", "minus"],
+     ["--case", "iii", "--m", "100000000", "--type", "plus"],
+     ["--case", "iv", "--p", "3", "--m", "5000", "--eigen", "minus"],
+     ["--case", "iv", "--p", "3", "--m", "100000000", "--eigen", "plus"]],
+    ids=["iii-5000", "iii-1e8", "iv-3-5000", "iv-3-1e8"],
+)
+def test_cli_construct_refuses_huge_m_by_bit_length(tmp_path, capsys, args):
+    # the sizes have thousands of digits, past the limit of int to str, and
+    # 3^(10^8) takes minutes to form: the refusal forms and prints neither
+    out = tmp_path / "l.json"
+    start = time.perf_counter()
+    assert main(["construct", *args, "--out", str(out)]) == EXIT_PARAMS
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    message = err.strip().splitlines()[-1]
+    assert message.startswith("invalid parameters: line set too large to build: building its 2^")
+    assert "bytes of memory available" in message and len(message) < 300
+    assert "digits" not in err and not out.exists()
+
+
 @pytest.mark.parametrize("limit,code", [(186_623, EXIT_PARAMS), (186_624, EXIT_OK)])
 def test_cli_construct_refuses_case_iv_beyond_memory(tmp_path, capsys, monkeypatch, limit, code):
     # iv (3, 2) minus: 36 x 81 entries at 64 bytes each, 186,624 bytes
@@ -304,7 +339,7 @@ def test_cli_action_refuses_symmetries_beyond_memory(tmp_path, capsys, monkeypat
 
     lines, out = tmp_path / "l.json", tmp_path / "a.json"
     main(["construct", "--case", "iii", "--m", "2", "--type", "minus", "--out", str(lines)])
-    monkeypatch.setattr(equiline.symmetries, "_memory_limit", lambda: limit)
+    monkeypatch.setattr(equiline.lineset, "_memory_limit", lambda: limit)
     if code == EXIT_PARAMS:
         monkeypatch.setattr(equiline.symmetries, "monomial_matrix", monomial_matrix)
     capsys.readouterr()

@@ -102,3 +102,27 @@ def test_lexicographic_weights_live_only_in_heisenberg():
         if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow) and arange_call(node.right)
     ]
     assert not found, f"lexicographic weights outside heisenberg: {found}"
+
+
+def test_memory_refusals_live_in_one_lineset_helper():
+    # whether an array fits in memory is decided by lineset._shape_in_memory
+    # alone, so every MemoryError the package raises is raised there
+    def raises_memory_error(node):
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        return isinstance(exc, ast.Name) and exc.id == "MemoryError"
+
+    inside, outside = [], []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        helper = [
+            range(node.lineno, node.end_lineno + 1)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef)
+            and (path.stem, node.name) == ("lineset", "_shape_in_memory")
+        ]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None and raises_memory_error(node):
+                where = inside if any(node.lineno in lines for lines in helper) else outside
+                where.append(f"{path.name}:{node.lineno}")
+    assert not outside, f"MemoryError raised outside lineset._shape_in_memory: {outside}"
+    assert len(inside) == 1

@@ -4,11 +4,13 @@ from math import log
 import numpy as np
 import pytest
 
+import equiline.symmetries
 from equiline.action import (
     NotASymmetry,
     StabilizerChain,
     _affine_map,
     action_certificate,
+    close_permutations,
     induced_permutation,
     is_transitive,
     multiplicity_certificate,
@@ -170,12 +172,12 @@ def test_weil_label_maps_give_the_induced_permutations(p, m, eigen):
     even, odd = parity_split(p, m)
     iota = odd if eigen is MINUS else even
     gens = weil_generators(p, m)
-    pairs = _weil_kron(L)
-    assert len(pairs) == len(gens)
-    for U, (S_kron, W_kron) in zip(gens, pairs):
+    kron = _weil_kron(L)
+    assert len(kron) == len(gens)
+    for U, W_kron in zip(gens, kron):
         S = induced_symplectic(U, p, m)
         W = np.kron(U, (iota.conj().T @ U @ iota).conj())
-        assert np.array_equal(S, S_kron) and np.array_equal(W, W_kron)
+        assert np.array_equal(W, W_kron)
         perm = induced_permutation(L, W)
         assert tuple(lex_index(labels @ S.T % p, p).tolist()) == perm
         S_read, b = _affine_map(perm, labels, p)
@@ -197,42 +199,99 @@ def test_transvection_line_permutations_are_the_transvections(m, tag):
         assert not b.any()
 
 
-def test_stabilizer_sign_case():
-    L = construct_case_iii(2, MINUS)
+def _closed_stabilizer(L):
+    """The whole group stabilizer_unitaries' generators generate, with its
+    phases on line 0: the reference for the generator certificate.  Case iii
+    closes the transvection permutations (close_permutations) and takes each
+    with its negative, phases +-1.  Case iv closes the induced normalizer maps
+    keyed on their label maps S, which fix the line-space unitary: S fixes U up
+    to a phase, and that phase cancels in U (x) conj(R)."""
+    if L.meta["case"] == "iii":
+        unis, phases = [], []
+        tag = HyperplaneType(L.meta["type"])
+        for perm in close_permutations(_transvection_perms(L.meta["m"], tag)):
+            P = monomial_matrix(np.array(perm))
+            unis.extend((P, -P))
+            phases.extend((1.0, -1.0))
+        return unis, phases
+    p, m = L.meta["p"], L.meta["m"]
+    base = [(induced_symplectic(U, p, m), W) for U, W in zip(weil_generators(p, m), _weil_kron(L))]
+    closed, seen = [], set()
+    frontier = [(np.eye(2 * m, dtype=np.int64), np.eye(L.d, dtype=complex))]
+    while frontier:
+        S, W = frontier.pop()
+        if S.tobytes() not in seen:
+            seen.add(S.tobytes())
+            closed.append(W)
+            frontier.extend((G_S @ S % p, G_W @ W) for G_S, G_W in base)
+    v0 = L.vectors[:, 0]
+    return closed, [complex(np.vdot(v0, W @ v0)) for W in closed]
+
+
+def _assert_generators_match_the_closed_group(L, group_size):
+    # the generators fix line 0 with their phases, and their certificate has
+    # the rank and range of the averaging projector over the closed group
     unis, phases = stabilizer_unitaries(L)
-    assert len(unis) == len(phases) == 1440  # 720 permutations times +-1
-    assert set(phases) == {1.0, -1.0}
     base = L.vectors[:, 0]
-    for U, lam in zip(unis[:50], phases[:50]):
-        assert np.abs(U @ base - lam * base).max() < 1e-12
+    for U, lam in zip(unis, phases):
+        assert abs(abs(lam) - 1.0) < 1e-8
+        assert np.abs(U @ base - lam * base).max() < 1e-7
+    closed, closed_phases = _closed_stabilizer(L)
+    assert len(closed) == len(closed_phases) == group_size
+    for U, lam in zip(closed[:50], closed_phases[:50]):
+        assert np.abs(U @ base - lam * base).max() < 1e-7
+    pi = sum(np.conj(lam) * U for U, lam in zip(closed, closed_phases)) / len(closed)
+    assert np.linalg.norm(pi @ pi - pi, 2) < 1e-12  # the closed group's projector
+    oracle = multiplicity_certificate(L, closed, closed_phases)
     cert = multiplicity_certificate(L, unis, phases)
-    assert cert.rank == 1
-    assert cert.range_is_line0
-    assert cert.idempotency_residual < 1e-12
+    assert oracle.rank == cert.rank == 1
+    assert oracle.range_is_line0 and cert.range_is_line0
+    assert oracle.gap == pytest.approx(1.0, abs=1e-12)
+    assert 0.05 <= cert.gap <= 1.0 + 1e-12
+    return closed_phases
+
+
+def test_stabilizer_sign_case():
+    for tag in (MINUS, PLUS):
+        # 720 permutations times +-1
+        phases = _assert_generators_match_the_closed_group(construct_case_iii(2, tag), 1440)
+        assert set(phases) == {1.0, -1.0}
 
 
 @pytest.mark.parametrize(
-    "p,eigen,size", [(3, MINUS, 24), (3, PLUS, 24), (5, MINUS, 120), (5, PLUS, 120)]
+    "p,eigen,size",
+    [(3, MINUS, 24), (3, PLUS, 24), (5, MINUS, 120), (5, PLUS, 120), (7, MINUS, 336),
+     (7, PLUS, 336)],
 )
 def test_stabilizer_odd_prime_case(p, eigen, size):
-    L = construct_case_iv(p, 1, eigen)
+    # the closed group is the full 2x2 symplectic group over F_p
+    _assert_generators_match_the_closed_group(construct_case_iv(p, 1, eigen), size)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: construct_case_iii(3, MINUS), lambda: construct_case_iii(3, PLUS),
+     lambda: construct_case_iv(3, 2, MINUS), lambda: construct_case_iv(3, 2, PLUS)],
+    ids=["iii-3-minus", "iii-3-plus", "iv-3-2-minus", "iv-3-2-plus"],
+)
+def test_stabilizer_generators_certify_past_the_closure_rows(build):
+    # rows whose stabilizer was never enumerated: the generators alone
+    # certify multiplicity one, with room to spare
+    L = build()
     unis, phases = stabilizer_unitaries(L)
-    assert len(unis) == size  # the full 2x2 symplectic group over F_p
-    base = L.vectors[:, 0]
-    for lam in phases:
-        assert abs(abs(lam) - 1.0) < 1e-8
-    for U, lam in zip(unis, phases):
-        assert np.abs(U @ base - lam * base).max() < 1e-7
+    assert len(unis) == len(geometry_unitaries(L))
     cert = multiplicity_certificate(L, unis, phases)
-    assert cert.rank == 1
-    assert cert.range_is_line0
+    assert cert.rank == 1 and cert.range_is_line0
+    assert cert.gap >= 0.05
 
 
-def test_stabilizer_size_guards():
-    with pytest.raises(ValueError):
-        stabilizer_unitaries(construct_case_iii(3, MINUS))
-    with pytest.raises(ValueError):
-        stabilizer_unitaries(construct_case_iv(3, 2, MINUS))
+def test_stabilizer_refuses_the_orbit_cases_and_moved_base_lines(monkeypatch):
+    with pytest.raises(ValueError, match="algebraic cases only"):
+        stabilizer_unitaries(seeded_orbit(2))
+    L = construct_case_iv(3, 1, MINUS)
+    monkeypatch.setattr(equiline.symmetries, "geometry_unitaries", translation_unitaries)
+    with pytest.raises(NotASymmetry, match="does not stabilize the base line"):
+        stabilizer_unitaries(L)
 
 
 def test_orbit_case_symmetries_reach_two_transitivity():
