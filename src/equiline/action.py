@@ -1,7 +1,8 @@
 """Permutation actions of symmetry unitaries on a line set, and certificates
 for the group-theoretic claims: 2-transitivity, group order, line-stabilizer
 character multiplicity (from generators of the stabilizer, not the whole
-group), and triviality of the projector commutant.
+group), and triviality of the projector commutant of a LineSet, which holds
+iff its non-orthogonality graph is connected (scalar_kernel_check).
 
 Permutations are tuples ``p`` of length n with ``p[i]`` = image of i.
 Composition is ``compose(p, q) = p after q``, matching
@@ -19,7 +20,6 @@ the stabilizer chain of G_0 only: |G| = n |G_0|, G is transitive, and G is
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from math import prod
 from operator import itemgetter
@@ -28,7 +28,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .heisenberg import lex_digits, lex_index
-from .lineset import LineSet, _case, _frame_rank
+from .lineset import LineSet, _case
 
 __all__ = [
     "NotASymmetry",
@@ -41,12 +41,10 @@ __all__ = [
     "is_transitive",
     "two_transitivity",
     "group_order",
-    "close_permutations",
     "ActionCertificate",
     "action_certificate",
     "MultiplicityCertificate",
     "multiplicity_certificate",
-    "projector_commutant_dimension",
     "scalar_kernel_check",
 ]
 
@@ -197,28 +195,6 @@ def two_transitivity(gens: Sequence[Perm]) -> bool:
     return StabilizerChain(gens).two_transitive
 
 
-def close_permutations(gens: Sequence[Perm], limit: int = 2_000_000) -> list[Perm]:
-    """All elements of the generated group, BFS order; error beyond `limit`."""
-    if not gens:
-        raise ValueError("empty generator list")
-    n = len(gens[0])
-    e = identity_perm(n)
-    seen = {e}
-    dq = deque([e])
-    out = [e]
-    while dq:
-        p = dq.popleft()
-        for g in gens:
-            q = compose(g, p)
-            if q not in seen:
-                if len(seen) >= limit:
-                    raise ValueError(f"closure exceeds {limit} elements")
-                seen.add(q)
-                dq.append(q)
-                out.append(q)
-    return out
-
-
 @dataclass(frozen=True)
 class ActionCertificate:
     generators: tuple[Perm, ...]
@@ -311,24 +287,7 @@ def multiplicity_certificate(
     return MultiplicityCertificate(rank, range_ok, float(1.0 - eigvals[-2]))
 
 
-def projector_commutant_dimension(vectors: np.ndarray, tol: float = 1e-8) -> int:
-    """Dimension of {X : X commutes with every v_i v_i*}, in closed form.
-
-    X commutes with v_i v_i* exactly when v_i is an eigenvector of both X and
-    X*.  Eigenvalues agree across non-orthogonal pairs, so X is one scalar on
-    the span of each connected component of the non-orthogonality graph; and
-    X maps the complement W of the span S of the columns into W, on which it
-    is arbitrary.  The dimension is the component count plus (d - r)^2 with
-    r = dim S.  A zero column raises ValueError: it would count as a component.
-    """
-    V = np.asarray(vectors, dtype=complex)
-    if not V.any(axis=0).all():
-        raise ValueError("zero column")
-    d, n = V.shape
-    return _component_count(V, tol) + (d - _frame_rank(V @ V.conj().T, n)) ** 2
-
-
-def _component_count(V: np.ndarray, tol: float) -> int:
+def _component_count(V: np.ndarray, tol: float = 1e-8) -> int:
     """Connected components of the graph joining i, j when |<v_i, v_j>| > tol.
 
     A frontier search over the columns not yet reached: each step takes the
@@ -349,8 +308,12 @@ def _component_count(V: np.ndarray, tol: float) -> int:
     return components
 
 
-def scalar_kernel_check(lines: LineSet | np.ndarray, tol: float = 1e-8) -> bool:
-    """True iff every unitary fixing each line individually is scalar."""
-    if isinstance(lines, LineSet):  # LineSet has already checked that it spans
-        return _component_count(lines.vectors, tol) == 1
-    return projector_commutant_dimension(np.asarray(lines, dtype=complex), tol=tol) == 1
+def scalar_kernel_check(lines: LineSet) -> bool:
+    """True iff every unitary fixing each line individually is scalar.
+
+    Such a unitary X commutes with every v_i v_i*, so each v_i is an
+    eigenvector of X.  Eigenvalues agree across non-orthogonal pairs, so X is
+    one scalar on the span of each connected component of the
+    non-orthogonality graph.  The columns of a LineSet span C^d, so X is
+    scalar iff the graph is connected."""
+    return _component_count(lines.vectors) == 1

@@ -8,11 +8,12 @@ message to stderr and returns the code.
 
 Exit codes: 0 success, 2 invalid parameters (a --tol that is not a finite
 number >= 0 among them, and a line set whose `construct`, or whose `action`
-symmetries, would not fit in memory), unreadable input or an output path
-that cannot be written ("cannot write <path>: ..."), 3 fiducial search did
-not converge, 4 a certification check failed (the first failing certificate
-is named on stderr; a file of lines in C^1 fails `structure`, as a line set
-needs d >= 2), 5 the symmetry action could not be derived.
+symmetries, would not fit in memory), unreadable input, an output path that
+cannot be written ("cannot write <path>: ...") or a stdout that is closed
+or full ("cannot write <stdout>: ..."), 3 fiducial search did not converge,
+4 a certification check failed (the first failing certificate is named on
+stderr; a file of lines in C^1 fails `structure`, as a line set needs
+d >= 2), 5 the symmetry action could not be derived.
 
 A run manifest (command, parameters, seed, version, tolerances, timestamp)
 is printed to stderr; stdout and output files are byte-deterministic.
@@ -25,6 +26,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import os
 import sys
 from math import gcd, isfinite
 
@@ -302,9 +304,18 @@ def main(argv=None) -> int:
                 "table": _cmd_table}
     try:
         handlers[args.command](args)
+        sys.stdout.flush()  # so that a closed stdout fails here, not at exit
     except Refused as exc:
         print(exc.message, file=sys.stderr)
         return exc.exit_code
+    except OSError as exc:
+        # only stdout fails here, closed by its reader (`| head`) or full:
+        # other files are refused where they are opened.  stdout still holds
+        # what it could not write and flushes it again at exit, so it is
+        # pointed at the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"cannot write <stdout>: {exc}", file=sys.stderr)
+        return EXIT_PARAMS
     return EXIT_OK
 
 

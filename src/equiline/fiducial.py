@@ -33,8 +33,6 @@ __all__ = [
     "SearchConfig",
     "SearchReport",
     "displacements",
-    "frame_potential",
-    "frame_potential_grad",
     "potential_bound",
     "search_fiducial",
     "orbit_lineset",
@@ -150,25 +148,6 @@ def _gradient(fwd: np.ndarray, w: np.ndarray, h: np.ndarray, sign: np.ndarray) -
     return 4.0 * np.einsum("...g,...gi->...i", h * w.conj(), fwd) + 4.0 * np.einsum(
         "...g,...gi->...i", h * w * sign, fwd
     )
-
-
-def frame_potential(v: np.ndarray, disp) -> np.ndarray:
-    """Quartic overlap sum of each row of v (shape (..., d)) over the
-    displacement monomials disp = (perm, phase)."""
-    _, _, h = _overlaps(v, _gathers(disp))
-    return np.sum(h * h, axis=-1)
-
-
-def frame_potential_grad(v: np.ndarray, disp) -> np.ndarray:
-    """Euclidean gradient of the potential at each row of v, packed as a
-    complex vector.
-
-    Component k holds d f / d Re(v_k) + i * d f / d Im(v_k), so it matches
-    central finite differences taken separately in the real and imaginary
-    parts.
-    """
-    gathers = _gathers(disp)
-    return _gradient(*_overlaps(v, gathers), gathers[2])
 
 
 # The inner products of the descent are batched with np.vecdot, which makes

@@ -27,8 +27,6 @@ __all__ = [
     "classify_hyperplane",
     "enumerate_hyperplanes",
     "nonsingular_vectors",
-    "transvection",
-    "transvection_on_functional",
     "dot2",
 ]
 
@@ -129,48 +127,23 @@ def _value_table(q: QuadForm2) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _parity_table(dim: int) -> np.ndarray:
     """popcount(v) mod 2 at every packed v = 0 .. 2^dim - 1."""
-    v = np.arange(1 << dim)
-    parity = np.zeros_like(v)
-    for i in range(dim):
-        parity ^= v >> i
-    return _readonly(parity & 1)
+    return _readonly(np.bitwise_count(np.arange(1 << dim)) & 1)
 
 
 @lru_cache(maxsize=None)
 def radical(q: QuadForm2) -> int:
-    """Generator of the polarization's radical; requires dim 1 and Q(r) = 1."""
-    dim = q.dim
-    rows = [q.bilinear_mask(1 << i) for i in range(dim)]
-    # Gaussian elimination over F_2; track pivots to read off the nullspace.
-    pivot_of_col: dict[int, int] = {}
-    reduced: list[int] = []
-    for row in rows:
-        for col, rix in pivot_of_col.items():
-            if (row >> col) & 1:
-                row ^= reduced[rix]
-        if row:
-            col = (row & -row).bit_length() - 1
-            pivot_of_col[col] = len(reduced)
-            reduced.append(row)
-    free_cols = [c for c in range(dim) if c not in pivot_of_col]
-    if len(free_cols) != 1:
-        raise RadicalDimension(
-            f"radical has dimension {len(free_cols)}, expected 1"
-        )
-    # Back-substitute the single free column into a kernel vector.
-    c0 = free_cols[0]
-    r = 1 << c0
-    changed = True
-    while changed:
-        changed = False
-        for row in reduced:
-            if dot2(row, r):
-                pivot = (row & -row).bit_length() - 1
-                r ^= 1 << pivot
-                changed = True
-    if not q.evaluate(r):
+    """Generator of the polarization's radical: the nonzero r with
+    B(r, e_i) = Q(r + e_i) + Q(r) + Q(e_i) = 0 for every unit e_i, read off
+    the value table.  Requires exactly one such r, and Q(r) = 1."""
+    vt = _value_table(q)
+    x = np.arange(1 << q.dim)
+    polar = [vt[x ^ (1 << i)] ^ vt ^ vt[1 << i] for i in range(q.dim)]  # B(x, e_i)
+    r = np.flatnonzero(~np.any(polar, axis=0))[1:]  # x = 0 pairs trivially too
+    if len(r) != 1:
+        raise RadicalDimension(f"radical has {len(r)} nonzero vectors, expected 1")
+    if not vt[r[0]]:
         raise RadicalDimension("form vanishes on the radical generator")
-    return r
+    return int(r[0])
 
 
 def singular_count(q: QuadForm2, phi: int) -> int:
@@ -210,17 +183,3 @@ def enumerate_hyperplanes(q: QuadForm2, tag: HyperplaneType) -> list[int]:
 def nonsingular_vectors(q: QuadForm2) -> list[int]:
     """All u with Q(u) = 1, in lexicographic order."""
     return [u for u in _packed_lex(q.dim) if u and q.evaluate(u)]
-
-
-def transvection(q: QuadForm2, u: int, x: int) -> int:
-    """Isometry x -> x + B(x, u) u for Q(u) = 1; an involution fixing Q."""
-    if not q.evaluate(u):
-        raise ValueError("transvection direction must satisfy Q(u) = 1")
-    return x ^ (u if dot2(x, q.bilinear_mask(u)) else 0)
-
-
-def transvection_on_functional(q: QuadForm2, u: int, phi: int) -> int:
-    """Pullback of a functional along the transvection in direction u."""
-    if not q.evaluate(u):
-        raise ValueError("transvection direction must satisfy Q(u) = 1")
-    return phi ^ (q.bilinear_mask(u) if dot2(phi, u) else 0)

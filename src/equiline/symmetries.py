@@ -72,7 +72,7 @@ def _transvection_perms(m: int, tag: HyperplaneType) -> list[Perm]:
     index = {phi: i for i, phi in enumerate(phis)}
     perms = []
     for u in nonsingular_vectors(q):
-        # transvection_on_functional, with the functional B(., u) formed once
+        # the pullback of phi along x -> x + B(x, u) u is phi + phi(u) B(., u)
         mask = q.bilinear_mask(u)
         perms.append(tuple(index[phi ^ mask if dot2(phi, u) else phi] for phi in phis))
     return perms

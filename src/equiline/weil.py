@@ -14,14 +14,12 @@ from __future__ import annotations
 import numpy as np
 
 from .heisenberg import (
-    IndexOutOfRange,
     _roots,
     check_unitary,
     displacement,
     lex_digits,
     lex_index,
     monomial_matrix,
-    valid_rep_indices,
 )
 
 __all__ = [
@@ -29,7 +27,6 @@ __all__ = [
     "NotSymplectic",
     "weil_generators",
     "induced_symplectic",
-    "parity_operator",
     "parity_split",
     "primitive_root",
 ]
@@ -67,11 +64,6 @@ def primitive_root(p: int) -> int:
 def _index_substitution(p: int, m: int, A: np.ndarray) -> np.ndarray:
     """Permutation matrix of the index substitution |x> -> |A x> over F_p^m."""
     return monomial_matrix(lex_index(lex_digits(p, m) @ A.T, p))
-
-
-def parity_operator(p: int, m: int) -> np.ndarray:
-    """Permutation matrix of |x> -> |-x> on functions over F_p^m."""
-    return _index_substitution(p, m, -np.eye(m, dtype=np.int64))
 
 
 def parity_split(p: int, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -151,30 +143,28 @@ def weil_generators(p: int, m: int) -> list[np.ndarray]:
     return gens
 
 
-def _match_displacement(M: np.ndarray, p: int, m: int, j: int, tol: float) -> np.ndarray:
-    """The label (a'; b') with M = phase * X(a')Z(jb'), or raise NotNormalizing."""
+def _match_displacement(M: np.ndarray, p: int, m: int, tol: float) -> np.ndarray:
+    """The label (a'; b') with M = phase * X(a')Z(b'), or raise NotNormalizing."""
     col0 = M[:, 0]
     row = int(np.argmax(np.abs(col0)))
     phase = col0[row]
     if abs(abs(phase) - 1.0) > tol:
         raise NotNormalizing(f"leading coefficient has modulus {abs(phase):.6f}")
     a_img = lex_digits(p, m, row)
-    # X(a')Z(jb') takes |e_k> to zeta^(kappa j b'_k) |e_k + a'>: decode b'_k by
+    # X(a')Z(b') takes |e_k> to zeta^(kappa b'_k) |e_k + a'>: decode b'_k by
     # the nearest of the p candidate roots
     units = np.eye(m, dtype=np.int64)
     ratio = M[lex_index(units + a_img, p), lex_index(units, p)] / phase
     roots = _roots(p)
     kappa = 1 if p > 2 else 2
-    cands = roots[kappa * j * np.arange(p) % len(roots)]
+    cands = roots[kappa * np.arange(p) % len(roots)]
     b_img = np.abs(ratio[:, None] - cands).argmin(axis=1)
-    if np.abs(M - phase * displacement(p, m, a_img, b_img, j)).max() > tol:
+    if np.abs(M - phase * displacement(p, m, a_img, b_img)).max() > tol:
         raise NotNormalizing("conjugate is not a scalar multiple of a displacement")
     return np.concatenate([a_img, b_img])
 
 
-def induced_symplectic(
-    U: np.ndarray, p: int, m: int, j: int = 1, tol: float = 1e-8
-) -> np.ndarray:
+def induced_symplectic(U: np.ndarray, p: int, m: int, tol: float = 1e-8) -> np.ndarray:
     """Label map induced by conjugation with U on the displacement classes.
 
     Returns the 2m x 2m int64 matrix S mod p acting on stacked columns (a; b):
@@ -183,11 +173,9 @@ def induced_symplectic(
     any conjugate is not a scalar multiple of a displacement, NotSymplectic if
     S fails to preserve the pairing.
     """
-    if j not in valid_rep_indices(p):
-        raise IndexOutOfRange(f"index {j} is not valid for p={p}")
     U = check_unitary(U)
     S = np.column_stack([
-        _match_displacement(U @ displacement(p, m, e[:m], e[m:], j) @ U.conj().T, p, m, j, tol)
+        _match_displacement(U @ displacement(p, m, e[:m], e[m:]) @ U.conj().T, p, m, tol)
         for e in np.eye(2 * m, dtype=np.int64)
     ])
     J = _pairing_matrix(m)

@@ -1,0 +1,233 @@
+"""Reference implementations that only the tests use.
+
+Each is the plain definition of something the package computes another way,
+or a general tool the package does not need: the Heisenberg group-element
+algebra and its Schrödinger representations, a stacked-SVD commutant, a
+group closure, the frame potential and its gradient as standalone calls, the
+transvections of a quadratic space, and the parity operator.
+
+Finite Heisenberg groups are in normal form.  Elements are triples (a, b, c):
+translation part a and modulation part b in F_p^m, central exponent c.  The
+multiplication rule is
+
+    (a, b, c) (a', b', c') = (a + a', b + b', c + c' + kappa * (b . a'))
+
+with kappa = 1 and c mod p for odd p, and kappa = 2 with c mod 4 for p = 2
+(the central phase group is then the fourth roots of unity).  The group has
+order p^(2m+1) for odd p and 2^(2m+2) for p = 2; for odd p every element has
+order dividing p.
+"""
+
+from __future__ import annotations
+
+from collections import deque
+from dataclasses import dataclass
+from itertools import product
+from typing import Sequence
+
+import numpy as np
+
+from equiline.action import Perm, compose, identity_perm
+from equiline.fiducial import _gathers, _gradient, _overlaps
+from equiline.finfield import QuadForm2, dot2
+from equiline.heisenberg import _roots, displacement_monomial, lex_digits, monomial_matrix
+from equiline.weil import _index_substitution
+
+
+class ParameterMismatch(ValueError):
+    """Operands live in Heisenberg groups with different (p, m)."""
+
+
+class IndexOutOfRange(ValueError):
+    """No faithful irreducible representation with that central index."""
+
+
+@dataclass(frozen=True)
+class HeisenbergElement:
+    p: int
+    m: int
+    a: tuple[int, ...]
+    b: tuple[int, ...]
+    c: int
+
+    def __post_init__(self):
+        if self.p < 2 or self.m < 1:
+            raise ValueError("need p >= 2 and m >= 1")
+        if len(self.a) != self.m or len(self.b) != self.m:
+            raise ValueError("a and b must have length m")
+        if any(not 0 <= x < self.p for x in self.a + self.b):
+            raise ValueError("a and b entries must be reduced mod p")
+        if not 0 <= self.c < self.phase_modulus:
+            raise ValueError("central exponent must be reduced")
+
+    @property
+    def kappa(self) -> int:
+        return 1 if self.p > 2 else 2
+
+    @property
+    def phase_modulus(self) -> int:
+        return self.p if self.p > 2 else 4
+
+    @classmethod
+    def identity(cls, p: int, m: int) -> HeisenbergElement:
+        return cls(p, m, (0,) * m, (0,) * m, 0)
+
+    @classmethod
+    def make(cls, p: int, m: int, a, b, c: int) -> HeisenbergElement:
+        """Build with automatic reduction of all parts."""
+        mod = p if p > 2 else 4
+        return cls(
+            p,
+            m,
+            tuple(x % p for x in a),
+            tuple(x % p for x in b),
+            c % mod,
+        )
+
+    def __mul__(self, other: HeisenbergElement) -> HeisenbergElement:
+        if (self.p, self.m) != (other.p, other.m):
+            raise ParameterMismatch(
+                f"cannot multiply ({self.p},{self.m}) by ({other.p},{other.m})"
+            )
+        p = self.p
+        twist = sum(x * y for x, y in zip(self.b, other.a))
+        return HeisenbergElement(
+            p,
+            self.m,
+            tuple((x + y) % p for x, y in zip(self.a, other.a)),
+            tuple((x + y) % p for x, y in zip(self.b, other.b)),
+            (self.c + other.c + self.kappa * twist) % self.phase_modulus,
+        )
+
+    def inverse(self) -> HeisenbergElement:
+        p = self.p
+        twist = sum(x * y for x, y in zip(self.b, self.a))
+        return HeisenbergElement(
+            p,
+            self.m,
+            tuple(-x % p for x in self.a),
+            tuple(-x % p for x in self.b),
+            (-self.c + self.kappa * twist) % self.phase_modulus,
+        )
+
+    def __pow__(self, k: int) -> HeisenbergElement:
+        out = HeisenbergElement.identity(self.p, self.m)
+        base = self if k >= 0 else self.inverse()
+        for _ in range(abs(k)):
+            out = out * base
+        return out
+
+    @property
+    def is_central(self) -> bool:
+        return not any(self.a) and not any(self.b)
+
+
+def group_elements(p: int, m: int):
+    """Every element, in lexicographic (a, b, c) order."""
+    mod = p if p > 2 else 4
+    for a in product(range(p), repeat=m):
+        for b in product(range(p), repeat=m):
+            for c in range(mod):
+                yield HeisenbergElement(p, m, a, b, c)
+
+
+def valid_rep_indices(p: int) -> tuple[int, ...]:
+    """Central indices of the faithful irreducible representations."""
+    return tuple(range(1, p)) if p > 2 else (1, 3)
+
+
+def schroedinger_rep(e: HeisenbergElement, j: int = 1) -> np.ndarray:
+    """Matrix of e in the faithful irreducible representation of central index j.
+
+    The model is omega^(j c) X(a) Z(j b) on functions over F_p^m, where
+    X(a)|x> = |x + a> and Z(b)|x> = omega^(b.x)|x>, with omega = exp(2 pi i / p)
+    for odd p and omega = i (so Z is the +-1 modulation and the central element
+    acts by i^j) for p = 2.  This ordering makes e -> matrix a homomorphism for
+    the multiplication rule above; the central element (0,0,1) maps to zeta^j I.
+    The permutation is that of the package's displacement X(a) Z(b); the phase
+    at x is zeta^(j (c + kappa b.x)), an exact power of the root table.
+    """
+    if j not in valid_rep_indices(e.p):
+        raise IndexOutOfRange(f"index {j} is not valid for p={e.p}")
+    perm, _ = displacement_monomial(e.p, e.m, e.a, e.b)
+    roots = _roots(e.p)
+    x = lex_digits(e.p, e.m)
+    return monomial_matrix(perm, roots[j * (e.c + e.kappa * (x @ e.b)) % len(roots)])
+
+
+def commutant_dimension(mats, tol: float = 1e-8) -> int:
+    """Dimension of {X : A X = X A for all A}, via the stacked linear system.
+
+    Stacks vec(A X - X A) = (I (x) A - A^T (x) I) vec(X) over all A and counts
+    the nullity; singular values below tol count as zero.
+    """
+    mats = [np.asarray(A, dtype=complex) for A in mats]
+    if not mats:
+        raise ValueError("need at least one matrix")
+    d = mats[0].shape[0]
+    if any(A.shape != (d, d) for A in mats):
+        raise ValueError("all matrices must be square of equal size")
+    eye = np.eye(d)
+    stack = np.vstack([np.kron(eye, A) - np.kron(A.T, eye) for A in mats])
+    sv = np.linalg.svd(stack, compute_uv=False)
+    return d * d - int(np.sum(sv >= tol))
+
+
+def close_permutations(gens: Sequence[Perm], limit: int = 2_000_000) -> list[Perm]:
+    """All elements of the generated group, BFS order; error beyond `limit`."""
+    if not gens:
+        raise ValueError("empty generator list")
+    n = len(gens[0])
+    e = identity_perm(n)
+    seen = {e}
+    dq = deque([e])
+    out = [e]
+    while dq:
+        p = dq.popleft()
+        for g in gens:
+            q = compose(g, p)
+            if q not in seen:
+                if len(seen) >= limit:
+                    raise ValueError(f"closure exceeds {limit} elements")
+                seen.add(q)
+                dq.append(q)
+                out.append(q)
+    return out
+
+
+def frame_potential(v: np.ndarray, disp) -> np.ndarray:
+    """Quartic overlap sum of each row of v (shape (..., d)) over the
+    displacement monomials disp = (perm, phase)."""
+    _, _, h = _overlaps(v, _gathers(disp))
+    return np.sum(h * h, axis=-1)
+
+
+def frame_potential_grad(v: np.ndarray, disp) -> np.ndarray:
+    """Euclidean gradient of the potential at each row of v, packed as a
+    complex vector.
+
+    Component k holds d f / d Re(v_k) + i * d f / d Im(v_k), so it matches
+    central finite differences taken separately in the real and imaginary
+    parts.
+    """
+    gathers = _gathers(disp)
+    return _gradient(*_overlaps(v, gathers), gathers[2])
+
+
+def transvection(q: QuadForm2, u: int, x: int) -> int:
+    """Isometry x -> x + B(x, u) u for Q(u) = 1; an involution fixing Q."""
+    if not q.evaluate(u):
+        raise ValueError("transvection direction must satisfy Q(u) = 1")
+    return x ^ (u if dot2(x, q.bilinear_mask(u)) else 0)
+
+
+def transvection_on_functional(q: QuadForm2, u: int, phi: int) -> int:
+    """Pullback of a functional along the transvection in direction u."""
+    if not q.evaluate(u):
+        raise ValueError("transvection direction must satisfy Q(u) = 1")
+    return phi ^ (q.bilinear_mask(u) if dot2(phi, u) else 0)
+
+
+def parity_operator(p: int, m: int) -> np.ndarray:
+    """Permutation matrix of |x> -> |-x> on functions over F_p^m."""
+    return _index_substitution(p, m, -np.eye(m, dtype=np.int64))

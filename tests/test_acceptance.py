@@ -17,17 +17,10 @@ from equiline.action import (
 from equiline.fiducial import (
     SearchConfig,
     displacements,
-    frame_potential,
-    frame_potential_grad,
     orbit_lineset,
     search_fiducial,
 )
 from equiline.finfield import HyperplaneType, enumerate_hyperplanes, standard_form
-from equiline.heisenberg import (
-    HeisenbergElement,
-    schroedinger_rep,
-    valid_rep_indices,
-)
 from equiline.lineset import (
     certify_equiangular,
     certify_tight,
@@ -41,6 +34,13 @@ from equiline.symmetries import (
     stabilizer_unitaries,
     symmetry_unitaries,
     translation_unitaries,
+)
+from oracles import (
+    HeisenbergElement,
+    frame_potential,
+    frame_potential_grad,
+    schroedinger_rep,
+    valid_rep_indices,
 )
 
 MINUS, PLUS = HyperplaneType.MINUS, HyperplaneType.PLUS

@@ -13,7 +13,6 @@ from equiline.action import (
     NotASymmetry,
     StabilizerChain,
     action_certificate,
-    close_permutations,
     compose,
     group_order,
     identity_perm,
@@ -21,7 +20,6 @@ from equiline.action import (
     invert,
     is_transitive,
     multiplicity_certificate,
-    projector_commutant_dimension,
     scalar_kernel_check,
     two_transitivity,
 )
@@ -29,9 +27,9 @@ from equiline.action import _component_count
 from equiline.cli import EXIT_OK, construct_lineset, main
 from equiline.fiducial import SearchConfig, orbit_lineset, search_fiducial
 from equiline.finfield import HyperplaneType
-from equiline.heisenberg import commutant_dimension
 from equiline.lineset import LineSet, construct_case_iii, construct_case_iv
 from equiline.symmetries import geometry_unitaries, symmetry_unitaries, translation_unitaries
+from oracles import close_permutations, commutant_dimension
 
 
 def rand_perm(rng, n):
@@ -413,11 +411,13 @@ def test_commutant_graph_count_matches_stacked_svd(build):
     projs = [
         np.outer(L.vectors[:, k], L.vectors[:, k].conj()) for k in range(L.n)
     ]
-    assert projector_commutant_dimension(L.vectors) == commutant_dimension(projs) == 1
+    assert scalar_kernel_check(L)
+    assert commutant_dimension(projs) == 1
 
 
 def test_commutant_block_structure():
-    # two orthogonal spanning blocks -> two components -> dimension 2
+    # two orthogonal spanning blocks -> two components -> dimension 2: seven
+    # unit columns spanning C^5, so a LineSet
     rng = np.random.default_rng(31)
     a = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
     b = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
@@ -432,14 +432,8 @@ def test_commutant_block_structure():
         cols.append(v)
     V = np.array(cols).T
     projs = [np.outer(v, v.conj()) for v in cols]
-    assert projector_commutant_dimension(V) == commutant_dimension(projs) == 2
-
-
-def test_commutant_non_spanning_falls_back():
-    # one vector in C^2: projectors' commutant is the diagonals in its eigenbasis
-    V = np.array([[1.0], [0.0]], dtype=complex)
-    assert projector_commutant_dimension(V) == 2
-    assert commutant_dimension([np.outer(V[:, 0], V[:, 0].conj())]) == 2
+    assert not scalar_kernel_check(LineSet(V))
+    assert commutant_dimension(projs) == 2
 
 
 def _bfs_component_count(V, tol=1e-8):
@@ -499,24 +493,20 @@ def test_component_count_matches_bfs_oracle():
 
 
 def test_closed_form_commutant_matches_stacked_svd():
+    # on the families a LineSet accepts (n > d, spanning), both outcomes
     seen = set()
     for V in _sparse_families(300, 41):
+        try:
+            L = LineSet(V)
+        except ValueError:
+            continue
         projs = [np.outer(v, v.conj()) for v in V.T]
-        dim = projector_commutant_dimension(V)
-        assert dim == commutant_dimension(projs), V
-        d = V.shape[0]
-        seen.add((np.linalg.matrix_rank(V) == d, _bfs_component_count(V) > 1))
-    assert seen == {(True, True), (True, False), (False, True), (False, False)}
-
-
-def test_commutant_rejects_a_zero_column():
-    V = np.array([[1.0, 0.0, 0.6], [0.0, 0.0, 0.8]], dtype=complex)
-    with pytest.raises(ValueError, match="zero column"):
-        projector_commutant_dimension(V)
+        scalar = scalar_kernel_check(L)
+        assert scalar == (commutant_dimension(projs) == 1), V
+        seen.add(scalar)
+    assert seen == {True, False}
 
 
 def test_scalar_kernel_check():
     assert scalar_kernel_check(construct_case_iv(3, 1, HyperplaneType.MINUS))
     assert scalar_kernel_check(construct_case_iii(2, HyperplaneType.PLUS))
-    # standard basis: projectors commute with every diagonal, kernel not scalar
-    assert not scalar_kernel_check(np.eye(4, dtype=complex))

@@ -10,14 +10,13 @@ from equiline.fiducial import (
     SearchConfig,
     SearchReport,
     displacements,
-    frame_potential,
-    frame_potential_grad,
     orbit_lineset,
     potential_bound,
     search_fiducial,
 )
 from equiline.heisenberg import monomial_matrix
 from equiline.lineset import certify_equiangular, certify_tight, gram, translations
+from oracles import frame_potential, frame_potential_grad
 
 
 def test_config_validation():

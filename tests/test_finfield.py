@@ -16,10 +16,9 @@ from equiline.finfield import (
     radical,
     singular_count,
     standard_form,
-    transvection,
-    transvection_on_functional,
 )
 from equiline.heisenberg import lex_digits
+from oracles import transvection, transvection_on_functional
 
 # Census of hyperplane types for the standard odd-dimensional form:
 # minus 2^(m-1)(2^m - 1), plus 2^(m-1)(2^m + 1), degenerate 2^(2m) - 1.
@@ -84,6 +83,26 @@ def test_radical_rejects_even_dimension_forms():
     # x0 x1 on F_2^2 is nondegenerate: radical has dimension 0, not 1.
     with pytest.raises(RadicalDimension):
         radical(QuadForm2(2, (2, 0)))
+
+
+def test_radical_matches_the_bilinear_definition():
+    # random forms on F_2^1 .. F_2^5 against the nonzero r with B(r, e_i) = 0
+    # for every i, found by the bilinear form itself
+    rng = np.random.default_rng(7)
+    seen = set()
+    for _ in range(300):
+        dim = int(rng.integers(1, 6))
+        rows = tuple(int(r) >> i << i for i, r in enumerate(rng.integers(0, 1 << dim, size=dim)))
+        q = QuadForm2(dim, rows)
+        rad = [r for r in range(1, 1 << dim) if not any(q.bilinear(r, 1 << i) for i in range(dim))]
+        if len(rad) == 1 and q.evaluate(rad[0]):
+            assert radical(q) == rad[0]
+            seen.add("generator" if rad[0] == 1 else "off e_0")
+        else:
+            with pytest.raises(RadicalDimension):
+                radical(q)
+            seen.add("refused")
+    assert seen == {"generator", "off e_0", "refused"}
 
 
 @pytest.mark.parametrize("m", sorted(CENSUS))

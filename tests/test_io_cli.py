@@ -848,6 +848,46 @@ def test_cli_refuses_an_unwritable_output_path(tmp_path, capsys, args):
     assert message in err.splitlines() and "Traceback" not in err
 
 
+def _cli_process(stdout, *args: str) -> subprocess.Popen:
+    """`equiline args` started in a subprocess with the given stdout."""
+    src = str(Path(equiline.__file__).parents[1])
+    return subprocess.Popen([sys.executable, "-m", "equiline.cli", *args],
+                            env={**os.environ, "PYTHONPATH": src}, stdout=stdout,
+                            stderr=subprocess.PIPE, text=True)
+
+
+def _assert_refused_stdout(proc, err, reason):
+    assert proc.returncode == EXIT_PARAMS, err
+    assert err.splitlines()[-1] == f"cannot write <stdout>: {reason}", err
+    assert "Traceback" not in err and "Exception ignored" not in err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["construct", "--case", "iii", "--m", "4", "--type", "minus"],
+        ["certify", "{lines}"],
+        ["action", "{lines}"],
+    ],
+    ids=["construct", "certify", "action"],
+)
+def test_cli_refuses_a_closed_stdout(tmp_path, args):
+    # the reader closes the pipe before the command writes, as `| head -c 0`
+    lines = _iii_m2_file(tmp_path)
+    proc = _cli_process(subprocess.PIPE, *(a.format(lines=lines) for a in args))
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    _assert_refused_stdout(proc, err, "[Errno 32] Broken pipe")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_cli_refuses_a_full_stdout():
+    with open("/dev/full", "w") as full:
+        proc = _cli_process(full, "construct", "--case", "iii", "--m", "2", "--type", "minus")
+        _, err = proc.communicate(timeout=120)
+    _assert_refused_stdout(proc, err, "[Errno 28] No space left on device")
+
+
 @pytest.mark.parametrize("to_stdout", [False, True], ids=["out", "stdout"])
 def test_writing_a_large_text_holds_no_copy_of_it(tmp_path, monkeypatch, to_stdout):
     # a text stream encodes each write whole, so one write of a line set

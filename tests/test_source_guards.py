@@ -40,6 +40,40 @@ def test_root_exports_every_module_all():
     assert [name for name in equiline.__all__ if not hasattr(equiline, name)] == []
 
 
+# exported for the paper's claims that the acceptance tests certify, though
+# no command reaches them
+CERTIFIED_CLAIMS = {"multiplicity_certificate", "stabilizer_unitaries", "dimension_pair"}
+
+
+def test_every_export_is_reached():
+    # a name the package exports is used by the package outside its own
+    # definition, or by the benchmark; code only tests use lives in tests/
+    def names_used(path):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        own = {node.name: range(node.lineno, node.end_lineno + 1) for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            else:
+                continue
+            if node.lineno not in own.get(name, ()):
+                yield name
+
+    bench = sorted((Path(equiline.__file__).parents[2] / "perfbench").glob("*.py"))
+    reached = {name for path in SOURCES + bench for name in names_used(path)}
+    unreached = [
+        f"{path.stem}.{name}"
+        for path in SOURCES
+        if path.stem not in ("__init__", "cli")
+        for name in importlib.import_module(f"equiline.{path.stem}").__all__
+        if name not in reached | CERTIFIED_CLAIMS
+    ]
+    assert not unreached, f"exported but reached only by tests: {unreached}"
+
+
 def test_readme_import_block_runs():
     readme = (Path(equiline.__file__).parents[2] / "README.md").read_text()
     block = re.search(r"^from equiline import \(.*?\)$", readme, re.M | re.S)

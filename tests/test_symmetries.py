@@ -10,7 +10,6 @@ from equiline.action import (
     StabilizerChain,
     _affine_map,
     action_certificate,
-    close_permutations,
     induced_permutation,
     is_transitive,
     multiplicity_certificate,
@@ -21,8 +20,6 @@ from equiline.finfield import (
     enumerate_hyperplanes,
     nonsingular_vectors,
     standard_form,
-    transvection,
-    transvection_on_functional,
 )
 from equiline.fiducial import SearchConfig, orbit_lineset, search_fiducial
 from equiline.heisenberg import check_unitary, lex_digits, lex_index, monomial_matrix
@@ -43,6 +40,7 @@ from equiline.symmetries import (
     translation_unitaries,
 )
 from equiline.weil import induced_symplectic, parity_split, weil_generators
+from oracles import close_permutations, transvection, transvection_on_functional
 
 MINUS, PLUS = HyperplaneType.MINUS, HyperplaneType.PLUS
 

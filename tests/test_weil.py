@@ -6,11 +6,11 @@ from equiline.weil import (
     NotNormalizing,
     NotSymplectic,
     induced_symplectic,
-    parity_operator,
     parity_split,
     primitive_root,
     weil_generators,
 )
+from oracles import parity_operator
 
 SP2_ORDERS = {3: 24, 5: 120}  # |Sp(2,p)| = p(p^2 - 1)
 
