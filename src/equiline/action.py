@@ -253,6 +253,10 @@ def action_certificate(
     )
 
 
+# Distance from 1 within which multiplicity_certificate counts an eigenvalue.
+_MULTIPLICITY_TOL = 1e-7
+
+
 @dataclass(frozen=True)
 class MultiplicityCertificate:
     rank: int
@@ -264,7 +268,6 @@ def multiplicity_certificate(
     lines: LineSet,
     stab_unitaries: Sequence[np.ndarray],
     phases: Sequence[complex],
-    tol: float = 1e-7,
 ) -> MultiplicityCertificate:
     """Multiplicity of the character h -> phase_h of a line-0 stabilizer H,
     given the unitaries U_h of a generating set of H or of all of H.
@@ -273,8 +276,8 @@ def multiplicity_certificate(
     so the vectors on which every generator acts by its phase, the character's
     isotypic space, are the eigenvectors at 1 of the Hermitian part of
     A = (1/k) sum_h conj(phase_h) U_h, whose eigenvalues are at most 1.  The
-    rank counts those within tol of 1; rank 1 with the top eigenvector on
-    line 0 certifies that the character occurs exactly once.  gap is 1 less
+    rank counts those within _MULTIPLICITY_TOL of 1; rank 1 with the top
+    eigenvector on line 0 certifies that the character occurs exactly once.  gap is 1 less
     the second eigenvalue: how far the certificate was from a second vector.
     Over a whole group A is the averaging projector, and the gap is 1 or 0.
     """
@@ -282,7 +285,7 @@ def multiplicity_certificate(
         raise ValueError("need equally many unitaries and phases, at least one")
     A = sum(np.conj(lam) * U for U, lam in zip(stab_unitaries, phases)) / len(phases)
     eigvals, eigvecs = np.linalg.eigh((A + A.conj().T) / 2)  # ascending
-    rank = int(np.sum(eigvals >= 1.0 - tol))
+    rank = int(np.sum(eigvals >= 1.0 - _MULTIPLICITY_TOL))
     range_ok = rank == 1 and bool(abs(np.vdot(eigvecs[:, -1], lines.vectors[:, 0])) >= 1.0 - 1e-6)
     return MultiplicityCertificate(rank, range_ok, float(1.0 - eigvals[-2]))
 

@@ -12,6 +12,8 @@ indices.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 __all__ = [
@@ -22,16 +24,28 @@ __all__ = [
 ]
 
 
+# Residual of U^dagger U - I above which check_unitary refuses U.
+_UNITARY_TOL = 1e-10
+
+
+@lru_cache(maxsize=256)
+def _lex_weights(p: int, m: int) -> np.ndarray:
+    """p^(m-1), ..., p, 1, read-only: the weight of each base-p digit."""
+    weights = p ** np.arange(m - 1, -1, -1)
+    weights.flags.writeable = False
+    return weights
+
+
 def lex_digits(p: int, m: int, index=None) -> np.ndarray:
     """Base-p digits of each index (default 0 .. p^m - 1), most significant
     first: row x is the x-th vector of F_p^m in lexicographic order."""
     index = np.arange(p**m) if index is None else np.asarray(index)
-    return index[..., None] // p ** np.arange(m - 1, -1, -1) % p
+    return index[..., None] // _lex_weights(p, m) % p
 
 
 def lex_index(x: np.ndarray, p: int) -> np.ndarray:
     """Inverse of lex_digits: the lexicographic index of each row of x mod p."""
-    return x % p @ p ** np.arange(x.shape[-1] - 1, -1, -1)
+    return x % p @ _lex_weights(p, x.shape[-1])
 
 
 def monomial_matrix(perm: np.ndarray, phase=1.0) -> np.ndarray:
@@ -74,12 +88,13 @@ def displacement(p: int, m: int, a, b) -> np.ndarray:
     return monomial_matrix(*displacement_monomial(p, m, a, b))
 
 
-def check_unitary(U: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Validate U^dagger U = I within tol and return U as a complex array."""
+def check_unitary(U: np.ndarray) -> np.ndarray:
+    """Validate U^dagger U = I within _UNITARY_TOL and return U as a complex
+    array."""
     U = np.asarray(U, dtype=complex)
     if U.ndim != 2 or U.shape[0] != U.shape[1]:
         raise ValueError("matrix must be square")
     resid = np.abs(U.conj().T @ U - np.eye(U.shape[0])).max()
-    if resid > tol:
+    if resid > _UNITARY_TOL:
         raise ValueError(f"matrix is not unitary: residual {resid:.3e}")
     return U

@@ -5,12 +5,17 @@ fixed key order, sorted mapping keys, floats at 17 significant digits (which
 round-trips IEEE doubles exactly), complex entries as [re, im] pairs.
 
 The vectors block is written from a table of the distinct entries and one
-code per entry, through patterns of a few entries each (_text_blocks, the
-one definition of the layout).  Parsing guesses the table and the codes from
-the bytes of the block, converts each distinct entry once, and accepts the
-guess only where the writer prints the block back byte for byte.  Any other
-text (other whitespace or key order, `1.0`, `-0`, NaN, ...) goes through the
-standard json module, so each error is the one json and the shape checks give.
+code per entry, the codes in text order: row j holds column line j.  The
+writer looks each block of columns up once in a table of complex entries
+(_entry_table) and prints the codes through patterns of a few entries each
+(_text_blocks, the one definition of the layout).  The reader finds the
+entries of a block with one scan for "[": each entry ends where the next one
+starts, less the fixed separator.  It guesses the codes from a hash of each
+entry's bytes, converts each distinct entry once, and accepts the guess only
+where the writer prints the block back byte for byte.  Any other text (other
+whitespace or key order, `1.0`, `-0`, NaN, a moved separator, ...) goes
+through the standard json module, so each error is the one json and the
+shape checks give.
 """
 
 from __future__ import annotations
@@ -60,8 +65,9 @@ def _encode(obj) -> str:
     raise ValueError(f"cannot serialize {type(obj).__name__}")
 
 
-# Entries per block of columns: every array the writer and the reader make
-# besides the codes and the text itself is of this size.
+# Entries per block of lines: every array the writer and the reader make
+# besides the codes and the text itself holds at most this many entries, of
+# at most _PAD bytes each.
 _BLOCK = 1 << 14
 # Bound on the pattern table: 4 kinds of group times (K + 1)^w patterns.
 _PATTERNS = 1 << 14
@@ -69,26 +75,29 @@ _PATTERNS = 1 << 14
 _MAX_ENTRY = 51
 
 
-def _block_columns(d: int, n: int) -> int:
-    """Columns per block: at most _BLOCK entries and at most half the set, so
-    a block's arrays stay a fraction of the text at every size."""
-    return max(1, min(_BLOCK, n * d // 2) // d)
+def _block_lines(width: int, lines: int) -> int:
+    """Text lines of width entries per block: at most _BLOCK entries and at
+    most half the text, so a block's arrays stay a fraction of the text at
+    every size."""
+    return max(1, min(_BLOCK, lines * width // 2) // width)
 
 
 class _Codes:
-    """Codes 0, 1, 2, ... for int64 keys, found by searchsorted in a sorted
-    copy of the keys seen so far, which grows only when a lookup misses.  A
-    key keeps its code, so the codes of one block stay valid after the
-    next block adds keys."""
+    """Codes 0, 1, 2, ... for keys of one dtype, found by searchsorted in a
+    sorted copy of the keys seen so far, which grows only when a lookup
+    misses.  Keys that compare equal share a code, as -0.0 and 0.0 do.  A
+    key keeps its code, so the codes of one block stay valid after the next
+    block adds keys."""
 
-    def __init__(self):
-        self.keys = np.empty(0, np.int64)  # by code
+    def __init__(self, dtype):
+        self.keys = np.empty(0, dtype)  # by code
         self._sorted = self.keys
         self._code = np.empty(0, np.intp)  # code of each sorted key
 
     def __call__(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The codes of keys, and the flat index into keys of the first
-        occurrence of each key seen for the first time, in code order."""
+        """The codes of keys, in their shape, and the flat index into keys of
+        the first occurrence of each key seen for the first time, in code
+        order."""
         codes = self._find(keys)
         miss = np.flatnonzero(codes < 0)
         if not miss.size:
@@ -107,31 +116,28 @@ class _Codes:
         return np.where(self._sorted[at] == keys, self._code[at], -1)
 
 
-def _entry_table(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct entries of the d x n matrix V, -0.0 merged with 0.0, and
-    the d x n codes of its entries into them.
+def _entry_table(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct entries of the d x n matrix M, whose columns are the text
+    lines, and the n x d codes of its entries into them, in text order.
 
-    Each real and imaginary part is looked up by its bit pattern, and each
-    entry by the pair of its parts' codes, so nothing complex is sorted.
-    The pair key fits an int64 below 1.5e9 entries."""
-    d, n = V.shape
-    parts, entries = _Codes(), _Codes()
-    radix = 2 * V.size  # more than the number of distinct parts
-    codes = np.empty((d, n), np.intp)
-    cols = _block_columns(d, n)
-    for a in range(0, n, cols):
-        part, _ = parts(np.add(V[:, a : a + cols], 0.0, order="C").view(np.int64))
-        codes[:, a : a + cols] = entries(part[:, 0::2] * radix + part[:, 1::2])[0]
-    real, imag = np.divmod(entries.keys, radix)
-    values = np.empty(real.size, complex)
-    values.real, values.imag = parts.keys[real].view(float), parts.keys[imag].view(float)
-    return values, codes
+    Each block of columns is looked up once in a table of complex entries:
+    searchsorted orders complex numbers, and == merges -0.0 with 0.0, so a
+    distinct entry may keep either sign of a zero part.  A block is looked
+    up as it lies in M, and its codes, half the bytes of its entries, are
+    turned to text order while they are in cache."""
+    d, n = M.shape
+    table = _Codes(complex)
+    codes = np.empty((n, d), np.intp)
+    step = _block_lines(d, n)
+    for a in range(0, n, step):
+        codes[a : a + step] = table(M[:, a : a + step])[0].T
+    return table.keys, codes
 
 
 def _text_blocks(tokens: list[str], codes: np.ndarray) -> Iterator[list[str]]:
-    """The vectors block text of the d x n codes into tokens, as one list of
-    pieces per block of columns: column lines joined by ",\n", each
-    "[" + d tokens joined by "," + "]".
+    """The vectors block text of the n x d codes into tokens, one row per
+    column line, as one list of pieces per block of lines: lines joined by
+    ",\n", each "[" + d tokens joined by "," + "]".
 
     This is the one definition of the layout.  A piece covers a group of w
     entries of one column, and each group that occurs is formatted once: w
@@ -139,7 +145,7 @@ def _text_blocks(tokens: list[str], codes: np.ndarray) -> Iterator[list[str]]:
     tokens and a pad that fills the last group of a column) stays within
     _PATTERNS and within the number of groups, so that it never outgrows
     the text."""
-    d, n = codes.shape
+    n, d = codes.shape
     base = len(tokens) + 1
     w = 1
     while w < d and 4 * base ** (w + 1) <= min(_PATTERNS, n * d // (w + 1)):
@@ -154,10 +160,10 @@ def _text_blocks(tokens: list[str], codes: np.ndarray) -> Iterator[list[str]]:
     sep = ["," + t for t in tokens] + [""]
     table = np.empty(4 * base**w, object)
     built = np.zeros(table.size, bool)
-    cols = _block_columns(d, n)
+    cols = _block_lines(d, n)
     for a in range(0, n, cols):
         block = np.full((min(cols, n - a), groups * w), base - 1)
-        block[:, :d] = codes[:, a : a + cols].T
+        block[:, :d] = codes[a : a + cols]
         keys = (block.reshape(-1, groups, w) @ radix + offsets).ravel()
         for key in set(keys[~built[keys]].tolist()):
             kind, rest = divmod(key, base**w)
@@ -205,50 +211,66 @@ def serialize_lineset(lines: LineSet) -> str:
 
 _OPEN, _CLOSE = '"vectors": [\n', '\n],\n"meta": '
 _PAD = 8 * -(-_MAX_ENTRY // 8)  # whole 8-byte words past an entry's start
-# The mask of the word k of an entry of length m, at _WORD_MASKS[m + _PAD - 8k]:
-# its bytes before the entry's end.
-_WORD_MASKS = np.array(
-    [(1 << 8 * min(max(i - _PAD, 0), 8)) - 1 for i in range(_PAD + _MAX_ENTRY + 1)], np.uint64
-)
+_SHORT_MASKS = np.array([(1 << 8 * m) - 1 for m in range(9)], np.uint64)  # its first m bytes
 _MIX = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)  # splitmix64
+
+
+def _mix(h: np.ndarray) -> np.ndarray:
+    """splitmix64's full avalanche of each word of h, in place."""
+    h ^= h >> np.uint64(32)
+    h *= _MIX[0]
+    h ^= h >> np.uint64(29)
+    h *= _MIX[1]
+    return h
 
 
 def _entry_hash(raw: bytes, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """A 64-bit hash of every byte of each entry raw[start : start + length]:
-    its little-endian words, the bytes past its end masked off, each mixed
-    into the hash with a full avalanche.  raw holds _PAD bytes from each
-    start."""
-    words = -(-int(lengths.max()) // 8)
-    windows = np.ndarray((len(raw) - 8 * words + 1, 8 * words), np.uint8, raw, strides=(1, 1))
-    entries = windows[starts].view("<u8")
+    its little-endian 8-byte words, each mixed into the hash with a full
+    avalanche.  An entry mixes only the words it reaches, with the bytes past
+    its end masked off, so a "[0,0]" mixes one word.  All the words of an
+    entry are read in one gather, as many as the longest entry has: numpy
+    gathers up to _PAD bytes an element at about the cost of one word.  raw
+    holds _PAD bytes from each start."""
+    shortest, longest = int(lengths.min()), int(lengths.max())
+    count = -(-longest // 8)
+    entries = np.ndarray((len(raw) - 8 * count + 1,), f"V{8 * count}", raw, strides=(1,))
+    words = entries[starts].view("<u8").reshape(-1, count)
     h = np.zeros(starts.size, np.uint64)
-    for k in range(words):
-        h ^= entries[:, k] & _WORD_MASKS[lengths + (_PAD - 8 * k)]
-        h ^= h >> np.uint64(32)
-        h *= _MIX[0]
-        h ^= h >> np.uint64(29)
-        h *= _MIX[1]
+    for k in range(count):
+        if shortest >= 8 * k + 8:  # word k lies inside every entry
+            h ^= words[:, k]
+            _mix(h)
+            continue
+        more = slice(None) if shortest > 8 * k else np.flatnonzero(lengths > 8 * k)
+        word = words[more, k] & _SHORT_MASKS[np.minimum(lengths[more] - 8 * k, 8)]
+        word ^= h[more]
+        h[more] = _mix(word)
     return (h ^ (h >> np.uint64(32))).view(np.int64)
 
 
-def _read_block(text: str, begin: int, end: int, count: int, hashes: _Codes,
+def _read_block(text: str, begin: int, end: int, lines: int, d: int, hashes: _Codes,
                 tokens: list[str], values: list[complex]) -> np.ndarray | None:
-    """The codes of the count "[re,im]" entries of text[begin:end], guessed
-    from a hash of each entry's bytes, or None where the text cannot be
-    canonical.  Each entry not seen before is converted once, must print
-    back through _fmt_float as it stands, and extends tokens and values."""
-    try:  # with _PAD bytes past the end; canonical text is ASCII throughout
-        raw = text[begin : end + _PAD].encode("ascii").ljust(end - begin + _PAD, b"\0")
+    """The lines x d codes of text[begin:end], lines column lines of d
+    "[re,im]" entries each, guessed from a hash of each entry's bytes, or None
+    where the text cannot be canonical.  One scan finds every "[": a line's
+    own and then one per entry.  Each entry ends where the next "[" begins,
+    less "," inside a line and "],\n" before the next line's.  Each entry not
+    seen before is converted once, must print back through _fmt_float as it
+    stands, and extends tokens and values."""
+    try:  # canonical text is ASCII throughout
+        raw = text[begin:end].encode("ascii") + bytes(_PAD)
     except UnicodeEncodeError:
         return None
-    b = np.frombuffer(raw, np.uint8)
-    starts = np.flatnonzero(b[: end - begin] == ord("["))
-    starts = starts[b[starts + 1] != ord("[")]  # not a column's "["
-    lengths = np.flatnonzero(b[: end - begin] == ord("]"))
-    lengths = lengths[b[lengths - 1] != ord("]")]  # not a column's "]"
-    if not starts.size == lengths.size == count:
+    opens = np.flatnonzero(np.frombuffer(raw, np.uint8) == ord("["))
+    if opens.size != lines * (d + 1):
         return None
-    lengths -= starts - 1
+    # the last entry ends as if a line followed
+    lengths = np.diff(opens, append=end - begin + 2).reshape(lines, d + 1)[:, 1:] - 1
+    lengths[:, -1] -= 2
+    starts = opens.reshape(lines, d + 1)[:, 1:].ravel()
+    del opens  # before the hash, which holds each entry's words
+    lengths = lengths.ravel()
     if not 0 < lengths.min() <= lengths.max() <= _MAX_ENTRY:
         return None
     codes, new = hashes(_entry_hash(raw, starts, lengths))
@@ -263,12 +285,13 @@ def _read_block(text: str, begin: int, end: int, count: int, hashes: _Codes,
             return None
         tokens.append(token)
         values.append(z)
-    return codes
+    return codes.reshape(lines, d)
 
 
 def _parse_canonical(text: str) -> tuple[dict, np.ndarray, tuple] | None:
-    """Header, d x n vectors and (distinct entries, d x n codes into them) of
-    text written by serialize_lineset, or None for any other text.
+    """Header, d x n vectors and (distinct entries, n x d codes into them, one
+    row per column line) of text written by serialize_lineset, or None for
+    any other text.
 
     The header and meta are read by json with the vectors block cut out and
     must print back as they stand.  The codes are guessed from a hash of
@@ -278,7 +301,7 @@ def _parse_canonical(text: str) -> tuple[dict, np.ndarray, tuple] | None:
     text and no hash collision passes.
     """
     start = text.find(_OPEN) + len(_OPEN)
-    stop = text.find(_CLOSE, start)
+    stop = text.rfind(_CLOSE, start)  # the only one in canonical text, and near its end
     if start < len(_OPEN) or stop < 0:
         return None
     cut = text[:start] + text[stop:]
@@ -292,21 +315,21 @@ def _parse_canonical(text: str) -> tuple[dict, np.ndarray, tuple] | None:
     # n * d entries of more than one character each; this also bounds codes
     if type(n) is not int or type(d) is not int or not (n > 0 and d > 0 and n * d < len(text)):
         return None
-    hashes, tokens, values = _Codes(), [], []
-    codes = np.empty((d, n), np.intp)
-    cols = _block_columns(d, n)
+    hashes, tokens, values = _Codes(np.int64), [], []
+    codes = np.empty((n, d), np.intp)
+    cols = _block_lines(d, n)
     pos = start
     for a in range(0, n, cols):
         begin, k = pos, min(cols, n - a)
         last = a + k == n
-        for _ in range(k - last):  # past the ",\n" after each column
+        for _ in range(k - last):  # past the ",\n" after each line
             pos = text.find("\n", pos, stop) + 1
             if pos < begin + 2:  # not found, or no room for the ","
                 return None
-        block = _read_block(text, begin, stop if last else pos - 2, k * d, hashes, tokens, values)
+        block = _read_block(text, begin, stop if last else pos - 2, k, d, hashes, tokens, values)
         if block is None:
             return None
-        codes[:, a : a + k] = block.reshape(k, d).T
+        codes[a : a + k] = block
     pos = start
     for pieces in _text_blocks(tokens, codes):
         block = "".join(pieces)
@@ -316,7 +339,7 @@ def _parse_canonical(text: str) -> tuple[dict, np.ndarray, tuple] | None:
     if pos != stop:
         return None
     entries = np.array(values, dtype=complex)
-    return obj, entries[codes], (entries, codes)
+    return obj, entries.take(codes.T), (entries, codes)
 
 
 def _parse_json(text: str) -> tuple[dict, np.ndarray]:
@@ -360,7 +383,7 @@ def parse_lineset(text: str) -> LineSet:
     signs = None
     if meta.get("exact_signs"):
         if distinct is not None:  # canonical entries are finite
-            signs = _exact_signs(distinct[0], obj["d"])[distinct[1]]
+            signs = _exact_signs(distinct[0], obj["d"]).take(distinct[1].T)
         elif np.isfinite(vectors).all():  # else LineSet says why
             signs = _exact_signs(vectors, obj["d"])
     del distinct  # the codes, before LineSet's checks
@@ -372,12 +395,12 @@ def gram_csv(lines: LineSet) -> str:
     distinct entry once.  Every line carries its own i and j, so lines are
     joined one by one, not as patterns."""
     G = lines.vectors.conj().T @ lines.vectors
-    values, codes = _entry_table(G.T)  # column i of G.T is row i of G
+    values, codes = _entry_table(G.T)  # column i of G.T is line i of the text
     entries = [f"{_fmt_float(z.real)},{_fmt_float(z.imag)}" for z in values.tolist()]
     entries = np.array(entries, object)
     cells = [f"{j}," for j in range(lines.n)]
     rows = ["i,j,re,im"]
-    for i, row in enumerate(codes.T):
+    for i, row in enumerate(codes):
         prefix = f"{i},"
         pairs = map(operator.add, cells, entries[row].tolist())
         rows.append(prefix + ("\n" + prefix).join(pairs))

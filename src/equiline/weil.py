@@ -32,6 +32,10 @@ __all__ = [
 ]
 
 
+# Entrywise distance within which a conjugate must match a displacement.
+_NORMALIZER_TOL = 1e-8
+
+
 class NotNormalizing(ValueError):
     """Conjugation by the unitary does not permute the displacement classes."""
 
@@ -143,12 +147,12 @@ def weil_generators(p: int, m: int) -> list[np.ndarray]:
     return gens
 
 
-def _match_displacement(M: np.ndarray, p: int, m: int, tol: float) -> np.ndarray:
+def _match_displacement(M: np.ndarray, p: int, m: int) -> np.ndarray:
     """The label (a'; b') with M = phase * X(a')Z(b'), or raise NotNormalizing."""
     col0 = M[:, 0]
     row = int(np.argmax(np.abs(col0)))
     phase = col0[row]
-    if abs(abs(phase) - 1.0) > tol:
+    if abs(abs(phase) - 1.0) > _NORMALIZER_TOL:
         raise NotNormalizing(f"leading coefficient has modulus {abs(phase):.6f}")
     a_img = lex_digits(p, m, row)
     # X(a')Z(b') takes |e_k> to zeta^(kappa b'_k) |e_k + a'>: decode b'_k by
@@ -159,12 +163,12 @@ def _match_displacement(M: np.ndarray, p: int, m: int, tol: float) -> np.ndarray
     kappa = 1 if p > 2 else 2
     cands = roots[kappa * np.arange(p) % len(roots)]
     b_img = np.abs(ratio[:, None] - cands).argmin(axis=1)
-    if np.abs(M - phase * displacement(p, m, a_img, b_img)).max() > tol:
+    if np.abs(M - phase * displacement(p, m, a_img, b_img)).max() > _NORMALIZER_TOL:
         raise NotNormalizing("conjugate is not a scalar multiple of a displacement")
     return np.concatenate([a_img, b_img])
 
 
-def induced_symplectic(U: np.ndarray, p: int, m: int, tol: float = 1e-8) -> np.ndarray:
+def induced_symplectic(U: np.ndarray, p: int, m: int) -> np.ndarray:
     """Label map induced by conjugation with U on the displacement classes.
 
     Returns the 2m x 2m int64 matrix S mod p acting on stacked columns (a; b):
@@ -175,7 +179,7 @@ def induced_symplectic(U: np.ndarray, p: int, m: int, tol: float = 1e-8) -> np.n
     """
     U = check_unitary(U)
     S = np.column_stack([
-        _match_displacement(U @ displacement(p, m, e[:m], e[m:]) @ U.conj().T, p, m, tol)
+        _match_displacement(U @ displacement(p, m, e[:m], e[m:]) @ U.conj().T, p, m)
         for e in np.eye(2 * m, dtype=np.int64)
     ])
     J = _pairing_matrix(m)

@@ -4,7 +4,8 @@ Each is the plain definition of something the package computes another way,
 or a general tool the package does not need: the Heisenberg group-element
 algebra and its Schrödinger representations, a stacked-SVD commutant, a
 group closure, the frame potential and its gradient as standalone calls, the
-transvections of a quadratic space, and the parity operator.
+transvections of a quadratic space, the parity operator, and a dictionary
+table of the distinct entries of a matrix.
 
 Finite Heisenberg groups are in normal form.  Elements are triples (a, b, c):
 translation part a and modulation part b in F_p^m, central exponent c.  The
@@ -231,3 +232,12 @@ def transvection_on_functional(q: QuadForm2, u: int, phi: int) -> int:
 def parity_operator(p: int, m: int) -> np.ndarray:
     """Permutation matrix of |x> -> |-x> on functions over F_p^m."""
     return _index_substitution(p, m, -np.eye(m, dtype=np.int64))
+
+
+def entry_table(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct entries of M in the order first seen, each + 0.0, and
+    the code of each entry of M into them: a dictionary of complex numbers,
+    in which -0.0 == 0.0 as in numpy."""
+    table: dict[complex, int] = {}
+    codes = [table.setdefault(z, len(table)) for z in np.asarray(M, complex).ravel().tolist()]
+    return np.array(list(table), complex) + 0.0, np.array(codes, np.intp).reshape(M.shape)

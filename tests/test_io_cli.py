@@ -591,6 +591,8 @@ NON_CANONICAL = {
     "float zero": lambda text: text.replace(",0]", ",0.0]", 1),
     "negative zero": lambda text: text.replace(",0]", ",-0]", 1),
     "exponent": lambda text: text.replace(",0]", ",0e0]"),
+    # every "[" in place, so the entry ends read from the next start are wrong
+    "moved separator": lambda text: text.replace("],[", "] ,[", 1),
     "reordered keys": _reordered_keys,
     "reordered meta": lambda text: text.replace('"meta": {"case"', '"meta": {"zz": 0, "case"'),
 }

@@ -26,11 +26,13 @@ from equiline.finfield import HyperplaneType
 from equiline.lineset import LineSet, construct_case_iii, construct_case_iv
 from equiline.serialize import (
     _encode,
+    _entry_table,
     _parse_canonical,
     _parse_json,
     parse_lineset,
     serialize_lineset,
 )
+from oracles import entry_table
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=50)
 
@@ -78,6 +80,37 @@ def test_canonical_text_takes_the_one_pass_parse(drawn):
     fast = _parse_canonical(text)
     assert fast is not None
     assert np.array_equal(fast[1].view(np.uint64), _parse_json(text)[1].view(np.uint64))
+
+
+# both zeros, so that the table must merge -0.0 with 0.0 in either part
+PARTS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-2, 2))
+
+
+@st.composite
+def repeated_entries(draw):
+    """A complex matrix of entries drawn from a few values, C-ordered or, as
+    gram_csv passes the Gram matrix, the transpose of a C-ordered one."""
+    pool = draw(st.lists(st.builds(complex, PARTS, PARTS), min_size=1, max_size=6))
+    rows, width = draw(st.integers(1, 40)), draw(st.integers(1, 12))
+    picks = draw(st.lists(st.sampled_from(pool), min_size=rows * width, max_size=rows * width))
+    M = np.array(picks, complex).reshape(rows, width)
+    return np.ascontiguousarray(M.T).T if draw(st.booleans()) else M
+
+
+def _bits(z: np.ndarray) -> np.ndarray:
+    """The bits of z + 0.0: each entry with its zero parts positive."""
+    return np.ascontiguousarray(z + 0.0).view(np.uint64)
+
+
+@PROPERTY
+@given(repeated_entries())
+def test_entry_table_matches_a_dictionary(M):
+    values, codes = _entry_table(M)  # in text order: line j is column j of M
+    distinct, _ = entry_table(M)
+    assert codes.shape == M.T.shape
+    assert sorted(map(tuple, _bits(values).reshape(-1, 2).tolist())) == \
+        sorted(map(tuple, _bits(distinct).reshape(-1, 2).tolist()))
+    assert np.array_equal(_bits(values[codes.T]), _bits(M))
 
 
 @lru_cache(maxsize=None)
