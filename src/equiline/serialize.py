@@ -251,13 +251,13 @@ def _entry_hash(raw: bytes, starts: np.ndarray, lengths: np.ndarray) -> np.ndarr
 
 def _read_block(text: str, begin: int, end: int, lines: int, d: int, hashes: _Codes,
                 tokens: list[str], values: list[complex]) -> np.ndarray | None:
-    """The lines x d codes of text[begin:end], lines column lines of d
-    "[re,im]" entries each, guessed from a hash of each entry's bytes, or None
-    where the text cannot be canonical.  One scan finds every "[": a line's
-    own and then one per entry.  Each entry ends where the next "[" begins,
-    less "," inside a line and "],\n" before the next line's.  Each entry not
-    seen before is converted once, must print back through _fmt_float as it
-    stands, and extends tokens and values."""
+    """The lines x d codes of text[begin:end], which holds that many column
+    lines of d "[re,im]" entries, guessed from a hash of each entry's bytes,
+    or None where the text cannot be canonical.  One scan finds every "[": a
+    line's own and then one per entry.  Each entry ends where the next "["
+    begins, less "," inside a line and "],\n" before the next line's.  Each
+    entry not seen before is converted once, must print back through
+    _fmt_float as it stands, and extends tokens and values."""
     try:  # canonical text is ASCII throughout
         raw = text[begin:end].encode("ascii") + bytes(_PAD)
     except UnicodeEncodeError:
@@ -265,7 +265,7 @@ def _read_block(text: str, begin: int, end: int, lines: int, d: int, hashes: _Co
     opens = np.flatnonzero(np.frombuffer(raw, np.uint8) == ord("["))
     if opens.size != lines * (d + 1):
         return None
-    # the last entry ends as if a line followed
+    # the last entry of the block ends as if another line followed
     lengths = np.diff(opens, append=end - begin + 2).reshape(lines, d + 1)[:, 1:] - 1
     lengths[:, -1] -= 2
     starts = opens.reshape(lines, d + 1)[:, 1:].ravel()
