@@ -277,9 +277,10 @@ def multiplicity_certificate(
     isotypic space, are the eigenvectors at 1 of the Hermitian part of
     A = (1/k) sum_h conj(phase_h) U_h, whose eigenvalues are at most 1.  The
     rank counts those within _MULTIPLICITY_TOL of 1; rank 1 with the top
-    eigenvector on line 0 certifies that the character occurs exactly once.  gap is 1 less
-    the second eigenvalue: how far the certificate was from a second vector.
-    Over a whole group A is the averaging projector, and the gap is 1 or 0.
+    eigenvector on line 0 certifies that the character occurs exactly once.
+    gap is 1 less the second eigenvalue: how far the certificate was from a
+    second vector.  Over a whole group A is the averaging projector, and the
+    gap is 1 or 0.
     """
     if len(stab_unitaries) != len(phases) or not stab_unitaries:
         raise ValueError("need equally many unitaries and phases, at least one")
