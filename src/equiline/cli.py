@@ -278,19 +278,15 @@ def _cmd_table(args) -> None:
     print("-" * len(header))
     for row in rows:
         cmd = ""
-        if row["n"] <= 1024:
-            kind = "minus" if 2 * row["d"] < row["n"] else "plus"
-            if row["case"] == "iii":
-                cmd = f"equiline construct --case iii --m {row['m']} --type {kind}"
-            elif row["case"] == "iv":
-                cmd = (
-                    f"equiline construct --case iv --p {row['p']} --m {row['m']} "
-                    f"--eigen {kind}"
-                )
-            elif row["case"] == "i":
-                cmd = "equiline construct --case i --seed 1"
-            elif row["case"] == "ii" and row["d"] == 8:
-                cmd = "equiline construct --case ii --seed 1"
+        kind = "minus" if 2 * row["d"] < row["n"] else "plus"
+        if row["case"] == "iii":
+            cmd = f"equiline construct --case iii --m {row['m']} --type {kind}"
+        elif row["case"] == "iv":
+            cmd = f"equiline construct --case iv --p {row['p']} --m {row['m']} --eigen {kind}"
+        elif row["case"] == "i":
+            cmd = "equiline construct --case i --seed 1"
+        elif row["case"] == "ii" and row["d"] == 8:
+            cmd = "equiline construct --case ii --seed 1"
         print(f"{row['case']:<5} {row['n']:>5} {row['d']:>5} {row['d_prime']:>8}  {cmd}".rstrip())
 
 

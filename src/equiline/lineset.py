@@ -1,9 +1,11 @@
 """Equiangular line sets: the two algebraic constructions, Gram-matrix
 certificates, and the dimension bookkeeping n = d + d'.
 
-A line set is stored as a d x n complex matrix of unit columns, one column per
-line.  Sign-matrix constructions keep their integer +-1 data alongside the
-normalized columns so that angle certificates can be exact.
+A line set is stored as a d x n matrix of unit columns, one column per line:
+C-ordered float64 when no entry has a nonzero imaginary part, as for the
+sign-matrix sets of case iii, and complex128 otherwise.  Sign-matrix
+constructions keep their +-1 signs alongside the normalized columns, as int8,
+so that angle certificates can be exact.
 """
 
 from __future__ import annotations
@@ -82,14 +84,29 @@ def _frame_rank(frame: np.ndarray, n: int) -> int:
     return int(np.count_nonzero(eigs > eigs[-1] * max(len(frame), n) * np.finfo(float).eps))
 
 
+def _columns(V) -> np.ndarray:
+    """V as C-ordered float64 when no entry has a nonzero imaginary part (-0.0
+    counts as zero), else as complex128."""
+    V = np.asarray(V)
+    if V.dtype.kind not in "biuf":
+        V = np.asarray(V, dtype=complex)
+        if V.imag.any():
+            return V
+        V = V.real
+    return np.ascontiguousarray(V, dtype=np.float64)
+
+
 @dataclass
 class LineSet:
     """Unit representative columns of n lines spanning C^d, n > d >= 2.
 
-    norms holds the column norms, which must be 1 within NORM_TOL.  frame is
-    the d x d frame operator F = V V*, formed once here.  The columns
-    span C^d iff F is nonsingular: a Gershgorin bound decides that in O(d^2)
-    for well-conditioned F, and _frame_rank otherwise.
+    vectors is stored as _columns gives it: real columns as C-ordered float64,
+    taken without a copy when they come so, and all others as complex128.
+    signs, when given, must be +-1 (ValueError otherwise) and is stored as
+    int8.  norms holds the column norms, which must be 1 within NORM_TOL.
+    frame is the d x d frame operator F = V V*, formed once here.  The
+    columns span C^d iff F is nonsingular: a Gershgorin bound decides that in
+    O(d^2) for well-conditioned F, and _frame_rank otherwise.
     """
 
     vectors: np.ndarray
@@ -99,18 +116,16 @@ class LineSet:
     frame: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.vectors = np.asarray(self.vectors, dtype=complex)
-        if self.vectors.ndim != 2:
+        self.vectors = V = _columns(self.vectors)
+        if V.ndim != 2:
             raise ValueError("vectors must be a d x n matrix")
-        if not np.isfinite(self.vectors).all():
+        if not np.isfinite(V).all():
             raise ValueError("columns must be finite")
-        d, n = self.vectors.shape
+        d, n = V.shape
         if n <= d:
             raise ValueError(f"need more lines than dimensions, got n={n}, d={d}")
-        V = self.vectors
-        real = not V.imag.any()
-        if real:  # one real copy, and real products: a quarter of the work
-            V = np.ascontiguousarray(V.real)
+        real = V.dtype == np.float64
+        if real:  # real products: a quarter of the work
             self.norms = np.sqrt(np.einsum("ij,ij->j", V, V))
         else:  # per-column sums of squares, with no temporary the size of V
             re, im = V.real, V.imag
@@ -120,15 +135,18 @@ class LineSet:
         if d < 2:
             raise ValueError("need d >= 2: every unit column of C^1 spans the same line")
         self.frame = V @ V.T if real else V @ V.conj().T
-        del V  # a real copy is not needed while the span is checked
         if not _gershgorin_full_rank(self.frame, n):
             rank = _frame_rank(self.frame, n)
             if rank != d:
                 raise SpanDeficient(f"columns span rank {rank} < d = {d}")
         if self.signs is not None:
-            self.signs = np.asarray(self.signs, dtype=np.int64)
-            if self.signs.shape != (d, n):
+            signs = np.asarray(self.signs)
+            if signs.shape != (d, n):
                 raise ValueError("sign matrix shape mismatch")
+            # checked before the cast, so that no value can wrap into +-1
+            if signs.dtype.kind not in "iuf" or not (np.abs(signs) == 1).all():
+                raise ValueError("signs must be +-1")
+            self.signs = signs.astype(np.int8, copy=False)
 
     @property
     def d(self) -> int:
@@ -146,7 +164,8 @@ class GramMatrix:
 
     frame is the d x d frame operator V V* of the line set.  For sign-matrix
     constructions int_products holds d * <v_i, v_j> = (S^T S)_ij and
-    int_frame holds S S^T, both as integers.
+    int_frame holds S S^T, both as int64: their entries reach d and n, past
+    the int8 range of the signs S.
 
     A row Gram keeps only line 0's row: values and int_products have shape
     (1, n), orbit_eps is the orbit residual of gram, and lines is the line set,
@@ -242,10 +261,10 @@ def line_translations(lines: LineSet, elements=None):
 
 
 # Peak bytes per entry of the d x n columns while construct_case_iii or
-# construct_case_iv runs: the translations' phases, the orbit, the complex
-# columns and the copies LineSet makes to check their norms and form the frame
-# operator (measured as the rise in peak RSS: case iii 58.5 B at m = 5 and
-# 53.1 B at m = 6, case iv 56-58 B at (3, 3), (7, 2) and (61, 1)).
+# construct_case_iv runs: the translations' phases, the orbit, the columns
+# and LineSet's checks (measured as the rise in peak RSS: case iii, float64
+# columns and int8 signs, 25.3 B at m = 5 and 20.0 B at m = 6; case iv,
+# complex columns, 56-61 B at (3, 3), (7, 2) and (61, 1)).
 _BUILD_BYTES_PER_ENTRY = 64
 _BUILD_WHAT = "building its {} x {} columns takes about {} bytes"
 _CGROUP_MEMORY_MAX = Path("/sys/fs/cgroup/memory.max")
@@ -315,8 +334,9 @@ def construct_case_iii(m: int, type_choice: HyperplaneType) -> LineSet:
         lambda: (_case_iii_dims(m)[0 if minus else 1], 4**m),
     )
     phis = enumerate_hyperplanes(standard_form(m), type_choice)
-    shifts = translations(2, m, functionals=phis)
-    signs = orbit(np.ones(d, dtype=np.int64), *shifts)
+    perm, phase = translations(2, m, functionals=phis)
+    signs = orbit(np.ones(d, dtype=np.int8), perm, phase.astype(np.int8))
+    del phase  # 8 bytes an entry, not needed while LineSet checks the columns
     meta = {
         "case": "iii",
         "m": m,
@@ -325,7 +345,7 @@ def construct_case_iii(m: int, type_choice: HyperplaneType) -> LineSet:
         "d": d,
         "exact_signs": True,
     }
-    return LineSet((signs / np.sqrt(d)).astype(complex), meta, signs=signs)
+    return LineSet(signs / np.sqrt(d), meta, signs=signs)
 
 
 def _is_odd_prime(p: int) -> bool:
@@ -431,8 +451,6 @@ def _orbit_residual(L: LineSet) -> float | None:
 def _pair_gram(L: LineSet) -> GramMatrix:
     """The n x n Gram of L: real columns take a real product."""
     V = L.vectors
-    if not V.imag.any():
-        V = np.ascontiguousarray(V.real)
     G = V.conj().T @ V
     if np.abs(G - G.conj().T).max() > 1e-12 or np.abs(np.diag(G) - 1.0).max() > 1e-10:
         raise ValueError("Gram matrix failed hermiticity/diagonal validation")
@@ -445,8 +463,6 @@ def _sign_products(L: LineSet, row: bool) -> tuple[np.ndarray | None, np.ndarray
     (None, None) when L has no signs."""
     if L.signs is None:
         return None, None
-    if L.n * float(np.abs(L.signs).max()) ** 2 >= 2.0**53:
-        raise ValueError("sign Gram is not integral")
     S = L.signs.astype(np.float64)
     # one operand seen twice: numpy takes the symmetric syrk path
     ip = _integral(S[:, :1].T @ S if row else S.T @ S)
@@ -467,11 +483,11 @@ def gram(L: LineSet) -> GramMatrix:
     Gram.
 
     The exact sign products S^T S (or its row s_0^T S) and sign frame S S^T
-    are float64 BLAS products rounded back to int64.  They are exact while
-    every partial sum is an integer below 2^53, which holds when
-    n * max|s|^2 < 2^53 (n for +-1 signs; n > d bounds the terms of both
-    products); otherwise, or if the rounding moves any entry, ValueError is
-    raised.
+    are float64 BLAS products of the int8 signs, widened first, rounded back
+    to int64.  They are exact while every partial sum is an integer below
+    2^53, which holds for +-1 signs when n < 2^53 (n > d bounds the terms of
+    both products), as for any sign matrix that fits in memory; if the
+    rounding moves any entry, ValueError is raised.
     """
     eps = _orbit_residual(L)
     if eps is None:

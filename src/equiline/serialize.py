@@ -30,7 +30,7 @@ from itertools import chain
 import numpy as np
 
 from .heisenberg import lex_index
-from .lineset import LineSet
+from .lineset import LineSet, _columns
 
 __all__ = ["serialize_lineset", "parse_lineset", "gram_csv"]
 
@@ -120,13 +120,13 @@ def _entry_table(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct entries of the d x n matrix M, whose columns are the text
     lines, and the n x d codes of its entries into them, in text order.
 
-    Each block of columns is looked up once in a table of complex entries:
-    searchsorted orders complex numbers, and == merges -0.0 with 0.0, so a
-    distinct entry may keep either sign of a zero part.  A block is looked
-    up as it lies in M, and its codes, half the bytes of its entries, are
-    turned to text order while they are in cache."""
+    Each block of columns is looked up once in a table of entries of M's
+    dtype, float64 or complex128: searchsorted orders both, and == merges
+    -0.0 with 0.0, so a distinct entry may keep either sign of a zero part.
+    A block is looked up as it lies in M, and its codes are turned to text
+    order while they are in cache."""
     d, n = M.shape
-    table = _Codes(complex)
+    table = _Codes(M.dtype)
     codes = np.empty((n, d), np.intp)
     step = _block_lines(d, n)
     for a in range(0, n, step):
@@ -193,7 +193,8 @@ def _layout(obj: dict, pieces: Iterable[str]) -> str:
     return "".join(chain([head], pieces, [tail]))
 
 
-def _token(z: complex) -> str:
+def _token(z: complex | float) -> str:
+    """The "[re,im]" text of an entry; a float prints as "[x,0]"."""
     return f"[{_fmt_float(z.real)},{_fmt_float(z.imag)}]"
 
 
@@ -298,7 +299,9 @@ def _parse_canonical(text: str) -> tuple[dict, np.ndarray, tuple] | None:
     each entry's bytes, and each distinct entry is converted once and must
     print back through _fmt_float as it stands.  The guess is then proved:
     _text_blocks must print the block back byte for byte, which no other
-    text and no hash collision passes.
+    text and no hash collision passes.  The vectors are gathered from the
+    distinct entries as _columns gives them: float64 when none has an
+    imaginary part, so no complex d x n array is made.
     """
     start = text.find(_OPEN) + len(_OPEN)
     stop = text.rfind(_CLOSE, start)  # the only one in canonical text, and near its end
@@ -338,12 +341,13 @@ def _parse_canonical(text: str) -> tuple[dict, np.ndarray, tuple] | None:
         pos += len(block)
     if pos != stop:
         return None
-    entries = np.array(values, dtype=complex)
+    entries = _columns(np.array(values, dtype=complex))
     return obj, entries.take(codes.T), (entries, codes)
 
 
 def _parse_json(text: str) -> tuple[dict, np.ndarray]:
-    """Header and d x n vectors of any lineset JSON text."""
+    """Header and d x n vectors, as lineset._columns gives them, of any
+    lineset JSON text."""
     obj = json.loads(text)
     cols = obj["vectors"]
     n, d = obj["n"], obj["d"]
@@ -355,21 +359,23 @@ def _parse_json(text: str) -> tuple[dict, np.ndarray]:
             vectors[:, k] = [complex(re, im) for re, im in col]
     except OverflowError as exc:  # an integer literal beyond the double range
         raise TypeError(f"vector entry is not a double: {exc}") from None
-    return obj, vectors
+    return obj, _columns(vectors)
 
 
 def _exact_signs(entries: np.ndarray, d: int) -> np.ndarray:
-    """The integers rint(sqrt(d) * entries), or ValueError unless every entry
-    is +-1/sqrt(d)."""
-    scaled = entries * np.sqrt(d)
-    signs = np.rint(scaled.real).astype(np.int64)
+    """The int8 signs rint(sqrt(d) * entries), or ValueError unless every
+    entry is +-1/sqrt(d).  They are checked before the cast, so that no value
+    can wrap."""
+    with np.errstate(over="ignore"):  # an inf is no sign either
+        scaled = entries.real * np.sqrt(d)
+    signs = np.rint(scaled)
     if (
-        np.abs(entries.imag).max() > 1e-15
+        np.iscomplexobj(entries) and np.abs(entries.imag).max() > 1e-15
         or not np.all(np.abs(signs) == 1)
-        or np.abs(scaled.real - signs).max() > 1e-9
+        or np.abs(scaled - signs).max() > 1e-9
     ):
         raise ValueError("exact_signs declared but entries are not +-1/sqrt(d)")
-    return signs
+    return signs.astype(np.int8)
 
 
 def parse_lineset(text: str) -> LineSet:
@@ -393,8 +399,10 @@ def parse_lineset(text: str) -> LineSet:
 def gram_csv(lines: LineSet) -> str:
     """All n^2 Gram entries as i,j,re,im rows with a header, formatting each
     distinct entry once.  Every line carries its own i and j, so lines are
-    joined one by one, not as patterns."""
-    G = lines.vectors.conj().T @ lines.vectors
+    joined one by one, not as patterns.  Real columns take a complex product
+    too: a real one rounds some entries differently."""
+    V = lines.vectors.astype(complex, copy=False)
+    G = V.conj().T @ V
     values, codes = _entry_table(G.T)  # column i of G.T is line i of the text
     entries = [f"{_fmt_float(z.real)},{_fmt_float(z.imag)}" for z in values.tolist()]
     entries = np.array(entries, object)

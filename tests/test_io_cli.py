@@ -60,6 +60,30 @@ def test_serialize_round_trip_complex_case():
     assert serialize_lineset(back) == text
 
 
+@pytest.mark.parametrize("build, dtype", [
+    (lambda: construct_case_iii(2, HyperplaneType.PLUS), np.float64),
+    (lambda: construct_case_iii(3, HyperplaneType.MINUS), np.float64),
+    (lambda: construct_case_iv(3, 1, HyperplaneType.PLUS), np.complex128),
+], ids=["iii-m2", "iii-m3", "iv-p3-m1"])
+def test_both_readers_keep_the_storage_rule(build, dtype):
+    # real columns come back as C-ordered float64 with int8 signs, complex
+    # ones as complex128, from the canonical reader and the json one alike
+    L = build()
+    text = serialize_lineset(L)
+    other = json.dumps(json.loads(text))
+    assert _parse_canonical(text)[1].dtype == _parse_json(other)[1].dtype == dtype
+    fast, slow = parse_lineset(text), parse_lineset(other)
+    assert np.array_equal(fast.vectors.view(np.uint64), slow.vectors.view(np.uint64))
+    for back in (fast, slow):
+        assert back.vectors.dtype == L.vectors.dtype == dtype
+        assert back.vectors.flags.c_contiguous or dtype is np.complex128
+        assert np.array_equal(back.vectors, L.vectors)
+        if dtype is np.float64:
+            assert back.signs.dtype == np.int8 and np.array_equal(back.signs, L.signs)
+        else:
+            assert back.signs is None
+
+
 def test_serialized_shape_and_fields():
     L = construct_case_iv(3, 1, HyperplaneType.MINUS)
     obj = json.loads(serialize_lineset(L))
@@ -86,6 +110,21 @@ def test_parse_validates_declared_signs():
     obj["vectors"][0][0][0] = 0.5  # no longer +-1/sqrt(d)
     with pytest.raises(ValueError):
         parse_lineset(json.dumps(obj))
+
+
+@pytest.mark.parametrize("bad", [1e308, -1e308, 2**70 + 0.0, 1.5])
+def test_declared_signs_are_refused_without_a_warning(bad):
+    # sqrt(d) * 1e308 overflows and 2^70 would wrap in a cast; the check
+    # refuses both before any cast, and warnings fail this test
+    L = construct_case_iii(2, HyperplaneType.MINUS)
+    text = serialize_lineset(L)
+    first = text.index("[[") + 2
+    changed = text[:first] + _fmt_float(bad) + text[text.index(",", first):]
+    assert _parse_canonical(changed) is not None
+    obj = json.loads(changed)
+    for variant in (changed, json.dumps(obj)):
+        with pytest.raises(ValueError, match="entries are not"):
+            parse_lineset(variant)
 
 
 def test_gram_csv_layout():
@@ -400,9 +439,9 @@ def test_cli_table(capsys):
     assert any("iii" in l and " 16 " in l and "--type minus" in l for l in lines)
     assert any("--case iv --p 3 --m 1" in l for l in lines)
     assert any(l.startswith("ii ") and " 56" in l and "--case ii" in l for l in lines)
-    # very large rows carry no ready-made command
+    # every row up to n = 4096 carries its ready-made command
     big = [l for l in lines if " 4096 " in l]
-    assert big and all("construct" not in l for l in big)
+    assert big and all("equiline construct --case iii --m 6" in l for l in big)
 
 
 def test_cli_stdout_output(capsys):

@@ -220,23 +220,50 @@ def test_gram_validates_input():
 @pytest.mark.parametrize("tag", [MINUS, PLUS])
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
 def test_exact_gram_matches_int64_product(m, tag):
-    # the int64 product is the oracle for the float64 BLAS sign Gram
+    # the int64 product is the oracle for the float64 BLAS sign Gram; the
+    # int8 signs are widened first, as S^T S reaches d and S S^T reaches n
+    # (496 and 1024 at m = 5, past the int8 range)
     L = construct_case_iii(m, tag)
+    S = L.signs.astype(np.int64)
     G = gram(_untagged(L))
     assert G.int_products.dtype == np.int64
-    assert np.array_equal(G.int_products, L.signs.T @ L.signs)
-    row = gram(L).int_products
-    assert row.dtype == np.int64
-    assert np.array_equal(row, L.signs[:, :1].T @ L.signs)
+    assert np.array_equal(G.int_products, S.T @ S)
+    row = gram(L)
+    assert row.int_products.dtype == np.int64
+    assert np.array_equal(row.int_products, S[:, :1].T @ S)
+    assert row.int_products.max() == L.d
+    assert np.array_equal(row.int_frame, S @ S.T)
+    assert row.int_frame.max() == L.n
 
 
-def test_exact_gram_rejects_signs_beyond_the_double_range():
+@pytest.mark.parametrize("bad", [0, 2, -2, 2**30 + 1, 257, 0.5])
+def test_lineset_refuses_signs_other_than_plus_minus_one(bad):
+    # 257 and 2**30 + 1 would wrap to 1 in int8; they are refused before the cast
     L = construct_case_iii(2, MINUS)
-    signs = L.signs * (2**30 + 1)  # products need 61 bits; a double rounds them
-    S = signs.astype(np.float64)
-    assert not np.array_equal((S.T @ S).astype(np.int64), signs.T @ signs)
-    with pytest.raises(ValueError, match="sign Gram is not integral"):
-        gram(LineSet(L.vectors, signs=signs))
+    signs = L.signs.astype(np.float64 if isinstance(bad, float) else np.int64)
+    signs[1, 2] = bad
+    with pytest.raises(ValueError, match="signs must be \\+-1"):
+        LineSet(L.vectors, signs=signs)
+    with pytest.raises(ValueError, match="signs must be \\+-1"):
+        LineSet(L.vectors, signs=L.signs * 1j)
+
+
+def test_real_line_sets_are_stored_real():
+    for L in (construct_case_iii(2, MINUS), construct_case_iii(3, PLUS)):
+        assert L.vectors.dtype == np.float64 and L.vectors.flags.c_contiguous
+        assert L.signs.dtype == np.int8
+        assert L.frame.dtype == np.float64
+    for L in (construct_case_iv(3, 1, MINUS), construct_case_iv(5, 1, PLUS),
+              _searched(2, 1), _searched(8, 1)):
+        assert L.vectors.dtype == np.complex128 and L.signs is None
+    K = construct_case_iii(2, PLUS)
+    zero = np.where(K.signs > 0, 0.0, -0.0)  # imaginary parts of either sign, all zero
+    back = LineSet(K.vectors + 1j * zero, K.meta, signs=K.signs)
+    assert back.vectors.dtype == np.float64 and back.vectors.flags.c_contiguous
+    assert np.array_equal(back.vectors, K.vectors)
+    tiny = K.vectors.astype(complex)
+    tiny[0, 0] += 1e-300j  # any nonzero imaginary part keeps the columns complex
+    assert LineSet(tiny).vectors.dtype == np.complex128
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
@@ -282,7 +309,8 @@ def test_row_certificate_agrees_with_the_pair_gram(build):
         assert G.orbit_eps == 0.0 and cert.max_dev == want.max_dev == 0.0
         fraction = Fraction(want.numerator, want.denominator)
         assert Fraction(cert.numerator, cert.denominator) == fraction
-        assert np.array_equal(G.int_products[0], (L.signs.T @ L.signs)[0])
+        S = L.signs.astype(np.int64)
+        assert np.array_equal(G.int_products[0], (S.T @ S)[0])
     else:
         assert G.orbit_eps <= 1e-15
         assert abs(cert.alpha - want.alpha) <= 1e-14
@@ -335,19 +363,14 @@ def _traced_peak(fn, *args):
         tracemalloc.stop()
 
 
-# The peak of LineSet's checks on iii m=5 minus when real columns took their
-# norms through a complex V.conj() * V and their frame through a .conj()
-# copy, measured by _traced_peak (CPython 3.11, numpy 2.4): the size of the
-# complex columns.
-_COMPLEX_TEMPORARIES_PEAK = 8_143_608
-
-
-def test_lineset_checks_of_real_columns_stay_below_the_complex_temporaries():
-    # one real copy (half the complex columns) and the d x d frame with its
-    # Gershgorin temporary come to 3/4 of the complex columns
+def test_lineset_checks_of_real_columns_make_no_copy_of_them():
+    # the float64 columns and int8 signs are kept as given; the peak is the
+    # d x d frame with its Gershgorin temporary, 3,950,000 B against a
+    # 4,063,232 B copy of the columns (CPython 3.11, numpy 2.4)
     L = construct_case_iii(5, MINUS)
     checked, peak = _traced_peak(LineSet, L.vectors, L.meta, L.signs)
-    assert peak <= 0.8 * _COMPLEX_TEMPORARIES_PEAK, peak
+    assert checked.vectors is L.vectors and checked.signs is L.signs
+    assert peak <= 2 * L.frame.nbytes + (1 << 16), peak
     assert np.abs(checked.frame - L.n / L.d * np.eye(L.d)).max() <= 1e-12
     assert np.abs(checked.norms - 1.0).max() <= 1e-12
 
@@ -387,8 +410,9 @@ def test_pair_gram_of_real_columns_is_a_real_product(m, tag):
     G = gram(L)
     assert G.values.dtype == np.float64
     assert np.abs(G.values - L.vectors.conj().T @ L.vectors).max() <= 1e-15
-    assert np.array_equal(G.int_products, L.signs.T @ L.signs)
-    assert np.array_equal(G.int_frame, L.signs @ L.signs.T)
+    S = L.signs.astype(np.int64)
+    assert np.array_equal(G.int_products, S.T @ S)
+    assert np.array_equal(G.int_frame, S @ S.T)
 
 
 def test_row_rejection_falls_back_to_the_pair_gram():
