@@ -159,27 +159,27 @@ class LineSet:
 
 @dataclass
 class GramMatrix:
-    """Gram matrix of a line set and its frame operator, with exact integer
-    products when available.
-
-    frame is the d x d frame operator V V* of the line set.  For sign-matrix
-    constructions int_products holds d * <v_i, v_j> = (S^T S)_ij and
-    int_frame holds S S^T, both as int64: their entries reach d and n, past
-    the int8 range of the signs S.
-
-    A row Gram keeps only line 0's row: values and int_products have shape
-    (1, n), orbit_eps is the orbit residual of gram, and lines is the line set,
-    from which certify_equiangular forms the n x n Gram when the row does not
-    prove the angle.  An n x n Gram has orbit_eps None.
+    """Gram matrix of the line set lines, whose d and frame it reads, with
+    int_products d <v_i, v_j> = (S^T S)_ij as int64 for sign-matrix sets (its
+    entries reach d, past the int8 range of the signs S).  A row Gram keeps
+    only line 0's row: values and int_products have shape (1, n), and
+    orbit_eps is the orbit residual of gram (None for an n x n Gram);
+    certify_equiangular forms the n x n Gram from lines when the row does
+    not prove the angle.
     """
 
     values: np.ndarray
-    d: int
-    frame: np.ndarray
+    lines: LineSet = field(repr=False, compare=False)
     int_products: np.ndarray | None = None
-    int_frame: np.ndarray | None = None
     orbit_eps: float | None = None
-    lines: LineSet | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def d(self) -> int:
+        return self.lines.d
+
+    @property
+    def frame(self) -> np.ndarray:
+        return self.lines.frame
 
     @property
     def n(self) -> int:
@@ -395,8 +395,8 @@ def construct_case_iv(p: int, m: int, eigen_choice: HyperplaneType) -> LineSet:
 
 
 def _integral(P: np.ndarray) -> np.ndarray:
-    """The float64 product P of integer matrices as int64, or ValueError when
-    rounding would move an entry."""
+    """The float64 product P = S^T S of the n x n Gram of signs S as int64,
+    or ValueError when rounding would move an entry."""
     ip = np.rint(P).astype(np.int64)
     if not np.array_equal(ip, P):
         raise ValueError("sign Gram is not integral")
@@ -454,26 +454,15 @@ def _pair_gram(L: LineSet) -> GramMatrix:
     G = V.conj().T @ V
     if np.abs(G - G.conj().T).max() > 1e-12 or np.abs(np.diag(G) - 1.0).max() > 1e-10:
         raise ValueError("Gram matrix failed hermiticity/diagonal validation")
-    return GramMatrix(G, L.d, L.frame, *_sign_products(L, row=False))
-
-
-def _sign_products(L: LineSet, row: bool) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """S^T S (or, if row, its row s_0^T S) and S S^T over the integers for the
-    sign matrix S of L, as float64 BLAS products checked integral (see gram);
-    (None, None) when L has no signs."""
     if L.signs is None:
-        return None, None
+        return GramMatrix(G, L)
     S = L.signs.astype(np.float64)
     # one operand seen twice: numpy takes the symmetric syrk path
-    ip = _integral(S[:, :1].T @ S if row else S.T @ S)
-    frame = S @ S.T
-    del S  # the d x n copy is not needed while the frame is checked
-    return ip, _integral(frame)
+    return GramMatrix(G, L, _integral(S.T @ S))
 
 
 def gram(L: LineSet) -> GramMatrix:
-    """Hermitian Gram matrix of the line representatives, unit diagonal, with
-    the line set's frame operator.
+    """Hermitian Gram matrix of the line representatives, unit diagonal.
 
     A tagged line set (one that passes _case) that is the translation orbit
     of its line 0 (_orbit_residual) gets a row Gram: only line 0's row, in
@@ -482,12 +471,10 @@ def gram(L: LineSet) -> GramMatrix:
     3 * orbit_eps of |<v_0, v_(b-a)>|.  Every other line set gets the n x n
     Gram.
 
-    The exact sign products S^T S (or its row s_0^T S) and sign frame S S^T
-    are float64 BLAS products of the int8 signs, widened first, rounded back
-    to int64.  They are exact while every partial sum is an integer below
-    2^53, which holds for +-1 signs when n < 2^53 (n > d bounds the terms of
-    both products), as for any sign matrix that fits in memory; if the
-    rounding moves any entry, ValueError is raised.
+    The exact row s_0^T S is an int64 product of the int8 signs S, with no
+    widened copy of them.  The n x n S^T S is a float64 BLAS product of S,
+    widened, rounded back to int64 by _integral: exact while its partial
+    sums of d terms stay below 2^53, as for any S that fits in memory.
     """
     eps = _orbit_residual(L)
     if eps is None:
@@ -495,7 +482,9 @@ def gram(L: LineSet) -> GramMatrix:
     if np.abs(L.norms**2 - 1.0).max() > 1e-10:  # the Gram diagonal
         raise ValueError("Gram matrix failed hermiticity/diagonal validation")
     row = np.einsum("k,kj->j", L.vectors[:, 0].conj(), L.vectors)[None, :]
-    return GramMatrix(row, L.d, L.frame, *_sign_products(L, row=True), eps, L)
+    S = L.signs
+    ip = None if S is None else np.einsum("k,kj->j", S[:, 0], S, dtype=np.int64)[None, :]
+    return GramMatrix(row, L, ip, eps)
 
 
 def certify_equiangular(G: GramMatrix, tol: float = 1e-8) -> AngleCertificate:
@@ -541,17 +530,27 @@ def certify_equiangular(G: GramMatrix, tol: float = 1e-8) -> AngleCertificate:
 
 
 def certify_tight(G: GramMatrix, d: int, tol: float = 1e-8) -> bool:
-    """True iff the frame operator F = V V* is (n/d) I: exactly, as
-    S S^T = n I in integers, for sign-matrix sets, and otherwise within tol,
-    as max|F - (n/d) I| <= tol.
+    """True iff the frame operator F = V V* is (n/d) I; ValueError unless
+    d = G.d.  Float columns test max|F - (n/d) I| <= tol.  That is the
+    condition G^2 = (n/d) G read off the d x d side: G^2 = V* F V and V has
+    rank d, so V* (F - cI) V = 0 iff F = cI.
 
-    This is the tight-frame condition G^2 = (n/d) G of the Gram side, read
-    off the d x d operator: G^2 = V* F V, and V has rank d, so V* is
-    injective and V onto, and V* (F - cI) V = 0 iff F = cI.
+    Sign sets are decided exactly, whatever tol, by the frame potential of
+    P = S^T S (Benedetto and Fickus 2003): S S^T has d eigenvalues >= 0 with
+    sum n d, and ||S S^T||_F^2 = ||P||_F^2, so sum P^2 >= n^2 d, with
+    equality iff every eigenvalue is n, that is iff S S^T = n I.  A row Gram
+    tests sum_c P_0c^2 = n d: gram proved s_a = T_a s_0, and T_a* T_b is a
+    unit multiple of T_(b-a), so |P_ab| = |P_(0,b-a)| and
+    sum P^2 = n sum_c P_0c^2.  An equiangular row (P_00 = d, |P_0c| = k)
+    reads d^2 + (n - 1) k^2 = n d, the Welch identity.  A row of P sums to
+    at most n d^2 <= (n d)^(3/2), below 2^63 while the 8 n d bytes of
+    columns fit in memory, and the rows add as Python ints.
     """
-    n = G.n
-    if G.int_frame is not None:
-        return np.array_equal(G.int_frame, n * np.eye(d, dtype=np.int64))
+    if d != G.d:
+        raise ValueError(f"d = {d} is not the dimension {G.d} of the line set")
+    n, P = G.n, G.int_products
+    if P is not None:
+        return sum(np.einsum("ab,ab->a", P, P).tolist()) == len(P) * n * d
     return bool(np.abs(G.frame - (n / d) * np.eye(d)).max() <= tol)
 
 

@@ -127,7 +127,7 @@ def _entry_table(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     order while they are in cache."""
     d, n = M.shape
     table = _Codes(M.dtype)
-    codes = np.empty((n, d), np.intp)
+    codes = np.empty((n, d), np.min_scalar_type(n * d))  # no code reaches n * d
     step = _block_lines(d, n)
     for a in range(0, n, step):
         codes[a : a + step] = table(M[:, a : a + step])[0].T
@@ -319,7 +319,7 @@ def _parse_canonical(text: str) -> tuple[dict, np.ndarray, tuple] | None:
     if type(n) is not int or type(d) is not int or not (n > 0 and d > 0 and n * d < len(text)):
         return None
     hashes, tokens, values = _Codes(np.int64), [], []
-    codes = np.empty((n, d), np.intp)
+    codes = np.empty((n, d), np.min_scalar_type(n * d))  # no code reaches n * d
     cols = _block_lines(d, n)
     pos = start
     for a in range(0, n, cols):

@@ -31,6 +31,7 @@ from equiline.finfield import HyperplaneType
 from equiline.lineset import AngleCertificate, LineSet, construct_case_iii, construct_case_iv
 from equiline.serialize import (
     _encode,
+    _entry_table,
     _fmt_float,
     _parse_canonical,
     _parse_json,
@@ -715,6 +716,21 @@ def test_canonical_text_of_distinct_entries_takes_the_canonical_path():
     fast = _parse_canonical(text)
     assert fast is not None and len(fast[2][0]) == L.n * L.d
     _assert_parses_agree(text)
+
+
+@pytest.mark.parametrize("build, dtype", [
+    (lambda: construct_case_iii(5, HyperplaneType.MINUS), np.uint32),
+    (lambda: _searched("i", 1), np.uint8),
+], ids=["iii-m5-minus", "i-seed1"])
+def test_codes_take_the_narrowest_unsigned_dtype(build, dtype):
+    # no code reaches n * d (507,904 at iii m = 5, 8 at case i).  The writer
+    # numbers a block's new entries in value order and the reader in hash
+    # order, so the two codes are compared through the entries they index
+    L = build()
+    values, codes = _entry_table(L.vectors)
+    entries, read = _parse_canonical(serialize_lineset(L))[2]
+    assert codes.dtype == read.dtype == dtype and codes.shape == read.shape == (L.n, L.d)
+    assert np.array_equal(values[codes].view(np.uint64), entries[read].view(np.uint64))
 
 
 def _traced_peak(fn, *args):

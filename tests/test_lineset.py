@@ -198,6 +198,13 @@ def _untagged(L: LineSet) -> LineSet:
     return LineSet(L.vectors, {}, signs=L.signs)
 
 
+def _sign_frame_tight(signs: np.ndarray) -> bool:
+    """The int64 oracle of the exact tight-frame test, S S^T == n I: the int8
+    signs are widened first, as S S^T reaches n."""
+    S = signs.astype(np.int64)
+    return np.array_equal(S @ S.T, S.shape[1] * np.eye(len(S), dtype=np.int64))
+
+
 def test_gram_validates_input():
     L = construct_case_iv(3, 1, MINUS)
     G = gram(_untagged(L))
@@ -220,9 +227,9 @@ def test_gram_validates_input():
 @pytest.mark.parametrize("tag", [MINUS, PLUS])
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
 def test_exact_gram_matches_int64_product(m, tag):
-    # the int64 product is the oracle for the float64 BLAS sign Gram; the
-    # int8 signs are widened first, as S^T S reaches d and S S^T reaches n
-    # (496 and 1024 at m = 5, past the int8 range)
+    # the int64 product is the oracle for the sign Gram and its row; the
+    # int8 signs are widened first, as S^T S reaches d (496 at m = 5, past
+    # the int8 range)
     L = construct_case_iii(m, tag)
     S = L.signs.astype(np.int64)
     G = gram(_untagged(L))
@@ -232,8 +239,7 @@ def test_exact_gram_matches_int64_product(m, tag):
     assert row.int_products.dtype == np.int64
     assert np.array_equal(row.int_products, S[:, :1].T @ S)
     assert row.int_products.max() == L.d
-    assert np.array_equal(row.int_frame, S @ S.T)
-    assert row.int_frame.max() == L.n
+    assert certify_tight(row, L.d) == certify_tight(G, L.d) == _sign_frame_tight(L.signs)
 
 
 @pytest.mark.parametrize("bad", [0, 2, -2, 2**30 + 1, 257, 0.5])
@@ -412,7 +418,7 @@ def test_pair_gram_of_real_columns_is_a_real_product(m, tag):
     assert np.abs(G.values - L.vectors.conj().T @ L.vectors).max() <= 1e-15
     S = L.signs.astype(np.int64)
     assert np.array_equal(G.int_products, S.T @ S)
-    assert np.array_equal(G.int_frame, S @ S.T)
+    assert certify_tight(G, L.d) == _sign_frame_tight(L.signs)
 
 
 def test_row_rejection_falls_back_to_the_pair_gram():
@@ -450,13 +456,15 @@ def test_frame_operator_certificate_agrees_with_gram_square(build):
     assert equiline.lineset._frame_rank(L.frame, L.n) == L.d
     U = _untagged(L)
     G = gram(U)
-    assert G.frame is U.frame and G.frame.shape == (L.d, L.d)
-    assert (G.int_frame is not None) == (L.signs is not None)
+    assert G.frame is U.frame and G.frame.shape == (L.d, L.d) and G.d == L.d
+    assert (G.int_products is not None) == (L.signs is not None)
     assert certify_tight(G, L.d) and _gram_square_tight(G, L.d)
     row = gram(L)
     assert row.values.shape == (1, L.n) and row.frame is L.frame
-    assert (row.int_frame is not None) == (L.signs is not None)
+    assert (row.int_products is not None) == (L.signs is not None)
     assert certify_tight(row, L.d)
+    if L.signs is not None:
+        assert _sign_frame_tight(L.signs)
 
 
 def test_frame_operator_rejects_what_gram_square_rejects():
@@ -475,14 +483,73 @@ def test_frame_operator_rejects_what_gram_square_rejects():
 
 def test_exact_frame_catches_one_flipped_sign():
     L = construct_case_iii(3, MINUS)
-    assert np.array_equal(gram(L).int_frame, L.n * np.eye(L.d, dtype=np.int64))
+    assert certify_tight(gram(L), L.d) and _sign_frame_tight(L.signs)
     signs = L.signs.copy()
     signs[5, 17] *= -1
     G = gram(LineSet(signs / np.sqrt(L.d), signs=signs))
-    assert G.int_frame.dtype == np.int64
-    assert np.array_equal(G.int_frame, signs @ signs.T)
+    assert G.int_products.dtype == np.int64
+    assert not _sign_frame_tight(signs)
     assert not certify_tight(G, L.d, tol=1.0)  # the integer test ignores tol
     assert not _gram_square_tight(G, L.d)
+
+
+@pytest.mark.parametrize("tag", [MINUS, PLUS])
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_frame_potentials_agree_with_the_int64_frame(m, tag):
+    # sum P^2 = n^2 d over the n x n integer Gram, and n d over line 0's row,
+    # exactly when S S^T = n I; the row's sum is the Welch identity
+    # d^2 + (n - 1) k^2 = n d
+    L = construct_case_iii(m, tag)
+    n, d = L.n, L.d
+    tight = _sign_frame_tight(L.signs)
+    row, pair = gram(L), gram(_untagged(L))
+    assert row.int_products.shape == (1, n) and pair.int_products.shape == (n, n)
+    k = abs(int(row.int_products[0, 1]))
+    assert int(np.square(row.int_products).sum()) == d * d + (n - 1) * k * k
+    assert (int(np.square(row.int_products).sum()) == n * d) == tight
+    assert (int(np.square(pair.int_products).sum()) == n * n * d) == tight
+
+
+def test_exact_tight_test_rejects_frames_that_are_not_tight():
+    # the first 9 lines of iii m = 2 minus keep the common angle but are no
+    # longer a tight frame: 6^2 + 8 * 2^2 = 68 > 9 * 6
+    L = construct_case_iii(2, MINUS)
+    sub = LineSet(L.vectors[:, :9], signs=L.signs[:, :9])
+    G = gram(sub)
+    assert certify_equiangular(G).exact
+    assert int(np.square(G.int_products).sum()) > sub.n**2 * sub.d
+    assert not _sign_frame_tight(sub.signs)
+    assert not certify_tight(G, sub.d, tol=1e9)
+    # line 0's row of the same set, read as a row Gram, fails the Welch identity
+    row = equiline.lineset.GramMatrix(G.values[:1], sub, G.int_products[:1], 0.0)
+    assert not certify_tight(row, sub.d, tol=1e9)
+    # the one-flipped-sign set is test_exact_frame_catches_one_flipped_sign
+
+
+@pytest.mark.parametrize("tagged", [True, False], ids=["row", "pair"])
+def test_certify_tight_refuses_a_wrong_dimension(tagged):
+    for L in (construct_case_iii(2, MINUS), construct_case_iv(3, 1, MINUS)):
+        G = gram(L if tagged else _untagged(L))
+        for d in (1, L.d - 1, L.d + 1):
+            with pytest.raises(ValueError, match=f"d = {d} is not the dimension {L.d}"):
+                certify_tight(G, d)
+        assert certify_tight(G, L.d)
+
+
+def test_exact_tight_test_stays_below_a_float_copy_of_the_signs():
+    # line 0's integer row is formed from the int8 signs, with no float64
+    # d x n temporary (4,063,232 B at iii m = 5 minus), and the frame
+    # potential reads only that row
+    L = construct_case_iii(5, MINUS)
+    tracemalloc.start()
+    try:
+        G = gram(L)
+        tight = certify_tight(G, L.d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tight and G.orbit_eps == 0.0
+    assert peak < L.d * L.n * 8, peak
 
 
 def _spy_frame_rank(monkeypatch) -> list[int]:

@@ -160,3 +160,17 @@ def test_memory_refusals_live_in_one_lineset_helper():
                 where.append(f"{path.name}:{node.lineno}")
     assert not outside, f"MemoryError raised outside lineset._shape_in_memory: {outside}"
     assert len(inside) == 1
+
+
+def test_ci_runs_the_whole_tier_one_suite():
+    # the workflow installs the test extra, sympy's cross-checks included,
+    # and runs every test: no -k, -m or --deselect narrows the suite
+    root = Path(equiline.__file__).parents[2]
+    workflow = (root / ".github" / "workflows" / "tests.yml").read_text()
+    assert '".[test]"' in workflow
+    runs = [line.split("pytest", 1)[1].split()
+            for line in workflow.splitlines() if "pytest" in line]
+    assert runs and all(args[:2] == ["-q", "--continue-on-collection-errors"] for args in runs)
+    narrowing = [a for args in runs for a in args if a.startswith(("-k", "-m", "--deselect"))]
+    assert not narrowing, narrowing
+    assert "sympy" in (root / "pyproject.toml").read_text().split("test = [", 1)[1].split("]")[0]
