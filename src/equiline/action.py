@@ -291,8 +291,13 @@ def multiplicity_certificate(
     return MultiplicityCertificate(rank, range_ok, float(1.0 - eigvals[-2]))
 
 
-def _component_count(V: np.ndarray, tol: float = 1e-8) -> int:
-    """Connected components of the graph joining i, j when |<v_i, v_j>| > tol.
+# Two lines join in _component_count when their overlap exceeds this.
+_OVERLAP_TOL = 1e-8
+
+
+def _component_count(V: np.ndarray) -> int:
+    """Connected components of the graph joining i, j when |<v_i, v_j>| >
+    _OVERLAP_TOL.
 
     A frontier search over the columns not yet reached: each step takes the
     overlaps of the columns reached last with those, so a family whose first
@@ -307,7 +312,7 @@ def _component_count(V: np.ndarray, tol: float = 1e-8) -> int:
         frontier, rest = rest[:1], rest[1:]
         while frontier.size and rest.size:
             overlaps = np.einsum("kf,kr->fr", V[:, frontier].conj(), V)[:, rest]
-            hit = (np.abs(overlaps) > tol).any(axis=0)
+            hit = (np.abs(overlaps) > _OVERLAP_TOL).any(axis=0)
             frontier, rest = rest[hit], rest[~hit]
     return components
 

@@ -272,7 +272,7 @@ def _cmd_action(args) -> None:
 
 
 def _cmd_table(args) -> None:
-    rows = lineset.classification_rows(4096)
+    rows = lineset.classification_rows()
     header = f"{'case':<5} {'n':>5} {'d':>5} {'d_prime':>8}  command"
     print(header)
     print("-" * len(header))

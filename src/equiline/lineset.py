@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .finfield import HyperplaneType, enumerate_hyperplanes, standard_form
+from .finfield import HyperplaneType, enumerate_hyperplanes
 from .heisenberg import displacement_monomial, lex_digits
 from .weil import parity_split
 
@@ -124,8 +124,7 @@ class LineSet:
         d, n = V.shape
         if n <= d:
             raise ValueError(f"need more lines than dimensions, got n={n}, d={d}")
-        real = V.dtype == np.float64
-        if real:  # real products: a quarter of the work
+        if V.dtype == np.float64:  # real products: a quarter of the work
             self.norms = np.sqrt(np.einsum("ij,ij->j", V, V))
         else:  # per-column sums of squares, with no temporary the size of V
             re, im = V.real, V.imag
@@ -134,7 +133,7 @@ class LineSet:
             raise ValueError("columns must be unit vectors")
         if d < 2:
             raise ValueError("need d >= 2: every unit column of C^1 spans the same line")
-        self.frame = V @ V.T if real else V @ V.conj().T
+        self.frame = V @ V.conj().T  # conj() of real columns is the array itself
         if not _gershgorin_full_rank(self.frame, n):
             rank = _frame_rank(self.frame, n)
             if rank != d:
@@ -255,7 +254,7 @@ def line_translations(lines: LineSet, elements=None):
     (translations): element i maps line 0 to line i."""
     case, p, m = _case(lines)
     if case == "iii":
-        phis = enumerate_hyperplanes(standard_form(m), HyperplaneType(lines.meta["type"]))
+        phis = enumerate_hyperplanes(m, HyperplaneType(lines.meta["type"]))
         return translations(2, m, elements, functionals=phis)
     return translations(p, m, elements, du=lines.d // p**m)
 
@@ -333,7 +332,7 @@ def construct_case_iii(m: int, type_choice: HyperplaneType) -> LineSet:
         _BUILD_WHAT, _BUILD_BYTES_PER_ENTRY, (2 * m - 2, 2 * m),
         lambda: (_case_iii_dims(m)[0 if minus else 1], 4**m),
     )
-    phis = enumerate_hyperplanes(standard_form(m), type_choice)
+    phis = enumerate_hyperplanes(m, type_choice)
     perm, phase = translations(2, m, functionals=phis)
     signs = orbit(np.ones(d, dtype=np.int8), perm, phase.astype(np.int8))
     del phase  # 8 bytes an entry, not needed while LineSet checks the columns
@@ -604,10 +603,14 @@ def dimension_pair(n: int, d: int) -> int:
     return n - d
 
 
-def classification_rows(n_max: int = 4096) -> list[dict]:
-    """All classified (case, n, d, d') rows with n <= n_max, ascending in n."""
+# The largest n that classification_rows lists, as `equiline table` prints it.
+_TABLE_N_MAX = 4096
+
+
+def classification_rows() -> list[dict]:
+    """All classified (case, n, d, d') rows with n <= _TABLE_N_MAX, ascending in n."""
     rows = []
-    for n in range(4, n_max + 1):
+    for n in range(4, _TABLE_N_MAX + 1):
         dims = _valid_dims(n)
         for d in sorted(dims):
             if 2 * d <= n:  # report each pair once, smaller d first

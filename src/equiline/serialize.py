@@ -357,6 +357,8 @@ def _parse_json(text: str) -> tuple[dict, np.ndarray]:
     try:
         for k, col in enumerate(cols):
             vectors[:, k] = [complex(re, im) for re, im in col]
+            if any(type(x) is bool for entry in col for x in entry):  # complex(True, 0) is 1
+                raise TypeError("vector entry is a JSON boolean, not a number")
     except OverflowError as exc:  # an integer literal beyond the double range
         raise TypeError(f"vector entry is not a double: {exc}") from None
     return obj, _columns(vectors)
@@ -386,6 +388,8 @@ def parse_lineset(text: str) -> LineSet:
     meta = obj.get("meta", {})
     if not isinstance(meta, dict):
         raise TypeError(f"meta must be a JSON object, got {type(meta).__name__}")
+    if type(meta.get("exact_signs", False)) is not bool:
+        raise TypeError(f"exact_signs must be a JSON boolean, got {meta['exact_signs']!r}")
     signs = None
     if meta.get("exact_signs"):
         if distinct is not None:  # canonical entries are finite

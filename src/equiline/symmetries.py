@@ -23,13 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .action import NotASymmetry, Perm, _affine_map, induced_permutation
-from .finfield import (
-    HyperplaneType,
-    dot2,
-    enumerate_hyperplanes,
-    nonsingular_vectors,
-    standard_form,
-)
+from .finfield import HyperplaneType, bilinear_mask, enumerate_hyperplanes, nonsingular_vectors
 from .heisenberg import lex_digits, lex_index, monomial_matrix
 from .lineset import LineSet, _case, _shape_in_memory, line_translations
 from .weil import parity_split, weil_generators
@@ -66,16 +60,15 @@ def translation_unitaries(lines: LineSet) -> list[np.ndarray]:
 
 def _transvection_perms(m: int, tag: HyperplaneType) -> list[Perm]:
     """Coordinate permutations of the chosen-type hyperplanes under all
-    transvections of the quadratic space."""
-    q = standard_form(m)
-    phis = enumerate_hyperplanes(q, tag)
-    index = {phi: i for i, phi in enumerate(phis)}
-    perms = []
-    for u in nonsingular_vectors(q):
-        # the pullback of phi along x -> x + B(x, u) u is phi + phi(u) B(., u)
-        mask = q.bilinear_mask(u)
-        perms.append(tuple(index[phi ^ mask if dot2(phi, u) else phi] for phi in phis))
-    return perms
+    transvections x -> x + B(x, u) u of the quadratic space, one per
+    nonsingular u in lexicographic order."""
+    phis = np.array(enumerate_hyperplanes(m, tag))
+    us = np.array(nonsingular_vectors(m))[:, None]
+    index = np.zeros(1 << (2 * m + 1), dtype=np.intp)
+    index[phis] = np.arange(len(phis))
+    # the pullback of phi along the transvection of u is phi + phi(u) B(., u)
+    images = phis ^ (np.bitwise_count(phis & us) & 1) * bilinear_mask(m, us)
+    return list(map(tuple, index[images].tolist()))
 
 
 def _weil_kron(lines: LineSet) -> list[np.ndarray]:

@@ -4,8 +4,9 @@ Each is the plain definition of something the package computes another way,
 or a general tool the package does not need: the Heisenberg group-element
 algebra and its Schrödinger representations, a stacked-SVD commutant, a
 group closure, the frame potential and its gradient as standalone calls, the
-transvections of a quadratic space, the parity operator, and a dictionary
-table of the distinct entries of a matrix.
+quadratic form of case iii read coordinate by coordinate and its
+transvections, the parity operator, and a dictionary table of the distinct
+entries of a matrix.
 
 Finite Heisenberg groups are in normal form.  Elements are triples (a, b, c):
 translation part a and modulation part b in F_p^m, central exponent c.  The
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from typing import Sequence
 
@@ -30,7 +32,7 @@ import numpy as np
 
 from equiline.action import Perm, compose, identity_perm
 from equiline.fiducial import _gathers, _gradient, _overlaps
-from equiline.finfield import QuadForm2, dot2
+from equiline.finfield import dot2
 from equiline.heisenberg import _roots, displacement_monomial, lex_digits, monomial_matrix
 from equiline.weil import _index_substitution
 
@@ -215,18 +217,31 @@ def frame_potential_grad(v: np.ndarray, disp) -> np.ndarray:
     return _gradient(*_overlaps(v, gathers), gathers[2])
 
 
-def transvection(q: QuadForm2, u: int, x: int) -> int:
+@lru_cache(maxsize=None)
+def quadratic_form(m: int, x: int) -> int:
+    """Q(x) = x_0 + x_1 x_2 + x_3 x_4 + ... + x_{2m-1} x_{2m} of a packed x,
+    read coordinate by coordinate (once per (m, x): the transvection tests
+    take it hundreds of thousands of times)."""
+    c = [x >> i & 1 for i in range(2 * m + 1)]
+    return (c[0] + sum(c[2 * i - 1] * c[2 * i] for i in range(1, m + 1))) % 2
+
+
+def bilinear_form(m: int, x: int, y: int) -> int:
+    """The polarization B(x, y) = Q(x + y) + Q(x) + Q(y) of quadratic_form."""
+    return quadratic_form(m, x ^ y) ^ quadratic_form(m, x) ^ quadratic_form(m, y)
+
+
+def transvection(m: int, u: int, x: int) -> int:
     """Isometry x -> x + B(x, u) u for Q(u) = 1; an involution fixing Q."""
-    if not q.evaluate(u):
+    if not quadratic_form(m, u):
         raise ValueError("transvection direction must satisfy Q(u) = 1")
-    return x ^ (u if dot2(x, q.bilinear_mask(u)) else 0)
+    return x ^ (u if bilinear_form(m, x, u) else 0)
 
 
-def transvection_on_functional(q: QuadForm2, u: int, phi: int) -> int:
-    """Pullback of a functional along the transvection in direction u."""
-    if not q.evaluate(u):
-        raise ValueError("transvection direction must satisfy Q(u) = 1")
-    return phi ^ (q.bilinear_mask(u) if dot2(phi, u) else 0)
+def transvection_on_functional(m: int, u: int, phi: int) -> int:
+    """Pullback phi o t of a functional along the transvection t in direction
+    u, read off the point action: coordinate i is phi(t(e_i))."""
+    return sum(dot2(phi, transvection(m, u, 1 << i)) << i for i in range(2 * m + 1))
 
 
 def parity_operator(p: int, m: int) -> np.ndarray:

@@ -489,7 +489,7 @@ def test_component_count_matches_bfs_oracle():
         *(build().vectors for build in COMMUTANT_BUILDS),
     ]
     for V in families:
-        assert _component_count(V, 1e-8) == _bfs_component_count(V)
+        assert _component_count(V) == _bfs_component_count(V)
 
 
 def test_closed_form_commutant_matches_stacked_svd():

@@ -279,6 +279,35 @@ def test_cli_rejects_non_object_meta(tmp_path, capsys, command, meta):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["certify", "action"])
+@pytest.mark.parametrize(
+    "old,new,message",
+    [
+        ("[[0.40824829046386307,0]", "[[true,0]", "vector entry is a JSON boolean, not a number"),
+        ("[[0.40824829046386307,0]", "[[0.5,false]", "vector entry is a JSON boolean, not a number"),
+        ('"exact_signs":true', '"exact_signs":"no"', "exact_signs must be a JSON boolean, got 'no'"),
+        ('"exact_signs":true', '"exact_signs":1', "exact_signs must be a JSON boolean, got 1"),
+        ('"exact_signs":true', '"exact_signs":null', "exact_signs must be a JSON boolean, got None"),
+    ],
+    ids=["true-entry", "false-entry", "string-flag", "int-flag", "null-flag"],
+)
+def test_cli_rejects_booleans_as_numbers_and_non_booleans_as_flags(
+    tmp_path, capsys, command, old, new, message
+):
+    # complex(True, 0) is 1 and any truthy flag read as a declaration: a
+    # string "no" once certified with "exact": true
+    out = tmp_path / "l.json"
+    main(["construct", "--case", "iii", "--m", "2", "--type", "minus", "--out", str(out)])
+    text = out.read_text()
+    for damaged in (text.replace(old, new, 1), json.dumps(json.loads(text.replace(old, new, 1)))):
+        bad = tmp_path / "bad.json"
+        bad.write_text(damaged)
+        capsys.readouterr()
+        assert main([command, str(bad)]) == EXIT_PARAMS
+        err = capsys.readouterr().err
+        assert f"not a lineset JSON file: {message}" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "args",
     [

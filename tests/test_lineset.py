@@ -174,7 +174,7 @@ def test_dimension_pair():
 
 def test_classification_rows_table():
     # one row per dimension pair, listed under the smaller d
-    rows = classification_rows(256)
+    rows = classification_rows()
     key = {(r["n"], r["d"]): r for r in rows}
     assert all(r["d"] + r["d_prime"] == r["n"] for r in rows)
     assert all(2 * r["d"] <= r["n"] for r in rows)

@@ -153,7 +153,7 @@ def _declared_shape(draw, obj):
 def _non_numeric(draw, obj):
     col = draw(st.integers(0, obj["n"] - 1))
     row = draw(st.integers(0, obj["d"] - 1))
-    junk = draw(st.one_of(NOT_NUMBERS, OBJECTS))
+    junk = draw(st.one_of(NOT_NUMBERS, OBJECTS, st.booleans()))  # complex(True, 0) is 1
     if draw(st.booleans()):
         obj["vectors"][col][row] = junk
     else:

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 from math import log
 
@@ -15,12 +16,7 @@ from equiline.action import (
     multiplicity_certificate,
     two_transitivity,
 )
-from equiline.finfield import (
-    HyperplaneType,
-    enumerate_hyperplanes,
-    nonsingular_vectors,
-    standard_form,
-)
+from equiline.finfield import HyperplaneType, enumerate_hyperplanes, nonsingular_vectors
 from equiline.fiducial import SearchConfig, orbit_lineset, search_fiducial
 from equiline.heisenberg import check_unitary, lex_digits, lex_index, monomial_matrix
 from equiline.lineset import LineSet, construct_case_iii, construct_case_iv
@@ -189,10 +185,10 @@ def test_transvection_line_permutations_are_the_transvections(m, tag):
     # radical), and the transvection of u fixes line 0: column k of S is the
     # image of 2 << k with its radical bit dropped
     L = construct_case_iii(m, tag)
-    q, labels = standard_form(m), lex_digits(2, 2 * m)
-    for u, perm in zip(nonsingular_vectors(q), _transvection_perms(m, tag), strict=True):
+    labels = lex_digits(2, 2 * m)
+    for u, perm in zip(nonsingular_vectors(m), _transvection_perms(m, tag), strict=True):
         S, b = _affine_map(induced_permutation(L, monomial_matrix(np.array(perm))), labels, 2)
-        images = [transvection(q, u, 2 << k) & ~1 for k in range(2 * m)]
+        images = [transvection(m, u, 2 << k) & ~1 for k in range(2 * m)]
         assert np.array_equal(S, [[x >> (j + 1) & 1 for x in images] for j in range(2 * m)])
         assert not b.any()
 
@@ -557,13 +553,33 @@ def test_odd_prime_meta_is_checked_against_the_dimensions():
             translation_unitaries(LineSet(L.vectors, meta))
 
 
-@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("m", [2, 3, 4])
 @pytest.mark.parametrize("tag", [MINUS, PLUS])
 def test_transvection_perms_match_functional_pullbacks(m, tag):
-    q = standard_form(m)
-    phis = enumerate_hyperplanes(q, tag)
+    phis = enumerate_hyperplanes(m, tag)
+    index = {phi: i for i, phi in enumerate(phis)}
     expected = [
-        tuple(phis.index(transvection_on_functional(q, u, phi)) for phi in phis)
-        for u in nonsingular_vectors(q)
+        tuple(index[transvection_on_functional(m, u, phi)] for phi in phis)
+        for u in nonsingular_vectors(m)
     ]
     assert _transvection_perms(m, tag) == expected
+
+
+# sha256 of the int64 bytes of the stacked permutations, as the per-(u, phi)
+# loop over the general form gave them before the closed forms replaced it
+TRANSVECTION_DIGESTS = {
+    (2, MINUS): "1003e73a7868b029250c16d30e33b282937c2597da7bea0faa97ebfccd4988ec",
+    (2, PLUS): "48a4c31bf4a7d261e7ee7c2f7f01e5ecc3709f5da66c01820968cca209e3078f",
+    (3, MINUS): "d2758020e39dea10ec7c28888365e2292cc09a488a2835de3ad5079a7a2bc773",
+    (3, PLUS): "722f5efe17bc7181e590dab4ce689ebfb005206d2d8ebbec4159b1b07af9996e",
+    (4, MINUS): "9afe091846ac9df837acda2691e3e4b3a1dda1b5853af947ccf7cc9d6ca0cad9",
+    (4, PLUS): "7bfe8c0e33ef9598b1ef428d18d85e4f54cbf4719282856ee5f0c6f846c3520e",
+    (5, MINUS): "6dc83ef5db8fc4a87be2cc8ce1621d78f9e6b128c0d57461bee5381085d127db",
+    (5, PLUS): "940baec8c4ef3d63e7f53f0c452187498aee723ae1b59ef83278e2cb478f7617",
+}
+
+
+@pytest.mark.parametrize("m,tag", list(TRANSVECTION_DIGESTS))
+def test_transvection_perms_digests(m, tag):
+    perms = np.array(_transvection_perms(m, tag), dtype=np.int64)
+    assert hashlib.sha256(perms.tobytes()).hexdigest() == TRANSVECTION_DIGESTS[(m, tag)]
