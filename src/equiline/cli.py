@@ -7,8 +7,8 @@ Every documented failure raises Refused(exit_code, message); main prints the
 message to stderr and returns the code.
 
 Exit codes: 0 success, 2 invalid parameters (a --tol that is not a finite
-number >= 0 among them, and a line set whose `construct`, or whose `action`
-symmetries, would not fit in memory), unreadable input, an output path that
+number >= 0 among them, and a `construct` whose line set or search, or an
+`action` whose symmetries, would not fit in memory), unreadable input, an output path that
 cannot be written ("cannot write <path>: ...") or a stdout that is closed
 or full ("cannot write <stdout>: ..."), 3 fiducial search did not converge,
 4 a certification check failed (the first failing certificate is named on
@@ -72,6 +72,8 @@ def construct_lineset(case: str, m=None, p=None, kind=None, seed: int = 1, resta
             v, report = fiducial.search_fiducial(cfg)
         except fiducial.NotConverged as exc:
             raise Refused(EXIT_NOT_CONVERGED, f"search did not converge: {exc}")
+        except MemoryError as exc:
+            raise Refused(EXIT_PARAMS, f"invalid parameters: search too large to run: {exc}")
         meta = {"seed": cfg.seed, "restarts": cfg.restarts, "max_iters": cfg.max_iters,
                 "potential": report.best_f}
         return fiducial.orbit_lineset(v, d, meta=meta)

@@ -10,8 +10,8 @@ is multi-restart projected gradient descent on the unit sphere with a
 Barzilai-Borwein initial step and monotone Armijo backtracking.  All restarts
 run in lockstep as the rows of one array, each with its own step, stop test
 and iteration count, and a row drops out when it stops.  The displacements
-act as monomials (perm, phase), so the overlaps are gathers, formed once per
-search, and elementwise sums; each candidate point is gathered once for its
+are gathers, (D_g v)[y] = phase[g, y] v[index[g, y]], so the overlaps are
+gathers and elementwise sums; each candidate point is gathered once for its
 potential and, if accepted, its tangent.  The inner products of the descent
 are batched with np.vecdot, which makes per row the BLAS call of np.vdot, or
 the two real dots of np.linalg.norm.  Each row therefore takes, to the last
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lineset import LineSet, orbit, translations
+from .lineset import LineSet, _shape_in_memory, orbit, translations
 
 __all__ = [
     "NotConverged",
@@ -61,6 +61,7 @@ _HALVINGS = 60
 # search-seeds pass's peak RSS from 40.0 to 39.3 MB (39.1 MB one restart at a
 # time)
 _BLOCK_BYTES = 1 << 17
+_SEARCH_BYTES_PER_ENTRY = 320  # per restart coordinate; tracemalloc: 287 B at d = 2, 224 at 8
 
 
 @dataclass
@@ -104,7 +105,7 @@ def _qubits(d: int) -> int:
 
 
 def displacements(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Monomials (perm, phase) of the nontrivial displacements in line order,
+    """Monomials (index, phase) of the nontrivial displacements in line order,
     each of shape (d^2 - 1, d): the translations after the identity."""
     return translations(2, _qubits(d), np.arange(1, d * d))
 
@@ -114,20 +115,19 @@ def potential_bound(d: int) -> float:
 
 
 def _gathers(disp) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The monomials disp = (perm, phase) as gathers (index, phase, sign).
-    D_g sends e_x to phase_gx e_perm(g, x), so D_g v = v[inv] * phase[inv]
-    with inv the inverse of perm; the phases are +-1 or +-i, which multiply
-    exactly.  A qubit displacement squares to +-1, so D_g^dagger = sign_g D_g
-    with sign_g = +-1, and its gather v[perm] * conj(phase) is the forward one
-    times sign_g, which rounds exactly.  Raises ValueError if disp is not such
-    a stack."""
-    perm, phase = disp
-    inv = np.argsort(perm, axis=-1)
-    gathered = np.take_along_axis(phase, inv, axis=-1)
-    sign = np.where(phase[:, :1].conj() == gathered[:, :1], 1.0, -1.0)
-    if not (np.array_equal(inv, perm) and np.array_equal(phase.conj(), sign * gathered)):
+    """The monomials disp = (index, phase), D_g v = phase_g * v[index_g], with
+    the sign of each.  A qubit displacement squares to +-1, so D_g^dagger =
+    sign_g D_g with sign_g = +-1: index_g is an involution, and the adjoint's
+    gather conj(phase_g[index_g]) * v[index_g] is the forward one times
+    sign_g, which rounds exactly (the phases are +-1 or +-i).  Raises
+    ValueError if disp is not such a stack."""
+    index, phase = disp
+    back = np.take_along_axis(phase, index, axis=-1).conj()  # the adjoint's phases
+    sign = np.where(back[:, :1] == phase[:, :1], 1.0, -1.0)
+    involution = (np.take_along_axis(index, index, axis=-1) == np.arange(index.shape[-1])).all()
+    if not (involution and np.array_equal(back, sign * phase)):
         raise ValueError("displacements must be their own adjoints up to sign")
-    return inv, gathered, sign[:, 0]
+    return index, phase, sign[:, 0]
 
 
 def _overlaps(v: np.ndarray, gathers) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -231,7 +231,10 @@ def _descend(v: np.ndarray, disp, cfg: SearchConfig, bound: float):
 
 def search_fiducial(cfg: SearchConfig) -> tuple[np.ndarray, SearchReport]:
     """Best fiducial over cfg.restarts seeded starts; raises NotConverged if no
-    restart closes the gap to the lower bound within cfg.target_tol."""
+    restart closes the gap to the lower bound within cfg.target_tol, and
+    MemoryError, before any start is drawn, when the restarts do not fit."""
+    _shape_in_memory("its {} x {} restart arrays take about {} bytes", _SEARCH_BYTES_PER_ENTRY,
+                     (cfg.restarts.bit_length() - 1, 1), lambda: (cfg.restarts, cfg.d))
     disp = displacements(cfg.d)
     bound = potential_bound(cfg.d)
     z = np.random.default_rng(cfg.seed).normal(size=(cfg.restarts, 2, cfg.d))
@@ -259,7 +262,4 @@ def orbit_lineset(v: np.ndarray, d: int, meta: dict | None = None) -> LineSet:
         raise ValueError("fiducial must be a length-d vector")
     v = v / np.linalg.norm(v)
     cols = orbit(v, *translations(2, _qubits(d)))
-    info = {"case": "i" if d == 2 else "ii", "n": d * d, "d": d}
-    if meta:
-        info.update(meta)
-    return LineSet(cols, info)
+    return LineSet(cols, {"case": "i" if d == 2 else "ii", "n": d * d, "d": d, **(meta or {})})

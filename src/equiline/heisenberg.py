@@ -3,11 +3,11 @@
 Over the p^m points of F_p^m in lexicographic order, the displacement with
 label (a, b) is X(a) Z(b), where X(a)|x> = |x + a> and Z(b)|x> =
 zeta^(kappa b.x)|x>: zeta = exp(2 pi i / p) and kappa = 1 for odd p, zeta = i
-and kappa = 2 (so Z is the +-1 modulation) for p = 2.  Each is a monomial
-operator (perm, phase), the form in which the line-set constructions, the
-fiducial search and the symmetry scan apply it; monomial_matrix gives the
-dense matrix.  lex_digits and lex_index convert between points and their
-indices.
+and kappa = 2 (so Z is the +-1 modulation) for p = 2.  Each is a monomial in
+gather form (index, phase), (D v)[y] = phase[y] v[index[y]], the one form in
+which the constructions, the orbit check, the fiducial search and the
+translation unitaries apply it; monomial_matrix gives the dense matrix.
+lex_digits and lex_index convert between points and their indices.
 """
 
 from __future__ import annotations
@@ -48,16 +48,17 @@ def lex_index(x: np.ndarray, p: int) -> np.ndarray:
     return x % p @ _lex_weights(p, x.shape[-1])
 
 
-def monomial_matrix(perm: np.ndarray, phase=1.0) -> np.ndarray:
-    """Dense form of the monomial operator |x> -> phase[x] |perm[x]>.
+def monomial_matrix(index: np.ndarray, phase=1.0) -> np.ndarray:
+    """Dense form of the monomial (M v)[y] = phase[y] v[index[y]]; the map
+    |x> -> |perm[x]> is the gather of the inverse permutation.
 
-    Leading axes of perm stack operators.  The dtype is that of phase, so real
-    phases give a real matrix.
+    Leading axes of index stack operators.  The dtype is that of phase, so
+    real phases give a real matrix.
     """
-    perm = np.asarray(perm)
-    phase = np.broadcast_to(np.asarray(phase), perm.shape)
-    out = np.zeros(perm.shape + perm.shape[-1:], dtype=phase.dtype)
-    np.put_along_axis(out, perm[..., None, :], phase[..., None, :], axis=-2)
+    index = np.asarray(index)
+    phase = np.broadcast_to(np.asarray(phase), index.shape)
+    out = np.zeros(index.shape + index.shape[-1:], dtype=phase.dtype)
+    np.put_along_axis(out, index[..., None], phase[..., None], axis=-1)
     return out
 
 
@@ -69,18 +70,15 @@ def _roots(p: int) -> np.ndarray:
 
 
 def displacement_monomial(p: int, m: int, a, b):
-    """(perm, phase) of X(a) Z(b) over the p^m points in lexicographic order,
-    as in monomial_matrix.
+    """(index, phase) of X(a) Z(b) over the p^m points in lexicographic order:
+    (X(a) Z(b) v)[y] = zeta^(kappa b.x) v[x] with x = y - a.
 
-    Vectorized: a and b of shape (..., m) give perm and phase of shape
+    Vectorized: a and b of shape (..., m) give index and phase of shape
     (..., p^m).
     """
-    pts = lex_digits(p, m)
-    a, b = np.asarray(a), np.asarray(b)
-    perm = lex_index(pts + a[..., None, :], p)
-    roots = _roots(p)
-    kappa = 1 if p > 2 else 2
-    return perm, roots[kappa * (b @ pts.T) % len(roots)]
+    x = (lex_digits(p, m) - np.asarray(a)[..., None, :]) % p
+    roots, kappa = _roots(p), 1 if p > 2 else 2
+    return lex_index(x, p), roots[kappa * np.vecdot(x, np.asarray(b)[..., None, :]) % len(roots)]
 
 
 def displacement(p: int, m: int, a, b) -> np.ndarray:

@@ -5,7 +5,9 @@ A line set is stored as a d x n matrix of unit columns, one column per line:
 C-ordered float64 when no entry has a nonzero imaginary part, as for the
 sign-matrix sets of case iii, and complex128 otherwise.  Sign-matrix
 constructions keep their +-1 signs alongside the normalized columns, as int8,
-so that angle certificates can be exact.
+so that angle certificates can be exact.  Each family is the orbit of line 0
+under translations in gather form, (T_a v)[y] = phase[a, y] v[index[a, y]]
+over q points, a column viewed as q x du.
 """
 
 from __future__ import annotations
@@ -196,34 +198,33 @@ class AngleCertificate:
     denominator: int | None = None
 
 
-def translations(p: int, k: int, elements=None, *, du: int = 1, functionals=None):
-    """Monomials (perm, phase) of the regular translation group F_p^(2k) on
-    C^d, stacked in line order (see heisenberg.monomial_matrix).
+def translations(p: int, k: int, elements=None, *, functionals=None):
+    """Monomials (index, phase) of the regular translation group F_p^(2k) over
+    q points, stacked in line order: (T_i v)[y] = phase[i, y] v[index[i, y]].
 
     Element i has as label (a, b) the 2k base-p digits of i, most significant
-    first, so the lines are in lexicographic label order and element i maps
-    line 0 to line i.  elements picks rows (default all p^(2k)).  A label acts
-    by the +-1 character diagonal (-1)^(phi . e) over the given hyperplane
-    functionals phi, with e = (0, a, b) packed as in finfield (case iii, p = 2);
-    otherwise by the displacement D(a, b) (x) I_du (du = 1 for cases i and ii).
+    first, and maps line 0 to line i; elements picks rows (default all
+    p^(2k)).  Given hyperplane functionals phi (case iii, p = 2), q = d and a
+    label acts by the int8 +-1 characters (-1)^(phi . e), e = (0, a, b)
+    packed as in finfield; otherwise by the displacement D(a, b), q = p^k.
     """
     labels = lex_digits(p, 2 * k, elements)
     if functionals is not None:
-        packed = labels @ (2 << np.arange(2 * k))  # e = (0, a, b), as in finfield
-        parity = np.bitwise_count(packed[:, None] & np.asarray(functionals)) & 1
-        phase = np.array([1.0, -1.0])[parity]
+        bits = np.min_scalar_type(2 << 2 * k)  # e = (0, a, b) and phi have 2k + 1 bits
+        e = (labels @ (2 << np.arange(2 * k))).astype(bits)
+        parity = np.bitwise_count(e[:, None] & np.array(functionals, bits)) & 1
+        phase = 1 - 2 * parity.view(np.int8)
         return np.broadcast_to(np.arange(len(functionals)), phase.shape), phase
-    perm, phase = displacement_monomial(p, k, labels[:, :k], labels[:, k:])
-    perm = (perm[..., None] * du + np.arange(du)).reshape(len(labels), -1)
-    return perm, np.repeat(phase, du, axis=-1)
+    return displacement_monomial(p, k, labels[:, :k], labels[:, k:])
 
 
-def orbit(base: np.ndarray, perm: np.ndarray, phase: np.ndarray) -> np.ndarray:
-    """The d x N matrix whose column i is the image of base under the i-th of
-    the stacked monomials (perm, phase)."""
-    cols = np.empty(perm.shape[::-1], dtype=np.result_type(phase, base))
-    np.put_along_axis(cols, perm.T, (phase * base).T, axis=0)
-    return cols
+def orbit(base: np.ndarray, index: np.ndarray, phase: np.ndarray) -> np.ndarray:
+    """The d x N matrix of columns (T_i (x) I_du) base, base viewed as q x du:
+    (T_i base)[y, u] = phase[i, y] * base[index[i, y], u], flattened."""
+    rows = np.reshape(base, (index.shape[-1], -1))
+    cols = np.empty((*rows.shape, len(index)), dtype=np.result_type(phase, base))
+    np.multiply(phase.T[:, None], rows[index.T].transpose(0, 2, 1), out=cols)
+    return cols.reshape(-1, len(index))
 
 
 def _case(lines: LineSet) -> tuple[str, int, int]:
@@ -256,14 +257,14 @@ def line_translations(lines: LineSet, elements=None):
     if case == "iii":
         phis = enumerate_hyperplanes(m, HyperplaneType(lines.meta["type"]))
         return translations(2, m, elements, functionals=phis)
-    return translations(p, m, elements, du=lines.d // p**m)
+    return translations(p, m, elements)
 
 
 # Peak bytes per entry of the d x n columns while construct_case_iii or
-# construct_case_iv runs: the translations' phases, the orbit, the columns
-# and LineSet's checks (measured as the rise in peak RSS: case iii, float64
-# columns and int8 signs, 25.3 B at m = 5 and 20.0 B at m = 6; case iv,
-# complex columns, 56-61 B at (3, 3), (7, 2) and (61, 1)).
+# construct_case_iv runs, as the rise in peak RSS.  LineSet's columns, signs,
+# frame and checks set it: case iii 23.7 B at m = 5 and 19.9 B at m = 6 (its
+# int8 translations and orbit hold about 3 B); case iv, complex columns and
+# the orbit's gather, 41-45 B at (3, 3), (7, 2) and (61, 1).
 _BUILD_BYTES_PER_ENTRY = 64
 _BUILD_WHAT = "building its {} x {} columns takes about {} bytes"
 _CGROUP_MEMORY_MAX = Path("/sys/fs/cgroup/memory.max")
@@ -333,9 +334,7 @@ def construct_case_iii(m: int, type_choice: HyperplaneType) -> LineSet:
         lambda: (_case_iii_dims(m)[0 if minus else 1], 4**m),
     )
     phis = enumerate_hyperplanes(m, type_choice)
-    perm, phase = translations(2, m, functionals=phis)
-    signs = orbit(np.ones(d, dtype=np.int8), perm, phase.astype(np.int8))
-    del phase  # 8 bytes an entry, not needed while LineSet checks the columns
+    signs = orbit(np.ones(d, dtype=np.int8), *translations(2, m, functionals=phis))
     meta = {
         "case": "iii",
         "m": m,
@@ -380,8 +379,8 @@ def construct_case_iv(p: int, m: int, eigen_choice: HyperplaneType) -> LineSet:
         raise ValueError(f"p must be an odd prime, got {p}")
     even, odd = parity_split(p, m)
     iota = odd if eigen_choice is HyperplaneType.MINUS else even
-    du = iota.shape[1]
-    cols = orbit(iota.reshape(-1), *translations(p, m, du=du)) * (1 / np.sqrt(du))
+    cols = orbit(iota, *translations(p, m))
+    cols *= 1 / np.sqrt(iota.shape[1])  # after the phases: scaling iota first rounds otherwise
     meta = {
         "case": "iv",
         "p": p,
@@ -417,8 +416,8 @@ def _orbit_residual(L: LineSet) -> float | None:
     With T_a the monomials of line_translations, sign sets must satisfy
     S_a = T_a s_0 exactly (eps = 0); the others give
     eps = max_a min_phi ||v_a - e^(i phi) T_a v_0||, read off the difference
-    vector at the best phase, which must not exceed ORBIT_TOL.  Both sides
-    are compared at the coordinates perm[a] that T_a moves v_0 to, on
+    vector at the best phase, which must not exceed ORBIT_TOL.  Each block of
+    columns is compared with the orbit of column 0 over the same elements,
     _ORBIT_BLOCK entries at a time: O(nd) time, O(_ORBIT_BLOCK) memory.
     """
     try:
@@ -429,19 +428,17 @@ def _orbit_residual(L: LineSet) -> float | None:
     step = max(1, _ORBIT_BLOCK // L.d)
     eps = 0.0
     for start in range(0, L.n, step):
-        perm, phase = line_translations(L, np.arange(start, min(start + step, L.n)))
-        W = phase * V[:, 0]  # W[a, k] = (T_a v_0)[perm[a, k]]
-        X = np.ascontiguousarray(V[:, start : start + step].T)
-        X = X.reshape(-1).take(perm + np.arange(0, X.size, L.d)[:, None])  # v_a[perm[a, k]]
+        X = V[:, start : start + step]
+        W = orbit(V[:, 0], *line_translations(L, start + np.arange(X.shape[1])))  # T_a v_0
         if L.signs is not None:
             if not np.array_equal(X, W):
                 return None
             continue
-        c = np.einsum("ak,ak->a", X, W.conj())  # <T_a v_0, v_a>
+        c = np.einsum("ka,ka->a", X, W.conj())  # <T_a v_0, v_a>
         size = np.abs(c)
-        X -= np.divide(c, size, out=np.ones_like(c), where=size > 0)[:, None] * W
-        eps = max(eps, float(np.sqrt(np.einsum("ak,ak->a", X.real, X.real)
-                                     + np.einsum("ak,ak->a", X.imag, X.imag)).max()))
+        X = X - np.divide(c, size, out=np.ones_like(c), where=size > 0) * W
+        eps = max(eps, float(np.sqrt(np.einsum("ka,ka->a", X.real, X.real)
+                                     + np.einsum("ka,ka->a", X.imag, X.imag)).max()))
         if eps > ORBIT_TOL:
             return None
     return eps

@@ -51,11 +51,12 @@ _CLIFFORD_BLOCK = 64
 
 
 def translation_unitaries(lines: LineSet) -> list[np.ndarray]:
-    """Generators of the regular translation action: generator i translates by
-    the i-th unit label, element p^(r-1-i) of the r-dimensional label space."""
+    """Dense generators T (x) I_du of the translations (lineset.orbit): generator
+    i is the i-th unit label, element p^(r-1-i) of the r-dimensional labels."""
     _, p, m = _case(lines)
     units = lex_index(np.eye(2 * m, dtype=np.int64), p)
-    return list(monomial_matrix(*line_translations(lines, units)))
+    stack = monomial_matrix(*line_translations(lines, units))
+    return [np.kron(T, np.eye(lines.d // len(T))) for T in stack]
 
 
 def _transvection_perms(m: int, tag: HyperplaneType) -> list[Perm]:

@@ -66,8 +66,8 @@ def primitive_root(p: int) -> int:
 
 
 def _index_substitution(p: int, m: int, A: np.ndarray) -> np.ndarray:
-    """Permutation matrix of the index substitution |x> -> |A x> over F_p^m."""
-    return monomial_matrix(lex_index(lex_digits(p, m) @ A.T, p))
+    """Permutation matrix of |x> -> |A x> over F_p^m, the gather of its inverse."""
+    return monomial_matrix(np.argsort(lex_index(lex_digits(p, m) @ A.T, p)))
 
 
 def parity_split(p: int, m: int) -> tuple[np.ndarray, np.ndarray]:

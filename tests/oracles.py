@@ -147,15 +147,16 @@ def schroedinger_rep(e: HeisenbergElement, j: int = 1) -> np.ndarray:
     for odd p and omega = i (so Z is the +-1 modulation and the central element
     acts by i^j) for p = 2.  This ordering makes e -> matrix a homomorphism for
     the multiplication rule above; the central element (0,0,1) maps to zeta^j I.
-    The permutation is that of the package's displacement X(a) Z(b); the phase
-    at x is zeta^(j (c + kappa b.x)), an exact power of the root table.
+    The gather index is that of the package's displacement X(a) Z(b): row y
+    reads the point x = y - a, with the phase zeta^(j (c + kappa b.x)), an
+    exact power of the root table.
     """
     if j not in valid_rep_indices(e.p):
         raise IndexOutOfRange(f"index {j} is not valid for p={e.p}")
-    perm, _ = displacement_monomial(e.p, e.m, e.a, e.b)
+    index, _ = displacement_monomial(e.p, e.m, e.a, e.b)
     roots = _roots(e.p)
-    x = lex_digits(e.p, e.m)
-    return monomial_matrix(perm, roots[j * (e.c + e.kappa * (x @ e.b)) % len(roots)])
+    x = lex_digits(e.p, e.m, index)
+    return monomial_matrix(index, roots[j * (e.c + e.kappa * (x @ e.b)) % len(roots)])
 
 
 def commutant_dimension(mats, tol: float = 1e-8) -> int:
@@ -200,7 +201,7 @@ def close_permutations(gens: Sequence[Perm], limit: int = 2_000_000) -> list[Per
 
 def frame_potential(v: np.ndarray, disp) -> np.ndarray:
     """Quartic overlap sum of each row of v (shape (..., d)) over the
-    displacement monomials disp = (perm, phase)."""
+    displacement monomials disp = (index, phase)."""
     _, _, h = _overlaps(v, _gathers(disp))
     return np.sum(h * h, axis=-1)
 

@@ -163,15 +163,17 @@ def test_batched_dots_give_the_per_row_bits(d, rows):
 
 @pytest.mark.parametrize("d", [2, 8])
 def test_adjoint_gather_is_the_signed_forward_gather(d):
-    perm, phase = disp = displacements(d)
+    index, phase = disp = displacements(d)
     gathers = fiducial._gathers(disp)
     sign = gathers[2]
     assert set(sign.tolist()) <= {-1.0, 1.0}
-    D = monomial_matrix(perm, phase)
+    D = monomial_matrix(index, phase)
     assert np.array_equal(D.conj().transpose(0, 2, 1), sign[:, None, None] * D)
     v = _starts(d, 5)
     fwd, w, h = fiducial._overlaps(v, gathers)
-    adj = v[..., perm] * phase.conj()  # D_g^dagger v gathered as it is defined
+    # D_g^dagger v gathered as it is defined: row x of D_g^dagger holds
+    # conj(phase[y]) in the column y with index[y] = x, and index is an involution
+    adj = v[..., index] * np.take_along_axis(phase, index, axis=-1).conj()
     assert adj.tobytes() == (sign[:, None] * fwd).tobytes()
     # so the gradient is, bit for bit, the one taken with the adjoint gather
     grad = 4.0 * np.einsum("...g,...gi->...i", h * w.conj(), fwd) + 4.0 * np.einsum(

@@ -387,6 +387,39 @@ def test_cli_construct_refuses_case_iv_beyond_memory(tmp_path, capsys, monkeypat
         assert "line set too large to build: building its 36 x 81 columns" in err
 
 
+@pytest.mark.parametrize("limit,code", [(40_959, EXIT_PARAMS), (40_960, EXIT_OK)])
+def test_cli_construct_refuses_search_restarts_beyond_memory(tmp_path, capsys, monkeypatch,
+                                                             limit, code):
+    # case i with 64 restarts: 64 x 2 entries at 320 bytes each, 40,960 bytes;
+    # a refused search draws no start
+    def default_rng(*args):
+        raise AssertionError("the search drew its starts")
+
+    monkeypatch.setattr(equiline.lineset, "_memory_limit", lambda: limit)
+    if code == EXIT_PARAMS:
+        monkeypatch.setattr(equiline.fiducial.np.random, "default_rng", default_rng)
+    out = tmp_path / "l.json"
+    assert main(["construct", "--case", "i", "--restarts", "64", "--out", str(out)]) == code
+    assert out.exists() == (code == EXIT_OK)
+    if code == EXIT_PARAMS:
+        assert ("invalid parameters: search too large to run: its 64 x 2 restart arrays "
+                "take about 40960 bytes, more than the 40959 bytes") in capsys.readouterr().err
+
+
+def test_cli_construct_names_the_search_when_its_allocation_fails(tmp_path, capsys, monkeypatch):
+    # an allocation refused inside the search (as under ulimit -v) names the
+    # search, not the line set
+    def descend(*args):
+        raise MemoryError("Unable to allocate 610. MiB for an array with shape (5000000, 8)")
+
+    monkeypatch.setattr(equiline.fiducial, "_descend", descend)
+    out = tmp_path / "l.json"
+    assert main(["construct", "--case", "ii", "--out", str(out)]) == EXIT_PARAMS
+    assert ("invalid parameters: search too large to run: Unable to allocate 610. MiB"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("limit,code", [("4096\n", EXIT_PARAMS), ("max\n", EXIT_OK)])
 def test_cli_construct_case_iii_heeds_the_cgroup_memory_limit(tmp_path, capsys, monkeypatch,
                                                               limit, code):

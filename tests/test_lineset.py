@@ -8,7 +8,7 @@ import pytest
 import equiline.lineset
 from equiline.fiducial import SearchConfig, orbit_lineset, search_fiducial
 from equiline.finfield import HyperplaneType
-from equiline.heisenberg import lex_digits, lex_index
+from equiline.heisenberg import lex_digits, lex_index, monomial_matrix
 from equiline.lineset import (
     LineSet,
     NotEquiangular,
@@ -325,12 +325,16 @@ def test_row_certificate_agrees_with_the_pair_gram(build):
         assert want.max_dev <= cert.max_dev <= want.max_dev + 2 * rounding
 
 
-def _monomial_product(perm, phase, a, b):
-    """(perm, phase) of T_a* T_b, for the monomials |x> -> phase[x] |perm[x]>
-    stacked in perm and phase, over all index pairs (a, b) broadcast."""
-    inverse = np.argsort(perm, axis=-1)
-    y = np.take_along_axis(inverse[a], perm[b], axis=-1)  # T_a moves y to perm_b[x]
-    return y, phase[b] * np.take_along_axis(phase[a], y, axis=-1).conj()
+def _monomial_product(index, phase, a, b):
+    """(index, phase) of T_a* T_b, for the gathers (T v)[y] = phase[y] v[index[y]]
+    stacked in index and phase, over all index pairs (a, b) broadcast: row x
+    of T_a* holds conj(phase_a[z]) in column z, the point with index_a[z] = x."""
+    z = np.argsort(index, axis=-1)[a]
+
+    def at_z(arr):
+        return np.take_along_axis(arr, z, axis=-1)
+
+    return at_z(index[b]), at_z(phase[a]).conj() * at_z(phase[b])
 
 
 @pytest.mark.parametrize(
@@ -346,15 +350,85 @@ def _monomial_product(perm, phase, a, b):
 def test_translations_compose_by_label_difference(build, p, m):
     # T_a* T_b = lambda T_(b - a) with |lambda| = 1, b - a taken digitwise
     # mod p: the lemma the row certificate rests on
-    perm, phase = (np.asarray(x) for x in line_translations(build()))
+    index, phase = (np.asarray(x) for x in line_translations(build()))
     labels = lex_digits(p, 2 * m)
-    a, b = np.meshgrid(np.arange(len(perm)), np.arange(len(perm)), indexing="ij")
+    a, b = np.meshgrid(np.arange(len(index)), np.arange(len(index)), indexing="ij")
     diff = lex_index(labels[b] - labels[a], p)
-    got_perm, got_phase = _monomial_product(perm, phase, a, b)
-    assert np.array_equal(got_perm, perm[diff])
+    got_index, got_phase = _monomial_product(index, phase, a, b)
+    assert np.array_equal(got_index, index[diff])
     lam = got_phase / phase[diff]
     assert np.abs(np.abs(lam) - 1.0).max() < 1e-12
     assert np.abs(lam - lam[..., :1]).max() < 1e-12
+
+
+ROWS_TO_1024 = [  # every row with n <= 1024: GOLDEN, iv (7, 1) and the searched sets
+    *GOLDEN,
+    *(lambda t=t: construct_case_iv(7, 1, t) for t in (MINUS, PLUS)),
+    *SEARCHED,
+]
+
+
+@pytest.mark.parametrize("build", ROWS_TO_1024)
+def test_translations_are_gathers_on_every_row(build):
+    # (T_a v)[y] = phase[a, y] v[index[a, y]] with v viewed as q x du: orbit
+    # is the dense monomial_matrix, column by column, and rebuilds the set
+    L = build()
+    index, phase = line_translations(L)
+    q = index.shape[1]
+    assert q == (L.d if L.meta["case"] == "iii" else round(L.n**0.5))
+    for V in (L.vectors,) if L.signs is None else (L.vectors, L.signs):
+        W = equiline.lineset.orbit(V[:, 0], index, phase)
+        assert W.shape == V.shape and W.flags.c_contiguous
+        for a in range(L.n):
+            dense = monomial_matrix(index[a], phase[a]) @ V[:, 0].reshape(q, -1)
+            assert np.array_equal(W[:, a], dense.reshape(-1)), a
+        # case iv scales its columns after the orbit: the orbit of the scaled
+        # line 0 rounds differently, by less than an ulp of 1
+        tol = np.finfo(float).eps if L.meta["case"] == "iv" else 0.0
+        assert np.abs(W - V).max() <= tol
+
+
+def _swapped(L, i, j):
+    V, S = L.vectors.copy(), None if L.signs is None else L.signs.copy()
+    V[:, [i, j]] = V[:, [j, i]]
+    if S is not None:
+        S[:, [i, j]] = S[:, [j, i]]
+    return LineSet(V, L.meta, signs=S)
+
+
+def _scaled(L, column, entry=None):
+    """L with column (or one entry of it) times i."""
+    V = L.vectors.copy()
+    V[slice(None) if entry is None else entry, column] *= 1j
+    return LineSet(V, L.meta)
+
+
+def _flipped(L, row, column):
+    S = L.signs.copy()
+    S[row, column] *= -1
+    return LineSet(S / np.sqrt(L.d), L.meta, signs=S)
+
+
+@pytest.mark.parametrize(
+    "broken",
+    [
+        lambda: _swapped(construct_case_iii(2, MINUS), 3, 5),
+        lambda: _swapped(construct_case_iv(5, 1, PLUS), 1, 2),
+        lambda: _swapped(_searched(8, 1), 0, 63),
+        lambda: _scaled(construct_case_iv(3, 2, MINUS), 7, entry=4),
+        lambda: _flipped(construct_case_iii(3, PLUS), 5, 17),
+    ],
+    ids=["iii-swap", "iv-swap", "ii-swap", "iv-entry-times-i", "iii-flipped-sign"],
+)
+def test_orbit_residual_refuses_a_set_that_is_not_the_orbit(broken):
+    assert equiline.lineset._orbit_residual(broken()) is None
+
+
+def test_orbit_residual_ignores_the_phase_of_a_column():
+    # a column times i is the same line: the residual minimizes over phases
+    L = construct_case_iv(3, 2, MINUS)
+    eps = equiline.lineset._orbit_residual(_scaled(L, 7))
+    assert eps is not None and eps <= 1e-15
 
 
 def _traced_peak(fn, *args):

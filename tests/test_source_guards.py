@@ -174,3 +174,14 @@ def test_ci_runs_the_whole_tier_one_suite():
     narrowing = [a for args in runs for a in args if a.startswith(("-k", "-m", "--deselect"))]
     assert not narrowing, narrowing
     assert "sympy" in (root / "pyproject.toml").read_text().split("test = [", 1)[1].split("]")[0]
+
+
+def test_every_source_parses_at_the_python_floor():
+    # requires-python is >= 3.10: no source may use syntax a 3.10 parser refuses
+    root = Path(equiline.__file__).parents[2]
+    floor = re.search(r'requires-python = ">=3\.(\d+)"', (root / "pyproject.toml").read_text())
+    assert floor and int(floor.group(1)) == 10
+    paths = sorted(p for top in ("src", "tests", "perfbench") for p in (root / top).rglob("*.py"))
+    assert len(paths) >= 25
+    for path in paths:
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))

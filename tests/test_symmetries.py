@@ -69,7 +69,9 @@ def _unit_translations(p, k):
 )
 def test_translations_act_freely_and_transitively(build):
     L = build()
-    unis = monomial_matrix(*line_translations(L))
+    index, phase = line_translations(L)
+    eye = np.eye(L.d // index.shape[1])  # T (x) I_du on C^q (x) C^du
+    unis = [np.kron(T, eye) for T in monomial_matrix(index, phase)]
     assert len(unis) == L.n  # the whole group, identity first
     perms = [induced_permutation(L, U) for U in unis]
     assert perms[0] == tuple(range(L.n))
@@ -124,7 +126,8 @@ def test_translation_generators_are_unitary():
 def test_sign_case_translations_are_diagonal():
     L = construct_case_iii(2, MINUS)
     unis = monomial_matrix(*line_translations(L))
-    assert unis.dtype == np.float64  # real phases keep a real matrix
+    assert unis.dtype == np.int8  # int8 phases keep an int8 matrix
+    assert all(U.dtype == np.float64 for U in translation_unitaries(L))
     for U in unis:
         assert np.abs(U - np.diag(np.diag(U))).max() == 0.0
         assert set(np.unique(np.diag(U).real)) <= {-1.0, 1.0}
@@ -434,6 +437,12 @@ def test_clifford_letters_are_the_kron_products(k):
     expected += [kron({c: "0"}) + kron({c: "1", t: "x"})  # CNOT, control c, target t
                  for c in range(k) for t in range(k) if c != t]
     assert np.array_equal(_qubit_clifford_generators(k), np.array(expected))
+    # S and CNOT are monomials whose permutations are involutions, so the
+    # gather index monomial_matrix reads is the permutation itself
+    letters = _qubit_clifford_generators(k)
+    for M in (*letters[1 : 2 * k : 2], *letters[2 * k :]):
+        pattern = M != 0
+        assert (pattern.sum(axis=1) == 1).all() and np.array_equal(pattern, pattern.T)
 
 
 def test_line0_filter_keeps_every_word_the_exact_test_accepts():
@@ -583,3 +592,6 @@ TRANSVECTION_DIGESTS = {
 def test_transvection_perms_digests(m, tag):
     perms = np.array(_transvection_perms(m, tag), dtype=np.int64)
     assert hashlib.sha256(perms.tobytes()).hexdigest() == TRANSVECTION_DIGESTS[(m, tag)]
+    # involutions, so each is its own gather index for monomial_matrix
+    assert np.array_equal(np.take_along_axis(perms, perms, axis=1),
+                          np.broadcast_to(np.arange(perms.shape[1]), perms.shape))

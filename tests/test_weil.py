@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from equiline.heisenberg import check_unitary, displacement
+from equiline.heisenberg import check_unitary, displacement, lex_digits, lex_index
 from equiline.weil import (
     NotNormalizing,
+    _index_substitution,
     NotSymplectic,
     induced_symplectic,
     parity_split,
@@ -13,6 +14,17 @@ from equiline.weil import (
 from oracles import parity_operator
 
 SP2_ORDERS = {3: 24, 5: 120}  # |Sp(2,p)| = p(p^2 - 1)
+
+
+@pytest.mark.parametrize("p,m,A", [(5, 1, [[2]]), (3, 2, [[0, 1], [1, 0]]),
+                                   (3, 2, [[1, 1], [0, 1]]), (7, 2, [[3, 0], [0, 1]])])
+def test_index_substitution_sends_x_to_ax(p, m, A):
+    # monomial_matrix reads a gather index, so the substitution passes the
+    # inverse permutation: column x must still hold its 1 at row A x
+    U = _index_substitution(p, m, np.array(A))
+    pts = lex_digits(p, m)
+    rows = lex_index(pts @ np.array(A).T, p)
+    assert np.array_equal(U, np.eye(p**m)[rows].T)
 
 
 def test_primitive_root():
