@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lineset import LineSet, _shape_in_memory, orbit, translations
+from .lineset import LineSet, _shape_in_memory, _translation_table, orbit, translations
 
 __all__ = [
     "NotConverged",
@@ -261,5 +261,5 @@ def orbit_lineset(v: np.ndarray, d: int, meta: dict | None = None) -> LineSet:
     if v.shape != (d,):
         raise ValueError("fiducial must be a length-d vector")
     v = v / np.linalg.norm(v)
-    cols = orbit(v, *translations(2, _qubits(d)))
+    cols = orbit(v, *_translation_table(2, _qubits(d), None))
     return LineSet(cols, {"case": "i" if d == 2 else "ii", "n": d * d, "d": d, **(meta or {})})

@@ -8,12 +8,36 @@ constructions keep their +-1 signs alongside the normalized columns, as int8,
 so that angle certificates can be exact.  Each family is the orbit of line 0
 under translations in gather form, (T_a v)[y] = phase[a, y] v[index[a, y]]
 over q points, a column viewed as q x du.
+
+The frame operator of an orbit is read from its line 0 (Vale and Waldron,
+"Tight frames and their symmetries", Constr. Approx. 21 (2005)).  With
+w = v_0, F_orbit = sum_a T_a w w* T_a*:
+
+- Case iii: T_a is the diagonal of the +-1 characters of the q = d
+  hyperplanes at a.  The characters of distinct hyperplanes are orthogonal,
+  sum_a chi_x(a) chi_y(a) = n [x = y], so F_orbit = n diag(|w|^2): d blocks
+  1 x 1, all n/d for a sign set.
+- Cases i, ii and iv: T_a = D_a (x) I_du runs over the q^2 displacements D_a
+  of C^q, and (1/q) sum_a D_a A D_a* = Tr(A) I_q for every q x q matrix A:
+  the D_b are an orthogonal basis, Tr(D_b* D_c) = q [b = c], and
+  D_a D_b D_a* is D_b times a character of a, trivial only at b = 0, so the
+  sum over a keeps only A's part along D_0 = I.  So F_orbit = I_q (x) M with
+  M = q Tr_W(w w*) = q R^T conj(R), R the q x du view of w: one du x du
+  block, 1 x 1 for cases i and ii.
+
+When v_a = e^(i phi) T_a w + r_a with ||r_a|| <= eps, each rank-one term
+moves by ||v_a v_a* - T_a w w* T_a*|| <= eps (2 ||w|| + eps), so
+||F_V - F_orbit|| <= n eps (2 ||w|| + eps), about 2 n eps.  By Weyl's
+inequality every eigenvalue of F_V lies that close to one of F_orbit, and
+every entry of F_V - (n/d) I that close to one of F_orbit - (n/d) I.
 """
 
 from __future__ import annotations
 
 import os
+import resource
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import isqrt, prod
 from pathlib import Path
 from typing import Callable
@@ -44,6 +68,13 @@ __all__ = [
 ]
 
 NORM_TOL = 1e-10
+# An entry v of a column is its exact sign s over sqrt(d) when
+# |sqrt(d) Re v - s| <= SIGN_TOL and |Im v| <= _SIGN_IMAG_TOL.
+SIGN_TOL = 1e-9
+_SIGN_IMAG_TOL = 1e-15
+# Entries of the d x b column blocks that the sign and orbit checks take at
+# a time.
+_BLOCK = 1 << 17
 
 
 class SpanDeficient(ValueError):
@@ -86,6 +117,19 @@ def _frame_rank(frame: np.ndarray, n: int) -> int:
     return int(np.count_nonzero(eigs > eigs[-1] * max(len(frame), n) * np.finfo(float).eps))
 
 
+def _orbit_spans(frame: np.ndarray, slack: float, d: int, n: int) -> bool:
+    """True when the closed-form frame blocks prove that the columns span
+    C^d: every eigenvalue of the blocks, moved by slack, clears _frame_rank's
+    threshold with a factor 2 to spare, lambda_min - slack >
+    2 (lambda_max + slack) max(d, n) eps.  False leaves the span to the d x d
+    frame operator.  A 1 x 1 block is its eigenvalue: cases i, ii and iii
+    make no LAPACK call, whose first use raises a process's peak RSS by
+    about 0.2 MB."""
+    eigs = frame.real if frame.shape[-1] == 1 else np.linalg.eigvalsh(frame)
+    lower, upper = eigs.min() - slack, eigs.max() + slack
+    return bool(lower > 2 * upper * max(d, n) * np.finfo(float).eps)
+
+
 def _columns(V) -> np.ndarray:
     """V as C-ordered float64 when no entry has a nonzero imaginary part (-0.0
     counts as zero), else as complex128."""
@@ -98,24 +142,81 @@ def _columns(V) -> np.ndarray:
     return np.ascontiguousarray(V, dtype=np.float64)
 
 
+def _off_signs(entries: np.ndarray, signs: np.ndarray, d: int) -> bool:
+    """True when some entry v is not its sign s over sqrt(d):
+    |sqrt(d) Re v - s| > SIGN_TOL or |Im v| > _SIGN_IMAG_TOL.  The one rule
+    of exact signs, for the signs a file's entries give (_exact_signs) and the
+    signs a LineSet is given with its columns."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf is no sign either
+        gap = entries.real * np.sqrt(d)
+        gap -= signs
+    np.abs(gap, out=gap)
+    if not gap.max() <= SIGN_TOL:
+        return True
+    return np.iscomplexobj(entries) and bool(np.abs(entries.imag).max() > _SIGN_IMAG_TOL)
+
+
+def _exact_signs(entries: np.ndarray, d: int) -> np.ndarray:
+    """The int8 signs rint(sqrt(d) Re v) of entries, or ValueError unless
+    every entry is +-1/sqrt(d) by _off_signs.  They are checked before the
+    cast, so that no value can wrap."""
+    with np.errstate(over="ignore"):
+        signs = np.rint(entries.real * np.sqrt(d))
+    if not np.all(np.abs(signs) == 1) or _off_signs(entries, signs, d):
+        raise ValueError("exact_signs declared but entries are not +-1/sqrt(d)")
+    return signs.astype(np.int8)
+
+
+def _checked_signs(V: np.ndarray, signs) -> np.ndarray:
+    """signs as int8, or ValueError unless they are +-1 and the signs of the
+    d x n columns V by _off_signs, checked _BLOCK entries at a time."""
+    signs = np.asarray(signs)
+    if signs.shape != V.shape:
+        raise ValueError("sign matrix shape mismatch")
+    # checked before the cast, so that no value can wrap into +-1
+    if signs.dtype.kind not in "iuf" or not (np.abs(signs) == 1).all():
+        raise ValueError("signs must be +-1")
+    signs = signs.astype(np.int8, copy=False)
+    d, n = V.shape
+    step = max(1, _BLOCK // d)
+    for start in range(0, n, step):
+        block = slice(start, start + step)
+        if _off_signs(V[:, block], signs[:, block], d):
+            raise ValueError(f"signs are not the signs of the columns: "
+                             f"some |sqrt(d) v - s| exceeds {SIGN_TOL}")
+    return signs
+
+
 @dataclass
 class LineSet:
     """Unit representative columns of n lines spanning C^d, n > d >= 2.
 
     vectors is stored as _columns gives it: real columns as C-ordered float64,
     taken without a copy when they come so, and all others as complex128.
-    signs, when given, must be +-1 (ValueError otherwise) and is stored as
-    int8.  norms holds the column norms, which must be 1 within NORM_TOL.
-    frame is the d x d frame operator F = V V*, formed once here.  The
-    columns span C^d iff F is nonsingular: a Gershgorin bound decides that in
-    O(d^2) for well-conditioned F, and _frame_rank otherwise.
+    signs, when given, must be +-1 and the signs of the columns,
+    |sqrt(d) v - s| <= SIGN_TOL (_off_signs), or ValueError; they are stored
+    as int8.  norms holds the column norms, which must be 1 within NORM_TOL.
+
+    orbit_eps is the residual of a tagged set (one that passes _case) that
+    is the translation orbit of its line 0, and None for any other set
+    (_orbit_frame).  frame is the frame operator F = V V* as a stack of
+    b x b blocks: F is block diagonal with d / b blocks, frame[0] each time
+    when the stack holds one block (I_q (x) M) and frame[y] otherwise, within
+    frame_slack in operator norm.  An orbit set takes the blocks in closed
+    form from line 0, and they prove that the columns span C^d when they
+    clear _orbit_spans' margin.  Every other set, and an orbit set whose
+    blocks do not clear it, forms the d x d F (one block, slack 0): a
+    Gershgorin bound decides its rank in O(d^2) when F is well conditioned,
+    and _frame_rank otherwise.
     """
 
     vectors: np.ndarray
     meta: dict = field(default_factory=dict)
     signs: np.ndarray | None = None
     norms: np.ndarray = field(init=False, repr=False, compare=False)
+    orbit_eps: float | None = field(init=False, repr=False, compare=False)
     frame: np.ndarray = field(init=False, repr=False, compare=False)
+    frame_slack: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.vectors = V = _columns(self.vectors)
@@ -135,19 +236,17 @@ class LineSet:
             raise ValueError("columns must be unit vectors")
         if d < 2:
             raise ValueError("need d >= 2: every unit column of C^1 spans the same line")
-        self.frame = V @ V.conj().T  # conj() of real columns is the array itself
-        if not _gershgorin_full_rank(self.frame, n):
-            rank = _frame_rank(self.frame, n)
+        if self.signs is not None:
+            self.signs = _checked_signs(V, self.signs)
+        self.orbit_eps, self.frame, self.frame_slack = _orbit_frame(self) or (None, None, 0.0)
+        if self.frame is not None and _orbit_spans(self.frame, self.frame_slack, d, n):
+            return
+        F = V @ V.conj().T  # conj() of real columns is the array itself
+        self.frame, self.frame_slack = F[None], 0.0
+        if not _gershgorin_full_rank(F, n):
+            rank = _frame_rank(F, n)
             if rank != d:
                 raise SpanDeficient(f"columns span rank {rank} < d = {d}")
-        if self.signs is not None:
-            signs = np.asarray(self.signs)
-            if signs.shape != (d, n):
-                raise ValueError("sign matrix shape mismatch")
-            # checked before the cast, so that no value can wrap into +-1
-            if signs.dtype.kind not in "iuf" or not (np.abs(signs) == 1).all():
-                raise ValueError("signs must be +-1")
-            self.signs = signs.astype(np.int8, copy=False)
 
     @property
     def d(self) -> int:
@@ -160,7 +259,7 @@ class LineSet:
 
 @dataclass
 class GramMatrix:
-    """Gram matrix of the line set lines, whose d and frame it reads, with
+    """Gram matrix of the line set lines, whose d and frame blocks it reads, with
     int_products d <v_i, v_j> = (S^T S)_ij as int64 for sign-matrix sets (its
     entries reach d, past the int8 range of the signs S).  A row Gram keeps
     only line 0's row: values and int_products have shape (1, n), and
@@ -250,30 +349,53 @@ def _case(lines: LineSet) -> tuple[str, int, int]:
     return case, p, m
 
 
+@lru_cache(maxsize=8)
+def _translation_table(p: int, m: int, kind: str | None):
+    """The translations of all p^(2m) elements, read-only, made once per
+    (p, m, kind): kind is the hyperplane type of case iii, whose q = d
+    characters they are, and None for the displacements of cases i, ii and
+    iv."""
+    phis = None if kind is None else enumerate_hyperplanes(m, HyperplaneType(kind))
+    table = translations(p, m, functionals=phis)
+    for part in table:
+        part.flags.writeable = False
+    return table
+
+
+def _line_table(lines: LineSet):
+    """(case, index, phase) of a constructed line set: its translations in
+    line order, element i mapping line 0 to line i."""
+    case, p, m = _case(lines)
+    return case, *_translation_table(p, m, lines.meta["type"] if case == "iii" else None)
+
+
 def line_translations(lines: LineSet, elements=None):
     """The translation monomials of a constructed line set, in line order
     (translations): element i maps line 0 to line i."""
-    case, p, m = _case(lines)
-    if case == "iii":
-        phis = enumerate_hyperplanes(m, HyperplaneType(lines.meta["type"]))
-        return translations(2, m, elements, functionals=phis)
-    return translations(p, m, elements)
+    _, index, phase = _line_table(lines)
+    return (index, phase) if elements is None else (index[elements], phase[elements])
 
 
 # Peak bytes per entry of the d x n columns while construct_case_iii or
-# construct_case_iv runs, as the rise in peak RSS.  LineSet's columns, signs,
-# frame and checks set it: case iii 23.7 B at m = 5 and 19.9 B at m = 6 (its
-# int8 translations and orbit hold about 3 B); case iv, complex columns and
-# the orbit's gather, 41-45 B at (3, 3), (7, 2) and (61, 1).
+# construct_case_iv runs, as the rise in peak RSS (Python 3.11, numpy 2.4).
+# The columns, the orbit's gather and the translation table set it; LineSet's
+# checks take blocks and its frame a few blocks b x b.  Case iii: 16.8 B at
+# m = 5 and 12.3 B at m = 6 (float64 columns, int8 signs, and about 3 B of
+# int8 table and orbit).  Case iv: complex columns and the orbit's gather,
+# 34.1 B at (7, 2), 33.5 B at (61, 1), and 49.2 B at (3, 3), whose 256k
+# entries leave the fixed costs showing.
 _BUILD_BYTES_PER_ENTRY = 64
 _BUILD_WHAT = "building its {} x {} columns takes about {} bytes"
 _CGROUP_MEMORY_MAX = Path("/sys/fs/cgroup/memory.max")
 
 
 def _memory_limit() -> int:
-    """Physical memory, or the cgroup v2 memory limit of this process where
-    that is set and lower."""
+    """Physical memory, or the cgroup v2 memory limit of this process or its
+    soft RLIMIT_AS address-space limit, where those are set and lower."""
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    soft, _ = resource.getrlimit(resource.RLIMIT_AS)
+    if soft != resource.RLIM_INFINITY:
+        memory = min(memory, soft)
     try:
         limit = _CGROUP_MEMORY_MAX.read_text().strip()
     except OSError:
@@ -333,8 +455,7 @@ def construct_case_iii(m: int, type_choice: HyperplaneType) -> LineSet:
         _BUILD_WHAT, _BUILD_BYTES_PER_ENTRY, (2 * m - 2, 2 * m),
         lambda: (_case_iii_dims(m)[0 if minus else 1], 4**m),
     )
-    phis = enumerate_hyperplanes(m, type_choice)
-    signs = orbit(np.ones(d, dtype=np.int8), *translations(2, m, functionals=phis))
+    signs = orbit(np.ones(d, dtype=np.int8), *_translation_table(2, m, type_choice.value))
     meta = {
         "case": "iii",
         "m": m,
@@ -379,7 +500,7 @@ def construct_case_iv(p: int, m: int, eigen_choice: HyperplaneType) -> LineSet:
         raise ValueError(f"p must be an odd prime, got {p}")
     even, odd = parity_split(p, m)
     iota = odd if eigen_choice is HyperplaneType.MINUS else even
-    cols = orbit(iota, *translations(p, m))
+    cols = orbit(iota, *_translation_table(p, m, None))
     cols *= 1 / np.sqrt(iota.shape[1])  # after the phases: scaling iota first rounds otherwise
     meta = {
         "case": "iv",
@@ -405,43 +526,69 @@ def _integral(P: np.ndarray) -> np.ndarray:
 # rounding in the monomials leaves about 1e-16, and 3 * ORBIT_TOL is far
 # below any certify tolerance.
 ORBIT_TOL = 1e-12
-# Entries of the d x b column blocks the orbit check compares at a time.
-_ORBIT_BLOCK = 1 << 17
 
 
-def _orbit_residual(L: LineSet) -> float | None:
-    """eps when the tagged line set L is the translation orbit of its line 0,
-    or None when L fails _case or the check.
+def _orbit_frame(L: LineSet) -> tuple[float, np.ndarray, float] | None:
+    """(eps, frame, slack) when the tagged line set L, its signs checked, is
+    the translation orbit of its line 0, or None when L fails _case or the
+    check.
 
     With T_a the monomials of line_translations, sign sets must satisfy
-    S_a = T_a s_0 exactly (eps = 0); the others give
+    S_a = T_a s_0 exactly (eps = 0): for case iii, whose index is the
+    identity, S_a = phase[a] s_0.  The others give
     eps = max_a min_phi ||v_a - e^(i phi) T_a v_0||, read off the difference
     vector at the best phase, which must not exceed ORBIT_TOL.  Each block of
     columns is compared with the orbit of column 0 over the same elements,
-    _ORBIT_BLOCK entries at a time: O(nd) time, O(_ORBIT_BLOCK) memory.
+    _BLOCK entries at a time: O(nd) time, O(_BLOCK) memory.
+
+    frame is F_orbit of the module docstring for w = v_0, and slack is
+    n e (2 ||w|| + e) with e = eps.  A sign set takes w = s_0 / sqrt(d) and
+    e = 2 SIGN_TOL: by _off_signs each column lies within
+    SIGN_TOL + sqrt(d) _SIGN_IMAG_TOL of s_a / sqrt(d), below 2 SIGN_TOL for
+    any d up to 10^12.  The blocks of case iii are one when they are all
+    equal.
     """
     try:
-        _case(L)
+        case, index, phase = _line_table(L)
     except ValueError:
         return None
     V = L.vectors if L.signs is None else L.signs
-    step = max(1, _ORBIT_BLOCK // L.d)
+    d, n = V.shape
+    w = V[:, 0]
+    step = max(1, _BLOCK // d)
     eps = 0.0
-    for start in range(0, L.n, step):
-        X = V[:, start : start + step]
-        W = orbit(V[:, 0], *line_translations(L, start + np.arange(X.shape[1])))  # T_a v_0
+    for start in range(0, n, step):
+        block = slice(start, start + step)
+        X = V[:, block]
         if L.signs is not None:
+            if case == "iii":
+                W = phase[block].T * w[:, None]
+            else:
+                W = orbit(w, index[block], phase[block])
             if not np.array_equal(X, W):
                 return None
             continue
+        W = orbit(w, index[block], phase[block])  # T_a v_0
         c = np.einsum("ka,ka->a", X, W.conj())  # <T_a v_0, v_a>
         size = np.abs(c)
-        X = X - np.divide(c, size, out=np.ones_like(c), where=size > 0) * W
-        eps = max(eps, float(np.sqrt(np.einsum("ka,ka->a", X.real, X.real)
-                                     + np.einsum("ka,ka->a", X.imag, X.imag)).max()))
+        W *= np.divide(c, size, out=np.ones_like(c), where=size > 0)
+        np.subtract(X, W, out=W)
+        eps = max(eps, float(np.sqrt(np.einsum("ka,ka->a", W.real, W.real)
+                                     + np.einsum("ka,ka->a", W.imag, W.imag)).max()))
         if eps > ORBIT_TOL:
             return None
-    return eps
+    if L.signs is None:
+        e, norm = eps, L.norms[0]
+    else:
+        w, e, norm = w / np.sqrt(d), 2 * SIGN_TOL, 1.0
+    if case == "iii":
+        frame = n * (w * w.conj()).real
+        frame = frame[:1] if (frame == frame[0]).all() else frame
+        frame = frame[:, None, None]
+    else:
+        R = w.reshape(index.shape[-1], -1)
+        frame = (index.shape[-1] * (R.T @ R.conj()))[None]
+    return eps, frame, n * e * (2 * norm + e)
 
 
 def _pair_gram(L: LineSet) -> GramMatrix:
@@ -461,7 +608,7 @@ def gram(L: LineSet) -> GramMatrix:
     """Hermitian Gram matrix of the line representatives, unit diagonal.
 
     A tagged line set (one that passes _case) that is the translation orbit
-    of its line 0 (_orbit_residual) gets a row Gram: only line 0's row, in
+    of its line 0 (LineSet.orbit_eps) gets a row Gram: only line 0's row, in
     O(nd).  The translations satisfy T_a* T_b = lambda T_(b-a) with
     |lambda| = 1, so every overlap magnitude |<v_a, v_b>| lies within
     3 * orbit_eps of |<v_0, v_(b-a)>|.  Every other line set gets the n x n
@@ -472,7 +619,7 @@ def gram(L: LineSet) -> GramMatrix:
     widened, rounded back to int64 by _integral: exact while its partial
     sums of d terms stay below 2^53, as for any S that fits in memory.
     """
-    eps = _orbit_residual(L)
+    eps = L.orbit_eps
     if eps is None:
         return _pair_gram(L)
     if np.abs(L.norms**2 - 1.0).max() > 1e-10:  # the Gram diagonal
@@ -529,7 +676,9 @@ def certify_tight(G: GramMatrix, d: int, tol: float = 1e-8) -> bool:
     """True iff the frame operator F = V V* is (n/d) I; ValueError unless
     d = G.d.  Float columns test max|F - (n/d) I| <= tol.  That is the
     condition G^2 = (n/d) G read off the d x d side: G^2 = V* F V and V has
-    rank d, so V* (F - cI) V = 0 iff F = cI.
+    rank d, so V* (F - cI) V = 0 iff F = cI.  The test reads the blocks of
+    LineSet.frame, and adds its frame_slack: the off-diagonal blocks of the
+    closed form are 0, and no entry of F_V - F_orbit exceeds its norm.
 
     Sign sets are decided exactly, whatever tol, by the frame potential of
     P = S^T S (Benedetto and Fickus 2003): S S^T has d eigenvalues >= 0 with
@@ -547,7 +696,8 @@ def certify_tight(G: GramMatrix, d: int, tol: float = 1e-8) -> bool:
     n, P = G.n, G.int_products
     if P is not None:
         return sum(np.einsum("ab,ab->a", P, P).tolist()) == len(P) * n * d
-    return bool(np.abs(G.frame - (n / d) * np.eye(d)).max() <= tol)
+    F = G.frame  # within frame_slack of the frame operator
+    return bool(np.abs(F - (n / d) * np.eye(F.shape[-1])).max() + G.lines.frame_slack <= tol)
 
 
 def _factor_prime_power_square(n: int):

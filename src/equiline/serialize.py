@@ -30,7 +30,7 @@ from itertools import chain
 import numpy as np
 
 from .heisenberg import lex_index
-from .lineset import LineSet, _columns
+from .lineset import LineSet, _columns, _exact_signs
 
 __all__ = ["serialize_lineset", "parse_lineset", "gram_csv"]
 
@@ -362,22 +362,6 @@ def _parse_json(text: str) -> tuple[dict, np.ndarray]:
     except OverflowError as exc:  # an integer literal beyond the double range
         raise TypeError(f"vector entry is not a double: {exc}") from None
     return obj, _columns(vectors)
-
-
-def _exact_signs(entries: np.ndarray, d: int) -> np.ndarray:
-    """The int8 signs rint(sqrt(d) * entries), or ValueError unless every
-    entry is +-1/sqrt(d).  They are checked before the cast, so that no value
-    can wrap."""
-    with np.errstate(over="ignore"):  # an inf is no sign either
-        scaled = entries.real * np.sqrt(d)
-    signs = np.rint(scaled)
-    if (
-        np.iscomplexobj(entries) and np.abs(entries.imag).max() > 1e-15
-        or not np.all(np.abs(signs) == 1)
-        or np.abs(scaled - signs).max() > 1e-9
-    ):
-        raise ValueError("exact_signs declared but entries are not +-1/sqrt(d)")
-    return signs.astype(np.int8)
 
 
 def parse_lineset(text: str) -> LineSet:

@@ -432,6 +432,51 @@ def test_cli_construct_case_iii_heeds_the_cgroup_memory_limit(tmp_path, capsys, 
     assert out.exists() == (code == EXIT_OK)
 
 
+def _fake_rlimit_as(monkeypatch, soft) -> list:
+    """Replace getrlimit with one whose soft RLIMIT_AS is soft (no limit is
+    set); returns the resources it was asked for."""
+    resource = equiline.lineset.resource
+    asked = []
+
+    def getrlimit(which):
+        asked.append(which)
+        return soft, resource.RLIM_INFINITY
+
+    monkeypatch.setattr(resource, "getrlimit", getrlimit)
+    return asked
+
+
+def test_memory_limit_takes_the_soft_address_space_limit(tmp_path, monkeypatch):
+    resource = equiline.lineset.resource
+    cgroup = tmp_path / "memory.max"
+    cgroup.write_text("max\n")
+    monkeypatch.setattr(equiline.lineset, "_CGROUP_MEMORY_MAX", cgroup)
+    physical = equiline.lineset._memory_limit()
+    asked = _fake_rlimit_as(monkeypatch, 123_456)
+    assert equiline.lineset._memory_limit() == 123_456
+    assert asked == [resource.RLIMIT_AS]
+    _fake_rlimit_as(monkeypatch, resource.RLIM_INFINITY)
+    assert equiline.lineset._memory_limit() == physical
+    _fake_rlimit_as(monkeypatch, 4 * physical)
+    assert equiline.lineset._memory_limit() == physical
+    cgroup.write_text("100000\n")  # the least of the three
+    _fake_rlimit_as(monkeypatch, 123_456)
+    assert equiline.lineset._memory_limit() == 100_000
+
+
+@pytest.mark.parametrize("soft,code", [(4096, EXIT_PARAMS), (None, EXIT_OK)])
+def test_cli_construct_case_iii_heeds_the_address_space_limit(tmp_path, capsys, monkeypatch,
+                                                              soft, code):
+    resource = equiline.lineset.resource
+    _fake_rlimit_as(monkeypatch, resource.RLIM_INFINITY if soft is None else soft)
+    out = tmp_path / "l.json"
+    assert main(["construct", "--case", "iii", "--m", "2", "--type", "minus",
+                 "--out", str(out)]) == code
+    assert out.exists() == (code == EXIT_OK)
+    if code == EXIT_PARAMS:
+        assert "more than the 4096 bytes of memory available" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("limit,code", [(4607, EXIT_PARAMS), (4608, EXIT_OK)])
 def test_cli_action_refuses_symmetries_beyond_memory(tmp_path, capsys, monkeypatch, limit, code):
     # iii m = 2 minus: 16 dense 6 x 6 float64 transvections, 4,608 bytes; a

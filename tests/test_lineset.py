@@ -258,7 +258,8 @@ def test_real_line_sets_are_stored_real():
     for L in (construct_case_iii(2, MINUS), construct_case_iii(3, PLUS)):
         assert L.vectors.dtype == np.float64 and L.vectors.flags.c_contiguous
         assert L.signs.dtype == np.int8
-        assert L.frame.dtype == np.float64
+        assert L.frame.dtype == np.float64 and L.frame.shape == (1, 1, 1)
+        assert _untagged(L).frame.dtype == np.float64
     for L in (construct_case_iv(3, 1, MINUS), construct_case_iv(5, 1, PLUS),
               _searched(2, 1), _searched(8, 1)):
         assert L.vectors.dtype == np.complex128 and L.signs is None
@@ -270,6 +271,30 @@ def test_real_line_sets_are_stored_real():
     tiny = K.vectors.astype(complex)
     tiny[0, 0] += 1e-300j  # any nonzero imaginary part keeps the columns complex
     assert LineSet(tiny).vectors.dtype == np.complex128
+
+
+def test_lineset_refuses_signs_that_are_not_those_of_its_columns():
+    # random unit columns given the signs of iii m = 2 minus were certified
+    # exact, alpha = 1/3, and tight, from the signs alone
+    L = construct_case_iii(2, MINUS)
+    V = np.random.default_rng(3).normal(size=(L.d, L.n))
+    V /= np.linalg.norm(V, axis=0)
+    with pytest.raises(ValueError, match="signs are not the signs of the columns"):
+        LineSet(V, L.meta, signs=L.signs)
+    with pytest.raises(ValueError, match="signs are not the signs of the columns"):
+        LineSet(-L.vectors, L.meta, signs=L.signs)
+    # the rule of exact_signs files: |Im v| <= 1e-15, here in the last of the
+    # four column blocks of iii m = 5
+    K = construct_case_iii(5, MINUS)
+    assert K.n > 3 * (equiline.lineset._BLOCK // K.d)
+    for imag, refused in ((1e-16, False), (1e-14, True)):
+        V = K.vectors.astype(complex)
+        V[7, -1] += 1j * imag
+        if refused:
+            with pytest.raises(ValueError, match="signs are not the signs of the columns"):
+                LineSet(V, K.meta, signs=K.signs)
+        else:
+            assert LineSet(V, K.meta, signs=K.signs).orbit_eps == 0.0
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
@@ -421,13 +446,15 @@ def _flipped(L, row, column):
     ids=["iii-swap", "iv-swap", "ii-swap", "iv-entry-times-i", "iii-flipped-sign"],
 )
 def test_orbit_residual_refuses_a_set_that_is_not_the_orbit(broken):
-    assert equiline.lineset._orbit_residual(broken()) is None
+    L = broken()
+    assert L.orbit_eps is None and equiline.lineset._orbit_frame(L) is None
+    assert L.frame.shape == (1, L.d, L.d) and L.frame_slack == 0.0  # the d x d path
 
 
 def test_orbit_residual_ignores_the_phase_of_a_column():
     # a column times i is the same line: the residual minimizes over phases
     L = construct_case_iv(3, 2, MINUS)
-    eps = equiline.lineset._orbit_residual(_scaled(L, 7))
+    eps = _scaled(L, 7).orbit_eps
     assert eps is not None and eps <= 1e-15
 
 
@@ -445,13 +472,16 @@ def _traced_peak(fn, *args):
 
 def test_lineset_checks_of_real_columns_make_no_copy_of_them():
     # the float64 columns and int8 signs are kept as given; the peak is the
-    # d x d frame with its Gershgorin temporary, 3,950,000 B against a
-    # 4,063,232 B copy of the columns (CPython 3.11, numpy 2.4)
+    # +-1 test of the int8 signs (two bytes an entry) or one float64 block of
+    # the sign check, 1,123,896 B against a 4,063,232 B copy of the columns
+    # and the 3,950,000 B of the d x d frame with its Gershgorin temporary
+    # (CPython 3.11, numpy 2.4)
     L = construct_case_iii(5, MINUS)
     checked, peak = _traced_peak(LineSet, L.vectors, L.meta, L.signs)
     assert checked.vectors is L.vectors and checked.signs is L.signs
-    assert peak <= 2 * L.frame.nbytes + (1 << 16), peak
-    assert np.abs(checked.frame - L.n / L.d * np.eye(L.d)).max() <= 1e-12
+    assert peak <= 2 * L.n * L.d + 8 * equiline.lineset._BLOCK, peak
+    assert checked.frame.shape == (1, 1, 1)
+    assert np.abs(checked.frame - L.n / L.d).max() <= 1e-12
     assert np.abs(checked.norms - 1.0).max() <= 1e-12
 
 
@@ -525,20 +555,108 @@ def test_row_rejection_falls_back_to_the_pair_gram():
 @pytest.mark.parametrize("build", GOLDEN)
 def test_frame_operator_certificate_agrees_with_gram_square(build):
     L = build()
-    # the Gershgorin bound settles the span of every construction
-    assert equiline.lineset._gershgorin_full_rank(L.frame, L.n)
-    assert equiline.lineset._frame_rank(L.frame, L.n) == L.d
     U = _untagged(L)
+    # the untagged copy forms the d x d frame, and the Gershgorin bound
+    # settles the span of every construction
+    assert U.frame.shape == (1, L.d, L.d) and U.frame_slack == 0.0
+    assert equiline.lineset._gershgorin_full_rank(U.frame[0], L.n)
+    assert equiline.lineset._frame_rank(U.frame[0], L.n) == L.d
     G = gram(U)
-    assert G.frame is U.frame and G.frame.shape == (L.d, L.d) and G.d == L.d
+    assert G.frame is U.frame and G.d == L.d
     assert (G.int_products is not None) == (L.signs is not None)
     assert certify_tight(G, L.d) and _gram_square_tight(G, L.d)
+    # the tagged set reads one block of its frame from line 0
     row = gram(L)
     assert row.values.shape == (1, L.n) and row.frame is L.frame
+    assert L.frame.shape[0] == 1 and L.frame.shape[1] < L.d
+    assert equiline.lineset._orbit_spans(L.frame, L.frame_slack, L.d, L.n)
     assert (row.int_products is not None) == (L.signs is not None)
     assert certify_tight(row, L.d)
     if L.signs is not None:
         assert _sign_frame_tight(L.signs)
+
+
+@pytest.mark.parametrize("build", GOLDEN + SEARCHED)
+def test_closed_form_frame_is_the_frame_operator(build):
+    # I_q (x) M against V V*: within frame_slack (about 2 n eps, and
+    # 4e-9 n for sign sets, whose columns may sit 2e-9 off s_a / sqrt(d))
+    # plus the rounding of the two products, and within 1e-12 outright
+    L = build()
+    V = L.vectors
+    F = V @ V.conj().T
+    q = L.d if L.meta["case"] in ("i", "ii", "iii") else round(L.n**0.5)
+    assert L.frame.shape == (1, L.d // q, L.d // q)  # 1 x 1 for cases i, ii and iii
+    closed = np.kron(np.eye(q), L.frame[0])
+    rounding = 4 * L.n * np.finfo(float).eps
+    assert np.abs(F - closed).max() <= min(1e-12, L.frame_slack + rounding)
+    assert np.abs(L.frame[0] - L.n / L.d * np.eye(L.d // q)).max() <= 1e-12
+    e = 2 * equiline.lineset.SIGN_TOL if L.signs is not None else L.orbit_eps
+    assert abs(L.frame_slack - 2 * L.n * e) <= 1e-6 * L.n * e
+
+
+def _off_orbit(L: LineSet) -> np.ndarray:
+    """The columns of L with column 5 moved 1e-6 off the orbit."""
+    V = L.vectors.astype(complex)
+    V[:, 5] += 1e-6 * np.exp(1j * np.arange(L.d))
+    V[:, 5] /= np.linalg.norm(V[:, 5])
+    return V
+
+
+def _rank_deficient_orbit(K: LineSet) -> np.ndarray:
+    """The orbit, under K's translations, of a fiducial whose q x du view has
+    rank du - 1: it spans (du - 1) / du of C^d."""
+    q = round(K.n**0.5)
+    R = K.vectors[:, 0].reshape(q, -1).copy()
+    R[:, -1] = R[:, 0]
+    return equiline.lineset.orbit(R.reshape(-1) / np.linalg.norm(R), *line_translations(K))
+
+
+def _verdicts(L: LineSet, tol: float):
+    """What gram, certify_equiangular and certify_tight say of L."""
+    G = gram(L)
+    try:
+        cert = certify_equiangular(G, tol)
+        angle = (cert.alpha, cert.max_dev, cert.exact)
+    except NotEquiangular as exc:
+        angle = (exc.pair, exc.deviation)
+    return G.values.shape, angle, certify_tight(G, L.d, tol)
+
+
+@pytest.mark.parametrize("build", [lambda: construct_case_iv(3, 2, MINUS),
+                                   lambda: construct_case_iv(5, 1, PLUS),
+                                   lambda: _searched(8, 1)])
+@pytest.mark.parametrize("tol", [1e-8, 1e-4])
+def test_a_tagged_set_off_its_orbit_gets_the_untagged_verdicts(build, tol):
+    L = build()
+    V = _off_orbit(L)
+    tagged, untagged = LineSet(V, L.meta), LineSet(V, {})
+    assert tagged.orbit_eps is None and tagged.frame.shape == (1, L.d, L.d)
+    assert np.array_equal(tagged.frame, untagged.frame)
+    assert _verdicts(tagged, tol) == _verdicts(untagged, tol)
+
+
+@pytest.mark.parametrize("p,m,tag", [(3, 2, MINUS), (3, 1, PLUS), (5, 1, PLUS)])
+def test_a_rank_deficient_tagged_set_gets_the_untagged_exception(p, m, tag):
+    K = construct_case_iv(p, m, tag)
+    cols = _rank_deficient_orbit(K)
+    q = round(K.n**0.5)
+    rank = K.d - q
+    with pytest.raises(SpanDeficient) as tagged:
+        LineSet(cols, K.meta)
+    with pytest.raises(SpanDeficient) as untagged:
+        LineSet(cols, {})
+    assert str(tagged.value) == str(untagged.value) == f"columns span rank {rank} < d = {K.d}"
+
+
+def test_a_tagged_iv_7_2_line_set_allocates_less_than_its_d_by_d_frame():
+    # the d x d complex frame operator alone is d^2 16 B (22,127,616 B);
+    # the orbit check, its translation table built cold, and the closed-form
+    # frame take 9,370,985 B (CPython 3.11, numpy 2.4)
+    K = construct_case_iv(7, 2, MINUS)
+    equiline.lineset._translation_table.cache_clear()
+    L, peak = _traced_peak(LineSet, K.vectors, K.meta)
+    assert L.frame.shape == (1, 24, 24) and L.orbit_eps <= 1e-15
+    assert peak < K.d**2 * 16, peak
 
 
 def test_frame_operator_rejects_what_gram_square_rejects():
@@ -646,7 +764,7 @@ def test_span_threshold_keeps_ill_conditioned_spanning_sets(monkeypatch):
     V /= np.linalg.norm(V, axis=0)
     assert np.linalg.matrix_rank(V) == V.shape[0]
     L = LineSet(V)
-    assert L.frame.shape == (V.shape[0],) * 2
+    assert L.frame.shape == (1, *(V.shape[0],) * 2)
     # F stays diagonal up to rounding, so its Gershgorin discs settle the span
     assert ranks == []
 
@@ -659,7 +777,7 @@ def test_span_threshold_keeps_a_squeeze_off_the_axes(monkeypatch):
     V /= np.linalg.norm(V, axis=0)
     assert np.linalg.matrix_rank(V) == V.shape[0]
     L = LineSet(V)
-    assert L.frame.shape == (V.shape[0],) * 2
+    assert L.frame.shape == (1, *(V.shape[0],) * 2)
     assert ranks == [V.shape[0]]  # the discs overlap 0, and eigvalsh decided
 
 

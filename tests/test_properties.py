@@ -23,7 +23,16 @@ from hypothesis import strategies as st
 from equiline.cli import EXIT_ACTION_FAILED, EXIT_CERT_FAILED, EXIT_PARAMS, main
 from equiline.fiducial import orbit_lineset
 from equiline.finfield import HyperplaneType
-from equiline.lineset import LineSet, construct_case_iii, construct_case_iv
+from equiline.lineset import (
+    LineSet,
+    SpanDeficient,
+    certify_tight,
+    construct_case_iii,
+    construct_case_iv,
+    gram,
+    line_translations,
+    orbit,
+)
 from equiline.serialize import (
     _encode,
     _entry_table,
@@ -238,3 +247,47 @@ def _outcome(command: str, text: str) -> tuple[int, list[str]]:
 def test_damage_in_the_written_layout_is_refused_as_in_any_layout(text):
     laid_out = _one_column_per_line(json.loads(text))
     assert _outcome("certify", laid_out) == _outcome("certify", text)
+
+
+# case iv rows whose fiducial has du > 1 coordinates per point: (p, m, kind)
+WIDE_ROWS = [(3, 1, PLUS), (5, 1, PLUS), (3, 2, MINUS)]
+
+
+@st.composite
+def orbit_sets(draw):
+    """The translation orbit of a drawn fiducial under a case-iv row's
+    translations, tagged with the row, and rank-deficient when the drawn
+    q x du view repeats a column."""
+    K = construct_case_iv(*draw(st.sampled_from(WIDE_ROWS)))
+    parts = draw(st.lists(st.floats(-1, 1), min_size=2 * K.d, max_size=2 * K.d))
+    w = np.array(parts[: K.d]) + 1j * np.array(parts[K.d :])
+    hypothesis.assume(np.linalg.norm(w) > 1e-3)
+    if draw(st.booleans()):
+        R = w.reshape(round(K.n**0.5), -1)  # a view of w
+        R[:, -1] = R[:, 0]
+    cols = orbit(w / np.linalg.norm(w), *line_translations(K))
+    return cols, K.meta
+
+
+def _decided(build):
+    """certify_tight's verdict on build(), or the message of its SpanDeficient."""
+    try:
+        L = build()
+    except SpanDeficient as exc:
+        return str(exc)
+    return certify_tight(gram(L), L.d, 1e-8)
+
+
+@PROPERTY
+@given(orbit_sets())
+def test_orbit_frames_decide_span_and_tightness_as_the_d_by_d_frame(drawn):
+    cols, meta = drawn
+    assert _decided(lambda: LineSet(cols, meta)) == _decided(lambda: LineSet(cols, {}))
+    try:
+        L = LineSet(cols, meta)
+    except SpanDeficient:
+        return
+    F = cols @ cols.conj().T
+    q = round(L.n**0.5)
+    closed = np.kron(np.eye(q), L.frame[0]) if L.orbit_eps is not None else L.frame[0]
+    assert np.abs(F - closed).max() <= L.frame_slack + 1e-13

@@ -97,7 +97,8 @@ def test_thread_cap_is_applied_on_import():
 
 
 def test_certify_path_makes_no_rank_decomposition():
-    # span and tightness are read off the d x d frame operator, O(d^2 n)
+    # span and tightness are read off the frame operator: blocks in closed
+    # form for an orbit set, else the d x d V V*, O(d^2 n)
     found = [
         f"{path.name}:{node.lineno}"
         for path in SOURCES
