@@ -1,8 +1,7 @@
 """Permutation actions of symmetry unitaries on a line set, and certificates
-for the group-theoretic claims: 2-transitivity, group order, line-stabilizer
-character multiplicity (from generators of the stabilizer, not the whole
-group), and triviality of the projector commutant of a LineSet, which holds
-iff its non-orthogonality graph is connected (scalar_kernel_check).
+for the group-theoretic claims: 2-transitivity, group order, and triviality
+of the projector commutant of a LineSet, which holds iff its
+non-orthogonality graph is connected (scalar_kernel_check).
 
 Permutations are tuples ``p`` of length n with ``p[i]`` = image of i.
 Composition is ``compose(p, q) = p after q``, matching
@@ -16,6 +15,26 @@ generated by the linear parts x -> S x.  action_certificate reads each
 generator's map off its permutation, checks it on every label, and builds
 the stabilizer chain of G_0 only: |G| = n |G_0|, G is transitive, and G is
 2-transitive iff G_0 is transitive on the n - 1 lines other than line 0.
+
+Multiplicity one follows from what action_certificate proves, and needs no
+certificate of its own (Iverson, King and Mixon, "Doubly transitive lines I:
+Higman pairs and roux", J. Combin. Theory Ser. A 185 (2022); Isaacs,
+Character Theory of Finite Groups, ch. 5).  Let U be the group of the
+certified symmetry unitaries, U_0 the subgroup that fixes line 0, and
+lambda(h) = <v_0, h v_0> its character on line 0:
+
+- x -> (g -> <g v_0, x>) maps C^d into Ind lambda = Ind_(U_0)^U lambda and
+  commutes with U; it is injective because the lines span C^d (LineSet).
+- By Mackey, dim End_U(Ind lambda) is at most the number of (U_0, U_0)
+  double cosets, which is 2 when the action is 2-transitive.  Ind lambda is
+  unitary, so completely reducible, and so it is multiplicity-free with at
+  most two constituents.
+- C^d is a proper nonzero subrepresentation since d < n, so it is one
+  irreducible constituent, and Frobenius reciprocity gives the multiplicity
+  of lambda in C^d restricted to U_0 as dim Hom_U(C^d, Ind lambda) = 1.
+
+This needs only that U_0 has finite index n, not that U is finite: its
+scalars may have infinite order.
 """
 
 from __future__ import annotations
@@ -43,8 +62,6 @@ __all__ = [
     "group_order",
     "ActionCertificate",
     "action_certificate",
-    "MultiplicityCertificate",
-    "multiplicity_certificate",
     "scalar_kernel_check",
 ]
 
@@ -251,44 +268,6 @@ def action_certificate(
         group_order=lines.n * chain.order,
         matched_unitaries=len(perms),
     )
-
-
-# Distance from 1 within which multiplicity_certificate counts an eigenvalue.
-_MULTIPLICITY_TOL = 1e-7
-
-
-@dataclass(frozen=True)
-class MultiplicityCertificate:
-    rank: int
-    range_is_line0: bool
-    gap: float
-
-
-def multiplicity_certificate(
-    lines: LineSet,
-    stab_unitaries: Sequence[np.ndarray],
-    phases: Sequence[complex],
-) -> MultiplicityCertificate:
-    """Multiplicity of the character h -> phase_h of a line-0 stabilizer H,
-    given the unitaries U_h of a generating set of H or of all of H.
-
-    For a unit vector x, Re<x, conj(phase_h) U_h x> = 1 iff U_h x = phase_h x,
-    so the vectors on which every generator acts by its phase, the character's
-    isotypic space, are the eigenvectors at 1 of the Hermitian part of
-    A = (1/k) sum_h conj(phase_h) U_h, whose eigenvalues are at most 1.  The
-    rank counts those within _MULTIPLICITY_TOL of 1; rank 1 with the top
-    eigenvector on line 0 certifies that the character occurs exactly once.
-    gap is 1 less the second eigenvalue: how far the certificate was from a
-    second vector.  Over a whole group A is the averaging projector, and the
-    gap is 1 or 0.
-    """
-    if len(stab_unitaries) != len(phases) or not stab_unitaries:
-        raise ValueError("need equally many unitaries and phases, at least one")
-    A = sum(np.conj(lam) * U for U, lam in zip(stab_unitaries, phases)) / len(phases)
-    eigvals, eigvecs = np.linalg.eigh((A + A.conj().T) / 2)  # ascending
-    rank = int(np.sum(eigvals >= 1.0 - _MULTIPLICITY_TOL))
-    range_ok = rank == 1 and bool(abs(np.vdot(eigvecs[:, -1], lines.vectors[:, 0])) >= 1.0 - 1e-6)
-    return MultiplicityCertificate(rank, range_ok, float(1.0 - eigvals[-2]))
 
 
 # Two lines join in _component_count when their overlap exceeds this.

@@ -3,11 +3,12 @@ certificates, and the dimension bookkeeping n = d + d'.
 
 A line set is stored as a d x n matrix of unit columns, one column per line:
 C-ordered float64 when no entry has a nonzero imaginary part, as for the
-sign-matrix sets of case iii, and complex128 otherwise.  Sign-matrix
-constructions keep their +-1 signs alongside the normalized columns, as int8,
-so that angle certificates can be exact.  Each family is the orbit of line 0
-under translations in gather form, (T_a v)[y] = phase[a, y] v[index[a, y]]
-over q points, a column viewed as q x du.
+sign-matrix sets of case iii, and complex128 otherwise.  A set whose meta
+declares exact_signs, as the sign-matrix constructions do, derives the +-1
+signs of its columns and keeps them as int8, so that angle certificates can
+be exact.  Each family is the orbit of line 0 under translations in gather
+form, (T_a v)[y] = phase[a, y] v[index[a, y]] over q points, a column viewed
+as q x du.
 
 The frame operator of an orbit is read from its line 0 (Vale and Waldron,
 "Tight frames and their symmetries", Constr. Approx. 21 (2005)).  With
@@ -72,8 +73,8 @@ NORM_TOL = 1e-10
 # |sqrt(d) Re v - s| <= SIGN_TOL and |Im v| <= _SIGN_IMAG_TOL.
 SIGN_TOL = 1e-9
 _SIGN_IMAG_TOL = 1e-15
-# Entries of the d x b column blocks that the sign and orbit checks take at
-# a time.
+# Entries of the d x b column blocks that the sign and orbit checks, and
+# orbit's gathers, take at a time.
 _BLOCK = 1 << 17
 
 
@@ -142,48 +143,32 @@ def _columns(V) -> np.ndarray:
     return np.ascontiguousarray(V, dtype=np.float64)
 
 
-def _off_signs(entries: np.ndarray, signs: np.ndarray, d: int) -> bool:
-    """True when some entry v is not its sign s over sqrt(d):
-    |sqrt(d) Re v - s| > SIGN_TOL or |Im v| > _SIGN_IMAG_TOL.  The one rule
-    of exact signs, for the signs a file's entries give (_exact_signs) and the
-    signs a LineSet is given with its columns."""
-    with np.errstate(over="ignore", invalid="ignore"):  # an inf is no sign either
-        gap = entries.real * np.sqrt(d)
-        gap -= signs
-    np.abs(gap, out=gap)
-    if not gap.max() <= SIGN_TOL:
-        return True
-    return np.iscomplexobj(entries) and bool(np.abs(entries.imag).max() > _SIGN_IMAG_TOL)
-
-
-def _exact_signs(entries: np.ndarray, d: int) -> np.ndarray:
-    """The int8 signs rint(sqrt(d) Re v) of entries, or ValueError unless
-    every entry is +-1/sqrt(d) by _off_signs.  They are checked before the
-    cast, so that no value can wrap."""
-    with np.errstate(over="ignore"):
-        signs = np.rint(entries.real * np.sqrt(d))
-    if not np.all(np.abs(signs) == 1) or _off_signs(entries, signs, d):
-        raise ValueError("exact_signs declared but entries are not +-1/sqrt(d)")
-    return signs.astype(np.int8)
-
-
-def _checked_signs(V: np.ndarray, signs) -> np.ndarray:
-    """signs as int8, or ValueError unless they are +-1 and the signs of the
-    d x n columns V by _off_signs, checked _BLOCK entries at a time."""
-    signs = np.asarray(signs)
-    if signs.shape != V.shape:
-        raise ValueError("sign matrix shape mismatch")
-    # checked before the cast, so that no value can wrap into +-1
-    if signs.dtype.kind not in "iuf" or not (np.abs(signs) == 1).all():
-        raise ValueError("signs must be +-1")
-    signs = signs.astype(np.int8, copy=False)
+def _exact_signs(V: np.ndarray) -> np.ndarray:
+    """The int8 signs s of the finite d x n columns V, -1 where Re v < 0 and
+    +1 elsewhere, or ValueError unless every entry v is its sign over
+    sqrt(d): |sqrt(d) Re v - s| <= SIGN_TOL and |Im v| <= _SIGN_IMAG_TOL.  So
+    0.0 and -0.0 are no sign, and no value can wrap.  Taken _BLOCK entries
+    at a time."""
     d, n = V.shape
-    step = max(1, _BLOCK // d)
+    step = max(1, _BLOCK // max(d, 1))
+    signs = np.empty((d, n), np.int8)
+    buffer = np.empty((d, min(step, n)))  # one block of gaps, reused
     for start in range(0, n, step):
         block = slice(start, start + step)
-        if _off_signs(V[:, block], signs[:, block], d):
-            raise ValueError(f"signs are not the signs of the columns: "
-                             f"some |sqrt(d) v - s| exceeds {SIGN_TOL}")
+        X, s = V[:, block], signs[:, block]
+        gap = buffer[:, : s.shape[1]]
+        # not np.signbit: numpy 2.4 writes wrong values through its strided out
+        np.less(X.real, 0, out=s.view(bool))
+        s *= -2
+        s += 1
+        with np.errstate(over="ignore"):  # an entry near 1e308 is no sign either
+            np.multiply(X.real, np.sqrt(d), out=gap)
+        gap -= s
+        np.abs(gap, out=gap)
+        if not gap.max() <= SIGN_TOL or (
+            np.iscomplexobj(X) and np.abs(X.imag).max() > _SIGN_IMAG_TOL
+        ):
+            raise ValueError("exact_signs declared but entries are not +-1/sqrt(d)")
     return signs
 
 
@@ -193,9 +178,11 @@ class LineSet:
 
     vectors is stored as _columns gives it: real columns as C-ordered float64,
     taken without a copy when they come so, and all others as complex128.
-    signs, when given, must be +-1 and the signs of the columns,
-    |sqrt(d) v - s| <= SIGN_TOL (_off_signs), or ValueError; they are stored
-    as int8.  norms holds the column norms, which must be 1 within NORM_TOL.
+    meta["exact_signs"], when present, must be a bool (TypeError, before any
+    other check).  When it is True, signs holds the int8 signs of the
+    columns, derived from them by _exact_signs (ValueError unless every entry
+    is +-1/sqrt(d)), and is None otherwise.  norms holds the column norms,
+    which must be 1 within NORM_TOL.
 
     orbit_eps is the residual of a tagged set (one that passes _case) that
     is the translation orbit of its line 0, and None for any other set
@@ -212,18 +199,22 @@ class LineSet:
 
     vectors: np.ndarray
     meta: dict = field(default_factory=dict)
-    signs: np.ndarray | None = None
+    signs: np.ndarray | None = field(init=False, repr=False, compare=False)
     norms: np.ndarray = field(init=False, repr=False, compare=False)
     orbit_eps: float | None = field(init=False, repr=False, compare=False)
     frame: np.ndarray = field(init=False, repr=False, compare=False)
     frame_slack: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        exact = self.meta.get("exact_signs", False)
+        if type(exact) is not bool:
+            raise TypeError(f"exact_signs must be a JSON boolean, got {exact!r}")
         self.vectors = V = _columns(self.vectors)
         if V.ndim != 2:
             raise ValueError("vectors must be a d x n matrix")
         if not np.isfinite(V).all():
             raise ValueError("columns must be finite")
+        self.signs = _exact_signs(V) if exact else None
         d, n = V.shape
         if n <= d:
             raise ValueError(f"need more lines than dimensions, got n={n}, d={d}")
@@ -236,8 +227,6 @@ class LineSet:
             raise ValueError("columns must be unit vectors")
         if d < 2:
             raise ValueError("need d >= 2: every unit column of C^1 spans the same line")
-        if self.signs is not None:
-            self.signs = _checked_signs(V, self.signs)
         self.orbit_eps, self.frame, self.frame_slack = _orbit_frame(self) or (None, None, 0.0)
         if self.frame is not None and _orbit_spans(self.frame, self.frame_slack, d, n):
             return
@@ -319,10 +308,16 @@ def translations(p: int, k: int, elements=None, *, functionals=None):
 
 def orbit(base: np.ndarray, index: np.ndarray, phase: np.ndarray) -> np.ndarray:
     """The d x N matrix of columns (T_i (x) I_du) base, base viewed as q x du:
-    (T_i base)[y, u] = phase[i, y] * base[index[i, y], u], flattened."""
+    (T_i base)[y, u] = phase[i, y] * base[index[i, y], u], flattened.  The
+    columns are filled a block of elements at a time, so that no gather
+    holds more than _BLOCK entries."""
     rows = np.reshape(base, (index.shape[-1], -1))
     cols = np.empty((*rows.shape, len(index)), dtype=np.result_type(phase, base))
-    np.multiply(phase.T[:, None], rows[index.T].transpose(0, 2, 1), out=cols)
+    step = max(1, _BLOCK // rows.size)
+    for start in range(0, len(index), step):
+        block = slice(start, start + step)
+        gather = rows[index[block].T].transpose(0, 2, 1)
+        np.multiply(phase[block].T[:, None], gather, out=cols[..., block])
     return cols.reshape(-1, len(index))
 
 
@@ -378,12 +373,12 @@ def line_translations(lines: LineSet, elements=None):
 
 # Peak bytes per entry of the d x n columns while construct_case_iii or
 # construct_case_iv runs, as the rise in peak RSS (Python 3.11, numpy 2.4).
-# The columns, the orbit's gather and the translation table set it; LineSet's
-# checks take blocks and its frame a few blocks b x b.  Case iii: 16.8 B at
-# m = 5 and 12.3 B at m = 6 (float64 columns, int8 signs, and about 3 B of
-# int8 table and orbit).  Case iv: complex columns and the orbit's gather,
-# 34.1 B at (7, 2), 33.5 B at (61, 1), and 49.2 B at (3, 3), whose 256k
-# entries leave the fixed costs showing.
+# The columns and the translation table set it; orbit's gathers and
+# LineSet's checks take blocks, and its frame a few blocks b x b.  Case iii:
+# 15.3 B at m = 5 and 11.3 B at m = 6 (float64 columns, the int8 orbit they
+# are scaled from, the int8 signs LineSet derives, and the int8 table).
+# Case iv: complex columns, 20.4 B at (7, 2), 18.4 B at (61, 1), and 49.0 B
+# at (3, 3), whose 256k entries leave the fixed costs showing.
 _BUILD_BYTES_PER_ENTRY = 64
 _BUILD_WHAT = "building its {} x {} columns takes about {} bytes"
 _CGROUP_MEMORY_MAX = Path("/sys/fs/cgroup/memory.max")
@@ -455,16 +450,17 @@ def construct_case_iii(m: int, type_choice: HyperplaneType) -> LineSet:
         _BUILD_WHAT, _BUILD_BYTES_PER_ENTRY, (2 * m - 2, 2 * m),
         lambda: (_case_iii_dims(m)[0 if minus else 1], 4**m),
     )
-    signs = orbit(np.ones(d, dtype=np.int8), *_translation_table(2, m, type_choice.value))
+    table = _translation_table(2, m, type_choice.value)
+    cols = orbit(np.ones(d, dtype=np.int8), *table) / np.sqrt(d)  # the int8 orbit dies here
     meta = {
         "case": "iii",
         "m": m,
         "type": type_choice.value,
-        "n": signs.shape[1],
+        "n": cols.shape[1],
         "d": d,
         "exact_signs": True,
     }
-    return LineSet(signs / np.sqrt(d), meta, signs=signs)
+    return LineSet(cols, meta)
 
 
 def _is_odd_prime(p: int) -> bool:
@@ -543,7 +539,7 @@ def _orbit_frame(L: LineSet) -> tuple[float, np.ndarray, float] | None:
 
     frame is F_orbit of the module docstring for w = v_0, and slack is
     n e (2 ||w|| + e) with e = eps.  A sign set takes w = s_0 / sqrt(d) and
-    e = 2 SIGN_TOL: by _off_signs each column lies within
+    e = 2 SIGN_TOL: by _exact_signs each column lies within
     SIGN_TOL + sqrt(d) _SIGN_IMAG_TOL of s_a / sqrt(d), below 2 SIGN_TOL for
     any d up to 10^12.  The blocks of case iii are one when they are all
     equal.

@@ -30,7 +30,7 @@ from itertools import chain
 import numpy as np
 
 from .heisenberg import lex_index
-from .lineset import LineSet, _columns, _exact_signs
+from .lineset import LineSet, _columns
 
 __all__ = ["serialize_lineset", "parse_lineset", "gram_csv"]
 
@@ -289,10 +289,9 @@ def _read_block(text: str, begin: int, end: int, lines: int, d: int, hashes: _Co
     return codes.reshape(lines, d)
 
 
-def _parse_canonical(text: str) -> tuple[dict, np.ndarray, tuple] | None:
-    """Header, d x n vectors and (distinct entries, n x d codes into them, one
-    row per column line) of text written by serialize_lineset, or None for
-    any other text.
+def _parse_canonical(text: str) -> tuple[dict, np.ndarray] | None:
+    """Header and d x n vectors of text written by serialize_lineset, or None
+    for any other text.
 
     The header and meta are read by json with the vectors block cut out and
     must print back as they stand.  The codes are guessed from a hash of
@@ -342,7 +341,7 @@ def _parse_canonical(text: str) -> tuple[dict, np.ndarray, tuple] | None:
     if pos != stop:
         return None
     entries = _columns(np.array(values, dtype=complex))
-    return obj, entries.take(codes.T), (entries, codes)
+    return obj, entries.take(codes.T)
 
 
 def _parse_json(text: str) -> tuple[dict, np.ndarray]:
@@ -365,23 +364,13 @@ def _parse_json(text: str) -> tuple[dict, np.ndarray]:
 
 
 def parse_lineset(text: str) -> LineSet:
-    """Inverse of serialize_lineset; revalidates structure and exact signs.
-    Text in the canonical layout has its signs checked on its distinct
-    entries only."""
-    obj, vectors, distinct = _parse_canonical(text) or (*_parse_json(text), None)
+    """Inverse of serialize_lineset; LineSet revalidates the structure and
+    derives the exact signs that meta declares."""
+    obj, vectors = _parse_canonical(text) or _parse_json(text)
     meta = obj.get("meta", {})
     if not isinstance(meta, dict):
         raise TypeError(f"meta must be a JSON object, got {type(meta).__name__}")
-    if type(meta.get("exact_signs", False)) is not bool:
-        raise TypeError(f"exact_signs must be a JSON boolean, got {meta['exact_signs']!r}")
-    signs = None
-    if meta.get("exact_signs"):
-        if distinct is not None:  # canonical entries are finite
-            signs = _exact_signs(distinct[0], obj["d"]).take(distinct[1].T)
-        elif np.isfinite(vectors).all():  # else LineSet says why
-            signs = _exact_signs(vectors, obj["d"])
-    del distinct  # the codes, before LineSet's checks
-    return LineSet(vectors, meta, signs=signs)
+    return LineSet(vectors, meta)
 
 
 def gram_csv(lines: LineSet) -> str:

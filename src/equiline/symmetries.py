@@ -32,7 +32,6 @@ __all__ = [
     "translation_unitaries",
     "geometry_unitaries",
     "symmetry_unitaries",
-    "stabilizer_unitaries",
     "CLIFFORD_SEARCH_SEED",
 ]
 
@@ -193,25 +192,3 @@ def symmetry_unitaries(lines: LineSet) -> list[np.ndarray]:
     before any dense matrix is built."""
     geometry = geometry_unitaries(lines)
     return translation_unitaries(lines) + geometry
-
-
-def stabilizer_unitaries(lines: LineSet) -> tuple[list[np.ndarray], list[complex]]:
-    """Generators of a line-0 stabilizer subgroup in the algebraic cases, each
-    with the phase lambda = <v_0, U v_0> it takes on the base vector: the
-    geometry unitaries, that is the transvection permutations of case iii and
-    the induced normalizer maps of case iv.  multiplicity_certificate needs no
-    more than a generating set, so no group is enumerated.
-
-    Raises NotASymmetry when a generator moves line 0 (|lambda| off 1 by more
-    than 1e-8), and ValueError for cases i and ii, whose scanned words need
-    not fix line 0.
-    """
-    case, _, _ = _case(lines)
-    if case not in ("iii", "iv"):
-        raise ValueError("stabilizer generators are provided for the algebraic cases only")
-    unis = geometry_unitaries(lines)
-    v0 = lines.vectors[:, 0]
-    phases = [complex(np.vdot(v0, U @ v0)) for U in unis]
-    if any(abs(abs(lam) - 1.0) > 1e-8 for lam in phases):
-        raise NotASymmetry("a geometry unitary does not stabilize the base line")
-    return unis, phases

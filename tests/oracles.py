@@ -5,8 +5,10 @@ or a general tool the package does not need: the Heisenberg group-element
 algebra and its Schrödinger representations, a stacked-SVD commutant, a
 group closure, the frame potential and its gradient as standalone calls, the
 quadratic form of case iii read coordinate by coordinate and its
-transvections, the parity operator, and a dictionary table of the distinct
-entries of a matrix.
+transvections, the parity operator, a dictionary table of the distinct
+entries of a matrix, the rint rule of exact signs, and the numeric
+multiplicity certificate of a line-0 stabilizer, whose rank one the
+2-transitive action implies (equiline.action).
 
 Finite Heisenberg groups are in normal form.  Elements are triples (a, b, c):
 translation part a and modulation part b in F_p^m, central exponent c.  The
@@ -30,10 +32,18 @@ from typing import Sequence
 
 import numpy as np
 
-from equiline.action import Perm, compose, identity_perm
+from equiline.action import Perm, _affine_map, compose, identity_perm, induced_permutation
 from equiline.fiducial import _gathers, _gradient, _overlaps
 from equiline.finfield import dot2
-from equiline.heisenberg import _roots, displacement_monomial, lex_digits, monomial_matrix
+from equiline.heisenberg import (
+    _roots,
+    displacement_monomial,
+    lex_digits,
+    lex_index,
+    monomial_matrix,
+)
+from equiline.lineset import _SIGN_IMAG_TOL, SIGN_TOL, LineSet, _case, line_translations
+from equiline.symmetries import geometry_unitaries
 from equiline.weil import _index_substitution
 
 
@@ -257,3 +267,74 @@ def entry_table(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     table: dict[complex, int] = {}
     codes = [table.setdefault(z, len(table)) for z in np.asarray(M, complex).ravel().tolist()]
     return np.array(list(table), complex) + 0.0, np.array(codes, np.intp).reshape(M.shape)
+
+
+def rint_signs(entries: np.ndarray, d: int) -> np.ndarray:
+    """The int8 signs rint(sqrt(d) Re v) of entries, or ValueError unless each
+    is +-1 with |sqrt(d) Re v - s| <= SIGN_TOL and |Im v| <= _SIGN_IMAG_TOL:
+    the rule of exact signs as the reader once applied it, rounding first
+    and checking before the cast, so that no value can wrap."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf is no sign either
+        signs = np.rint(entries.real * np.sqrt(d))
+        gap = np.abs(entries.real * np.sqrt(d) - signs)
+    off = not gap.max() <= SIGN_TOL
+    off = off or (np.iscomplexobj(entries) and np.abs(entries.imag).max() > _SIGN_IMAG_TOL)
+    if not np.all(np.abs(signs) == 1) or off:
+        raise ValueError("exact_signs declared but entries are not +-1/sqrt(d)")
+    return signs.astype(np.int8)
+
+
+def line0_stabilizer(lines: LineSet) -> tuple[list[np.ndarray], list[complex]]:
+    """Generators h of a line-0 stabilizer of a constructed line set, each
+    with its phase <v_0, h v_0>.  Cases iii and iv take the geometry
+    unitaries, which fix line 0.  Cases i and ii take each scanned Clifford
+    word U, whose label map is x -> S x + b, as h = T_b^-1 U with T_b the
+    translation that maps line 0 to line b."""
+    case, p, m = _case(lines)
+    unitaries = geometry_unitaries(lines)
+    if case in ("i", "ii"):
+        labels = lex_digits(p, 2 * m)
+        for k, U in enumerate(unitaries):
+            _, b = _affine_map(induced_permutation(lines, U), labels, p)
+            index, phase = line_translations(lines, [lex_index(b, p)])
+            unitaries[k] = monomial_matrix(index[0], phase[0]).conj().T @ U  # du = 1
+    v0 = lines.vectors[:, 0]
+    return unitaries, [complex(np.vdot(v0, h @ v0)) for h in unitaries]
+
+
+# Distance from 1 within which multiplicity_certificate counts an eigenvalue.
+_MULTIPLICITY_TOL = 1e-7
+
+
+@dataclass(frozen=True)
+class MultiplicityCertificate:
+    rank: int
+    range_is_line0: bool
+    gap: float
+
+
+def multiplicity_certificate(
+    lines: LineSet,
+    stab_unitaries: Sequence[np.ndarray],
+    phases: Sequence[complex],
+) -> MultiplicityCertificate:
+    """Multiplicity of the character h -> phase_h of a line-0 stabilizer H,
+    given the unitaries U_h of a generating set of H or of all of H.
+
+    For a unit vector x, Re<x, conj(phase_h) U_h x> = 1 iff U_h x = phase_h x,
+    so the vectors on which every generator acts by its phase, the character's
+    isotypic space, are the eigenvectors at 1 of the Hermitian part of
+    A = (1/k) sum_h conj(phase_h) U_h, whose eigenvalues are at most 1.  The
+    rank counts those within _MULTIPLICITY_TOL of 1; rank 1 with the top
+    eigenvector on line 0 certifies that the character occurs exactly once.
+    gap is 1 less the second eigenvalue: how far the certificate was from a
+    second vector.  Over a whole group A is the averaging projector, and the
+    gap is 1 or 0.
+    """
+    if len(stab_unitaries) != len(phases) or not stab_unitaries:
+        raise ValueError("need equally many unitaries and phases, at least one")
+    A = sum(np.conj(lam) * U for U, lam in zip(stab_unitaries, phases)) / len(phases)
+    eigvals, eigvecs = np.linalg.eigh((A + A.conj().T) / 2)  # ascending
+    rank = int(np.sum(eigvals >= 1.0 - _MULTIPLICITY_TOL))
+    range_ok = rank == 1 and bool(abs(np.vdot(eigvecs[:, -1], lines.vectors[:, 0])) >= 1.0 - 1e-6)
+    return MultiplicityCertificate(rank, range_ok, float(1.0 - eigvals[-2]))

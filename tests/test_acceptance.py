@@ -10,7 +10,6 @@ import pytest
 from equiline.action import (
     action_certificate,
     induced_permutation,
-    multiplicity_certificate,
     scalar_kernel_check,
     two_transitivity,
 )
@@ -30,15 +29,13 @@ from equiline.lineset import (
     gram,
     classification_rows,
 )
-from equiline.symmetries import (
-    stabilizer_unitaries,
-    symmetry_unitaries,
-    translation_unitaries,
-)
+from equiline.symmetries import symmetry_unitaries, translation_unitaries
 from oracles import (
     HeisenbergElement,
     frame_potential,
     frame_potential_grad,
+    line0_stabilizer,
+    multiplicity_certificate,
     schroedinger_rep,
     valid_rep_indices,
 )
@@ -191,11 +188,13 @@ def test_08_two_transitive_actions(capsys, all_sets):
 
 def test_09_multiplicity_one(capsys, all_sets):
     with Clock("09 multiplicity-one stabilizer projectors", None, capsys):
-        algebraic = [key for key, L in all_sets.items() if L.meta["case"] in ("iii", "iv")]
-        assert len(algebraic) == 10  # iii m = 2, 3 and iv (3, 1), (5, 1), (3, 2), both types
-        for key in algebraic:
-            L = all_sets[key]
-            unis, phases = stabilizer_unitaries(L)
+        # multiplicity one follows from 2-transitivity, span and d < n (see
+        # equiline.action); the numeric certificate checks it on all four
+        # families: iii m = 2, 3 and iv (3, 1), (5, 1), (3, 2), both types,
+        # and i and ii at seed 1
+        assert {L.meta["case"] for L in all_sets.values()} == {"i", "ii", "iii", "iv"}
+        for key, L in all_sets.items():
+            unis, phases = line0_stabilizer(L)
             cert = multiplicity_certificate(L, unis, phases)
             assert cert.rank == 1 and cert.range_is_line0, key
             assert cert.gap >= 0.05, key

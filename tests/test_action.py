@@ -19,7 +19,6 @@ from equiline.action import (
     induced_permutation,
     invert,
     is_transitive,
-    multiplicity_certificate,
     scalar_kernel_check,
     two_transitivity,
 )
@@ -29,7 +28,7 @@ from equiline.fiducial import SearchConfig, orbit_lineset, search_fiducial
 from equiline.finfield import HyperplaneType
 from equiline.lineset import LineSet, construct_case_iii, construct_case_iv
 from equiline.symmetries import geometry_unitaries, symmetry_unitaries, translation_unitaries
-from oracles import close_permutations, commutant_dimension
+from oracles import close_permutations, commutant_dimension, multiplicity_certificate
 
 
 def rand_perm(rng, n):

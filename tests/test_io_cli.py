@@ -35,6 +35,7 @@ from equiline.serialize import (
     _fmt_float,
     _parse_canonical,
     _parse_json,
+    _token,
     gram_csv,
     parse_lineset,
     serialize_lineset,
@@ -649,6 +650,24 @@ def test_cli_reports_non_finite_before_exact_signs(tmp_path, capsys, command):
     assert "FAIL structure: columns must be finite" in err and "Traceback" not in err
 
 
+def test_certify_under_python_O_refuses_an_entry_moved_off_its_sign(tmp_path):
+    # the sign rule is no assert, so python -O keeps it; the canonical reader
+    # takes the file, and the signs are checked before the column norms
+    L = construct_case_iii(2, HyperplaneType.MINUS)
+    first = L.vectors[0, 0]
+    text = serialize_lineset(L).replace(f"[[{_fmt_float(first)},0]",
+                                        f"[[{_fmt_float(first + 1e-6)},0]", 1)
+    assert _parse_canonical(text) is not None
+    path = tmp_path / "moved.json"
+    path.write_text(text)
+    env = {**os.environ, "PYTHONPATH": str(Path(equiline.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-O", "-m", "equiline.cli", "certify", str(path)],
+                         env=env, capture_output=True, text=True)
+    assert run.returncode == EXIT_CERT_FAILED
+    assert "FAIL structure: exact_signs declared but entries are not +-1/sqrt(d)" in run.stderr
+    assert "Traceback" not in run.stderr
+
+
 def _cli_under_threads(threads: str, *args: str) -> bytes:
     """stdout of `equiline args` in a subprocess with EQUILINE_THREADS=threads."""
     src = str(Path(equiline.__file__).parents[1])
@@ -814,14 +833,30 @@ def test_text_past_the_printed_back_block_takes_the_json_path():
     assert np.array_equal(parse_lineset(changed).vectors, parse_lineset(text).vectors)
 
 
-def test_canonical_text_of_distinct_entries_takes_the_canonical_path():
+def _reader_table(monkeypatch, text):
+    """The distinct entry tokens and n x d codes into them that the
+    canonical reader proves text with, as it hands them to _text_blocks."""
+    seen = []
+    text_blocks = equiline.serialize._text_blocks
+
+    def spy(tokens, codes):
+        seen.append((tokens, codes))
+        return text_blocks(tokens, codes)
+
+    monkeypatch.setattr(equiline.serialize, "_text_blocks", spy)
+    assert _parse_canonical(text) is not None
+    [(tokens, codes)] = seen
+    return tokens, codes
+
+
+def test_canonical_text_of_distinct_entries_takes_the_canonical_path(monkeypatch):
     # all n * d entries distinct, so the entry table is as long as the set;
     # the searched sets of case ii repeat theirs (15 distinct of 512 at seed 1)
     W = np.random.default_rng(1).normal(size=(8, 64, 2)) @ [1, 1j]
     L = LineSet(W / np.linalg.norm(W, axis=0), {"seed": 1})
     text = serialize_lineset(L)
-    fast = _parse_canonical(text)
-    assert fast is not None and len(fast[2][0]) == L.n * L.d
+    tokens, _ = _reader_table(monkeypatch, text)
+    assert len(tokens) == L.n * L.d
     _assert_parses_agree(text)
 
 
@@ -829,15 +864,16 @@ def test_canonical_text_of_distinct_entries_takes_the_canonical_path():
     (lambda: construct_case_iii(5, HyperplaneType.MINUS), np.uint32),
     (lambda: _searched("i", 1), np.uint8),
 ], ids=["iii-m5-minus", "i-seed1"])
-def test_codes_take_the_narrowest_unsigned_dtype(build, dtype):
+def test_codes_take_the_narrowest_unsigned_dtype(monkeypatch, build, dtype):
     # no code reaches n * d (507,904 at iii m = 5, 8 at case i).  The writer
     # numbers a block's new entries in value order and the reader in hash
     # order, so the two codes are compared through the entries they index
     L = build()
     values, codes = _entry_table(L.vectors)
-    entries, read = _parse_canonical(serialize_lineset(L))[2]
+    tokens, read = _reader_table(monkeypatch, serialize_lineset(L))
     assert codes.dtype == read.dtype == dtype and codes.shape == read.shape == (L.n, L.d)
-    assert np.array_equal(values[codes].view(np.uint64), entries[read].view(np.uint64))
+    written = np.array([_token(z) for z in values.tolist()])
+    assert np.array_equal(written[codes], np.array(tokens)[read])
 
 
 def _traced_peak(fn, *args):

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
@@ -23,6 +24,7 @@ from equiline.lineset import (
     classification_rows,
     line_translations,
 )
+from oracles import rint_signs
 
 MINUS, PLUS = HyperplaneType.MINUS, HyperplaneType.PLUS
 
@@ -116,7 +118,7 @@ def test_rank_deficient_columns_raise_span_deficient():
 
 def test_subselection_is_not_tight():
     L = construct_case_iii(2, MINUS)
-    sub = LineSet(L.vectors[:, :9], signs=L.signs[:, :9])
+    sub = LineSet(L.vectors[:, :9], {"exact_signs": True})
     G = gram(sub)
     cert = certify_equiangular(G)  # still equiangular
     assert cert.max_dev == 0.0
@@ -145,7 +147,7 @@ def test_certify_tight_decides_only_the_frame(monkeypatch):
     assert certify_tight(gram(L), L.d)
     K = construct_case_iv(3, 1, MINUS)
     assert certify_tight(gram(K), K.d)
-    sub = LineSet(L.vectors[:, :9], signs=L.signs[:, :9])
+    sub = LineSet(L.vectors[:, :9], {"exact_signs": True})
     assert not certify_tight(gram(sub), sub.d)
 
 
@@ -154,7 +156,7 @@ def test_integer_certificate_path_catches_bad_pairs():
     signs = L.signs.copy()
     signs[0, 3] *= -1  # corrupt one sign; Gram stays integer
     V = signs / np.sqrt(L.d)
-    G = gram(LineSet(V.astype(complex), signs=signs))
+    G = gram(LineSet(V.astype(complex), {"exact_signs": True}))
     with pytest.raises(NotEquiangular):
         certify_equiangular(G)
 
@@ -195,7 +197,7 @@ def test_classification_rows_table():
 
 def _untagged(L: LineSet) -> LineSet:
     """L without its construction tag, so gram takes the n x n path."""
-    return LineSet(L.vectors, {}, signs=L.signs)
+    return LineSet(L.vectors, {"exact_signs": L.signs is not None})
 
 
 def _sign_frame_tight(signs: np.ndarray) -> bool:
@@ -244,14 +246,15 @@ def test_exact_gram_matches_int64_product(m, tag):
 
 @pytest.mark.parametrize("bad", [0, 2, -2, 2**30 + 1, 257, 0.5])
 def test_lineset_refuses_signs_other_than_plus_minus_one(bad):
-    # 257 and 2**30 + 1 would wrap to 1 in int8; they are refused before the cast
+    # an entry bad / sqrt(d) of an exact_signs set, and the signs times i;
+    # 257 and 2**30 + 1 would wrap to 1 in int8
     L = construct_case_iii(2, MINUS)
-    signs = L.signs.astype(np.float64 if isinstance(bad, float) else np.int64)
-    signs[1, 2] = bad
-    with pytest.raises(ValueError, match="signs must be \\+-1"):
-        LineSet(L.vectors, signs=signs)
-    with pytest.raises(ValueError, match="signs must be \\+-1"):
-        LineSet(L.vectors, signs=L.signs * 1j)
+    V = L.vectors.copy()
+    V[1, 2] = bad / np.sqrt(L.d)
+    with pytest.raises(ValueError, match="exact_signs declared but entries are not"):
+        LineSet(V, L.meta)
+    with pytest.raises(ValueError, match="exact_signs declared but entries are not"):
+        LineSet(L.vectors * 1j, L.meta)
 
 
 def test_real_line_sets_are_stored_real():
@@ -265,36 +268,95 @@ def test_real_line_sets_are_stored_real():
         assert L.vectors.dtype == np.complex128 and L.signs is None
     K = construct_case_iii(2, PLUS)
     zero = np.where(K.signs > 0, 0.0, -0.0)  # imaginary parts of either sign, all zero
-    back = LineSet(K.vectors + 1j * zero, K.meta, signs=K.signs)
+    back = LineSet(K.vectors + 1j * zero, K.meta)
     assert back.vectors.dtype == np.float64 and back.vectors.flags.c_contiguous
-    assert np.array_equal(back.vectors, K.vectors)
+    assert np.array_equal(back.vectors, K.vectors) and np.array_equal(back.signs, K.signs)
     tiny = K.vectors.astype(complex)
     tiny[0, 0] += 1e-300j  # any nonzero imaginary part keeps the columns complex
     assert LineSet(tiny).vectors.dtype == np.complex128
 
 
 def test_lineset_refuses_signs_that_are_not_those_of_its_columns():
-    # random unit columns given the signs of iii m = 2 minus were certified
-    # exact, alpha = 1/3, and tight, from the signs alone
+    # random unit columns with the meta of iii m = 2 minus were once
+    # certified exact, alpha = 1/3, and tight, from signs given beside them;
+    # the signs are now those of the columns, or the set is refused
     L = construct_case_iii(2, MINUS)
     V = np.random.default_rng(3).normal(size=(L.d, L.n))
     V /= np.linalg.norm(V, axis=0)
-    with pytest.raises(ValueError, match="signs are not the signs of the columns"):
-        LineSet(V, L.meta, signs=L.signs)
-    with pytest.raises(ValueError, match="signs are not the signs of the columns"):
-        LineSet(-L.vectors, L.meta, signs=L.signs)
-    # the rule of exact_signs files: |Im v| <= 1e-15, here in the last of the
-    # four column blocks of iii m = 5
+    with pytest.raises(ValueError, match="exact_signs declared but entries are not"):
+        LineSet(V, L.meta)
+    assert np.array_equal(LineSet(-L.vectors, L.meta).signs, -L.signs)
+    # |Im v| <= 1e-15, here in the last of the four column blocks of iii m = 5
     K = construct_case_iii(5, MINUS)
     assert K.n > 3 * (equiline.lineset._BLOCK // K.d)
     for imag, refused in ((1e-16, False), (1e-14, True)):
         V = K.vectors.astype(complex)
         V[7, -1] += 1j * imag
         if refused:
-            with pytest.raises(ValueError, match="signs are not the signs of the columns"):
-                LineSet(V, K.meta, signs=K.signs)
+            with pytest.raises(ValueError, match="exact_signs declared but entries are not"):
+                LineSet(V, K.meta)
         else:
-            assert LineSet(V, K.meta, signs=K.signs).orbit_eps == 0.0
+            assert LineSet(V, K.meta).orbit_eps == 0.0
+
+
+# (value times sqrt(d), imaginary part, accepted) for entries of either sign
+_SIGN_EDGES = [
+    (1.0, 0.0, True),
+    (1 + 5e-10, 0.0, True),
+    (1 - 5e-10, 0.0, True),
+    (1.0, 1e-16, True),
+    (1 + 2e-9, 0.0, False),
+    (1 - 2e-9, 0.0, False),
+    (0.5, 0.0, False),
+    (1.0, 1e-14, False),
+]
+
+
+@pytest.mark.parametrize("m", [2, 5], ids=["d6", "d496"])
+def test_exact_signs_accept_what_the_rint_rule_accepts(m):
+    # s = -1 where Re v < 0 and |sqrt(d) Re v - s| <= 1e-9, |Im v| <= 1e-15,
+    # against rint(sqrt(d) Re v) checked before the cast: one entry of
+    # column 1 is set to each value, in a row of its own sign
+    L = construct_case_iii(m, MINUS)
+    root = np.sqrt(L.d)
+    values = [(s * x / root + 1j * y, ok) for x, y, ok in _SIGN_EDGES for s in (1, -1)]
+    values += [(x, False) for x in (0.0, -0.0, 1e308, -1e308)]
+    for value, accepted in values:
+        V = L.vectors.astype(type(value))
+        row = int(np.argmax(L.signs[:, 1] == (-1 if np.signbit(value.real) else 1)))
+        V[row, 1] = value
+        try:
+            want = rint_signs(V, L.d)
+        except ValueError:
+            want = None
+        assert (want is not None) == accepted, value
+        if accepted:
+            assert np.array_equal(LineSet(V, L.meta).signs, want), value
+        else:
+            with pytest.raises(ValueError, match="exact_signs declared but entries are not"):
+                LineSet(V, L.meta)
+
+
+@pytest.mark.parametrize("d,n", [(2016, 66), (equiline.lineset._BLOCK + 1, 3)])
+def test_exact_signs_of_blocks_one_column_wide(d, n):
+    # the last block of (2016, 66) is one column wide, as that of iii m = 6
+    # is, and d > _BLOCK takes every column alone: the signs are written
+    # through a strided view of the d x n signs
+    S = np.random.default_rng(d).choice(np.array([-1, 1], np.int8), size=(d, n))
+    signs = equiline.lineset._exact_signs(S / np.sqrt(d))
+    assert signs.dtype == np.int8 and np.array_equal(signs, S)
+
+
+@pytest.mark.parametrize("flag", [1, 0, 1.0, "no", None, np.True_], ids=repr)
+def test_lineset_refuses_an_exact_signs_flag_that_is_not_a_bool(flag):
+    # such a set once serialized to a file that certify refuses with exit 2;
+    # the flag is checked before the columns
+    L = construct_case_iii(2, MINUS)
+    message = re.escape(f"exact_signs must be a JSON boolean, got {flag!r}")
+    with pytest.raises(TypeError, match=message):
+        LineSet(L.vectors, {**L.meta, "exact_signs": flag})
+    with pytest.raises(TypeError, match=message):
+        LineSet(np.full((2, 3), np.nan), {"exact_signs": flag})
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
@@ -414,11 +476,9 @@ def test_translations_are_gathers_on_every_row(build):
 
 
 def _swapped(L, i, j):
-    V, S = L.vectors.copy(), None if L.signs is None else L.signs.copy()
+    V = L.vectors.copy()
     V[:, [i, j]] = V[:, [j, i]]
-    if S is not None:
-        S[:, [i, j]] = S[:, [j, i]]
-    return LineSet(V, L.meta, signs=S)
+    return LineSet(V, L.meta)
 
 
 def _scaled(L, column, entry=None):
@@ -431,7 +491,7 @@ def _scaled(L, column, entry=None):
 def _flipped(L, row, column):
     S = L.signs.copy()
     S[row, column] *= -1
-    return LineSet(S / np.sqrt(L.d), L.meta, signs=S)
+    return LineSet(S / np.sqrt(L.d), L.meta)
 
 
 @pytest.mark.parametrize(
@@ -471,14 +531,14 @@ def _traced_peak(fn, *args):
 
 
 def test_lineset_checks_of_real_columns_make_no_copy_of_them():
-    # the float64 columns and int8 signs are kept as given; the peak is the
-    # +-1 test of the int8 signs (two bytes an entry) or one float64 block of
-    # the sign check, 1,123,896 B against a 4,063,232 B copy of the columns
-    # and the 3,950,000 B of the d x d frame with its Gershgorin temporary
+    # the float64 columns are kept as given; the peak is the int8 signs
+    # derived from them (one byte an entry) and one float64 block of the
+    # sign check, 1,752,704 B against a 4,063,232 B copy of the columns and
+    # the 3,950,000 B of the d x d frame with its Gershgorin temporary
     # (CPython 3.11, numpy 2.4)
     L = construct_case_iii(5, MINUS)
-    checked, peak = _traced_peak(LineSet, L.vectors, L.meta, L.signs)
-    assert checked.vectors is L.vectors and checked.signs is L.signs
+    checked, peak = _traced_peak(LineSet, L.vectors, L.meta)
+    assert checked.vectors is L.vectors and np.array_equal(checked.signs, L.signs)
     assert peak <= 2 * L.n * L.d + 8 * equiline.lineset._BLOCK, peak
     assert checked.frame.shape == (1, 1, 1)
     assert np.abs(checked.frame - L.n / L.d).max() <= 1e-12
@@ -529,7 +589,7 @@ def test_row_rejection_falls_back_to_the_pair_gram():
     L = construct_case_iii(2, MINUS)
     signs = L.signs.copy()
     signs[0, 3] *= -1  # no longer the orbit of line 0: the pair path decides
-    bad = LineSet(signs / np.sqrt(L.d), L.meta, signs=signs)
+    bad = LineSet(signs / np.sqrt(L.d), L.meta)
     assert gram(bad).orbit_eps is None
     with pytest.raises(NotEquiangular) as row_exc:
         certify_equiangular(gram(bad))
@@ -648,6 +708,15 @@ def test_a_rank_deficient_tagged_set_gets_the_untagged_exception(p, m, tag):
     assert str(tagged.value) == str(untagged.value) == f"columns span rank {rank} < d = {K.d}"
 
 
+def test_orbit_gathers_a_block_of_elements_at_a_time():
+    # the complex columns of iv (7, 2) minus take 45,177,216 B; one gather
+    # as large as them took the build to 90,625,408 B, and _BLOCK-entry
+    # gathers to 51,763,680 B (CPython 3.11, numpy 2.4), translations warm
+    construct_case_iv(7, 2, MINUS)
+    L, peak = _traced_peak(construct_case_iv, 7, 2, MINUS)
+    assert peak < 1.3 * L.vectors.nbytes, peak
+
+
 def test_a_tagged_iv_7_2_line_set_allocates_less_than_its_d_by_d_frame():
     # the d x d complex frame operator alone is d^2 16 B (22,127,616 B);
     # the orbit check, its translation table built cold, and the closed-form
@@ -661,7 +730,7 @@ def test_a_tagged_iv_7_2_line_set_allocates_less_than_its_d_by_d_frame():
 
 def test_frame_operator_rejects_what_gram_square_rejects():
     L = construct_case_iii(2, MINUS)
-    sub = LineSet(L.vectors[:, :9], signs=L.signs[:, :9])
+    sub = LineSet(L.vectors[:, :9], {"exact_signs": True})
     K = construct_case_iv(3, 1, MINUS)
     V = K.vectors.copy()
     v = V[:, 4] + 1e-3 * np.ones(K.d)
@@ -678,7 +747,7 @@ def test_exact_frame_catches_one_flipped_sign():
     assert certify_tight(gram(L), L.d) and _sign_frame_tight(L.signs)
     signs = L.signs.copy()
     signs[5, 17] *= -1
-    G = gram(LineSet(signs / np.sqrt(L.d), signs=signs))
+    G = gram(LineSet(signs / np.sqrt(L.d), {"exact_signs": True}))
     assert G.int_products.dtype == np.int64
     assert not _sign_frame_tight(signs)
     assert not certify_tight(G, L.d, tol=1.0)  # the integer test ignores tol
@@ -706,7 +775,7 @@ def test_exact_tight_test_rejects_frames_that_are_not_tight():
     # the first 9 lines of iii m = 2 minus keep the common angle but are no
     # longer a tight frame: 6^2 + 8 * 2^2 = 68 > 9 * 6
     L = construct_case_iii(2, MINUS)
-    sub = LineSet(L.vectors[:, :9], signs=L.signs[:, :9])
+    sub = LineSet(L.vectors[:, :9], {"exact_signs": True})
     G = gram(sub)
     assert certify_equiangular(G).exact
     assert int(np.square(G.int_products).sum()) > sub.n**2 * sub.d

@@ -42,7 +42,7 @@ def test_root_exports_every_module_all():
 
 # exported for the paper's claims that the acceptance tests certify, though
 # no command reaches them
-CERTIFIED_CLAIMS = {"multiplicity_certificate", "stabilizer_unitaries", "dimension_pair"}
+CERTIFIED_CLAIMS = {"dimension_pair"}
 
 
 def test_every_export_is_reached():

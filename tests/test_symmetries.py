@@ -5,7 +5,6 @@ from math import log
 import numpy as np
 import pytest
 
-import equiline.symmetries
 from equiline.action import (
     NotASymmetry,
     StabilizerChain,
@@ -13,7 +12,6 @@ from equiline.action import (
     action_certificate,
     induced_permutation,
     is_transitive,
-    multiplicity_certificate,
     two_transitivity,
 )
 from equiline.finfield import HyperplaneType, enumerate_hyperplanes, nonsingular_vectors
@@ -31,12 +29,17 @@ from equiline.symmetries import (
     _weil_kron,
     geometry_unitaries,
     line_translations,
-    stabilizer_unitaries,
     symmetry_unitaries,
     translation_unitaries,
 )
 from equiline.weil import induced_symplectic, parity_split, weil_generators
-from oracles import close_permutations, transvection, transvection_on_functional
+from oracles import (
+    close_permutations,
+    line0_stabilizer,
+    multiplicity_certificate,
+    transvection,
+    transvection_on_functional,
+)
 
 MINUS, PLUS = HyperplaneType.MINUS, HyperplaneType.PLUS
 
@@ -197,7 +200,7 @@ def test_transvection_line_permutations_are_the_transvections(m, tag):
 
 
 def _closed_stabilizer(L):
-    """The whole group stabilizer_unitaries' generators generate, with its
+    """The whole group line0_stabilizer's generators generate, with its
     phases on line 0: the reference for the generator certificate.  Case iii
     closes the transvection permutations (close_permutations) and takes each
     with its negative, phases +-1.  Case iv closes the induced normalizer maps
@@ -228,7 +231,7 @@ def _closed_stabilizer(L):
 def _assert_generators_match_the_closed_group(L, group_size):
     # the generators fix line 0 with their phases, and their certificate has
     # the rank and range of the averaging projector over the closed group
-    unis, phases = stabilizer_unitaries(L)
+    unis, phases = line0_stabilizer(L)
     base = L.vectors[:, 0]
     for U, lam in zip(unis, phases):
         assert abs(abs(lam) - 1.0) < 1e-8
@@ -275,20 +278,28 @@ def test_stabilizer_generators_certify_past_the_closure_rows(build):
     # rows whose stabilizer was never enumerated: the generators alone
     # certify multiplicity one, with room to spare
     L = build()
-    unis, phases = stabilizer_unitaries(L)
-    assert len(unis) == len(geometry_unitaries(L))
+    unis, phases = line0_stabilizer(L)
+    assert all(abs(abs(lam) - 1.0) < 1e-8 for lam in phases)  # each fixes line 0
     cert = multiplicity_certificate(L, unis, phases)
     assert cert.rank == 1 and cert.range_is_line0
     assert cert.gap >= 0.05
 
 
-def test_stabilizer_refuses_the_orbit_cases_and_moved_base_lines(monkeypatch):
-    with pytest.raises(ValueError, match="algebraic cases only"):
-        stabilizer_unitaries(seeded_orbit(2))
-    L = construct_case_iv(3, 1, MINUS)
-    monkeypatch.setattr(equiline.symmetries, "geometry_unitaries", translation_unitaries)
-    with pytest.raises(NotASymmetry, match="does not stabilize the base line"):
-        stabilizer_unitaries(L)
+@pytest.mark.parametrize("d", [2, 8])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_scanned_words_give_a_line0_stabilizer_of_multiplicity_one(d, seed):
+    # each scanned word U, label map x -> S x + b, gives h = T_b^-1 U in the
+    # stabilizer of line 0; the 2-transitive action implies rank 1 (see
+    # equiline.action), and the generators alone show it with room to spare
+    L = orbit_lineset(search_fiducial(SearchConfig(d=d, seed=seed))[0], d)
+    unis, phases = line0_stabilizer(L)
+    base = L.vectors[:, 0]
+    for h, lam in zip(unis, phases):
+        assert abs(abs(lam) - 1.0) < 1e-8
+        assert np.abs(h @ base - lam * base).max() < 1e-7
+    cert = multiplicity_certificate(L, unis, phases)
+    assert cert.rank == 1 and cert.range_is_line0
+    assert cert.gap >= 0.05
 
 
 def test_orbit_case_symmetries_reach_two_transitivity():
