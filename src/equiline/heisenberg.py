@@ -5,8 +5,9 @@ label (a, b) is X(a) Z(b), where X(a)|x> = |x + a> and Z(b)|x> =
 zeta^(kappa b.x)|x>: zeta = exp(2 pi i / p) and kappa = 1 for odd p, zeta = i
 and kappa = 2 (so Z is the +-1 modulation) for p = 2.  Each is a monomial in
 gather form (index, phase), (D v)[y] = phase[y] v[index[y]], the one form in
-which the constructions, the orbit check, the fiducial search and the
-translation unitaries apply it; monomial_matrix gives the dense matrix.
+which the constructions, the orbit check, the fiducial search, the
+translation unitaries and the Weil transvections apply it; monomial_matrix
+gives the dense matrix.
 lex_digits and lex_index convert between points and their indices.
 """
 
@@ -17,7 +18,6 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = [
-    "displacement",
     "displacement_monomial",
     "monomial_matrix",
     "check_unitary",
@@ -79,11 +79,6 @@ def displacement_monomial(p: int, m: int, a, b):
     x = (lex_digits(p, m) - np.asarray(a)[..., None, :]) % p
     roots, kappa = _roots(p), 1 if p > 2 else 2
     return lex_index(x, p), roots[kappa * np.vecdot(x, np.asarray(b)[..., None, :]) % len(roots)]
-
-
-def displacement(p: int, m: int, a, b) -> np.ndarray:
-    """Dense matrix of the displacement X(a) Z(b)."""
-    return monomial_matrix(*displacement_monomial(p, m, a, b))
 
 
 def check_unitary(U: np.ndarray) -> np.ndarray:

@@ -148,7 +148,7 @@ def _exact_signs(V: np.ndarray) -> np.ndarray:
     +1 elsewhere, or ValueError unless every entry v is its sign over
     sqrt(d): |sqrt(d) Re v - s| <= SIGN_TOL and |Im v| <= _SIGN_IMAG_TOL.  So
     0.0 and -0.0 are no sign, and no value can wrap.  Taken _BLOCK entries
-    at a time."""
+    at a time; an empty block (d = 0) passes, and LineSet refuses it after."""
     d, n = V.shape
     step = max(1, _BLOCK // max(d, 1))
     signs = np.empty((d, n), np.int8)
@@ -165,8 +165,8 @@ def _exact_signs(V: np.ndarray) -> np.ndarray:
             np.multiply(X.real, np.sqrt(d), out=gap)
         gap -= s
         np.abs(gap, out=gap)
-        if not gap.max() <= SIGN_TOL or (
-            np.iscomplexobj(X) and np.abs(X.imag).max() > _SIGN_IMAG_TOL
+        if not np.all(gap <= SIGN_TOL) or (
+            np.iscomplexobj(X) and np.any(np.abs(X.imag) > _SIGN_IMAG_TOL)
         ):
             raise ValueError("exact_signs declared but entries are not +-1/sqrt(d)")
     return signs

@@ -3,9 +3,10 @@
 Every constructed family carries a regular translation action (the group
 orbit structure of the lines) plus a geometry action fixing the base line:
 hyperplane-coordinate permutations from quadratic-space transvections for the
-sign-matrix case, conjugation-induced maps from the displacement-normalizing
-unitaries for the odd-prime case, and stabilizing qubit Clifford words found
-by seeded search for the two fiducial-orbit cases.
+sign-matrix case, the 4m - 1 Weil transvections along a symplectic chain and
+its neighbour sums for the odd-prime case (equiline.weil), and stabilizing
+qubit Clifford words found by seeded search for the two fiducial-orbit
+cases.
 
 The search draws its words a block at a time, each block of fixed-length
 words in one Generator.integers call.  Every Clifford word normalizes the
@@ -26,7 +27,7 @@ from .action import NotASymmetry, Perm, _affine_map, induced_permutation
 from .finfield import HyperplaneType, bilinear_mask, enumerate_hyperplanes, nonsingular_vectors
 from .heisenberg import lex_digits, lex_index, monomial_matrix
 from .lineset import LineSet, _case, _shape_in_memory, line_translations
-from .weil import parity_split, weil_generators
+from .weil import parity_split, transvection_unitaries
 
 __all__ = [
     "translation_unitaries",
@@ -72,13 +73,15 @@ def _transvection_perms(m: int, tag: HyperplaneType) -> list[Perm]:
 
 
 def _weil_kron(lines: LineSet) -> list[np.ndarray]:
-    """The line-space unitaries U (x) conj(R) of the displacement normalizers
-    U, where R is the compression of U to the fiducial eigenspace."""
-    p, m = lines.meta["p"], lines.meta["m"]
+    """The line-space unitaries U (x) conj(R) of the Weil transvections U
+    (equiline.weil), where R is the compression of U to the fiducial
+    eigenspace.  U fixes line 0 and sends the line of D(x) to that of
+    D(x + omega(x, u) u)."""
+    _, p, m = _case(lines)
     even, odd = parity_split(p, m)
     iota = odd if HyperplaneType(lines.meta["eigen"]) is HyperplaneType.MINUS else even
     out = []
-    for U in weil_generators(p, m):
+    for U in transvection_unitaries(p, m):
         R = iota.conj().T @ U @ iota
         if np.abs(R @ R.conj().T - np.eye(R.shape[0])).max() > 1e-8:
             raise ValueError("eigenspace compression of a normalizer is not unitary")

@@ -1,12 +1,21 @@
-"""Unitaries normalizing a Heisenberg image, for odd p: the finite Fourier
-transform, quadratic phase diagonals, and index substitutions.
+"""Parity eigenspaces and Weil transvections of functions on F_p^m, p odd.
 
-Each generator U satisfies U D(e) U^(-1) = phase * D(e') for every displacement
-D(e), so conjugation induces a linear map on the (a, b) labels; that map
-preserves the commutator pairing b.a' - a.b' and the induced maps of the whole
-generator set generate the full symplectic group of the label space.  The
-parity operator |x> -> |-x> commutes with all generators, so its eigenspaces
-are invariant under every one of them.
+A label u = (a; b) of F_p^(2m) has the displacement E(u) = zeta^(2^-1 a.b)
+X(a) Z(b).  E(u)^k = E(k u), so E(u) = sum_j zeta^j P_j over eigenprojectors
+P_j.  With t = (p - 1)/2, so -2t = 1 mod p, the Weil transvection along u is
+the unitary U_u = sum_j zeta^(t j^2) P_j = sum_k g_k E(k u), a sum of p
+monomials with g_k = (1/p) sum_j zeta^(t j^2 - j k).  Let omega = b_x.a_u -
+a_x.b_u.  D(x) E(u) = zeta^omega E(u) D(x), so D(x) P_j = P_(j - omega) D(x):
+
+    U_u D(x) U_u* = sum_i zeta^(t (i - omega)^2 - t i^2) D(x) P_i
+                  = zeta^(t omega^2) D(x) E(omega u),
+
+a multiple of D(x + omega u), so U_u maps labels by x -> x + omega u.  The
+parity operator |x> -> |-x> sends E(k u) to E(-k u), and g_(-k) = g_k, so it
+commutes with every U_u.  The generators take u along a_1, b_1, ..., a_m,
+b_m (a_i = e_i and b_i = e_(m+i) in the stacked label), then along the
+2m - 1 sums of neighbours in that order.  For m = 1 the maps along a_1 and
+b_1 are the elementary matrices, which generate SL(2, p) = Sp(2, p).
 """
 
 from __future__ import annotations
@@ -16,58 +25,13 @@ import numpy as np
 from .heisenberg import (
     _roots,
     check_unitary,
-    displacement,
+    displacement_monomial,
     lex_digits,
     lex_index,
     monomial_matrix,
 )
 
-__all__ = [
-    "NotNormalizing",
-    "NotSymplectic",
-    "weil_generators",
-    "induced_symplectic",
-    "parity_split",
-    "primitive_root",
-]
-
-
-# Entrywise distance within which a conjugate must match a displacement.
-_NORMALIZER_TOL = 1e-8
-
-
-class NotNormalizing(ValueError):
-    """Conjugation by the unitary does not permute the displacement classes."""
-
-
-class NotSymplectic(ValueError):
-    """Induced label map fails to preserve the commutator pairing."""
-
-
-def _pairing_matrix(m: int) -> np.ndarray:
-    # F((a,b),(a',b')) = b.a' - a.b' = (a,b) J (a',b')^T
-    J = np.zeros((2 * m, 2 * m), dtype=np.int64)
-    J[:m, m:] = -np.eye(m, dtype=np.int64)
-    J[m:, :m] = np.eye(m, dtype=np.int64)
-    return J
-
-
-def primitive_root(p: int) -> int:
-    """Smallest primitive root mod p (p an odd prime)."""
-    for g in range(2, p):
-        seen = set()
-        x = 1
-        for _ in range(p - 1):
-            x = x * g % p
-            seen.add(x)
-        if len(seen) == p - 1:
-            return g
-    raise ValueError(f"no primitive root found; is {p} prime?")
-
-
-def _index_substitution(p: int, m: int, A: np.ndarray) -> np.ndarray:
-    """Permutation matrix of |x> -> |A x> over F_p^m, the gather of its inverse."""
-    return monomial_matrix(np.argsort(lex_index(lex_digits(p, m) @ A.T, p)))
+__all__ = ["transvection_unitaries", "parity_split"]
 
 
 def parity_split(p: int, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -93,96 +57,18 @@ def parity_split(p: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     return even.astype(complex), odd.astype(complex)
 
 
-def _fourier(p: int, m: int) -> np.ndarray:
-    pts = lex_digits(p, m)
-    return _roots(p)[pts @ pts.T % p] / p ** (m / 2)
-
-
-def _quad_diag(p: int, m: int, coeff: np.ndarray) -> np.ndarray:
-    # diag omega^(x^T coeff x) for a symmetric integer coefficient matrix
-    pts = lex_digits(p, m)
-    return np.diag(_roots(p)[np.einsum("xi,ij,xj->x", pts, coeff, pts) % p])
-
-
-def weil_generators(p: int, m: int) -> list[np.ndarray]:
-    """Unitaries whose conjugation action generates the label symplectic group.
-
-    The list holds the Fourier transform, one quadratic phase diagonal per
-    monomial x_k^2 and x_k x_l, and index substitutions for a generating set of
-    the invertible substitutions of F_p^m.  Each entry is checked to be unitary
-    and to normalize the displacement classes.
-    """
-    if p == 2:
-        raise ValueError("generators implemented for odd p only")
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    gens: list[np.ndarray] = [_fourier(p, m)]
-    for k in range(m):
-        C = np.zeros((m, m), dtype=np.int64)
-        C[k, k] = 1
-        gens.append(_quad_diag(p, m, C))
-    for k in range(m):
-        for l in range(k + 1, m):
-            C = np.zeros((m, m), dtype=np.int64)
-            # x_k x_l as a symmetric matrix needs a 2^-1 factor; keep integers
-            # by using the polarized coefficient (value is x_k x_l * 2 below).
-            C[k, l] = C[l, k] = 1
-            gens.append(_quad_diag(p, m, C * pow(2, -1, p) % p))
-    g = primitive_root(p)
-    if m == 1:
-        subs = [np.array([[g]], dtype=np.int64)]
-    else:
-        cyc = np.zeros((m, m), dtype=np.int64)
-        for k in range(m):
-            cyc[k, (k + 1) % m] = 1
-        scale = np.eye(m, dtype=np.int64)
-        scale[0, 0] = g
-        shear = np.eye(m, dtype=np.int64)
-        shear[0, 1] = 1
-        subs = [cyc, scale, shear]
-    gens.extend(_index_substitution(p, m, A) for A in subs)
-    for U in gens:
-        check_unitary(U)
-        induced_symplectic(U, p, m)  # raises if anything fails to normalize
+def transvection_unitaries(p: int, m: int) -> list[np.ndarray]:
+    """The dense Weil transvections U_u along the 4m - 1 labels u of the chain
+    (module docstring), each checked to be unitary."""
+    if p == 2 or m < 1:
+        raise ValueError("Weil transvections need an odd prime p and m >= 1")
+    t, half, roots, k = (p - 1) // 2, (p + 1) // 2, _roots(p), np.arange(p)
+    g = roots[(t * k**2 - np.outer(k, k)) % p].sum(axis=1) / p  # row k sums over j
+    chain = np.eye(2 * m, dtype=np.int64)[np.arange(2 * m).reshape(2, m).T.ravel()]  # a_1, b_1, ...
+    gens = []
+    for u in np.concatenate([chain, chain[:-1] + chain[1:]]):
+        a, b = np.hsplit(np.outer(k, u) % p, 2)  # row k is k u
+        index, phase = displacement_monomial(p, m, a, b)
+        phase = phase * roots[half * np.vecdot(a, b) % p, None]  # half = 2^-1 mod p
+        gens.append(check_unitary(np.tensordot(g, monomial_matrix(index, phase), axes=1)))
     return gens
-
-
-def _match_displacement(M: np.ndarray, p: int, m: int) -> np.ndarray:
-    """The label (a'; b') with M = phase * X(a')Z(b'), or raise NotNormalizing."""
-    col0 = M[:, 0]
-    row = int(np.argmax(np.abs(col0)))
-    phase = col0[row]
-    if abs(abs(phase) - 1.0) > _NORMALIZER_TOL:
-        raise NotNormalizing(f"leading coefficient has modulus {abs(phase):.6f}")
-    a_img = lex_digits(p, m, row)
-    # X(a')Z(b') takes |e_k> to zeta^(kappa b'_k) |e_k + a'>: decode b'_k by
-    # the nearest of the p candidate roots
-    units = np.eye(m, dtype=np.int64)
-    ratio = M[lex_index(units + a_img, p), lex_index(units, p)] / phase
-    roots = _roots(p)
-    kappa = 1 if p > 2 else 2
-    cands = roots[kappa * np.arange(p) % len(roots)]
-    b_img = np.abs(ratio[:, None] - cands).argmin(axis=1)
-    if np.abs(M - phase * displacement(p, m, a_img, b_img)).max() > _NORMALIZER_TOL:
-        raise NotNormalizing("conjugate is not a scalar multiple of a displacement")
-    return np.concatenate([a_img, b_img])
-
-
-def induced_symplectic(U: np.ndarray, p: int, m: int) -> np.ndarray:
-    """Label map induced by conjugation with U on the displacement classes.
-
-    Returns the 2m x 2m int64 matrix S mod p acting on stacked columns (a; b):
-    column k is the label e' with U D(e_k) U^dagger = phase * D(e'), for the
-    k-th unit label e_k.  Maps compose by S @ T % p.  Raises NotNormalizing if
-    any conjugate is not a scalar multiple of a displacement, NotSymplectic if
-    S fails to preserve the pairing.
-    """
-    U = check_unitary(U)
-    S = np.column_stack([
-        _match_displacement(U @ displacement(p, m, e[:m], e[m:]) @ U.conj().T, p, m)
-        for e in np.eye(2 * m, dtype=np.int64)
-    ])
-    J = _pairing_matrix(m)
-    if ((S.T @ J @ S - J) % p != 0).any():
-        raise NotSymplectic("induced label map does not preserve the pairing")
-    return S

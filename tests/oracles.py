@@ -5,10 +5,12 @@ or a general tool the package does not need: the Heisenberg group-element
 algebra and its Schrödinger representations, a stacked-SVD commutant, a
 group closure, the frame potential and its gradient as standalone calls, the
 quadratic form of case iii read coordinate by coordinate and its
-transvections, the parity operator, a dictionary table of the distinct
-entries of a matrix, the rint rule of exact signs, and the numeric
-multiplicity certificate of a line-0 stabilizer, whose rank one the
-2-transitive action implies (equiline.action).
+transvections, the parity operator, the dense displacements and the label
+map that conjugation by a unitary induces on them (induced_symplectic), a
+dictionary table of the distinct entries of a matrix, the rint rule of
+exact signs, and the numeric multiplicity certificate of a line-0
+stabilizer, whose rank one the 2-transitive action implies
+(equiline.action).
 
 Finite Heisenberg groups are in normal form.  Elements are triples (a, b, c):
 translation part a and modulation part b in F_p^m, central exponent c.  The
@@ -37,6 +39,7 @@ from equiline.fiducial import _gathers, _gradient, _overlaps
 from equiline.finfield import dot2
 from equiline.heisenberg import (
     _roots,
+    check_unitary,
     displacement_monomial,
     lex_digits,
     lex_index,
@@ -44,7 +47,6 @@ from equiline.heisenberg import (
 )
 from equiline.lineset import _SIGN_IMAG_TOL, SIGN_TOL, LineSet, _case, line_translations
 from equiline.symmetries import geometry_unitaries
-from equiline.weil import _index_substitution
 
 
 class ParameterMismatch(ValueError):
@@ -256,8 +258,89 @@ def transvection_on_functional(m: int, u: int, phi: int) -> int:
 
 
 def parity_operator(p: int, m: int) -> np.ndarray:
-    """Permutation matrix of |x> -> |-x> on functions over F_p^m."""
-    return _index_substitution(p, m, -np.eye(m, dtype=np.int64))
+    """Permutation matrix of |x> -> |-x> on functions over F_p^m: an
+    involution is its own gather index."""
+    return monomial_matrix(lex_index(-lex_digits(p, m), p))
+
+
+def displacement(p: int, m: int, a, b) -> np.ndarray:
+    """Dense matrix of the displacement X(a) Z(b)."""
+    return monomial_matrix(*displacement_monomial(p, m, a, b))
+
+
+# Entrywise distance within which a conjugate must match a displacement.
+_NORMALIZER_TOL = 1e-8
+
+
+class NotNormalizing(ValueError):
+    """Conjugation by the unitary does not permute the displacement classes."""
+
+
+class NotSymplectic(ValueError):
+    """Induced label map fails to preserve the commutator pairing."""
+
+
+def _pairing_matrix(m: int) -> np.ndarray:
+    # F((a,b),(a',b')) = b.a' - a.b' = (a,b) J (a',b')^T
+    J = np.zeros((2 * m, 2 * m), dtype=np.int64)
+    J[:m, m:] = -np.eye(m, dtype=np.int64)
+    J[m:, :m] = np.eye(m, dtype=np.int64)
+    return J
+
+
+def _match_displacement(M: np.ndarray, p: int, m: int) -> np.ndarray:
+    """The label (a'; b') with M = phase * X(a')Z(b'), or raise NotNormalizing."""
+    col0 = M[:, 0]
+    row = int(np.argmax(np.abs(col0)))
+    phase = col0[row]
+    if abs(abs(phase) - 1.0) > _NORMALIZER_TOL:
+        raise NotNormalizing(f"leading coefficient has modulus {abs(phase):.6f}")
+    a_img = lex_digits(p, m, row)
+    # X(a')Z(b') takes |e_k> to zeta^(kappa b'_k) |e_k + a'>: decode b'_k by
+    # the nearest of the p candidate roots
+    units = np.eye(m, dtype=np.int64)
+    ratio = M[lex_index(units + a_img, p), lex_index(units, p)] / phase
+    roots = _roots(p)
+    kappa = 1 if p > 2 else 2
+    cands = roots[kappa * np.arange(p) % len(roots)]
+    b_img = np.abs(ratio[:, None] - cands).argmin(axis=1)
+    if np.abs(M - phase * displacement(p, m, a_img, b_img)).max() > _NORMALIZER_TOL:
+        raise NotNormalizing("conjugate is not a scalar multiple of a displacement")
+    return np.concatenate([a_img, b_img])
+
+
+def chain_transvections(p: int, m: int) -> list[np.ndarray]:
+    """The label maps x -> x + omega(x, u) u, omega(x, u) = b_x.a_u - a_x.b_u,
+    as 2m x 2m int64 matrices mod p, for u along the chain a_1, b_1, ...,
+    a_m, b_m (a_i = e_i, b_i = e_(m+i)) and then its neighbour sums: the
+    closed form of the Weil transvections' label maps, in their order."""
+    units = np.eye(2 * m, dtype=np.int64)
+    chain = [units[j] for i in range(m) for j in (i, m + i)]
+    J = _pairing_matrix(m)
+    return [(units + np.outer(u, J @ u)) % p
+            for u in chain + [x + y for x, y in zip(chain, chain[1:])]]
+
+
+def induced_symplectic(U: np.ndarray, p: int, m: int) -> np.ndarray:
+    """Label map induced by conjugation with U on the displacement classes,
+    read numerically: the reference the Weil transvections' closed-form
+    maps x -> x + omega(x, u) u are checked against.
+
+    Returns the 2m x 2m int64 matrix S mod p acting on stacked columns (a; b):
+    column k is the label e' with U D(e_k) U^dagger = phase * D(e'), for the
+    k-th unit label e_k.  Maps compose by S @ T % p.  Raises NotNormalizing if
+    any conjugate is not a scalar multiple of a displacement, NotSymplectic if
+    S fails to preserve the pairing.
+    """
+    U = check_unitary(U)
+    S = np.column_stack([
+        _match_displacement(U @ displacement(p, m, e[:m], e[m:]) @ U.conj().T, p, m)
+        for e in np.eye(2 * m, dtype=np.int64)
+    ])
+    J = _pairing_matrix(m)
+    if ((S.T @ J @ S - J) % p != 0).any():
+        raise NotSymplectic("induced label map does not preserve the pairing")
+    return S
 
 
 def entry_table(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

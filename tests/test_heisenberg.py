@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from equiline.heisenberg import check_unitary, displacement
+from equiline.heisenberg import check_unitary
 from oracles import (
     HeisenbergElement,
     IndexOutOfRange,
     ParameterMismatch,
     commutant_dimension,
+    displacement,
     group_elements,
     schroedinger_rep,
     valid_rep_indices,

@@ -541,6 +541,45 @@ def test_cli_action_rejects_tampered_meta(tmp_path, capsys, change):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("args,change", [
+    (("iv", "--p", "3", "--m", "1", "--eigen", "minus"), {"m": True}),
+    (("iv", "--p", "3", "--m", "1", "--eigen", "minus"), {"m": 1.0}),
+    (("iv", "--p", "3", "--m", "1", "--eigen", "minus"), {"p": 3.0}),
+    (("iii", "--m", "2", "--type", "minus"), {"m": 2.0}),
+], ids=["iv-m-true", "iv-m-1.0", "iv-p-3.0", "iii-m-2.0"])
+def test_cli_action_takes_p_and_m_from_the_classification_row(tmp_path, capsys, args, change):
+    # meta numbers equal to the row's (True == 1 == 1.0) pass lineset._case,
+    # and the symmetries take p and m from the row, not from the meta
+    out = tmp_path / "l.json"
+    assert main(["construct", "--case", *args, "--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["action", str(out)]) == EXIT_OK
+    clean = capsys.readouterr().out
+    obj = json.loads(out.read_text())
+    obj["meta"].update(change)
+    tampered = tmp_path / "tampered.json"
+    tampered.write_text(json.dumps(obj))
+    assert main(["action", str(tampered)]) == EXIT_OK
+    assert capsys.readouterr().out == clean
+
+
+@pytest.mark.parametrize("command", ["certify", "action"])
+@pytest.mark.parametrize("exact_signs", [True, False])
+def test_cli_refuses_columns_of_c0_whether_or_not_signs_are_declared(
+        tmp_path, capsys, command, exact_signs):
+    # an empty d = 0 block passes the sign test, so LineSet's unit-norm check
+    # refuses the file with or without exact_signs
+    obj = {"case": None, "n": 3, "d": 0, "params": {}, "vectors": [[], [], []],
+           "meta": {"exact_signs": exact_signs}}
+    path = tmp_path / "c0.json"
+    path.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert main([command, str(path)]) == EXIT_CERT_FAILED
+    err = capsys.readouterr().err
+    assert "FAIL structure: columns must be unit vectors" in err
+    assert "zero-size" not in err
+
+
 def test_cli_table(capsys):
     assert main(["table"]) == EXIT_OK
     lines = capsys.readouterr().out.splitlines()

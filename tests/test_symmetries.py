@@ -32,8 +32,9 @@ from equiline.symmetries import (
     symmetry_unitaries,
     translation_unitaries,
 )
-from equiline.weil import induced_symplectic, parity_split, weil_generators
+from equiline.weil import parity_split, transvection_unitaries
 from oracles import (
+    chain_transvections,
     close_permutations,
     line0_stabilizer,
     multiplicity_certificate,
@@ -166,22 +167,22 @@ def test_symmetry_groups_are_two_transitive_with_known_order(build, order):
 def test_weil_label_maps_give_the_induced_permutations(p, m, eigen):
     # U (x) conj(R) fixes line 0 and sends line i, D(label_i) applied to line 0,
     # to the line of D(S label_i): its permutation is read off the label map S,
-    # and _affine_map reads S back off the permutation
+    # taken from label arithmetic alone, and _affine_map reads S back off the
+    # permutation
     L = construct_case_iv(p, m, eigen)
     labels = lex_digits(p, 2 * m)
     even, odd = parity_split(p, m)
     iota = odd if eigen is MINUS else even
-    gens = weil_generators(p, m)
+    gens = transvection_unitaries(p, m)
     kron = _weil_kron(L)
-    assert len(kron) == len(gens)
-    for U, W_kron in zip(gens, kron):
-        S = induced_symplectic(U, p, m)
+    assert len(kron) == len(gens) == 4 * m - 1
+    for U, W_kron, S in zip(gens, kron, chain_transvections(p, m), strict=True):
         W = np.kron(U, (iota.conj().T @ U @ iota).conj())
         assert np.array_equal(W, W_kron)
         perm = induced_permutation(L, W)
         assert tuple(lex_index(labels @ S.T % p, p).tolist()) == perm
         S_read, b = _affine_map(perm, labels, p)
-        assert np.array_equal(S_read, S % p) and not b.any()
+        assert np.array_equal(S_read, S) and not b.any()
 
 
 @pytest.mark.parametrize("m", [2, 3])
@@ -203,9 +204,10 @@ def _closed_stabilizer(L):
     """The whole group line0_stabilizer's generators generate, with its
     phases on line 0: the reference for the generator certificate.  Case iii
     closes the transvection permutations (close_permutations) and takes each
-    with its negative, phases +-1.  Case iv closes the induced normalizer maps
-    keyed on their label maps S, which fix the line-space unitary: S fixes U up
-    to a phase, and that phase cancels in U (x) conj(R)."""
+    with its negative, phases +-1.  Case iv closes the Weil transvections
+    keyed on their closed-form label maps S, which fix the line-space
+    unitary: S fixes U up to a phase, and that phase cancels in
+    U (x) conj(R)."""
     if L.meta["case"] == "iii":
         unis, phases = [], []
         tag = HyperplaneType(L.meta["type"])
@@ -215,7 +217,7 @@ def _closed_stabilizer(L):
             phases.extend((1.0, -1.0))
         return unis, phases
     p, m = L.meta["p"], L.meta["m"]
-    base = [(induced_symplectic(U, p, m), W) for U, W in zip(weil_generators(p, m), _weil_kron(L))]
+    base = list(zip(chain_transvections(p, m), _weil_kron(L), strict=True))
     closed, seen = [], set()
     frontier = [(np.eye(2 * m, dtype=np.int64), np.eye(L.d, dtype=complex))]
     while frontier:

@@ -1,56 +1,35 @@
 import numpy as np
 import pytest
 
-from equiline.heisenberg import check_unitary, displacement, lex_digits, lex_index
-from equiline.weil import (
+from equiline.heisenberg import check_unitary
+from equiline.weil import parity_split, transvection_unitaries
+from oracles import (
     NotNormalizing,
-    _index_substitution,
-    NotSymplectic,
+    chain_transvections,
+    displacement,
     induced_symplectic,
-    parity_split,
-    primitive_root,
-    weil_generators,
+    parity_operator,
 )
-from oracles import parity_operator
 
-SP2_ORDERS = {3: 24, 5: 120}  # |Sp(2,p)| = p(p^2 - 1)
-
-
-@pytest.mark.parametrize("p,m,A", [(5, 1, [[2]]), (3, 2, [[0, 1], [1, 0]]),
-                                   (3, 2, [[1, 1], [0, 1]]), (7, 2, [[3, 0], [0, 1]])])
-def test_index_substitution_sends_x_to_ax(p, m, A):
-    # monomial_matrix reads a gather index, so the substitution passes the
-    # inverse permutation: column x must still hold its 1 at row A x
-    U = _index_substitution(p, m, np.array(A))
-    pts = lex_digits(p, m)
-    rows = lex_index(pts @ np.array(A).T, p)
-    assert np.array_equal(U, np.eye(p**m)[rows].T)
+SL2_ORDERS = {p: p * (p * p - 1) for p in (3, 5, 7, 11, 13)}  # |SL(2,p)| = |Sp(2,p)|
 
 
-def test_primitive_root():
-    for p in (3, 5, 7, 11):
-        g = primitive_root(p)
-        powers = {pow(g, k, p) for k in range(1, p)}
-        assert powers == set(range(1, p))
-
-
-@pytest.mark.parametrize("p,m", [(3, 1), (5, 1), (3, 2)])
+@pytest.mark.parametrize("p,m", [(3, 1), (5, 1), (7, 1), (3, 2), (3, 3)])
 def test_generators_are_unitary_and_normalize(p, m):
-    gens = weil_generators(p, m)
-    assert len(gens) == (3 if m == 1 else 7)
-    for U in gens:
+    # conjugation by U_u sends D(x) to a multiple of D(x + omega(x, u) u): the
+    # numerically read label map is the closed-form transvection
+    gens = transvection_unitaries(p, m)
+    assert len(gens) == 4 * m - 1
+    for U, S in zip(gens, chain_transvections(p, m), strict=True):
         check_unitary(U)
-        S = induced_symplectic(U, p, m)  # raises if not normalizing
-        assert S.shape == (2 * m, 2 * m) and S.dtype == np.int64
-        assert ((0 <= S) & (S < p)).all()
+        assert np.array_equal(induced_symplectic(U, p, m), S)
 
 
 @pytest.mark.parametrize("p,m", [(3, 1), (5, 1)])
 def test_induced_action_moves_labels_correctly(p, m):
     # U D(e) U* must be a phase times D(S e) entrywise, for random labels
     rng = np.random.default_rng(41)
-    for U in weil_generators(p, m):
-        S = induced_symplectic(U, p, m)
+    for U, S in zip(transvection_unitaries(p, m), chain_transvections(p, m), strict=True):
         for _ in range(10):
             e = rng.integers(0, p, 2 * m)
             M = U @ displacement(p, m, e[:m], e[m:]) @ U.conj().T
@@ -63,9 +42,11 @@ def test_induced_action_moves_labels_correctly(p, m):
             assert np.abs(M - phase * D2).max() < 1e-9
 
 
-@pytest.mark.parametrize("p", sorted(SP2_ORDERS))
+@pytest.mark.parametrize("p", sorted(SL2_ORDERS))
 def test_induced_maps_generate_the_full_symplectic_group(p):
-    gens = [induced_symplectic(U, p, 1) for U in weil_generators(p, 1)]
+    # the maps along a_1 and b_1 are the elementary matrices, and with their
+    # sum they close to all of SL(2, p) = Sp(2, p)
+    gens = [induced_symplectic(U, p, 1) for U in transvection_unitaries(p, 1)]
     identity = np.eye(2, dtype=np.int64)
     seen = {identity.tobytes()}
     frontier = [identity]
@@ -76,13 +57,13 @@ def test_induced_maps_generate_the_full_symplectic_group(p):
             if t.tobytes() not in seen:
                 seen.add(t.tobytes())
                 frontier.append(t)
-    assert len(seen) == SP2_ORDERS[p]
+    assert len(seen) == SL2_ORDERS[p]
 
 
 def test_induced_maps_compose_by_matmul():
     # conjugating by U1 U2 applies U2's label map, then U1's: S(U1 U2) = S(U1) S(U2)
     for p, m in [(3, 1), (5, 1), (3, 2)]:
-        gens = weil_generators(p, m)
+        gens = transvection_unitaries(p, m)
         maps = [induced_symplectic(U, p, m) for U in gens]
         for U1, S1 in zip(gens, maps):
             for U2, S2 in zip(gens[:3], maps[:3]):
@@ -113,9 +94,22 @@ def test_parity_split(p, m):
     assert np.abs(even.conj().T @ odd).max() < 1e-12
 
 
-@pytest.mark.parametrize("p,m", [(3, 1), (5, 1)])
+def test_parity_operator_sends_x_to_minus_x():
+    # column x holds its 1 at row -x: the gather of an involution is its scatter
+    P = parity_operator(5, 2)
+    for x in range(25):
+        assert np.flatnonzero(P[:, x]).tolist() == [(-(x // 5) % 5) * 5 + -(x % 5) % 5]
+
+
+@pytest.mark.parametrize("p,m", [(3, 1), (5, 1), (3, 2)])
 def test_generators_commute_with_parity(p, m):
-    # the parity operator is the image of -I, central in the symplectic group
+    # parity sends E(k u) to E(-k u), and g_(-k) = g_k
     P = parity_operator(p, m)
-    for U in weil_generators(p, m):
+    for U in transvection_unitaries(p, m):
         assert np.abs(U @ P - P @ U).max() < 1e-10
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 0)])
+def test_transvection_unitaries_refuse_p_2_and_m_0(p, m):
+    with pytest.raises(ValueError, match="odd prime p and m >= 1"):
+        transvection_unitaries(p, m)
