@@ -171,12 +171,28 @@ def test_chain_matches_sympy_on_a_searched_line_set():
         (lambda: construct_case_iv(5, 2, HyperplaneType.MINUS), 5850000000),
         # case iv: n |Sp(2m, p)|, so the 4m - 1 Weil transvections generate
         # all of Sp(2m, p)
-        (lambda: construct_case_iv(7, 1, HyperplaneType.MINUS), 16464),
-        (lambda: construct_case_iv(7, 1, HyperplaneType.PLUS), 16464),
-        (lambda: construct_case_iv(3, 2, HyperplaneType.PLUS), 4199040),
-        (lambda: construct_case_iv(5, 2, HyperplaneType.PLUS), 5850000000),
-        (lambda: construct_case_iv(3, 3, HyperplaneType.MINUS), 6685442749440),
-        (lambda: construct_case_iv(3, 3, HyperplaneType.PLUS), 6685442749440),
+        pytest.param(
+            lambda: construct_case_iv(7, 1, HyperplaneType.MINUS), 16464, id="iv-7-1-minus"
+        ),
+        pytest.param(
+            lambda: construct_case_iv(7, 1, HyperplaneType.PLUS), 16464, id="iv-7-1-plus"
+        ),
+        pytest.param(
+            lambda: construct_case_iv(3, 2, HyperplaneType.PLUS), 4199040, id="iv-3-2-plus"
+        ),
+        pytest.param(
+            lambda: construct_case_iv(5, 2, HyperplaneType.PLUS), 5850000000, id="iv-5-2-plus"
+        ),
+        pytest.param(
+            lambda: construct_case_iv(3, 3, HyperplaneType.MINUS),
+            6685442749440,
+            id="iv-3-3-minus",
+        ),
+        pytest.param(
+            lambda: construct_case_iv(3, 3, HyperplaneType.PLUS),
+            6685442749440,
+            id="iv-3-3-plus",
+        ),
     ],
 )
 def test_action_certificate_at_mid_scale(build, order):
