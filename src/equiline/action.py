@@ -250,7 +250,7 @@ def action_certificate(
     perms = [induced_permutation(lines, U, tol) for U in unitaries]
     if not perms:
         raise ValueError("no unitaries supplied")
-    _, p, m = _case(lines)
+    _, p, m = _case(lines.meta, lines.n, lines.d)
     labels = lex_digits(p, 2 * m)
     distinct = dict.fromkeys(perms)
     units = lex_index(labels + np.eye(2 * m, dtype=np.int64)[:, None], p)  # row k: x -> x + e_k

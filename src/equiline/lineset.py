@@ -321,10 +321,11 @@ def orbit(base: np.ndarray, index: np.ndarray, phase: np.ndarray) -> np.ndarray:
     return cols.reshape(-1, len(index))
 
 
-def _case(lines: LineSet) -> tuple[str, int, int]:
+def _case(meta: dict, n: int, d: int) -> tuple[str, int, int]:
     """(case, p, m) of a constructed line set, after checking its meta against
-    the classification row of (n, d); raises ValueError on any mismatch."""
-    meta, n, d = lines.meta, lines.n, lines.d
+    the classification row of its (n, d); raises ValueError on any mismatch.
+    The reader of serialize asks it of a file's header, before any column
+    is parsed."""
     case = meta.get("case")
     if case not in ("i", "ii", "iii", "iv"):
         raise ValueError(
@@ -357,17 +358,17 @@ def _translation_table(p: int, m: int, kind: str | None):
     return table
 
 
-def _line_table(lines: LineSet):
-    """(case, index, phase) of a constructed line set: its translations in
-    line order, element i mapping line 0 to line i."""
-    case, p, m = _case(lines)
-    return case, *_translation_table(p, m, lines.meta["type"] if case == "iii" else None)
+def _line_table(meta: dict, n: int, d: int):
+    """(case, index, phase) of a constructed line set (_case): its
+    translations in line order, element i mapping line 0 to line i."""
+    case, p, m = _case(meta, n, d)
+    return case, *_translation_table(p, m, meta["type"] if case == "iii" else None)
 
 
 def line_translations(lines: LineSet, elements=None):
     """The translation monomials of a constructed line set, in line order
     (translations): element i maps line 0 to line i."""
-    _, index, phase = _line_table(lines)
+    _, index, phase = _line_table(lines.meta, lines.n, lines.d)
     return (index, phase) if elements is None else (index[elements], phase[elements])
 
 
@@ -477,7 +478,10 @@ def construct_case_iv(p: int, m: int, eigen_choice: HyperplaneType) -> LineSet:
     representation space and U the chosen parity eigenspace (minus = odd, the
     smaller one).  The fiducial is the normalized inclusion of U; line e is the
     flattened matrix D(e) @ iota / sqrt(dim U), the translation orbit of the
-    flattened iota.  LineSet raises SpanDeficient if the orbit fails to span.
+    flattened iota / sqrt(dim U): every column is bitwise the orbit of the
+    stored line 0, up to the sign of zero, as for the other three families,
+    so a reader can rebuild the set from its line 0.  LineSet raises
+    SpanDeficient if the orbit fails to span.
     Raises MemoryError before any work, the primality test of p included,
     when the build would exceed the memory available, as construct_case_iii
     does.
@@ -496,8 +500,7 @@ def construct_case_iv(p: int, m: int, eigen_choice: HyperplaneType) -> LineSet:
         raise ValueError(f"p must be an odd prime, got {p}")
     even, odd = parity_split(p, m)
     iota = odd if eigen_choice is HyperplaneType.MINUS else even
-    cols = orbit(iota, *_translation_table(p, m, None))
-    cols *= 1 / np.sqrt(iota.shape[1])  # after the phases: scaling iota first rounds otherwise
+    cols = orbit(iota * (1 / np.sqrt(iota.shape[1])), *_translation_table(p, m, None))
     meta = {
         "case": "iv",
         "p": p,
@@ -545,7 +548,7 @@ def _orbit_frame(L: LineSet) -> tuple[float, np.ndarray, float] | None:
     equal.
     """
     try:
-        case, index, phase = _line_table(L)
+        case, index, phase = _line_table(L.meta, L.n, L.d)
     except ValueError:
         return None
     V = L.vectors if L.signs is None else L.signs

@@ -8,11 +8,16 @@ The vectors block is written from a table of the distinct entries and one
 code per entry, the codes in text order: row j holds column line j.  The
 writer looks each block of columns up once in a table of complex entries
 (_entry_table) and prints the codes through patterns of a few entries each
-(_text_blocks, the one definition of the layout).  The reader finds the
-entries of a block with one scan for "[": each entry ends where the next one
-starts, less the fixed separator.  It guesses the codes from a hash of each
-entry's bytes, converts each distinct entry once, and accepts the guess only
-where the writer prints the block back byte for byte.  Any other text (other
+(_text_blocks, the one definition of the layout).  The reader makes one of
+two guesses at the columns and takes a guess only where the writer prints
+the block back from it byte for byte.  A tagged file, one whose header
+passes lineset._case, is first guessed to be the translation orbit of its
+line 0, coded as the writer codes it: every constructed set is bitwise that
+orbit up to the sign of zero, so no entry past line 0 is read.  Otherwise,
+or where the print-back refutes that, the reader finds the entries of a
+block with one scan for "[": each entry ends where the next one starts,
+less the fixed separator.  It guesses the codes from a hash of each entry's
+bytes and converts each distinct entry once.  Any other text (other
 whitespace or key order, `1.0`, `-0`, NaN, a moved separator, ...) goes
 through the standard json module, so each error is the one json and the
 shape checks give.
@@ -30,7 +35,7 @@ from itertools import chain
 import numpy as np
 
 from .heisenberg import lex_index
-from .lineset import LineSet, _columns
+from .lineset import LineSet, _columns, _line_table, orbit
 
 __all__ = ["serialize_lineset", "parse_lineset", "gram_csv"]
 
@@ -277,16 +282,91 @@ def _read_block(text: str, begin: int, end: int, lines: int, d: int, hashes: _Co
     codes, new = hashes(_entry_hash(raw, starts, lengths))
     for i in new.tolist():
         token = raw[starts[i] : starts[i] + lengths[i]].decode()
-        real, _, imag = token[1:-1].partition(",")
-        try:
-            z = complex(float(real), float(imag))
-        except ValueError:  # not a number
-            return None
-        if not cmath.isfinite(z) or _token(z) != token:
+        z = _entry(token)
+        if z is None:
             return None
         tokens.append(token)
         values.append(z)
     return codes.reshape(lines, d)
+
+
+def _entry(token: str) -> complex | None:
+    """The entry of a "[re,im]" token, or None unless it is a finite number
+    that prints back through _fmt_float as it stands."""
+    real, _, imag = token[1:-1].partition(",")
+    try:
+        z = complex(float(real), float(imag))
+    except ValueError:  # not a number
+        return None
+    return z if cmath.isfinite(z) and _token(z) == token else None
+
+
+def _prints_back(text: str, start: int, stop: int, tokens: list[str], codes: np.ndarray) -> bool:
+    """True when _text_blocks prints the n x d codes into tokens back as
+    text[start:stop], byte for byte; compared a block at a time, and False
+    at the first block that differs."""
+    pos = start
+    for pieces in _text_blocks(tokens, codes):
+        block = "".join(pieces)
+        if not text.startswith(block, pos):
+            return False
+        pos += len(block)
+    return pos == stop
+
+
+def _orbit_guess(text: str, meta, n: int, d: int, start: int, stop: int) -> np.ndarray | None:
+    """The d x n columns of a tagged file (one whose meta passes
+    lineset._case) whose vectors block text[start:stop] is the translation
+    orbit of its line 0, or None.  Line 0's entries are read by _entry, and
+    the orbit, coded by the writer's _entry_table, must print back as the
+    text.  It is the result, with its zero parts made +0.0 in place as json
+    reads them: no entry past line 0 is hashed or converted."""
+    if not isinstance(meta, dict):
+        return None
+    try:
+        _, index, phase = _line_table(meta, n, d)
+    except ValueError:
+        return None
+    end = text.find("],\n", start, stop)  # line 0 closes; a table row has n > d lines
+    if end < 0:
+        return None
+    values = [_entry(f"[{token}]") for token in text[start + 2 : end - 1].split("],[")]
+    if len(values) != d or None in values:
+        return None
+    cols = orbit(_columns(np.array(values)), index, phase)
+    entries, codes = _entry_table(cols)
+    if not _prints_back(text, start, stop, [_token(z) for z in entries.tolist()], codes):
+        return None
+    cols += 0.0
+    return _columns(cols)
+
+
+def _hash_guess(text: str, n: int, d: int, start: int, stop: int) -> np.ndarray | None:
+    """The d x n columns of the vectors block text[start:stop] of any
+    canonical text, or None.  The codes are guessed from a hash of each
+    entry's bytes (_read_block), and each distinct entry is converted once.
+    The guess holds only where the codes print back as the text, which no
+    hash collision passes.  The columns are gathered from the distinct
+    entries as _columns gives them: float64 when none has an imaginary
+    part, so no complex d x n array is made."""
+    hashes, tokens, values = _Codes(np.int64), [], []
+    codes = np.empty((n, d), np.min_scalar_type(n * d))  # no code reaches n * d
+    cols = _block_lines(d, n)
+    pos = start
+    for a in range(0, n, cols):
+        begin, k = pos, min(cols, n - a)
+        last = a + k == n
+        for _ in range(k - last):  # past the ",\n" after each line
+            pos = text.find("\n", pos, stop) + 1
+            if pos < begin + 2:  # not found, or no room for the ","
+                return None
+        block = _read_block(text, begin, stop if last else pos - 2, k, d, hashes, tokens, values)
+        if block is None:
+            return None
+        codes[a : a + k] = block
+    if not _prints_back(text, start, stop, tokens, codes):
+        return None
+    return _columns(np.array(values, dtype=complex)).take(codes.T)
 
 
 def _parse_canonical(text: str) -> tuple[dict, np.ndarray] | None:
@@ -294,13 +374,10 @@ def _parse_canonical(text: str) -> tuple[dict, np.ndarray] | None:
     for any other text.
 
     The header and meta are read by json with the vectors block cut out and
-    must print back as they stand.  The codes are guessed from a hash of
-    each entry's bytes, and each distinct entry is converted once and must
-    print back through _fmt_float as it stands.  The guess is then proved:
-    _text_blocks must print the block back byte for byte, which no other
-    text and no hash collision passes.  The vectors are gathered from the
-    distinct entries as _columns gives them: float64 when none has an
-    imaginary part, so no complex d x n array is made.
+    must print back as they stand.  The codes of the entries are then
+    guessed, first as the orbit of line 0 on a tagged file (_orbit_guess)
+    and else from a hash of each entry (_hash_guess), and a guess is taken
+    only once _text_blocks prints the block back from it byte for byte.
     """
     start = text.find(_OPEN) + len(_OPEN)
     stop = text.rfind(_CLOSE, start)  # the only one in canonical text, and near its end
@@ -317,31 +394,10 @@ def _parse_canonical(text: str) -> tuple[dict, np.ndarray] | None:
     # n * d entries of more than one character each; this also bounds codes
     if type(n) is not int or type(d) is not int or not (n > 0 and d > 0 and n * d < len(text)):
         return None
-    hashes, tokens, values = _Codes(np.int64), [], []
-    codes = np.empty((n, d), np.min_scalar_type(n * d))  # no code reaches n * d
-    cols = _block_lines(d, n)
-    pos = start
-    for a in range(0, n, cols):
-        begin, k = pos, min(cols, n - a)
-        last = a + k == n
-        for _ in range(k - last):  # past the ",\n" after each line
-            pos = text.find("\n", pos, stop) + 1
-            if pos < begin + 2:  # not found, or no room for the ","
-                return None
-        block = _read_block(text, begin, stop if last else pos - 2, k, d, hashes, tokens, values)
-        if block is None:
-            return None
-        codes[a : a + k] = block
-    pos = start
-    for pieces in _text_blocks(tokens, codes):
-        block = "".join(pieces)
-        if not text.startswith(block, pos):
-            return None
-        pos += len(block)
-    if pos != stop:
-        return None
-    entries = _columns(np.array(values, dtype=complex))
-    return obj, entries.take(codes.T)
+    vectors = _orbit_guess(text, obj["meta"], n, d, start, stop)
+    if vectors is None:
+        vectors = _hash_guess(text, n, d, start, stop)
+    return None if vectors is None else (obj, vectors)
 
 
 def _parse_json(text: str) -> tuple[dict, np.ndarray]:
@@ -350,16 +406,20 @@ def _parse_json(text: str) -> tuple[dict, np.ndarray]:
     obj = json.loads(text)
     cols = obj["vectors"]
     n, d = obj["n"], obj["d"]
+    if type(n) is not int or type(d) is not int:
+        raise TypeError("n and d must be JSON integers")
     if len(cols) != n or any(len(c) != d for c in cols):
         raise ValueError("vector block shape disagrees with declared (n, d)")
     vectors = np.empty((d, n), dtype=complex)
-    try:
-        for k, col in enumerate(cols):
+    for k, col in enumerate(cols):
+        try:
             vectors[:, k] = [complex(re, im) for re, im in col]
-            if any(type(x) is bool for entry in col for x in entry):  # complex(True, 0) is 1
-                raise TypeError("vector entry is a JSON boolean, not a number")
-    except OverflowError as exc:  # an integer literal beyond the double range
-        raise TypeError(f"vector entry is not a double: {exc}") from None
+        except OverflowError as exc:  # an integer literal beyond the double range
+            raise TypeError(f"vector entry is not a double: {exc}") from None
+        except (TypeError, ValueError):  # not two values, or not numbers
+            raise TypeError("vector entry must be a [re, im] pair of JSON numbers") from None
+        if any(type(x) is bool for entry in col for x in entry):  # complex(True, 0) is 1
+            raise TypeError("vector entry is a JSON boolean, not a number")
     return obj, _columns(vectors)
 
 

@@ -53,7 +53,7 @@ _CLIFFORD_BLOCK = 64
 def translation_unitaries(lines: LineSet) -> list[np.ndarray]:
     """Dense generators T (x) I_du of the translations (lineset.orbit): generator
     i is the i-th unit label, element p^(r-1-i) of the r-dimensional labels."""
-    _, p, m = _case(lines)
+    _, p, m = _case(lines.meta, lines.n, lines.d)
     units = lex_index(np.eye(2 * m, dtype=np.int64), p)
     stack = monomial_matrix(*line_translations(lines, units))
     return [np.kron(T, np.eye(lines.d // len(T))) for T in stack]
@@ -77,7 +77,7 @@ def _weil_kron(lines: LineSet) -> list[np.ndarray]:
     (equiline.weil), where R is the compression of U to the fiducial
     eigenspace.  U fixes line 0 and sends the line of D(x) to that of
     D(x + omega(x, u) u)."""
-    _, p, m = _case(lines)
+    _, p, m = _case(lines.meta, lines.n, lines.d)
     even, odd = parity_split(p, m)
     iota = odd if HyperplaneType(lines.meta["eigen"]) is HyperplaneType.MINUS else even
     out = []
@@ -177,7 +177,7 @@ def geometry_unitaries(lines: LineSet) -> list[np.ndarray]:
     """Symmetries beyond translations: the label-geometry action.  Case iii
     raises MemoryError, before any is built, when its 4^m dense float64
     d x d transvection matrices would exceed the memory available."""
-    case, _, m = _case(lines)
+    case, _, m = _case(lines.meta, lines.n, lines.d)
     if case == "iii":
         k = lines.d.bit_length() - 1
         _shape_in_memory("its {} dense {} x {} symmetries take {} bytes", 8, (2 * m, k, k),

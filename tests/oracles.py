@@ -373,7 +373,7 @@ def line0_stabilizer(lines: LineSet) -> tuple[list[np.ndarray], list[complex]]:
     unitaries, which fix line 0.  Cases i and ii take each scanned Clifford
     word U, whose label map is x -> S x + b, as h = T_b^-1 U with T_b the
     translation that maps line 0 to line b."""
-    case, p, m = _case(lines)
+    case, p, m = _case(lines.meta, lines.n, lines.d)
     unitaries = geometry_unitaries(lines)
     if case in ("i", "ii"):
         labels = lex_digits(p, 2 * m)

@@ -309,6 +309,36 @@ def test_cli_rejects_booleans_as_numbers_and_non_booleans_as_flags(
         assert f"not a lineset JSON file: {message}" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["certify", "action"])
+@pytest.mark.parametrize(
+    "old,new,message",
+    [
+        ("[[0.40824829046386307,0]", "[[1,0,0]", "vector entry must be a [re, im] pair of JSON numbers"),
+        ("[[0.40824829046386307,0]", '[["1","0"]', "vector entry must be a [re, im] pair of JSON numbers"),
+        ('"n": 16,', '"n": 16.0,', "n and d must be JSON integers"),
+        ('"d": 6,', '"d": 6.0,', "n and d must be JSON integers"),
+    ],
+    ids=["triple-entry", "string-entry", "float-n", "float-d"],
+)
+def test_cli_refuses_entries_and_sizes_of_the_wrong_json_type(
+    tmp_path, capsys, command, old, new, message
+):
+    # Python's unpacking, complex() and numpy's shape messages once leaked,
+    # with exit 4 for the triple and 2 for the others
+    out = tmp_path / "l.json"
+    main(["construct", "--case", "iii", "--m", "2", "--type", "minus", "--out", str(out)])
+    text = out.read_text()
+    damaged = text.replace(old, new, 1)
+    assert damaged != text
+    for version in (damaged, json.dumps(json.loads(damaged))):
+        bad = tmp_path / "bad.json"
+        bad.write_text(version)
+        capsys.readouterr()
+        assert main([command, str(bad)]) == EXIT_PARAMS
+        err = capsys.readouterr().err
+        assert f"not a lineset JSON file: {message}" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -784,6 +814,49 @@ def test_canonical_parse_is_bit_identical_on_searched_sets(case, seed):
     _assert_parses_agree(serialize_lineset(_searched(case, seed)))
 
 
+def _assert_each_guess_agrees(monkeypatch, text: str) -> None:
+    """The hash guess alone, and then the orbit of line 0 alone with no entry
+    hashed, give the json parse's bits."""
+    def no_hash(raw, starts, lengths):
+        raise AssertionError("a tagged file read as its orbit hashes no entry")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(equiline.serialize, "_orbit_guess", lambda *args: None)
+        _assert_parses_agree(text)
+    monkeypatch.setattr(equiline.serialize, "_entry_hash", no_hash)
+    _assert_parses_agree(text)
+
+
+@pytest.mark.parametrize("row", GOLDEN_ROWS, ids=str)
+def test_golden_rows_parse_by_either_guess(monkeypatch, row):
+    _assert_each_guess_agrees(monkeypatch, serialize_lineset(_golden(row)))
+
+
+@pytest.mark.parametrize("case", ["i", "ii"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_searched_sets_parse_by_either_guess(monkeypatch, case, seed):
+    _assert_each_guess_agrees(monkeypatch, serialize_lineset(_searched(case, seed)))
+
+
+@pytest.mark.parametrize("moved", ["line-0", "interior"])
+@pytest.mark.parametrize("row", [(3, "minus"), (3, 2, "plus")], ids=str)
+def test_a_tagged_file_one_ulp_off_its_orbit_takes_the_hash_guess(monkeypatch, row, moved):
+    # the largest real part of one column moves one ulp away from zero: the
+    # file is still canonical, but no longer the orbit of its line 0
+    L = _golden(row)
+    V, line = L.vectors.copy(), 0 if moved == "line-0" else L.n // 2
+    k = np.argmax(np.abs(V[:, line].real))
+    V[k, line] += np.spacing(V[k, line].real)
+    text = serialize_lineset(LineSet(V, L.meta))
+    assert text != serialize_lineset(L)
+    calls = []
+    hash_guess = equiline.serialize._hash_guess
+    monkeypatch.setattr(equiline.serialize, "_hash_guess",
+                        lambda *args: calls.append(args) or hash_guess(*args))
+    _assert_parses_agree(text)
+    assert len(calls) == 1
+
+
 def _reordered_keys(text: str) -> str:
     obj = json.loads(text)
     return "{\n" + ",\n".join(
@@ -836,9 +909,11 @@ def test_declared_shape_beyond_the_text_allocates_nothing():
 ], ids=["iii-m2", "ii-seed1"])
 def test_the_print_back_not_the_hash_decides_the_parse(monkeypatch, build):
     # with every entry hashed alike the guessed codes are wrong, and the
-    # print-back sends the text to the json path, which gives the same bits
+    # print-back sends the text to the json path, which gives the same bits;
+    # the orbit guess, which takes these tagged files first, is turned off
     text = serialize_lineset(build())
     honest = parse_lineset(text)
+    monkeypatch.setattr(equiline.serialize, "_orbit_guess", lambda *args: None)
     monkeypatch.setattr(equiline.serialize, "_entry_hash",
                         lambda raw, starts, lengths: np.zeros(starts.size, np.int64))
     assert _parse_canonical(text) is None
@@ -856,8 +931,9 @@ def test_the_print_back_not_the_hash_decides_the_parse(monkeypatch, build):
 ], ids=["iv-p3-m1", "ii-seed1"])
 def test_a_collision_of_entries_of_one_length_is_caught_byte_for_byte(monkeypatch, build):
     # entries of equal length share a code, so the print-back has the
-    # text's length but not its bytes
+    # text's length but not its bytes (the orbit guess turned off, as above)
     text = serialize_lineset(build())
+    monkeypatch.setattr(equiline.serialize, "_orbit_guess", lambda *args: None)
     monkeypatch.setattr(equiline.serialize, "_entry_hash", lambda raw, starts, lengths: lengths)
     assert _parse_canonical(text) is None
     L = parse_lineset(text)
