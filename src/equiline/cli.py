@@ -95,7 +95,9 @@ def read_lineset(path: str) -> lineset.LineSet:
         raise Refused(EXIT_PARAMS, f"not a lineset JSON file: {exc}")
     try:
         return serialize.parse_lineset(text)
-    except (json.JSONDecodeError, KeyError, TypeError, RecursionError) as exc:
+    except KeyError as exc:  # its str() would quote the message
+        raise Refused(EXIT_PARAMS, f"not a lineset JSON file: {exc.args[0]}")
+    except (json.JSONDecodeError, TypeError, RecursionError) as exc:
         raise Refused(EXIT_PARAMS, f"not a lineset JSON file: {exc}")
     except ValueError as exc:
         raise Refused(EXIT_CERT_FAILED, f"FAIL structure: {exc}")

@@ -8,19 +8,18 @@ The vectors block is written from a table of the distinct entries and one
 code per entry, the codes in text order: row j holds column line j.  The
 writer looks each block of columns up once in a table of complex entries
 (_entry_table) and prints the codes through patterns of a few entries each
-(_text_blocks, the one definition of the layout).  The reader makes one of
-two guesses at the columns and takes a guess only where the writer prints
-the block back from it byte for byte.  A tagged file, one whose header
-passes lineset._case, is first guessed to be the translation orbit of its
-line 0, coded as the writer codes it: every constructed set is bitwise that
-orbit up to the sign of zero, so no entry past line 0 is read.  Otherwise,
-or where the print-back refutes that, the reader finds the entries of a
-block with one scan for "[": each entry ends where the next one starts,
-less the fixed separator.  It guesses the codes from a hash of each entry's
-bytes and converts each distinct entry once.  Any other text (other
-whitespace or key order, `1.0`, `-0`, NaN, a moved separator, ...) goes
-through the standard json module, so each error is the one json and the
-shape checks give.
+(_text_blocks, the one definition of the layout).  The reader guesses that
+a tagged file, one whose header passes lineset._case, is the translation
+orbit of its line 0, coded as the writer codes it, and takes the guess only
+where the writer prints the block back from it byte for byte.  Every
+constructed set is bitwise that orbit up to the sign of zero, so no entry
+past line 0 is read.  Any other text goes through the standard json module
+and the shape checks of _parse_json, which give its errors: an untagged
+file, other whitespace or key order, `1.0`, `-0`, NaN, or a tagged file
+with an entry moved by one ulp.  json reads those with the same bits, at
+about ten times the time and seven times the memory of the guess from entry
+hashes this module once made: 0.49-0.50 s and a 73.4 MB tracemalloc peak
+against 0.05-0.07 s and 10.2 MB at iii m=5 minus (CPython 3.11, 2 vCPUs).
 """
 
 from __future__ import annotations
@@ -70,14 +69,11 @@ def _encode(obj) -> str:
     raise ValueError(f"cannot serialize {type(obj).__name__}")
 
 
-# Entries per block of lines: every array the writer and the reader make
-# besides the codes and the text itself holds at most this many entries, of
-# at most _PAD bytes each.
+# Entries per block of lines: every array the writer and the print-back make
+# besides the codes and the text itself holds at most this many entries.
 _BLOCK = 1 << 14
 # Bound on the pattern table: 4 kinds of group times (K + 1)^w patterns.
 _PATTERNS = 1 << 14
-# The longest entry _fmt_float can print: "[" + 24 + "," + 24 + "]".
-_MAX_ENTRY = 51
 
 
 def _block_lines(width: int, lines: int) -> int:
@@ -99,20 +95,18 @@ class _Codes:
         self._sorted = self.keys
         self._code = np.empty(0, np.intp)  # code of each sorted key
 
-    def __call__(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The codes of keys, in their shape, and the flat index into keys of
-        the first occurrence of each key seen for the first time, in code
-        order."""
+    def __call__(self, keys: np.ndarray) -> np.ndarray:
+        """The codes of keys, in their shape."""
         codes = self._find(keys)
         miss = np.flatnonzero(codes < 0)
         if not miss.size:
-            return codes, miss
-        new, first, index = np.unique(keys.ravel()[miss], return_index=True, return_inverse=True)
+            return codes
+        new, index = np.unique(keys.ravel()[miss], return_inverse=True)
         codes.ravel()[miss] = self.keys.size + index
         self.keys = np.concatenate([self.keys, new])
         self._code = np.argsort(self.keys)
         self._sorted = self.keys[self._code]
-        return codes, miss[first]
+        return codes
 
     def _find(self, keys: np.ndarray) -> np.ndarray:
         if not self.keys.size:
@@ -135,7 +129,7 @@ def _entry_table(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     codes = np.empty((n, d), np.min_scalar_type(n * d))  # no code reaches n * d
     step = _block_lines(d, n)
     for a in range(0, n, step):
-        codes[a : a + step] = table(M[:, a : a + step])[0].T
+        codes[a : a + step] = table(M[:, a : a + step]).T
     return table.keys, codes
 
 
@@ -216,78 +210,6 @@ def serialize_lineset(lines: LineSet) -> str:
 
 
 _OPEN, _CLOSE = '"vectors": [\n', '\n],\n"meta": '
-_PAD = 8 * -(-_MAX_ENTRY // 8)  # whole 8-byte words past an entry's start
-_SHORT_MASKS = np.array([(1 << 8 * m) - 1 for m in range(9)], np.uint64)  # its first m bytes
-_MIX = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)  # splitmix64
-
-
-def _mix(h: np.ndarray) -> np.ndarray:
-    """splitmix64's full avalanche of each word of h, in place."""
-    h ^= h >> np.uint64(32)
-    h *= _MIX[0]
-    h ^= h >> np.uint64(29)
-    h *= _MIX[1]
-    return h
-
-
-def _entry_hash(raw: bytes, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """A 64-bit hash of every byte of each entry raw[start : start + length]:
-    its little-endian 8-byte words, each mixed into the hash with a full
-    avalanche.  An entry mixes only the words it reaches, with the bytes past
-    its end masked off, so a "[0,0]" mixes one word.  All the words of an
-    entry are read in one gather, as many as the longest entry has: numpy
-    gathers up to _PAD bytes an element at about the cost of one word.  raw
-    holds _PAD bytes from each start."""
-    shortest, longest = int(lengths.min()), int(lengths.max())
-    count = -(-longest // 8)
-    entries = np.ndarray((len(raw) - 8 * count + 1,), f"V{8 * count}", raw, strides=(1,))
-    words = entries[starts].view("<u8").reshape(-1, count)
-    h = np.zeros(starts.size, np.uint64)
-    for k in range(count):
-        if shortest >= 8 * k + 8:  # word k lies inside every entry
-            h ^= words[:, k]
-            _mix(h)
-            continue
-        more = slice(None) if shortest > 8 * k else np.flatnonzero(lengths > 8 * k)
-        word = words[more, k] & _SHORT_MASKS[np.minimum(lengths[more] - 8 * k, 8)]
-        word ^= h[more]
-        h[more] = _mix(word)
-    return (h ^ (h >> np.uint64(32))).view(np.int64)
-
-
-def _read_block(text: str, begin: int, end: int, lines: int, d: int, hashes: _Codes,
-                tokens: list[str], values: list[complex]) -> np.ndarray | None:
-    """The lines x d codes of text[begin:end], which holds that many column
-    lines of d "[re,im]" entries, guessed from a hash of each entry's bytes,
-    or None where the text cannot be canonical.  One scan finds every "[": a
-    line's own and then one per entry.  Each entry ends where the next "["
-    begins, less "," inside a line and "],\n" before the next line's.  Each
-    entry not seen before is converted once, must print back through
-    _fmt_float as it stands, and extends tokens and values."""
-    try:  # canonical text is ASCII throughout
-        raw = text[begin:end].encode("ascii") + bytes(_PAD)
-    except UnicodeEncodeError:
-        return None
-    opens = np.flatnonzero(np.frombuffer(raw, np.uint8) == ord("["))
-    if opens.size != lines * (d + 1):
-        return None
-    # the last entry of the block ends as if another line followed
-    lengths = np.diff(opens, append=end - begin + 2).reshape(lines, d + 1)[:, 1:] - 1
-    lengths[:, -1] -= 2
-    starts = opens.reshape(lines, d + 1)[:, 1:].ravel()
-    del opens  # before the hash, which holds each entry's words
-    lengths = lengths.ravel()
-    if not 0 < lengths.min() <= lengths.max() <= _MAX_ENTRY:
-        return None
-    codes, new = hashes(_entry_hash(raw, starts, lengths))
-    for i in new.tolist():
-        token = raw[starts[i] : starts[i] + lengths[i]].decode()
-        z = _entry(token)
-        if z is None:
-            return None
-        tokens.append(token)
-        values.append(z)
-    return codes.reshape(lines, d)
 
 
 def _entry(token: str) -> complex | None:
@@ -320,7 +242,7 @@ def _orbit_guess(text: str, meta, n: int, d: int, start: int, stop: int) -> np.n
     orbit of its line 0, or None.  Line 0's entries are read by _entry, and
     the orbit, coded by the writer's _entry_table, must print back as the
     text.  It is the result, with its zero parts made +0.0 in place as json
-    reads them: no entry past line 0 is hashed or converted."""
+    reads them: no entry past line 0 is converted."""
     if not isinstance(meta, dict):
         return None
     try:
@@ -341,42 +263,13 @@ def _orbit_guess(text: str, meta, n: int, d: int, start: int, stop: int) -> np.n
     return _columns(cols)
 
 
-def _hash_guess(text: str, n: int, d: int, start: int, stop: int) -> np.ndarray | None:
-    """The d x n columns of the vectors block text[start:stop] of any
-    canonical text, or None.  The codes are guessed from a hash of each
-    entry's bytes (_read_block), and each distinct entry is converted once.
-    The guess holds only where the codes print back as the text, which no
-    hash collision passes.  The columns are gathered from the distinct
-    entries as _columns gives them: float64 when none has an imaginary
-    part, so no complex d x n array is made."""
-    hashes, tokens, values = _Codes(np.int64), [], []
-    codes = np.empty((n, d), np.min_scalar_type(n * d))  # no code reaches n * d
-    cols = _block_lines(d, n)
-    pos = start
-    for a in range(0, n, cols):
-        begin, k = pos, min(cols, n - a)
-        last = a + k == n
-        for _ in range(k - last):  # past the ",\n" after each line
-            pos = text.find("\n", pos, stop) + 1
-            if pos < begin + 2:  # not found, or no room for the ","
-                return None
-        block = _read_block(text, begin, stop if last else pos - 2, k, d, hashes, tokens, values)
-        if block is None:
-            return None
-        codes[a : a + k] = block
-    if not _prints_back(text, start, stop, tokens, codes):
-        return None
-    return _columns(np.array(values, dtype=complex)).take(codes.T)
-
-
 def _parse_canonical(text: str) -> tuple[dict, np.ndarray] | None:
-    """Header and d x n vectors of text written by serialize_lineset, or None
-    for any other text.
+    """Header and d x n vectors of a tagged file's text as serialize_lineset
+    writes it, or None for any other text.
 
     The header and meta are read by json with the vectors block cut out and
-    must print back as they stand.  The codes of the entries are then
-    guessed, first as the orbit of line 0 on a tagged file (_orbit_guess)
-    and else from a hash of each entry (_hash_guess), and a guess is taken
+    must print back as they stand.  The columns are then guessed to be the
+    orbit of line 0 of a tagged file (_orbit_guess), and the guess is taken
     only once _text_blocks prints the block back from it byte for byte.
     """
     start = text.find(_OPEN) + len(_OPEN)
@@ -395,19 +288,27 @@ def _parse_canonical(text: str) -> tuple[dict, np.ndarray] | None:
     if type(n) is not int or type(d) is not int or not (n > 0 and d > 0 and n * d < len(text)):
         return None
     vectors = _orbit_guess(text, obj["meta"], n, d, start, stop)
-    if vectors is None:
-        vectors = _hash_guess(text, n, d, start, stop)
     return None if vectors is None else (obj, vectors)
 
 
 def _parse_json(text: str) -> tuple[dict, np.ndarray]:
     """Header and d x n vectors, as lineset._columns gives them, of any
-    lineset JSON text."""
+    lineset JSON text; KeyError or TypeError, each with its own message,
+    where its object, keys, vectors or columns have the wrong JSON shape."""
     obj = json.loads(text)
-    cols = obj["vectors"]
-    n, d = obj["n"], obj["d"]
+    if not isinstance(obj, dict):
+        raise TypeError(f"top level must be a JSON object, got {type(obj).__name__}")
+    for key in ("n", "d", "vectors"):
+        if key not in obj:
+            raise KeyError(f"missing key {key!r}")
+    cols, n, d = obj["vectors"], obj["n"], obj["d"]
     if type(n) is not int or type(d) is not int:
         raise TypeError("n and d must be JSON integers")
+    if not isinstance(cols, list):
+        raise TypeError(f"vectors must be a JSON list, got {type(cols).__name__}")
+    for col in cols:
+        if not isinstance(col, list):
+            raise TypeError(f"vector column must be a JSON list, got {type(col).__name__}")
     if len(cols) != n or any(len(c) != d for c in cols):
         raise ValueError("vector block shape disagrees with declared (n, d)")
     vectors = np.empty((d, n), dtype=complex)

@@ -35,7 +35,6 @@ from equiline.serialize import (
     _fmt_float,
     _parse_canonical,
     _parse_json,
-    _token,
     gram_csv,
     parse_lineset,
     serialize_lineset,
@@ -117,12 +116,13 @@ def test_parse_validates_declared_signs():
 @pytest.mark.parametrize("bad", [1e308, -1e308, 2**70 + 0.0, 1.5])
 def test_declared_signs_are_refused_without_a_warning(bad):
     # sqrt(d) * 1e308 overflows and 2^70 would wrap in a cast; the check
-    # refuses both before any cast, and warnings fail this test
+    # refuses both before any cast, and warnings fail this test.  The file is
+    # no longer the orbit of its line 0, so both layouts take the json path
     L = construct_case_iii(2, HyperplaneType.MINUS)
     text = serialize_lineset(L)
     first = text.index("[[") + 2
     changed = text[:first] + _fmt_float(bad) + text[text.index(",", first):]
-    assert _parse_canonical(changed) is not None
+    assert _parse_canonical(changed) is None
     obj = json.loads(changed)
     for variant in (changed, json.dumps(obj)):
         with pytest.raises(ValueError, match="entries are not"):
@@ -337,6 +337,30 @@ def test_cli_refuses_entries_and_sizes_of_the_wrong_json_type(
         assert main([command, str(bad)]) == EXIT_PARAMS
         err = capsys.readouterr().err
         assert f"not a lineset JSON file: {message}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["certify", "action"])
+@pytest.mark.parametrize(
+    "damage,message",
+    [
+        (lambda obj: dict(obj, vectors=5), "vectors must be a JSON list, got int"),
+        (lambda obj: dict(obj, vectors=[5, *obj["vectors"][1:]]),
+         "vector column must be a JSON list, got int"),
+        (lambda obj: {k: v for k, v in obj.items() if k != "vectors"}, "missing key 'vectors'"),
+        (lambda obj: [obj], "top level must be a JSON object, got list"),
+    ],
+    ids=["int-vectors", "int-column", "no-vectors", "top-level-list"],
+)
+def test_cli_refuses_files_of_the_wrong_json_shape(tmp_path, capsys, command, damage, message):
+    # len(), the missing key and a string index of a list once leaked
+    # Python's own messages
+    text = serialize_lineset(construct_case_iii(2, HyperplaneType.MINUS))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(damage(json.loads(text))))
+    capsys.readouterr()
+    assert main([command, str(bad)]) == EXIT_PARAMS
+    err = capsys.readouterr().err
+    assert f"not a lineset JSON file: {message}\n" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize(
@@ -720,13 +744,14 @@ def test_cli_reports_non_finite_before_exact_signs(tmp_path, capsys, command):
 
 
 def test_certify_under_python_O_refuses_an_entry_moved_off_its_sign(tmp_path):
-    # the sign rule is no assert, so python -O keeps it; the canonical reader
-    # takes the file, and the signs are checked before the column norms
+    # the sign rule is no assert, so python -O keeps it; the json reader
+    # takes the file, no longer the orbit of its line 0, and the signs are
+    # checked before the column norms
     L = construct_case_iii(2, HyperplaneType.MINUS)
     first = L.vectors[0, 0]
     text = serialize_lineset(L).replace(f"[[{_fmt_float(first)},0]",
                                         f"[[{_fmt_float(first + 1e-6)},0]", 1)
-    assert _parse_canonical(text) is not None
+    assert _parse_canonical(text) is None
     path = tmp_path / "moved.json"
     path.write_text(text)
     env = {**os.environ, "PYTHONPATH": str(Path(equiline.__file__).parents[1])}
@@ -814,47 +839,22 @@ def test_canonical_parse_is_bit_identical_on_searched_sets(case, seed):
     _assert_parses_agree(serialize_lineset(_searched(case, seed)))
 
 
-def _assert_each_guess_agrees(monkeypatch, text: str) -> None:
-    """The hash guess alone, and then the orbit of line 0 alone with no entry
-    hashed, give the json parse's bits."""
-    def no_hash(raw, starts, lengths):
-        raise AssertionError("a tagged file read as its orbit hashes no entry")
-
-    with monkeypatch.context() as patch:
-        patch.setattr(equiline.serialize, "_orbit_guess", lambda *args: None)
-        _assert_parses_agree(text)
-    monkeypatch.setattr(equiline.serialize, "_entry_hash", no_hash)
-    _assert_parses_agree(text)
-
-
-@pytest.mark.parametrize("row", GOLDEN_ROWS, ids=str)
-def test_golden_rows_parse_by_either_guess(monkeypatch, row):
-    _assert_each_guess_agrees(monkeypatch, serialize_lineset(_golden(row)))
-
-
-@pytest.mark.parametrize("case", ["i", "ii"])
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_searched_sets_parse_by_either_guess(monkeypatch, case, seed):
-    _assert_each_guess_agrees(monkeypatch, serialize_lineset(_searched(case, seed)))
-
-
 @pytest.mark.parametrize("moved", ["line-0", "interior"])
 @pytest.mark.parametrize("row", [(3, "minus"), (3, 2, "plus")], ids=str)
-def test_a_tagged_file_one_ulp_off_its_orbit_takes_the_hash_guess(monkeypatch, row, moved):
+def test_a_tagged_file_one_ulp_off_its_orbit_takes_the_json_path(row, moved):
     # the largest real part of one column moves one ulp away from zero: the
-    # file is still canonical, but no longer the orbit of its line 0
+    # file is still in the written layout, but no longer the orbit of its
+    # line 0, so the print-back refutes the orbit guess
     L = _golden(row)
     V, line = L.vectors.copy(), 0 if moved == "line-0" else L.n // 2
     k = np.argmax(np.abs(V[:, line].real))
     V[k, line] += np.spacing(V[k, line].real)
     text = serialize_lineset(LineSet(V, L.meta))
     assert text != serialize_lineset(L)
-    calls = []
-    hash_guess = equiline.serialize._hash_guess
-    monkeypatch.setattr(equiline.serialize, "_hash_guess",
-                        lambda *args: calls.append(args) or hash_guess(*args))
-    _assert_parses_agree(text)
-    assert len(calls) == 1
+    assert _parse_canonical(text) is None
+    back = parse_lineset(text)
+    assert np.array_equal(back.vectors.view(np.uint64), _parse_json(text)[1].view(np.uint64))
+    assert np.array_equal(back.vectors, V)
 
 
 def _reordered_keys(text: str) -> str:
@@ -903,43 +903,6 @@ def test_declared_shape_beyond_the_text_allocates_nothing():
         parse_lineset(changed)
 
 
-@pytest.mark.parametrize("build", [
-    lambda: construct_case_iii(2, HyperplaneType.MINUS),
-    lambda: _searched("ii", 1),
-], ids=["iii-m2", "ii-seed1"])
-def test_the_print_back_not_the_hash_decides_the_parse(monkeypatch, build):
-    # with every entry hashed alike the guessed codes are wrong, and the
-    # print-back sends the text to the json path, which gives the same bits;
-    # the orbit guess, which takes these tagged files first, is turned off
-    text = serialize_lineset(build())
-    honest = parse_lineset(text)
-    monkeypatch.setattr(equiline.serialize, "_orbit_guess", lambda *args: None)
-    monkeypatch.setattr(equiline.serialize, "_entry_hash",
-                        lambda raw, starts, lengths: np.zeros(starts.size, np.int64))
-    assert _parse_canonical(text) is None
-    L = parse_lineset(text)
-    assert np.array_equal(L.vectors.view(np.uint64), _parse_json(text)[1].view(np.uint64))
-    assert np.array_equal(L.vectors.view(np.uint64), honest.vectors.view(np.uint64))
-    assert (L.signs is None) == (honest.signs is None)
-    if honest.signs is not None:
-        assert np.array_equal(L.signs, honest.signs)
-
-
-@pytest.mark.parametrize("build", [
-    lambda: construct_case_iv(3, 1, HyperplaneType.MINUS),
-    lambda: _searched("ii", 1),
-], ids=["iv-p3-m1", "ii-seed1"])
-def test_a_collision_of_entries_of_one_length_is_caught_byte_for_byte(monkeypatch, build):
-    # entries of equal length share a code, so the print-back has the
-    # text's length but not its bytes (the orbit guess turned off, as above)
-    text = serialize_lineset(build())
-    monkeypatch.setattr(equiline.serialize, "_orbit_guess", lambda *args: None)
-    monkeypatch.setattr(equiline.serialize, "_entry_hash", lambda raw, starts, lengths: lengths)
-    assert _parse_canonical(text) is None
-    L = parse_lineset(text)
-    assert np.array_equal(L.vectors.view(np.uint64), _parse_json(text)[1].view(np.uint64))
-
-
 def test_text_past_the_printed_back_block_takes_the_json_path():
     # the print-back matches all of the block but its last character
     text = serialize_lineset(construct_case_iv(3, 1, HyperplaneType.PLUS))
@@ -948,47 +911,29 @@ def test_text_past_the_printed_back_block_takes_the_json_path():
     assert np.array_equal(parse_lineset(changed).vectors, parse_lineset(text).vectors)
 
 
-def _reader_table(monkeypatch, text):
-    """The distinct entry tokens and n x d codes into them that the
-    canonical reader proves text with, as it hands them to _text_blocks."""
-    seen = []
-    text_blocks = equiline.serialize._text_blocks
-
-    def spy(tokens, codes):
-        seen.append((tokens, codes))
-        return text_blocks(tokens, codes)
-
-    monkeypatch.setattr(equiline.serialize, "_text_blocks", spy)
-    assert _parse_canonical(text) is not None
-    [(tokens, codes)] = seen
-    return tokens, codes
-
-
-def test_canonical_text_of_distinct_entries_takes_the_canonical_path(monkeypatch):
+def test_untagged_text_of_distinct_entries_takes_the_json_path():
     # all n * d entries distinct, so the entry table is as long as the set;
     # the searched sets of case ii repeat theirs (15 distinct of 512 at seed 1)
     W = np.random.default_rng(1).normal(size=(8, 64, 2)) @ [1, 1j]
     L = LineSet(W / np.linalg.norm(W, axis=0), {"seed": 1})
     text = serialize_lineset(L)
-    tokens, _ = _reader_table(monkeypatch, text)
-    assert len(tokens) == L.n * L.d
-    _assert_parses_agree(text)
+    assert len(_entry_table(L.vectors)[0]) == L.n * L.d
+    assert _parse_canonical(text) is None
+    back = parse_lineset(text)
+    assert np.array_equal(back.vectors.view(np.uint64), _parse_json(text)[1].view(np.uint64))
+    assert serialize_lineset(back) == text
 
 
 @pytest.mark.parametrize("build, dtype", [
     (lambda: construct_case_iii(5, HyperplaneType.MINUS), np.uint32),
     (lambda: _searched("i", 1), np.uint8),
 ], ids=["iii-m5-minus", "i-seed1"])
-def test_codes_take_the_narrowest_unsigned_dtype(monkeypatch, build, dtype):
-    # no code reaches n * d (507,904 at iii m = 5, 8 at case i).  The writer
-    # numbers a block's new entries in value order and the reader in hash
-    # order, so the two codes are compared through the entries they index
+def test_codes_take_the_narrowest_unsigned_dtype(build, dtype):
+    # no code reaches n * d (507,904 at iii m = 5, 8 at case i)
     L = build()
     values, codes = _entry_table(L.vectors)
-    tokens, read = _reader_table(monkeypatch, serialize_lineset(L))
-    assert codes.dtype == read.dtype == dtype and codes.shape == read.shape == (L.n, L.d)
-    written = np.array([_token(z) for z in values.tolist()])
-    assert np.array_equal(written[codes], np.array(tokens)[read])
+    assert codes.dtype == dtype and codes.shape == (L.n, L.d)
+    assert np.array_equal(values[codes.T], L.vectors)
 
 
 def _traced_peak(fn, *args):
@@ -1084,7 +1029,7 @@ def _scaled_first_entry(canonical: bool) -> str:
 @pytest.mark.parametrize("canonical", [True, False], ids=["written-layout", "json-layout"])
 def test_cli_rejects_entries_off_the_declared_signs(tmp_path, capsys, command, canonical):
     text = _scaled_first_entry(canonical)
-    assert (_parse_canonical(text) is not None) == canonical  # the sign check under test
+    assert _parse_canonical(text) is None  # no longer the orbit of its line 0
     path = tmp_path / "bad.json"
     path.write_text(text)
     capsys.readouterr()
