@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lineset import LineSet, _shape_in_memory, _translation_table, orbit, translations
+from .lineset import LineSet, _shape_in_memory, _translation_table, orbit
 
 __all__ = [
     "NotConverged",
@@ -106,8 +106,8 @@ def _qubits(d: int) -> int:
 
 def displacements(d: int) -> tuple[np.ndarray, np.ndarray]:
     """Monomials (index, phase) of the nontrivial displacements in line order,
-    each of shape (d^2 - 1, d): the translations after the identity."""
-    return translations(2, _qubits(d), np.arange(1, d * d))
+    each of shape (d^2 - 1, d): the cached translations after the identity."""
+    return tuple(part[1:] for part in _translation_table(2, _qubits(d), None))
 
 
 def potential_bound(d: int) -> float:

@@ -33,7 +33,6 @@ __all__ = [
     "singular_count",
     "classify_hyperplane",
     "enumerate_hyperplanes",
-    "nonsingular_vectors",
     "dot2",
 ]
 
@@ -110,8 +109,3 @@ def enumerate_hyperplanes(m: int, tag: HyperplaneType) -> list[int]:
     (-1)^dot2(phi, e).  The enumeration is made once per (m, tag)."""
     return list(_hyperplanes(m, tag))
 
-
-def nonsingular_vectors(m: int) -> list[int]:
-    """All u with Q(u) = 1, in lexicographic order."""
-    lex = np.array(_packed_lex(2 * m + 1))
-    return lex[quadratic(m, lex) == 1].tolist()

@@ -2,11 +2,12 @@
 
 Every constructed family carries a regular translation action (the group
 orbit structure of the lines) plus a geometry action fixing the base line:
-hyperplane-coordinate permutations from quadratic-space transvections for the
-sign-matrix case, the 4m - 1 Weil transvections along a symplectic chain and
-its neighbour sums for the odd-prime case (equiline.weil), and stabilizing
-qubit Clifford words found by seeded search for the two fiducial-orbit
-cases.
+hyperplane-coordinate permutations from the quadratic-space transvections
+along labels of weight one and two for the sign-matrix case, which act on
+line labels as the symplectic transvections along those labels, the 4m - 1
+Weil transvections along a symplectic chain and its neighbour sums for the
+odd-prime case (equiline.weil), and stabilizing qubit Clifford words found by
+seeded search for the two fiducial-orbit cases.
 
 The search draws its words a block at a time, each block of fixed-length
 words in one Generator.integers call.  Every Clifford word normalizes the
@@ -24,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .action import NotASymmetry, Perm, _affine_map, induced_permutation
-from .finfield import HyperplaneType, bilinear_mask, enumerate_hyperplanes, nonsingular_vectors
+from .finfield import HyperplaneType, bilinear_mask, enumerate_hyperplanes, quadratic
 from .heisenberg import lex_digits, lex_index, monomial_matrix
 from .lineset import LineSet, _case, _shape_in_memory, line_translations
 from .weil import parity_split, transvection_unitaries
@@ -59,12 +60,21 @@ def translation_unitaries(lines: LineSet) -> list[np.ndarray]:
     return [np.kron(T, np.eye(lines.d // len(T))) for T in stack]
 
 
-def _transvection_perms(m: int, tag: HyperplaneType) -> list[Perm]:
-    """Coordinate permutations of the chosen-type hyperplanes under all
+def _weight_two_directions(m: int) -> np.ndarray:
+    """Packed u with Q(u) = 1, bit 0 set as needed, over the labels e_i, then
+    e_i + e_j for i < j in lexicographic order (bits 1..2m, as translations)."""
+    units = 2 << np.arange(2 * m)
+    i, j = np.triu_indices(2 * m, 1)
+    labels = np.concatenate((units, units[i] | units[j]))
+    return labels | (quadratic(m, labels) ^ 1)
+
+
+def _transvection_perms(m: int, tag: HyperplaneType, us) -> list[Perm]:
+    """Coordinate permutations of the chosen-type hyperplanes under the
     transvections x -> x + B(x, u) u of the quadratic space, one per
-    nonsingular u in lexicographic order."""
+    nonsingular packed u in us, in its order."""
     phis = np.array(enumerate_hyperplanes(m, tag))
-    us = np.array(nonsingular_vectors(m))[:, None]
+    us = np.array(us)[:, None]
     index = np.zeros(1 << (2 * m + 1), dtype=np.intp)
     index[phis] = np.arange(len(phis))
     # the pullback of phi along the transvection of u is phi + phi(u) B(., u)
@@ -175,14 +185,20 @@ def _clifford_symmetries(lines: LineSet) -> list[np.ndarray]:
 
 def geometry_unitaries(lines: LineSet) -> list[np.ndarray]:
     """Symmetries beyond translations: the label-geometry action.  Case iii
-    raises MemoryError, before any is built, when its 4^m dense float64
-    d x d transvection matrices would exceed the memory available."""
+    takes the transvections along _weight_two_directions; the one along u maps
+    line label x to x + omega(x, a) a, a the label of u.  It raises
+    MemoryError, before any is built, when what action then holds would not
+    fit: these and the 2m translations as dense float64 d x d matrices, and the
+    chain of G_0, linear on F_2^(2m): at most 2m levels that move anything,
+    each of at most n points holding two n-tuples of 8-byte references."""
     case, _, m = _case(lines.meta, lines.n, lines.d)
     if case == "iii":
-        k = lines.d.bit_length() - 1
-        _shape_in_memory("its {} dense {} x {} symmetries take {} bytes", 8, (2 * m, k, k),
-                         lambda: (4**m, lines.d, lines.d))
-        perms = _transvection_perms(m, HyperplaneType(lines.meta["type"]))
+        dense = m * (2 * m + 1) + 2 * m
+        _shape_in_memory(f"its {dense} dense {lines.d} x {lines.d} symmetries and their "
+                         "stabilizer chain take about {} 8-byte entries, {} bytes", 8,
+                         (4 * m + 2,), lambda: (dense * lines.d**2 + 4 * m * lines.n**2,))
+        tag = HyperplaneType(lines.meta["type"])
+        perms = _transvection_perms(m, tag, _weight_two_directions(m))
         return [monomial_matrix(np.array(perm)) for perm in perms]
     if case == "iv":
         return _weil_kron(lines)

@@ -4,13 +4,13 @@ Each is the plain definition of something the package computes another way,
 or a general tool the package does not need: the Heisenberg group-element
 algebra and its Schrödinger representations, a stacked-SVD commutant, a
 group closure, the frame potential and its gradient as standalone calls, the
-quadratic form of case iii read coordinate by coordinate and its
-transvections, the parity operator, the dense displacements and the label
-map that conjugation by a unitary induces on them (induced_symplectic), a
-dictionary table of the distinct entries of a matrix, the rint rule of
-exact signs, and the numeric multiplicity certificate of a line-0
-stabilizer, whose rank one the 2-transitive action implies
-(equiline.action).
+quadratic form of case iii read coordinate by coordinate, its nonsingular
+vectors and its transvections, the parity operator, the dense displacements
+and the label map that conjugation by a unitary induces on them
+(induced_symplectic), a dictionary table of the distinct entries of a
+matrix, the rint rule of exact signs, and the numeric multiplicity
+certificate of a line-0 stabilizer, whose rank one the 2-transitive action
+implies (equiline.action).
 
 Finite Heisenberg groups are in normal form.  Elements are triples (a, b, c):
 translation part a and modulation part b in F_p^m, central exponent c.  The
@@ -36,7 +36,7 @@ import numpy as np
 
 from equiline.action import Perm, _affine_map, compose, identity_perm, induced_permutation
 from equiline.fiducial import _gathers, _gradient, _overlaps
-from equiline.finfield import dot2
+from equiline.finfield import _packed_lex, dot2, quadratic
 from equiline.heisenberg import (
     _roots,
     check_unitary,
@@ -237,6 +237,13 @@ def quadratic_form(m: int, x: int) -> int:
     take it hundreds of thousands of times)."""
     c = [x >> i & 1 for i in range(2 * m + 1)]
     return (c[0] + sum(c[2 * i - 1] * c[2 * i] for i in range(1, m + 1))) % 2
+
+
+def nonsingular_vectors(m: int) -> list[int]:
+    """All packed u with Q(u) = 1, in lexicographic order: the directions of
+    every transvection of the quadratic space."""
+    lex = np.array(_packed_lex(2 * m + 1))
+    return lex[quadratic(m, lex) == 1].tolist()
 
 
 def bilinear_form(m: int, x: int, y: int) -> int:

@@ -12,12 +12,17 @@ from equiline.finfield import (
     classify_hyperplane,
     dot2,
     enumerate_hyperplanes,
-    nonsingular_vectors,
     quadratic,
     singular_count,
 )
 from equiline.heisenberg import lex_digits
-from oracles import bilinear_form, quadratic_form, transvection, transvection_on_functional
+from oracles import (
+    bilinear_form,
+    nonsingular_vectors,
+    quadratic_form,
+    transvection,
+    transvection_on_functional,
+)
 
 # Census of hyperplane types for the standard odd-dimensional form:
 # minus 2^(m-1)(2^m - 1), plus 2^(m-1)(2^m + 1), degenerate 2^(2m) - 1.

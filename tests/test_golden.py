@@ -57,15 +57,17 @@ ORBITS = {
 # The i and ii rows follow the Clifford scan's seeded words (blocks of 64
 # words of 16 letters, a word kept for a new linear part that is not the
 # identity): a change to that stream moves their generators, never their
-# group orders.  The iv rows list the translations, then the Weil
+# group orders.  The iii rows list the translations, then the m(2m + 1)
+# hyperplane permutations of the transvections along the labels e_i and then
+# e_i + e_j for i < j.  The iv rows list the translations, then the Weil
 # transvections along a_1, b_1, ..., a_m, b_m and the neighbour sums.
 ACTIONS = {
     ("ii", "--seed", "1"): "996f7c6d324caab21eae1c4ac3d80d6398d9d62cb70f048f9363f7eaa1fd39ef",
     ("ii", "--seed", "2"): "478cf0826e652d46741bc3f61d3f5af034e88f83ac4d3db01ff18d5ba93dabc4",
     ("ii", "--seed", "3"): "95aa2841f3791aef3e2525a6d568857cf33b4d6647fcf6cf037e254268b0db8f",
     ("i", "--seed", "1"): "9ebdc460b651ce7829d1f69ec8a933aa8a22b316ed92a33ae8e3c907cd129e2e",
-    ("iii", "--m", "2", "--type", "minus"): "2e36bc1b2ed0a9450319e32014c63d82c919ba67d975e6c5e462e94617e3d6c7",
-    ("iii", "--m", "3", "--type", "minus"): "410fffae45bce63e0f82479ee2e192ab3e45ebe7e99320c8881a41a7f7a97de6",
+    ("iii", "--m", "2", "--type", "minus"): "539d374e5762f48480b271310a18c920222cfb2fa78d1bc285a4df620c66c6d4",
+    ("iii", "--m", "3", "--type", "minus"): "b49ccaf7d0810b4cfff02e19c2e3881be5d5786b9a83f8e719b371ca313a3d01",
     ("iv", "--p", "3", "--m", "1", "--eigen", "minus"): "47eff99788d3a725b20b85816afb1297e33fa1316bb8a3be5ae6c6adeb3cf11e",
     ("iv", "--p", "3", "--m", "2", "--eigen", "plus"): "6ea4d684b476b4477ef3888b2d402b224ea1af4fdd827e13d715940c5d2843d1",
 }

@@ -165,7 +165,7 @@ def test_cli_construct_certify_action_pipeline(tmp_path, capsys):
     payload = json.loads(act.read_text())
     assert payload["transitive"] and payload["two_transitive"]
     assert payload["group_order"] == 11520
-    assert payload["matched_unitaries"] == 20
+    assert payload["matched_unitaries"] == 14
 
 
 def test_cli_output_is_byte_deterministic(tmp_path):
@@ -532,10 +532,15 @@ def test_cli_construct_case_iii_heeds_the_address_space_limit(tmp_path, capsys, 
         assert "more than the 4096 bytes of memory available" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("limit,code", [(4607, EXIT_PARAMS), (4608, EXIT_OK)])
+@pytest.mark.parametrize("limit,code",
+                         [(4032, EXIT_PARAMS), (20415, EXIT_PARAMS), (20416, EXIT_OK)])
 def test_cli_action_refuses_symmetries_beyond_memory(tmp_path, capsys, monkeypatch, limit, code):
-    # iii m = 2 minus: 16 dense 6 x 6 float64 transvections, 4,608 bytes; a
-    # refused set builds no dense symmetry, not even a translation
+    # iii m = 2 minus: 10 transvections and 4 translations as dense 6 x 6
+    # float64 matrices, 4,032 bytes, and the stabilizer chain of G_0, 2m = 4
+    # levels of n = 16 points each holding two 16-tuples of 8-byte
+    # references, 16,384 bytes: 20,416 in all.  A limit that holds the dense
+    # matrices alone is refused too, and a refused set builds no dense
+    # symmetry, not even a translation
     def monomial_matrix(*args):
         raise AssertionError("a dense symmetry was built")
 
@@ -549,8 +554,9 @@ def test_cli_action_refuses_symmetries_beyond_memory(tmp_path, capsys, monkeypat
     assert out.exists() == (code == EXIT_OK)
     if code == EXIT_PARAMS:
         err = capsys.readouterr().err
-        assert ("invalid parameters: symmetries too large to build: "
-                "its 16 dense 6 x 6 symmetries take 4608 bytes") in err
+        assert ("invalid parameters: symmetries too large to build: its 14 dense 6 x 6 "
+                "symmetries and their stabilizer chain take about 2552 8-byte entries, "
+                f"20416 bytes, more than the {limit} bytes of memory available") in err
 
 
 def test_cli_certify_reports_welch_violation(tmp_path, capsys, monkeypatch):

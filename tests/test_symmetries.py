@@ -1,6 +1,6 @@
 import hashlib
 import tracemalloc
-from math import log
+from math import log, prod
 
 import numpy as np
 import pytest
@@ -14,7 +14,7 @@ from equiline.action import (
     is_transitive,
     two_transitivity,
 )
-from equiline.finfield import HyperplaneType, enumerate_hyperplanes, nonsingular_vectors
+from equiline.finfield import HyperplaneType, enumerate_hyperplanes
 from equiline.fiducial import SearchConfig, orbit_lineset, search_fiducial
 from equiline.heisenberg import check_unitary, lex_digits, lex_index, monomial_matrix
 from equiline.lineset import LineSet, construct_case_iii, construct_case_iv
@@ -26,6 +26,7 @@ from equiline.symmetries import (
     _moves_line1_everywhere,
     _qubit_clifford_generators,
     _transvection_perms,
+    _weight_two_directions,
     _weil_kron,
     geometry_unitaries,
     line_translations,
@@ -38,6 +39,8 @@ from oracles import (
     close_permutations,
     line0_stabilizer,
     multiplicity_certificate,
+    nonsingular_vectors,
+    quadratic_form,
     transvection,
     transvection_on_functional,
 )
@@ -193,11 +196,43 @@ def test_transvection_line_permutations_are_the_transvections(m, tag):
     # image of 2 << k with its radical bit dropped
     L = construct_case_iii(m, tag)
     labels = lex_digits(2, 2 * m)
-    for u, perm in zip(nonsingular_vectors(m), _transvection_perms(m, tag), strict=True):
+    us = nonsingular_vectors(m)
+    for u, perm in zip(us, _transvection_perms(m, tag, us), strict=True):
         S, b = _affine_map(induced_permutation(L, monomial_matrix(np.array(perm))), labels, 2)
         images = [transvection(m, u, 2 << k) & ~1 for k in range(2 * m)]
         assert np.array_equal(S, [[x >> (j + 1) & 1 for x in images] for j in range(2 * m)])
         assert not b.any()
+    # geometry_unitaries takes the m(2m + 1) nonsingular directions whose
+    # labels are e_i and then e_i + e_j for i < j in lexicographic order, and
+    # the label map of each is the symplectic transvection x -> x + omega(x, a) a
+    # along its label a, omega pairing the digits 2i and 2i + 1
+    weight_two = _weight_two_directions(m).tolist()
+    units = [1 << k for k in range(2 * m)]
+    pairs = [units[i] | units[j] for i in range(2 * m) for j in range(i + 1, 2 * m)]
+    assert [u >> 1 for u in weight_two] == units + pairs
+    J = np.kron(np.eye(m, dtype=np.int64), [[0, 1], [1, 0]])
+    geometry = geometry_unitaries(L)
+    assert len(geometry) == m * (2 * m + 1)
+    for u, U in zip(weight_two, geometry, strict=True):
+        assert quadratic_form(m, u) == 1
+        a = np.array([u >> (j + 1) & 1 for j in range(2 * m)])
+        assert 1 <= a.sum() <= 2
+        S, b = _affine_map(induced_permutation(L, U), labels, 2)
+        assert np.array_equal(S, (np.eye(2 * m, dtype=np.int64) + np.outer(a, J @ a)) % 2)
+        assert not b.any()
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+@pytest.mark.parametrize("tag", [MINUS, PLUS])
+def test_case_iii_group_is_the_translations_by_the_symplectic_group(m, tag):
+    # |G| = n |Sp(2m, 2)| = 4^m 2^(m^2) prod_(i=1..m) (4^i - 1), from the
+    # formula; the symmetries are the 2m translations and the m(2m + 1)
+    # transvections along labels of weight one and two
+    L = construct_case_iii(m, tag)
+    cert = action_certificate(L, symmetry_unitaries(L))
+    assert cert.group_order == 4**m * 2 ** (m * m) * prod(4**i - 1 for i in range(1, m + 1))
+    assert cert.transitive and cert.two_transitive
+    assert cert.matched_unitaries == 2 * m + m * (2 * m + 1)
 
 
 def _closed_stabilizer(L):
@@ -211,7 +246,8 @@ def _closed_stabilizer(L):
     if L.meta["case"] == "iii":
         unis, phases = [], []
         tag = HyperplaneType(L.meta["type"])
-        for perm in close_permutations(_transvection_perms(L.meta["m"], tag)):
+        us = nonsingular_vectors(L.meta["m"])
+        for perm in close_permutations(_transvection_perms(L.meta["m"], tag, us)):
             P = monomial_matrix(np.array(perm))
             unis.extend((P, -P))
             phases.extend((1.0, -1.0))
@@ -584,7 +620,7 @@ def test_transvection_perms_match_functional_pullbacks(m, tag):
         tuple(index[transvection_on_functional(m, u, phi)] for phi in phis)
         for u in nonsingular_vectors(m)
     ]
-    assert _transvection_perms(m, tag) == expected
+    assert _transvection_perms(m, tag, nonsingular_vectors(m)) == expected
 
 
 # sha256 of the int64 bytes of the stacked permutations, as the per-(u, phi)
@@ -603,7 +639,7 @@ TRANSVECTION_DIGESTS = {
 
 @pytest.mark.parametrize("m,tag", list(TRANSVECTION_DIGESTS))
 def test_transvection_perms_digests(m, tag):
-    perms = np.array(_transvection_perms(m, tag), dtype=np.int64)
+    perms = np.array(_transvection_perms(m, tag, nonsingular_vectors(m)), dtype=np.int64)
     assert hashlib.sha256(perms.tobytes()).hexdigest() == TRANSVECTION_DIGESTS[(m, tag)]
     # involutions, so each is its own gather index for monomial_matrix
     assert np.array_equal(np.take_along_axis(perms, perms, axis=1),
