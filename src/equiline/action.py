@@ -246,8 +246,11 @@ def action_certificate(
 
     The lines must carry their construction tag (lineset._case), and the
     permutations must hold the 2m unit translations (ValueError otherwise)
-    and be affine label maps (NotASymmetry otherwise)."""
+    and be affine label maps (NotASymmetry otherwise).  The reference to
+    unitaries is dropped once the permutations are read, so dense symmetries
+    that the caller does not hold are freed before the chain is built."""
     perms = [induced_permutation(lines, U, tol) for U in unitaries]
+    del unitaries
     if not perms:
         raise ValueError("no unitaries supplied")
     _, p, m = _case(lines.meta, lines.n, lines.d)

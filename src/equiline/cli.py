@@ -152,9 +152,8 @@ def action_payload(lines: lineset.LineSet, tol: float = 1e-8) -> dict:
     """The payload `action` writes; exit 5 when the symmetries cannot be
     derived or do not permute the lines, 2 when they are too large for
     memory."""
-    try:
-        unis = symmetries.symmetry_unitaries(lines)
-        cert = action.action_certificate(lines, unis, tol=tol)
+    try:  # no name holds the dense symmetries, which action_certificate drops
+        cert = action.action_certificate(lines, symmetries.symmetry_unitaries(lines), tol=tol)
     except (action.NotASymmetry, RuntimeError, ValueError) as exc:
         raise Refused(EXIT_ACTION_FAILED, f"action derivation failed: {exc}")
     except MemoryError as exc:

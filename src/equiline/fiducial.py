@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lineset import LineSet, _shape_in_memory, _translation_table, orbit
+from .lineset import LineSet, _shape_in_memory, _translation_table
 
 __all__ = [
     "NotConverged",
@@ -107,7 +107,7 @@ def _qubits(d: int) -> int:
 def displacements(d: int) -> tuple[np.ndarray, np.ndarray]:
     """Monomials (index, phase) of the nontrivial displacements in line order,
     each of shape (d^2 - 1, d): the cached translations after the identity."""
-    return tuple(part[1:] for part in _translation_table(2, _qubits(d), None))
+    return tuple(part[1:] for part in _translation_table(2, _qubits(d), None)[:2])
 
 
 def potential_bound(d: int) -> float:
@@ -261,5 +261,5 @@ def orbit_lineset(v: np.ndarray, d: int, meta: dict | None = None) -> LineSet:
     if v.shape != (d,):
         raise ValueError("fiducial must be a length-d vector")
     v = v / np.linalg.norm(v)
-    cols = orbit(v, *_translation_table(2, _qubits(d), None))
-    return LineSet(cols, {"case": "i" if d == 2 else "ii", "n": d * d, "d": d, **(meta or {})})
+    return LineSet.from_orbit(v, {"case": "i" if d == 2 else "ii", "n": d * d, "d": d, **(meta or {})},
+                              d * d)

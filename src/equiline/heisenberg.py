@@ -6,8 +6,9 @@ zeta^(kappa b.x)|x>: zeta = exp(2 pi i / p) and kappa = 1 for odd p, zeta = i
 and kappa = 2 (so Z is the +-1 modulation) for p = 2.  Each is a monomial in
 gather form (index, phase), (D v)[y] = phase[y] v[index[y]], the one form in
 which the constructions, the orbit check, the fiducial search, the
-translation unitaries and the Weil transvections apply it; monomial_matrix
-gives the dense matrix.
+translation unitaries and the Weil transvections apply it, and its phase is
+zeta^t for an exact exponent t (_displacement_exponents), which codes the
+entries of a written orbit; monomial_matrix gives the dense matrix.
 lex_digits and lex_index convert between points and their indices.
 """
 
@@ -69,6 +70,15 @@ def _roots(p: int) -> np.ndarray:
     return np.array([zeta**t for t in range(p if p > 2 else 4)])
 
 
+def _displacement_exponents(p: int, m: int, a, b):
+    """(index, t) of X(a) Z(b), whose phase is _roots(p)[t]: t is the exact
+    exponent kappa b.x of zeta, reduced, in the narrowest unsigned dtype."""
+    x = (lex_digits(p, m) - np.asarray(a)[..., None, :]) % p
+    kappa, order = (1, p) if p > 2 else (2, 4)
+    t = kappa * np.vecdot(x, np.asarray(b)[..., None, :]) % order
+    return lex_index(x, p), t.astype(np.min_scalar_type(order - 1))
+
+
 def displacement_monomial(p: int, m: int, a, b):
     """(index, phase) of X(a) Z(b) over the p^m points in lexicographic order:
     (X(a) Z(b) v)[y] = zeta^(kappa b.x) v[x] with x = y - a.
@@ -76,9 +86,8 @@ def displacement_monomial(p: int, m: int, a, b):
     Vectorized: a and b of shape (..., m) give index and phase of shape
     (..., p^m).
     """
-    x = (lex_digits(p, m) - np.asarray(a)[..., None, :]) % p
-    roots, kappa = _roots(p), 1 if p > 2 else 2
-    return lex_index(x, p), roots[kappa * np.vecdot(x, np.asarray(b)[..., None, :]) % len(roots)]
+    index, t = _displacement_exponents(p, m, a, b)
+    return index, _roots(p)[t]
 
 
 def check_unitary(U: np.ndarray) -> np.ndarray:

@@ -8,7 +8,12 @@ declares exact_signs, as the sign-matrix constructions do, derives the +-1
 signs of its columns and keeps them as int8, so that angle certificates can
 be exact.  Each family is the orbit of line 0 under translations in gather
 form, (T_a v)[y] = phase[a, y] v[index[a, y]] over q points, a column viewed
-as q x du.
+as q x du.  The constructions, the fiducial orbits and the reader of a
+canonical file build a set once from its line 0 (LineSet.from_orbit): the
+columns by orbit, and its signs, orbit residual and frame from line 0, with
+no column compared against the orbit that made it.  Any other set is
+checked: LineSet derives its signs from every column and proves the orbit
+of line 0 a block at a time (_orbit_frame).
 
 The frame operator of an orbit is read from its line 0 (Vale and Waldron,
 "Tight frames and their symmetries", Constr. Approx. 21 (2005)).  With
@@ -46,7 +51,7 @@ from typing import Callable
 import numpy as np
 
 from .finfield import HyperplaneType, enumerate_hyperplanes
-from .heisenberg import displacement_monomial, lex_digits
+from .heisenberg import _displacement_exponents, _roots, displacement_monomial, lex_digits
 from .weil import parity_split
 
 __all__ = [
@@ -218,11 +223,7 @@ class LineSet:
         d, n = V.shape
         if n <= d:
             raise ValueError(f"need more lines than dimensions, got n={n}, d={d}")
-        if V.dtype == np.float64:  # real products: a quarter of the work
-            self.norms = np.sqrt(np.einsum("ij,ij->j", V, V))
-        else:  # per-column sums of squares, with no temporary the size of V
-            re, im = V.real, V.imag
-            self.norms = np.sqrt(np.einsum("ij,ij->j", re, re) + np.einsum("ij,ij->j", im, im))
+        self.norms = _norms(V)
         if np.abs(self.norms - 1.0).max() > NORM_TOL:
             raise ValueError("columns must be unit vectors")
         if d < 2:
@@ -237,6 +238,34 @@ class LineSet:
             if rank != d:
                 raise SpanDeficient(f"columns span rank {rank} < d = {d}")
 
+    @classmethod
+    def from_orbit(cls, w: np.ndarray, meta: dict, n: int) -> LineSet:
+        """The line set of the n columns T_a w, the translation orbit of line
+        0 w under the translations of the tagged meta (_line_table, whose
+        ValueError it raises when meta fails _case), equal bit for bit to
+        LineSet(orbit(w, ...), meta).
+
+        The columns are built by orbit, so nothing is compared against their
+        own orbit: orbit_eps is 0.0, the exact signs of case iii are those of
+        line 0 gathered by orbit (its phases are int8 +-1, which flip signs
+        and keep every gap of _exact_signs), and the frame blocks are read
+        from line 0 by _line0_frame.  What line 0 cannot vouch for goes to
+        the checked LineSet: an exact_signs that is not a bool or comes with
+        phases other than int8 +-1, columns that are not unit within
+        NORM_TOL (or not finite), and blocks that fail _orbit_spans."""
+        case, index, phase, *_ = _line_table(meta, n, len(w))
+        V = _columns(orbit(w, index, phase))
+        exact = meta.get("exact_signs", False)
+        norms = _norms(V)
+        if (type(exact) is not bool or (exact and phase.dtype != np.int8)
+                or not np.abs(norms - 1.0).max() <= NORM_TOL):
+            return cls(V, meta)
+        lines = cls.__new__(cls)
+        lines.vectors, lines.meta, lines.norms, lines.orbit_eps = V, meta, norms, 0.0
+        lines.signs = orbit(_exact_signs(V[:, :1])[:, 0], index, phase) if exact else None
+        lines.frame, lines.frame_slack = _line0_frame(lines, case, index.shape[-1], 0.0)
+        return lines if _orbit_spans(lines.frame, lines.frame_slack, *V.shape) else cls(V, meta)
+
     @property
     def d(self) -> int:
         return self.vectors.shape[0]
@@ -244,6 +273,14 @@ class LineSet:
     @property
     def n(self) -> int:
         return self.vectors.shape[1]
+
+
+def _norms(V: np.ndarray) -> np.ndarray:
+    """The norms of the columns of V."""
+    if V.dtype == np.float64:  # real products: a quarter of the work
+        return np.sqrt(np.einsum("ij,ij->j", V, V))
+    re, im = V.real, V.imag  # per-column sums of squares, no temporary the size of V
+    return np.sqrt(np.einsum("ij,ij->j", re, re) + np.einsum("ij,ij->j", im, im))
 
 
 @dataclass
@@ -347,20 +384,29 @@ def _case(meta: dict, n: int, d: int) -> tuple[str, int, int]:
 
 @lru_cache(maxsize=8)
 def _translation_table(p: int, m: int, kind: str | None):
-    """The translations of all p^(2m) elements, read-only, made once per
-    (p, m, kind): kind is the hyperplane type of case iii, whose q = d
-    characters they are, and None for the displacements of cases i, ii and
-    iv."""
-    phis = None if kind is None else enumerate_hyperplanes(m, HyperplaneType(kind))
-    table = translations(p, m, functionals=phis)
+    """(index, phase, codes, roots): the translations of all p^(2m)
+    elements, read-only, made once per (p, m, kind), with phase =
+    roots[codes].  kind is the hyperplane type of case iii, whose q = d int8
+    +-1 characters they are and their own codes into roots = (1, 1, -1),
+    where -1 indexes the last; it is None for the displacements of cases i,
+    ii and iv, whose codes are the exact exponents of heisenberg._roots."""
+    if kind is None:
+        labels = lex_digits(p, 2 * m)
+        index, codes = _displacement_exponents(p, m, labels[:, :m], labels[:, m:])
+        roots = _roots(p)
+        table = index, roots[codes], codes, roots
+    else:
+        index, phase = translations(p, m, functionals=enumerate_hyperplanes(m, HyperplaneType(kind)))
+        table = index, phase, phase, np.array([1, 1, -1], np.int8)
     for part in table:
         part.flags.writeable = False
     return table
 
 
 def _line_table(meta: dict, n: int, d: int):
-    """(case, index, phase) of a constructed line set (_case): its
-    translations in line order, element i mapping line 0 to line i."""
+    """(case, index, phase, codes, roots) of a constructed line set (_case):
+    its translations in line order, element i mapping line 0 to line i, and
+    their phase codes (_translation_table)."""
     case, p, m = _case(meta, n, d)
     return case, *_translation_table(p, m, meta["type"] if case == "iii" else None)
 
@@ -368,18 +414,18 @@ def _line_table(meta: dict, n: int, d: int):
 def line_translations(lines: LineSet, elements=None):
     """The translation monomials of a constructed line set, in line order
     (translations): element i maps line 0 to line i."""
-    _, index, phase = _line_table(lines.meta, lines.n, lines.d)
+    _, index, phase, *_ = _line_table(lines.meta, lines.n, lines.d)
     return (index, phase) if elements is None else (index[elements], phase[elements])
 
 
 # Peak bytes per entry of the d x n columns while construct_case_iii or
 # construct_case_iv runs, as the rise in peak RSS (Python 3.11, numpy 2.4).
-# The columns and the translation table set it; orbit's gathers and
-# LineSet's checks take blocks, and its frame a few blocks b x b.  Case iii:
-# 15.3 B at m = 5 and 11.3 B at m = 6 (float64 columns, the int8 orbit they
-# are scaled from, the int8 signs LineSet derives, and the int8 table).
-# Case iv: complex columns, 20.4 B at (7, 2), 18.4 B at (61, 1), and 49.0 B
-# at (3, 3), whose 256k entries leave the fixed costs showing.
+# The columns and the translation table set it; orbit's gathers take blocks,
+# and the frame a few blocks b x b.  Case iii: 17.0 B at m = 5 and 11.2 B at
+# m = 6 (float64 columns, the int8 signs gathered from line 0's, and the
+# int8 table).  Case iv: complex columns, 19.0 B at (7, 2), 17.6 B at
+# (61, 1), and 35.2 B at (3, 3), whose 256k entries leave the fixed costs
+# showing.
 _BUILD_BYTES_PER_ENTRY = 64
 _BUILD_WHAT = "building its {} x {} columns takes about {} bytes"
 _CGROUP_MEMORY_MAX = Path("/sys/fs/cgroup/memory.max")
@@ -435,10 +481,10 @@ def construct_case_iii(m: int, type_choice: HyperplaneType) -> LineSet:
     dimension d = 2^(m-1)(2^m -+ 1) (minus type gives the minus sign).
 
     Coordinates are indexed by the chosen-type hyperplanes in lexicographic
-    order.  The lines are the translation orbit of the all-ones vector, so
-    column(e)[M] = character_M(e) / sqrt(d) over the lexicographic-least
-    representatives e of the cosets of the radical.  All signs are exact
-    integers.  Raises MemoryError, before any enumeration, when the build's
+    order.  The lines are the translation orbit (LineSet.from_orbit) of the
+    all-ones vector over sqrt(d), so column(e)[M] = character_M(e) / sqrt(d)
+    over the lexicographic-least representatives e of the cosets of the
+    radical.  All signs are exact integers.  Raises MemoryError, before any enumeration, when the build's
     peak of _BUILD_BYTES_PER_ENTRY bytes per entry of the d x n columns would
     exceed the memory available (see _memory_limit).
     """
@@ -447,21 +493,12 @@ def construct_case_iii(m: int, type_choice: HyperplaneType) -> LineSet:
     if type_choice is HyperplaneType.DEGENERATE:
         raise ValueError("degenerate hyperplanes do not give a line set")
     minus = type_choice is HyperplaneType.MINUS
-    d, _ = _shape_in_memory(  # d >= 2^(m-1) 2^(m-1)
+    d, n = _shape_in_memory(  # d >= 2^(m-1) 2^(m-1)
         _BUILD_WHAT, _BUILD_BYTES_PER_ENTRY, (2 * m - 2, 2 * m),
         lambda: (_case_iii_dims(m)[0 if minus else 1], 4**m),
     )
-    table = _translation_table(2, m, type_choice.value)
-    cols = orbit(np.ones(d, dtype=np.int8), *table) / np.sqrt(d)  # the int8 orbit dies here
-    meta = {
-        "case": "iii",
-        "m": m,
-        "type": type_choice.value,
-        "n": cols.shape[1],
-        "d": d,
-        "exact_signs": True,
-    }
-    return LineSet(cols, meta)
+    meta = {"case": "iii", "m": m, "type": type_choice.value, "n": n, "d": d, "exact_signs": True}
+    return LineSet.from_orbit(np.full(d, 1 / np.sqrt(d)), meta, n)
 
 
 def _is_odd_prime(p: int) -> bool:
@@ -477,11 +514,11 @@ def construct_case_iv(p: int, m: int, eigen_choice: HyperplaneType) -> LineSet:
     The ambient space is the operator space Hom(U, W) with W the p^m-dimensional
     representation space and U the chosen parity eigenspace (minus = odd, the
     smaller one).  The fiducial is the normalized inclusion of U; line e is the
-    flattened matrix D(e) @ iota / sqrt(dim U), the translation orbit of the
-    flattened iota / sqrt(dim U): every column is bitwise the orbit of the
-    stored line 0, up to the sign of zero, as for the other three families,
-    so a reader can rebuild the set from its line 0.  LineSet raises
-    SpanDeficient if the orbit fails to span.
+    flattened matrix D(e) @ iota / sqrt(dim U), the translation orbit
+    (LineSet.from_orbit) of the flattened iota / sqrt(dim U): every column
+    is bitwise the orbit of the stored line 0, up to the sign of zero, as for
+    the other three families, so a reader can rebuild the set from its line
+    0.  LineSet raises SpanDeficient if the orbit fails to span.
     Raises MemoryError before any work, the primality test of p included,
     when the build would exceed the memory available, as construct_case_iii
     does.
@@ -500,16 +537,9 @@ def construct_case_iv(p: int, m: int, eigen_choice: HyperplaneType) -> LineSet:
         raise ValueError(f"p must be an odd prime, got {p}")
     even, odd = parity_split(p, m)
     iota = odd if eigen_choice is HyperplaneType.MINUS else even
-    cols = orbit(iota * (1 / np.sqrt(iota.shape[1])), *_translation_table(p, m, None))
-    meta = {
-        "case": "iv",
-        "p": p,
-        "m": m,
-        "eigen": eigen_choice.value,
-        "n": cols.shape[1],
-        "d": cols.shape[0],
-    }
-    return LineSet(cols, meta)
+    w = (iota * (1 / np.sqrt(iota.shape[1]))).ravel()
+    meta = {"case": "iv", "p": p, "m": m, "eigen": eigen_choice.value, "n": p ** (2 * m), "d": w.size}
+    return LineSet.from_orbit(w, meta, p ** (2 * m))
 
 
 def _integral(P: np.ndarray) -> np.ndarray:
@@ -548,7 +578,7 @@ def _orbit_frame(L: LineSet) -> tuple[float, np.ndarray, float] | None:
     equal.
     """
     try:
-        case, index, phase = _line_table(L.meta, L.n, L.d)
+        case, index, phase, *_ = _line_table(L.meta, L.n, L.d)
     except ValueError:
         return None
     V = L.vectors if L.signs is None else L.signs
@@ -576,18 +606,24 @@ def _orbit_frame(L: LineSet) -> tuple[float, np.ndarray, float] | None:
                                      + np.einsum("ka,ka->a", W.imag, W.imag)).max()))
         if eps > ORBIT_TOL:
             return None
+    return eps, *_line0_frame(L, case, index.shape[-1], eps)
+
+
+def _line0_frame(L: LineSet, case: str, q: int, eps: float) -> tuple[np.ndarray, float]:
+    """(frame, slack) of _orbit_frame, read from line 0 of the orbit set L
+    of orbit residual eps over q points."""
     if L.signs is None:
-        e, norm = eps, L.norms[0]
+        w, e, norm = L.vectors[:, 0], eps, L.norms[0]
     else:
-        w, e, norm = w / np.sqrt(d), 2 * SIGN_TOL, 1.0
+        w, e, norm = L.signs[:, 0] / np.sqrt(L.d), 2 * SIGN_TOL, 1.0
     if case == "iii":
-        frame = n * (w * w.conj()).real
+        frame = L.n * (w * w.conj()).real
         frame = frame[:1] if (frame == frame[0]).all() else frame
         frame = frame[:, None, None]
     else:
-        R = w.reshape(index.shape[-1], -1)
-        frame = (index.shape[-1] * (R.T @ R.conj()))[None]
-    return eps, frame, n * e * (2 * norm + e)
+        R = w.reshape(q, -1)
+        frame = (q * (R.T @ R.conj()))[None]
+    return frame, L.n * e * (2 * norm + e)
 
 
 def _pair_gram(L: LineSet) -> GramMatrix:

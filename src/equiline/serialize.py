@@ -5,18 +5,26 @@ fixed key order, sorted mapping keys, floats at 17 significant digits (which
 round-trips IEEE doubles exactly), complex entries as [re, im] pairs.
 
 The vectors block is written from a table of the distinct entries and one
-code per entry, the codes in text order: row j holds column line j.  The
-writer looks each block of columns up once in a table of complex entries
-(_entry_table) and prints the codes through patterns of a few entries each
-(_text_blocks, the one definition of the layout).  The reader guesses that
-a tagged file, one whose header passes lineset._case, is the translation
-orbit of its line 0, coded as the writer codes it, and takes the guess only
-where the writer prints the block back from it byte for byte.  Every
-constructed set is bitwise that orbit up to the sign of zero, so no entry
-past line 0 is read.  Any other text goes through the standard json module
-and the shape checks of _parse_json, which give its errors: an untagged
-file, other whitespace or key order, `1.0`, `-0`, NaN, or a tagged file
-with an entry moved by one ulp.  json reads those with the same bits, at
+code per entry, the codes in text order: row j holds column line j, printed
+through patterns of a few entries each (_text_blocks, the one definition of
+the layout).  The codes of a tagged orbit set (LineSet.orbit_eps) are a
+gather of line 0's (_orbit_codes): each entry is a root of the translation
+phases times an entry of line 0 and takes that product's code, so nothing
+of size n d is sorted, and the writer keeps them only where they give back
+the columns under ==.  Every other set, an untagged one or one an ulp off
+its orbit, is looked up a block of columns at a time in a table of complex
+entries (_entry_table).
+
+The reader guesses that a tagged file, one whose header passes
+lineset._case, is the translation orbit of its line 0.  It codes line 0 as
+the writer does, and takes the guess only where the writer prints the block
+back from those codes byte for byte; only then does it build the set, by
+LineSet.from_orbit of line 0, so a guess the print-back refutes builds no
+column.  Every constructed set is bitwise that orbit up to the sign of
+zero, so no entry past line 0 is read.  Any other text goes through the
+standard json module and the shape checks of _parse_json, which give its
+errors: an untagged file, other whitespace or key order, `1.0`, `-0`, NaN,
+or a tagged file with an entry moved by one ulp.  json reads those with the same bits, at
 about ten times the time and seven times the memory of the guess from entry
 hashes this module once made: 0.49-0.50 s and a 73.4 MB tracemalloc peak
 against 0.05-0.07 s and 10.2 MB at iii m=5 minus (CPython 3.11, 2 vCPUs).
@@ -34,7 +42,7 @@ from itertools import chain
 import numpy as np
 
 from .heisenberg import lex_index
-from .lineset import LineSet, _columns, _line_table, orbit
+from .lineset import LineSet, _columns, _line_table
 
 __all__ = ["serialize_lineset", "parse_lineset", "gram_csv"]
 
@@ -133,6 +141,43 @@ def _entry_table(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return table.keys, codes
 
 
+def _orbit_codes(line0: np.ndarray, index: np.ndarray, codes: np.ndarray,
+                 roots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct entries of the orbit of line0 under the translations
+    (index, phase) with phase = roots[codes] (lineset._translation_table),
+    and the n x d text-order codes of its entries into them, read from line
+    0's: entry u of point y in line a is roots[codes[a, y]] times entry
+    (index[a, y], u) of line 0, and takes the code of that product.
+
+    Only the products of a root and a distinct entry of line 0 are sorted,
+    and equal ones share a code; the n x d codes are a gather through the
+    table, a block of lines at a time.  Their entries equal the orbit's
+    under == where numpy multiplies alike, which the callers prove
+    (_gives_back)."""
+    n, q = index.shape
+    entries, at = np.unique(line0, return_inverse=True)
+    values, pair = np.unique(roots[:, None] * entries, return_inverse=True)
+    # row r q + x holds the codes of root r times point x of line 0
+    pair = pair.reshape(len(roots), -1)[:, at].astype(np.min_scalar_type(len(values) - 1))
+    pair = pair.reshape(len(roots) * q, -1)
+    out = np.empty((n, q, pair.shape[1]), pair.dtype)
+    step = _block_lines(len(line0), n)
+    for a in range(0, n, step):
+        rows = codes[a : a + step] * np.intp(q)  # an int8 -1 of case iii takes the last root
+        rows += index[a : a + step]
+        pair.take(rows, axis=0, out=out[a : a + step])
+    return values, out.reshape(n, -1)
+
+
+def _gives_back(values: np.ndarray, codes: np.ndarray, M: np.ndarray) -> bool:
+    """True when values[codes] is the d x n matrix M in text order under ==,
+    compared a block of lines at a time."""
+    d, n = M.shape
+    step = _block_lines(d, n)
+    return all(np.array_equal(values.take(codes[a : a + step].T), M[:, a : a + step])
+               for a in range(0, n, step))
+
+
 def _text_blocks(tokens: list[str], codes: np.ndarray) -> Iterator[list[str]]:
     """The vectors block text of the n x d codes into tokens, one row per
     column line, as one list of pieces per block of lines: lines joined by
@@ -197,6 +242,16 @@ def _token(z: complex | float) -> str:
     return f"[{_fmt_float(z.real)},{_fmt_float(z.imag)}]"
 
 
+def _orbit_table(lines: LineSet) -> tuple[np.ndarray, np.ndarray] | None:
+    """_orbit_codes of line 0 of a tagged orbit set (LineSet.orbit_eps) when
+    they give back its columns (_gives_back), else None."""
+    if lines.orbit_eps is None:
+        return None
+    _, index, _, codes, roots = _line_table(lines.meta, lines.n, lines.d)
+    values, text_codes = _orbit_codes(lines.vectors[:, 0], index, codes, roots)
+    return (values, text_codes) if _gives_back(values, text_codes, lines.vectors) else None
+
+
 def serialize_lineset(lines: LineSet) -> str:
     """One-column-per-row JSON text with fixed field order."""
     meta = lines.meta
@@ -204,7 +259,7 @@ def serialize_lineset(lines: LineSet) -> str:
         k: v for k, v in meta.items() if k not in ("case", "n", "d", "exact_signs")
     }
     header = {"case": meta.get("case"), "n": lines.n, "d": lines.d, "params": params, "meta": meta}
-    values, codes = _entry_table(lines.vectors)
+    values, codes = _orbit_table(lines) or _entry_table(lines.vectors)
     tokens = [_token(z) for z in values.tolist()]
     return _layout(header, chain.from_iterable(_text_blocks(tokens, codes)))
 
@@ -236,41 +291,47 @@ def _prints_back(text: str, start: int, stop: int, tokens: list[str], codes: np.
     return pos == stop
 
 
-def _orbit_guess(text: str, meta, n: int, d: int, start: int, stop: int) -> np.ndarray | None:
-    """The d x n columns of a tagged file (one whose meta passes
-    lineset._case) whose vectors block text[start:stop] is the translation
-    orbit of its line 0, or None.  Line 0's entries are read by _entry, and
-    the orbit, coded by the writer's _entry_table, must print back as the
-    text.  It is the result, with its zero parts made +0.0 in place as json
-    reads them: no entry past line 0 is converted."""
+def _orbit_guess(text: str, meta, n: int, d: int, start: int, stop: int) -> LineSet | None:
+    """The line set of a tagged file (one whose meta passes lineset._case)
+    whose vectors block text[start:stop] is the translation orbit of its
+    line 0, or None.  Line 0's entries are read by _entry and coded by
+    _orbit_codes, and those codes must print back as the text before any
+    column is built.  The set is then LineSet.from_orbit of line 0, whose
+    columns must give back the codes (_gives_back), with their zero parts
+    made +0.0 in place as json reads them: no entry past line 0 is
+    converted."""
     if not isinstance(meta, dict):
         return None
     try:
-        _, index, phase = _line_table(meta, n, d)
+        _, index, _, codes, roots = _line_table(meta, n, d)
     except ValueError:
         return None
     end = text.find("],\n", start, stop)  # line 0 closes; a table row has n > d lines
     if end < 0:
         return None
-    values = [_entry(f"[{token}]") for token in text[start + 2 : end - 1].split("],[")]
-    if len(values) != d or None in values:
+    line0 = [_entry(f"[{token}]") for token in text[start + 2 : end - 1].split("],[")]
+    if len(line0) != d or None in line0:
         return None
-    cols = orbit(_columns(np.array(values)), index, phase)
-    entries, codes = _entry_table(cols)
-    if not _prints_back(text, start, stop, [_token(z) for z in entries.tolist()], codes):
+    line0 = _columns(np.array(line0))
+    values, text_codes = _orbit_codes(line0, index, codes, roots)
+    if not _prints_back(text, start, stop, [_token(z) for z in values.tolist()], text_codes):
         return None
-    cols += 0.0
-    return _columns(cols)
+    lines = LineSet.from_orbit(line0, meta, n)
+    if not _gives_back(values, text_codes, lines.vectors):
+        return None
+    lines.vectors += 0.0
+    return lines
 
 
-def _parse_canonical(text: str) -> tuple[dict, np.ndarray] | None:
-    """Header and d x n vectors of a tagged file's text as serialize_lineset
+def _parse_canonical(text: str) -> tuple[dict, LineSet] | None:
+    """Header and line set of a tagged file's text as serialize_lineset
     writes it, or None for any other text.
 
     The header and meta are read by json with the vectors block cut out and
     must print back as they stand.  The columns are then guessed to be the
     orbit of line 0 of a tagged file (_orbit_guess), and the guess is taken
-    only once _text_blocks prints the block back from it byte for byte.
+    only once _text_blocks prints the block back from line 0's codes byte
+    for byte.
     """
     start = text.find(_OPEN) + len(_OPEN)
     stop = text.rfind(_CLOSE, start)  # the only one in canonical text, and near its end
@@ -287,8 +348,8 @@ def _parse_canonical(text: str) -> tuple[dict, np.ndarray] | None:
     # n * d entries of more than one character each; this also bounds codes
     if type(n) is not int or type(d) is not int or not (n > 0 and d > 0 and n * d < len(text)):
         return None
-    vectors = _orbit_guess(text, obj["meta"], n, d, start, stop)
-    return None if vectors is None else (obj, vectors)
+    lines = _orbit_guess(text, obj["meta"], n, d, start, stop)
+    return None if lines is None else (obj, lines)
 
 
 def _parse_json(text: str) -> tuple[dict, np.ndarray]:
@@ -325,9 +386,14 @@ def _parse_json(text: str) -> tuple[dict, np.ndarray]:
 
 
 def parse_lineset(text: str) -> LineSet:
-    """Inverse of serialize_lineset; LineSet revalidates the structure and
-    derives the exact signs that meta declares."""
-    obj, vectors = _parse_canonical(text) or _parse_json(text)
+    """Inverse of serialize_lineset: the orbit of line 0 of a canonical
+    tagged file (_parse_canonical), else LineSet of the json parse, which
+    revalidates the structure and derives the exact signs that meta
+    declares."""
+    canonical = _parse_canonical(text)
+    if canonical is not None:
+        return canonical[1]
+    obj, vectors = _parse_json(text)
     meta = obj.get("meta", {})
     if not isinstance(meta, dict):
         raise TypeError(f"meta must be a JSON object, got {type(meta).__name__}")

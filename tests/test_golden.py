@@ -27,8 +27,16 @@ from equiline.cli import (
 )
 from equiline.fiducial import SearchConfig, orbit_lineset, search_fiducial
 from equiline.finfield import HyperplaneType
-from equiline.lineset import construct_case_iii, construct_case_iv, line_translations, orbit
-from equiline.serialize import serialize_lineset
+import equiline.serialize
+from equiline.lineset import (
+    LineSet,
+    _line_table,
+    construct_case_iii,
+    construct_case_iv,
+    line_translations,
+    orbit,
+)
+from equiline.serialize import _entry_table, _orbit_codes, _token, serialize_lineset
 from oracles import group_elements, schroedinger_rep, valid_rep_indices
 
 
@@ -117,15 +125,66 @@ def _built(key):
     return construct_case_iii(key[1], tag) if key[0] == "iii" else construct_case_iv(*key[1:3], tag)
 
 
-@pytest.mark.parametrize("key", [
+# every construction row, iv (7, 2) both types, and the searched i and ii sets
+ORBIT_KEYS = [
     *sorted(CONSTRUCTIONS, key=str), ("iv", 7, 2, "minus"), ("iv", 7, 2, "plus"),
     *((case, seed) for case in ("i", "ii") for seed in (1, 2, 3)),
-], ids=str)
+]
+
+
+@pytest.mark.parametrize("key", ORBIT_KEYS, ids=str)
 def test_constructed_sets_are_the_orbit_of_their_line_0(key):
     # the reader of serialize rebuilds a tagged file from its line 0 on this;
     # == takes -0.0 for 0.0, which both print as 0
     L = _built(key)
     assert np.array_equal(orbit(L.vectors[:, 0], *line_translations(L)), L.vectors)
+
+
+def _bits(a):
+    return None if a is None else (a.dtype, a.shape, a.tobytes())
+
+
+@pytest.mark.parametrize("key", ORBIT_KEYS, ids=str)
+def test_the_orbit_built_set_is_the_checked_set_bit_for_bit(key):
+    # LineSet.from_orbit reads signs, orbit_eps and frame off line 0; the
+    # checked LineSet proves them against every column
+    L = _built(key)
+    checked = LineSet(L.vectors, L.meta)
+    for name in ("vectors", "signs", "norms", "frame"):
+        assert _bits(getattr(L, name)) == _bits(getattr(checked, name)), name
+    assert L.orbit_eps == checked.orbit_eps == 0.0
+    assert L.frame_slack == checked.frame_slack
+    again = LineSet.from_orbit(L.vectors[:, 0], L.meta, L.n)
+    assert _bits(again.vectors) == _bits(L.vectors)
+
+
+def _tokens(values: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    return np.array([_token(z) for z in values.tolist()], object)[codes]
+
+
+@pytest.mark.parametrize("key", ORBIT_KEYS, ids=str)
+def test_orbit_codes_give_the_entry_table_tokens(key):
+    L = _built(key)
+    _, index, _, codes, roots = _line_table(L.meta, L.n, L.d)
+    values, text_codes = _orbit_codes(L.vectors[:, 0], index, codes, roots)
+    assert text_codes.shape == (L.n, L.d)
+    assert np.array_equal(_tokens(values, text_codes), _tokens(*_entry_table(L.vectors)))
+
+
+@pytest.mark.parametrize("key", ORBIT_KEYS, ids=str)
+def test_a_tagged_set_one_ulp_off_its_orbit_is_written_from_the_entry_table(key, monkeypatch):
+    # the largest real part of an interior column moves one ulp away from
+    # zero: within the orbit and sign tolerances, so the set keeps its
+    # orbit_eps, but line 0's codes no longer give back its columns
+    L = _built(key)
+    V, line = L.vectors.copy(), L.n // 2
+    k = np.argmax(np.abs(V[:, line].real))
+    V[k, line] += np.spacing(V[k, line].real)
+    moved = LineSet(V, L.meta)
+    assert moved.orbit_eps is not None
+    text = serialize_lineset(moved)
+    monkeypatch.setattr(equiline.serialize, "_orbit_table", lambda lines: None)
+    assert text == serialize_lineset(moved) != serialize_lineset(L)
 
 
 @pytest.mark.parametrize("d", sorted(ORBITS))

@@ -11,6 +11,7 @@ import pytest
 
 import equiline
 import equiline.lineset
+import equiline.serialize
 import equiline.symmetries
 from equiline.cli import (
     EXIT_ACTION_FAILED,
@@ -72,7 +73,7 @@ def test_both_readers_keep_the_storage_rule(build, dtype):
     L = build()
     text = serialize_lineset(L)
     other = json.dumps(json.loads(text))
-    assert _parse_canonical(text)[1].dtype == _parse_json(other)[1].dtype == dtype
+    assert _parse_canonical(text)[1].vectors.dtype == _parse_json(other)[1].dtype == dtype
     fast, slow = parse_lineset(text), parse_lineset(other)
     assert np.array_equal(fast.vectors.view(np.uint64), slow.vectors.view(np.uint64))
     for back in (fast, slow):
@@ -533,14 +534,13 @@ def test_cli_construct_case_iii_heeds_the_address_space_limit(tmp_path, capsys, 
 
 
 @pytest.mark.parametrize("limit,code",
-                         [(4032, EXIT_PARAMS), (20415, EXIT_PARAMS), (20416, EXIT_OK)])
+                         [(4032, EXIT_PARAMS), (24575, EXIT_PARAMS), (24576, EXIT_OK)])
 def test_cli_action_refuses_symmetries_beyond_memory(tmp_path, capsys, monkeypatch, limit, code):
     # iii m = 2 minus: 10 transvections and 4 translations as dense 6 x 6
-    # float64 matrices, 4,032 bytes, and the stabilizer chain of G_0, 2m = 4
-    # levels of n = 16 points each holding two 16-tuples of 8-byte
-    # references, 16,384 bytes: 20,416 in all.  A limit that holds the dense
-    # matrices alone is refused too, and a refused set builds no dense
-    # symmetry, not even a translation
+    # float64 matrices, 4,032 bytes, freed before the stabilizer chain of
+    # G_0 is built, which takes 48 B per m n^2, 24,576 bytes: the larger
+    # is the total.  A limit that holds the dense matrices alone is refused
+    # too, and a refused set builds no dense symmetry, not even a translation
     def monomial_matrix(*args):
         raise AssertionError("a dense symmetry was built")
 
@@ -555,8 +555,9 @@ def test_cli_action_refuses_symmetries_beyond_memory(tmp_path, capsys, monkeypat
     if code == EXIT_PARAMS:
         err = capsys.readouterr().err
         assert ("invalid parameters: symmetries too large to build: its 14 dense 6 x 6 "
-                "symmetries and their stabilizer chain take about 2552 8-byte entries, "
-                f"20416 bytes, more than the {limit} bytes of memory available") in err
+                "symmetries, or the stabilizer chain built after them, take about 3072 "
+                f"8-byte entries, 24576 bytes, more than the {limit} bytes of memory "
+                "available") in err
 
 
 def test_cli_certify_reports_welch_violation(tmp_path, capsys, monkeypatch):
@@ -829,8 +830,8 @@ def _assert_parses_agree(text: str) -> None:
     fast = _parse_canonical(text)
     assert fast is not None
     obj, vectors = _parse_json(text)
-    assert fast[1].flags.c_contiguous
-    assert np.array_equal(fast[1].view(np.uint64), vectors.view(np.uint64))
+    assert fast[1].vectors.flags.c_contiguous
+    assert np.array_equal(fast[1].vectors.view(np.uint64), vectors.view(np.uint64))
     assert fast[0] == dict(obj, vectors=[])
 
 
@@ -861,6 +862,26 @@ def test_a_tagged_file_one_ulp_off_its_orbit_takes_the_json_path(row, moved):
     back = parse_lineset(text)
     assert np.array_equal(back.vectors.view(np.uint64), _parse_json(text)[1].view(np.uint64))
     assert np.array_equal(back.vectors, V)
+
+
+@pytest.mark.parametrize("moved", ["line-0", "interior"])
+@pytest.mark.parametrize("row", [(3, "minus"), (3, 2, "plus")], ids=str)
+def test_a_refuted_orbit_guess_builds_no_column(row, moved, monkeypatch):
+    # line 0's codes print back first, so the guess the print-back refutes
+    # never calls orbit, and the json path gives the bits
+    L = _golden(row)
+    V, line = L.vectors.copy(), 0 if moved == "line-0" else L.n // 2
+    k = np.argmax(np.abs(V[:, line].real))
+    V[k, line] += np.spacing(V[k, line].real)
+    text = serialize_lineset(LineSet(V, L.meta))
+    calls = []
+    for module in (equiline.lineset, equiline.serialize):
+        monkeypatch.setattr(module, "orbit", lambda *args: calls.append(args), raising=False)
+    assert _parse_canonical(text) is None
+    assert calls == []
+    monkeypatch.undo()
+    back = parse_lineset(text)
+    assert np.array_equal(back.vectors.view(np.uint64), _parse_json(text)[1].view(np.uint64))
 
 
 def _reordered_keys(text: str) -> str:

@@ -88,7 +88,7 @@ def test_canonical_text_takes_the_one_pass_parse(drawn):
     text = serialize_lineset(orbit_lineset(*drawn))
     fast = _parse_canonical(text)
     assert fast is not None
-    assert np.array_equal(fast[1].view(np.uint64), _parse_json(text)[1].view(np.uint64))
+    assert np.array_equal(fast[1].vectors.view(np.uint64), _parse_json(text)[1].view(np.uint64))
 
 
 # both zeros, so that the table must merge -0.0 with 0.0 in either part
